@@ -12,8 +12,9 @@ so the file stays reproducible.  Results are computed fully before any
 file is written, and writes are atomic, so a failing run leaves no
 partial outputs.
 
-The environment variable FREQSYNTH_THREADS caps BLAS thread pools when
-threadpoolctl is available.
+BLAS thread pools follow the standard environment variables, read when
+numpy is first imported: set OMP_NUM_THREADS or OPENBLAS_NUM_THREADS
+(MKL_NUM_THREADS for an MKL build) to cap them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -59,22 +59,6 @@ from .generator import (
     synthesize,
 )
 from .spectral import aggregate_periodogram, default_window_len, periodogram_pcc
-
-
-def _cap_threads():
-    """Apply FREQSYNTH_THREADS to BLAS pools if threadpoolctl exists."""
-    raw = os.environ.get("FREQSYNTH_THREADS")
-    if not raw:
-        return None
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        return None
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits(limits=limit)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -515,8 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The limiter object holds the thread cap for the process lifetime.
-    _limiter = _cap_threads()  # noqa: F841
     try:
         return args.func(args, parser)
     except (FreqSynthError, ValueError, OSError) as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, WindowSet
-from .errors import DegenerateChannel, ShapeMismatch, SplitTooSmall
+from .errors import DegenerateChannel, InvalidWindow, ShapeMismatch, SplitTooSmall
 from .forecast import fit_ridge
 from .freqest import estimate_fundamental
 from .generator import (
@@ -35,7 +35,8 @@ DISTRACTOR_RANGE = (1 / 200, 0.45)
 
 DEFAULT_HORIZONS = (96, 192, 336, 720)
 
-_CHUNK = 4096
+# Elements per scoring block (2 MB of float64), sized to stay in cache.
+_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -162,6 +163,30 @@ def standardize_by_train(train: Dataset, *others: Dataset):
     return tuple(out)
 
 
+def _block_sums(predict, targets: np.ndarray, sse: np.ndarray, sae: np.ndarray):
+    """Add per-column squared and absolute error sums into sse and sae.
+
+    ``predict(rows)`` returns the predictions for ``targets[rows]``.
+    Rows are taken in blocks of about _BLOCK elements, so each block's
+    error array stays cache-resident; it is squared-and-summed by one
+    einsum and made absolute in place.
+    """
+    step = max(1, _BLOCK // targets.shape[1])
+    for lo in range(0, targets.shape[0], step):
+        rows = slice(lo, lo + step)
+        err = predict(rows) - targets[rows]
+        sse += np.einsum("ij,ij->j", err, err)
+        sae += np.abs(err, out=err).sum(axis=0)
+
+
+def _score(predict, targets: np.ndarray) -> tuple[float, float]:
+    """(MSE, MAE) of predict over a non-empty 2-D target array."""
+    sse = np.zeros(targets.shape[1])
+    sae = np.zeros(targets.shape[1])
+    _block_sums(predict, targets, sse, sae)
+    return float(sse.sum()) / targets.size, float(sae.sum()) / targets.size
+
+
 def metrics(preds, targets) -> tuple[float, float]:
     """(MSE, MAE) over all elements of equal-shaped arrays."""
     p = np.asarray(preds, dtype=np.float64)
@@ -170,24 +195,27 @@ def metrics(preds, targets) -> tuple[float, float]:
         raise ShapeMismatch(f"shape {p.shape} vs {t.shape}")
     if p.size == 0:
         raise ShapeMismatch("cannot score empty arrays")
-    err = p - t
-    return float(np.mean(err * err)), float(np.mean(np.abs(err)))
+    p, t = p.reshape(-1, 1), t.reshape(-1, 1)
+    return _score(lambda r: p[r], t)
 
 
 def windowset_metrics(model, ws: WindowSet) -> tuple[float, float]:
-    """(MSE, MAE) of a model over a window set, predictions chunked."""
+    """(MSE, MAE) of a model over a window set, predictions blocked."""
     if ws.count == 0:
         raise ShapeMismatch("cannot score an empty window set")
-    sse = sae = 0.0
-    total = 0
-    for lo in range(0, ws.count, _CHUNK):
-        hi = min(lo + _CHUNK, ws.count)
-        pred = model.forecast(ws.lookbacks[lo:hi], ws.H)
-        err = pred - ws.horizons[lo:hi]
-        sse += float(np.sum(err * err))
-        sae += float(np.sum(np.abs(err)))
-        total += err.size
-    return sse / total, sae / total
+    return _score(lambda r: model.forecast(ws.lookbacks[r], ws.H), ws.horizons)
+
+
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int >= 1; InvalidWindow naming it otherwise."""
+    try:
+        whole = int(value)
+        ok = whole == value and whole >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidWindow(f"{name} must be an integer >= 1, got {value!r}")
+    return whole
 
 
 def evaluate_zero_shot(
@@ -200,11 +228,18 @@ def evaluate_zero_shot(
 ) -> list[EvalReport]:
     """Stride-1 evaluation over the test segment, one report per horizon.
 
-    The model must accept ``forecast(X, h)`` for every requested h.
+    Reports follow the requested order, duplicates included.  The model
+    must accept ``forecast(X, h)`` for every requested h.  A model whose
+    class sets ``prefix_consistent = True`` promises that
+    ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)`` for h <= H; each
+    window is then forecast once, at the largest requested horizon that
+    fits it, and shorter horizons are scored from the prefix.  Other
+    models are forecast once per distinct horizon.
     """
-    horizons = tuple(int(h) for h in horizons)
-    if not horizons or min(horizons) < 1:
-        raise ValueError(f"horizons must be positive, got {horizons}")
+    L = _whole_number("lookback L", L)
+    horizons = tuple(_whole_number("horizon", h) for h in horizons)
+    if not horizons:
+        raise InvalidWindow("at least one horizon is required")
     max_h = max(horizons)
     if test_ds.n < L + max_h:
         raise SplitTooSmall(
@@ -213,22 +248,34 @@ def evaluate_zero_shot(
         )
     ds_id = dataset_id if dataset_id is not None else (test_ds.provenance or "dataset")
     model_id = getattr(model, "model_id", type(model).__name__)
+
+    def count(h: int) -> int:
+        return test_ds.n - L - h + 1
+
+    # A band (lo, hi, hb) forecasts windows [lo, hi) at horizon hb;
+    # reads[h] lists the bands whose first h columns horizon h sums.
+    desc = sorted(set(horizons), reverse=True)
+    if getattr(model, "prefix_consistent", False):
+        bounds = [0] + [count(h) for h in desc]
+        bands = [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)]
+        reads = {h: range(i + 1) for i, h in enumerate(desc)}
+    else:
+        bands = [(0, count(h), h) for h in desc]
+        reads = {h: [i] for i, h in enumerate(desc)}
+    sums = []
+    for lo, hi, hb in bands:
+        sse, sae = np.zeros(hb), np.zeros(hb)
+        for row in test_ds.values:
+            lbs = np.lib.stride_tricks.sliding_window_view(row, L)[lo:hi]
+            tgs = np.lib.stride_tricks.sliding_window_view(row, hb)[L + lo : L + hi]
+            _block_sums(lambda r: model.forecast(lbs[r], hb), tgs, sse, sae)
+        sums.append((sse, sae))
+
     reports = []
     for h in horizons:
-        count = test_ds.n - L - h + 1
-        sse = sae = 0.0
-        total = 0
-        for c in range(test_ds.d):
-            row = test_ds.values[c]
-            lbs = np.lib.stride_tricks.sliding_window_view(row, L)[:count]
-            tgs = np.lib.stride_tricks.sliding_window_view(row, h)[L : L + count]
-            for lo in range(0, count, _CHUNK):
-                hi = min(lo + _CHUNK, count)
-                pred = model.forecast(lbs[lo:hi], h)
-                err = pred - tgs[lo:hi]
-                sse += float(np.sum(err * err))
-                sae += float(np.sum(np.abs(err)))
-                total += err.size
+        sse = sum(float(sums[b][0][:h].sum()) for b in reads[h])
+        sae = sum(float(sums[b][1][:h].sum()) for b in reads[h])
+        total = count(h) * test_ds.d * h
         reports.append(
             EvalReport(
                 dataset=ds_id,
@@ -237,7 +284,7 @@ def evaluate_zero_shot(
                 mae=sae / total,
                 model=model_id,
                 seed=seed,
-                windows=count * test_ds.d,
+                windows=count(h) * test_ds.d,
             )
         )
     return reports

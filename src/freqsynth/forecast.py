@@ -1,7 +1,10 @@
 """Desk-scale forecasters.
 
 Three models share one calling convention, ``forecast(X, H)`` on a
-batch of lookback rows:
+batch of lookback rows, and all three are prefix-consistent:
+``forecast(X, H)[:, :h]`` equals ``forecast(X, h)`` up to rounding, which
+the ``prefix_consistent`` class attribute declares to the evaluation
+harness:
 
 * naive: repeat the last lookback value;
 * seasonal naive: repeat the last full period of the lookback;
@@ -66,6 +69,7 @@ class NaiveForecaster:
     """Last-value carry-forward."""
 
     model_id = "naive"
+    prefix_consistent = True
 
     def forecast(self, X, H: int) -> np.ndarray:
         if H < 1:
@@ -76,6 +80,8 @@ class NaiveForecaster:
 
 class SeasonalNaiveForecaster:
     """Repeat the last full period of the lookback."""
+
+    prefix_consistent = True
 
     def __init__(self, period: int):
         if period < 1:
@@ -123,6 +129,8 @@ class LinearForecaster:
     H: int
     lam: float
     model_id: str = "ridge"
+
+    prefix_consistent = True
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)

@@ -221,21 +221,26 @@ def periodogram_pcc(a: Periodogram, b: Periodogram) -> float:
 
 
 def find_peaks(p: Periodogram, rel_threshold: float = 0.1) -> list[tuple[float, float]]:
-    """Strict local maxima with power >= rel_threshold * max(power).
+    """Local maxima with power >= rel_threshold * max(power).
 
-    Boundary bins are compared one-sided; plateaus are not peaks.
-    Returns (frequency, power) pairs in ascending frequency order.
+    A run of equal powers counts as one bin: it is a peak when it is
+    strictly higher than the bins on both sides, and it is reported at
+    its lowest-frequency bin.  Boundary runs are compared one-sided, so
+    the maximum is always among the peaks.  Returns (frequency, power)
+    pairs in ascending frequency order.
     """
     if not 0.0 < rel_threshold <= 1.0:
         raise ValueError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
     pw = p.powers
     if pw.size == 0 or pw.max() <= 0.0:
         raise NoDominantFrequency("periodogram has no positive power")
-    m = pw.size
+    starts = np.flatnonzero(np.r_[True, pw[1:] != pw[:-1]])
+    runs = pw[starts]
+    m = runs.size
     up_left = np.ones(m, dtype=bool)
-    up_left[1:] = pw[1:] > pw[:-1]
+    up_left[1:] = runs[1:] > runs[:-1]
     up_right = np.ones(m, dtype=bool)
-    up_right[:-1] = pw[:-1] > pw[1:]
-    keep = up_left & up_right & (pw >= rel_threshold * pw.max())
-    idx = np.flatnonzero(keep)
+    up_right[:-1] = runs[:-1] > runs[1:]
+    keep = up_left & up_right & (runs >= rel_threshold * pw.max())
+    idx = starts[keep]
     return [(float(p.freqs[i]), float(pw[i])) for i in idx]

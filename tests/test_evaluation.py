@@ -32,8 +32,10 @@ from freqsynth import (
     transfer_matrix,
     windowset_metrics,
 )
+from freqsynth import evaluation
 from freqsynth.evaluation import ETT_SPLIT, STANDARD_SPLIT
-from freqsynth.errors import ShapeMismatch, SplitTooSmall
+from freqsynth.errors import InvalidWindow, ShapeMismatch, SplitTooSmall
+from oracles import evaluate_zero_shot_per_horizon
 
 
 def sine_dataset(omega, n, d=2, seed=0, standardized=True):
@@ -195,6 +197,151 @@ class TestEvaluateZeroShot:
         ds = sine_dataset(1 / 24, n=100, d=1, seed=9)
         with pytest.raises(SplitTooSmall):
             evaluate_zero_shot(NaiveForecaster(), ds, L=96, horizons=(96,))
+
+
+def noisy_dataset(n, d=3, seed=0):
+    """Standardized sines plus noise, so every model has a clear error."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    vals = np.sin(2 * np.pi * t / 24)[None, :] + 0.3 * rng.normal(size=(d, n))
+    ds = Dataset(values=vals, channel_names=tuple(f"c{i}" for i in range(d)))
+    return standardize(ds)
+
+
+class HorizonScaledNaive:
+    """Duck-typed model whose h-step forecast depends on h as a whole."""
+
+    model_id = "scaled-naive"
+
+    def forecast(self, X, h):
+        return np.repeat(X[:, -1:], h, axis=1) * (1.0 + 1.0 / h)
+
+
+class CountingNaive(NaiveForecaster):
+    def __init__(self):
+        self.rows = 0
+
+    def forecast(self, X, H):
+        self.rows += len(X)
+        return super().forecast(X, H)
+
+
+@pytest.fixture(scope="module")
+def ridge_model():
+    train, _ = freq_synth(
+        1 / 24, seed=3, count_train=600, count_val=1, L=48, H=64, n=2048, d=2
+    )
+    return fit_ridge(train)
+
+
+def assert_matches_oracle(model, ds, L, horizons):
+    got = evaluate_zero_shot(model, ds, L, horizons, dataset_id="t", seed=5)
+    want = evaluate_zero_shot_per_horizon(model, ds, L, horizons, dataset_id="t", seed=5)
+    assert len(got) == len(want) == len(horizons)
+    for g, w in zip(got, want):
+        assert (g.dataset, g.horizon, g.model, g.seed, g.windows) == (
+            w.dataset, w.horizon, w.model, w.seed, w.windows
+        )
+        assert abs(g.mse - w.mse) <= 1e-12 * w.mse
+        assert abs(g.mae - w.mae) <= 1e-12 * w.mae
+    return got
+
+
+class TestOnePassKernel:
+    """evaluate_zero_shot against the per-horizon loop it replaced."""
+
+    @pytest.mark.parametrize("name", ["ridge", "naive", "seasonal:24"])
+    def test_models_match_oracle(self, name, ridge_model):
+        model = {
+            "ridge": ridge_model,
+            "naive": NaiveForecaster(),
+            "seasonal:24": SeasonalNaiveForecaster(24),
+        }[name]
+        assert_matches_oracle(model, noisy_dataset(700, d=3), 48, (8, 16, 32, 64))
+
+    def test_unsorted_horizons_keep_requested_order(self, ridge_model):
+        got = assert_matches_oracle(ridge_model, noisy_dataset(500), 48, (32, 8, 64, 16))
+        assert [r.horizon for r in got] == [32, 8, 64, 16]
+
+    def test_duplicate_horizons_give_one_report_each(self):
+        ds = noisy_dataset(300)
+        got = assert_matches_oracle(NaiveForecaster(), ds, 32, (8, 8))
+        assert got[0] == got[1]
+        got = assert_matches_oracle(SeasonalNaiveForecaster(24), ds, 32, (16, 8, 16))
+        assert [r.horizon for r in got] == [16, 8, 16]
+
+    def test_single_window_at_largest_horizon(self, ridge_model):
+        ds = noisy_dataset(48 + 64, d=2)
+        got = assert_matches_oracle(ridge_model, ds, 48, (16, 64))
+        assert [r.windows for r in got] == [2 * 49, 2 * 1]
+
+    def test_block_size_not_dividing_window_count(self, ridge_model, monkeypatch):
+        # 100 // 16 = 6 rows per block against 637 windows at h = 16
+        monkeypatch.setattr(evaluation, "_BLOCK", 100)
+        ds = noisy_dataset(700, d=2)
+        assert_matches_oracle(ridge_model, ds, 48, (16, 7, 64))
+        assert_matches_oracle(HorizonScaledNaive(), ds, 48, (16, 7, 64))
+
+    def test_model_that_is_not_prefix_consistent(self):
+        model = HorizonScaledNaive()
+        assert not hasattr(model, "prefix_consistent")
+        assert_matches_oracle(model, noisy_dataset(400), 32, (24, 8, 24, 16))
+
+    def test_prefix_consistent_models_forecast_each_window_once(self):
+        ds = noisy_dataset(400, d=2)
+        model = CountingNaive()
+        evaluate_zero_shot(model, ds, 32, (8, 24, 16))
+        assert model.rows == 2 * (400 - 32 - 8 + 1)
+
+    def test_forecasters_declare_prefix_consistency(self, ridge_model):
+        X = noisy_dataset(200).values[:, :48]
+        for model in (ridge_model, NaiveForecaster(), SeasonalNaiveForecaster(24)):
+            assert model.prefix_consistent
+            np.testing.assert_allclose(
+                model.forecast(X, 64)[:, :10], model.forecast(X, 10),
+                rtol=1e-13, atol=1e-13,
+            )
+
+    def test_seasonal_exact_periodic_stays_below_1e_20(self):
+        cell = np.random.default_rng(5).normal(size=24)
+        vals = np.tile(cell, 60)[None, :]
+        ds = Dataset(values=vals, channel_names=("x",))
+        for r in evaluate_zero_shot(SeasonalNaiveForecaster(24), ds, L=96):
+            assert r.mse < 1e-20
+
+
+class TestEvaluateValidation:
+    """Bad horizons and lookbacks are rejected before any forecast."""
+
+    class Refusing:
+        def forecast(self, X, h):
+            raise AssertionError("forecast called before validation")
+
+    @pytest.mark.parametrize(
+        "L, horizons, bad",
+        [
+            (16, (8.5,), "8.5"),
+            (16, (0,), "0"),
+            (16, (8, -3), "-3"),
+            (16, (8, "8"), "'8'"),
+            (0, (8,), "0"),
+            (2.5, (8,), "2.5"),
+        ],
+    )
+    def test_invalid_value_is_named(self, L, horizons, bad):
+        ds = noisy_dataset(200, d=1)
+        with pytest.raises(InvalidWindow, match=f"got {bad}$"):
+            evaluate_zero_shot(self.Refusing(), ds, L, horizons)
+
+    def test_empty_horizons(self):
+        with pytest.raises(InvalidWindow, match="horizon"):
+            evaluate_zero_shot(self.Refusing(), noisy_dataset(200, d=1), 16, ())
+
+    def test_integral_floats_are_accepted(self):
+        ds = noisy_dataset(200, d=1)
+        a = evaluate_zero_shot(NaiveForecaster(), ds, 16.0, (8.0,))
+        b = evaluate_zero_shot(NaiveForecaster(), ds, 16, (8,))
+        assert a == b and a[0].horizon == 8
 
 
 class TestMinmaxScaling:
@@ -394,3 +541,21 @@ class TestWindowsetMetrics:
         err = pred - ws.horizons
         assert abs(mse - np.mean(err**2)) < 1e-12
         assert abs(mae - np.mean(np.abs(err))) < 1e-12
+
+    def test_small_blocks_match_direct_computation(self, monkeypatch):
+        # 20 // 8 = 2 rows per block against 41 windows
+        monkeypatch.setattr(evaluation, "_BLOCK", 20)
+        rng = np.random.default_rng(17)
+        from freqsynth import WindowSet
+
+        ws = WindowSet(
+            lookbacks=rng.normal(size=(41, 16)), horizons=rng.normal(size=(41, 8))
+        )
+        mse, mae = windowset_metrics(SeasonalNaiveForecaster(5), ws)
+        err = SeasonalNaiveForecaster(5).forecast(ws.lookbacks, 8) - ws.horizons
+        assert abs(mse - np.mean(err**2)) <= 1e-12 * mse
+        assert abs(mae - np.mean(np.abs(err))) <= 1e-12 * mae
+        p, t = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
+        got = metrics(p, t)
+        assert abs(got[0] - np.mean((p - t) ** 2)) <= 1e-12 * got[0]
+        assert abs(got[1] - np.mean(np.abs(p - t))) <= 1e-12 * got[1]

@@ -124,6 +124,19 @@ class TestEstimateFundamental:
         with pytest.raises(InsufficientData):
             estimate_fundamental(ds)
 
+    def test_exact_tie_at_the_maximum(self):
+        # integer spikes every 16 steps: the spectrum repeats every 4 bins
+        # and bins 4j+1..4j+3 share the maximum power exactly
+        x = np.zeros(64)
+        x[::16] = [-2, -2, -2, 3]
+        ds = Dataset(values=x[None, :], channel_names=("c",))
+        pw = aggregate_periodogram(ds, 64).powers
+        assert pw[0] == pw[1] == pw[2] == pw.max() > pw[3]
+        est = estimate_fundamental(ds)
+        # plateaus at 1/64, 5/64, ...: 1/64 has its 5th harmonic as partner
+        assert est.omega_bar == 1 / 64
+        assert est.source == "periodogram"
+
     def test_zero_dataset_flat_spectrum(self):
         ds = Dataset(values=np.zeros((1, 256)), channel_names=("c",))
         with pytest.raises(NoDominantFrequency):

@@ -323,6 +323,17 @@ class TestFindPeaks:
         with pytest.raises(ValueError):
             find_peaks(p, 1.5)
 
+    def test_plateau_is_one_peak_at_its_lowest_bin(self):
+        freqs = np.array([0.1, 0.2, 0.3, 0.4])
+        p = Periodogram(freqs=freqs, powers=np.array([1.0, 5.0, 5.0, 1.0]))
+        assert find_peaks(p, 0.1) == [(0.2, 5.0)]
+        # a lower plateau is a peak too; a run with a higher neighbour is not
+        powers = np.array([3.0, 3.0, 1.0, 2.0, 2.0, 4.0, 0.5])
+        p = Periodogram(freqs=np.arange(1, 8) / 16, powers=powers)
+        assert find_peaks(p, 0.1) == [(1 / 16, 3.0), (6 / 16, 4.0)]
+        flat = Periodogram(freqs=freqs, powers=np.full(4, 2.0))
+        assert find_peaks(flat, 0.1) == [(0.1, 2.0)]
+
     def test_ascending_order(self):
         rng = np.random.default_rng(9)
         p = scaled_periodogram(rng.normal(size=257))
