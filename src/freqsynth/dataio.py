@@ -93,6 +93,9 @@ def load_csv(path: str, rate: str | None = None) -> Dataset:
                 values[r - 1, c - 2] = float(cell)
             except ValueError:
                 raise NonNumericCell(r, c) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise NonNumericCell(int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
     return Dataset(
         values=values.T,
         channel_names=tuple(header[1:]),

@@ -66,6 +66,10 @@ class EmptyTrainingSet(FreqSynthError):
     """A fit was requested on zero windows."""
 
 
+class InvalidModel(FreqSynthError):
+    """A serialized model lacks a field or holds a bad value in one."""
+
+
 # -- evaluation -------------------------------------------------------------
 
 class SplitTooSmall(FreqSynthError):
@@ -94,16 +98,17 @@ class RaggedRows(FreqSynthError):
 
 
 class NonNumericCell(FreqSynthError):
-    """CSV value cell failed to parse as a number.
+    """CSV value cell failed to parse as a number, or parsed to NaN or an
+    infinity (``kind="non-finite"``).
 
     Carries 1-based ``row`` (data rows, header excluded) and 1-based
     ``col`` (absolute, date column included).
     """
 
-    def __init__(self, row: int, col: int):
+    def __init__(self, row: int, col: int, kind: str = "non-numeric"):
         self.row = row
         self.col = col
-        super().__init__(f"non-numeric cell at row {row}, col {col}")
+        super().__init__(f"{kind} cell at row {row}, col {col}")
 
 
 class EmptyDataset(FreqSynthError):

@@ -12,6 +12,7 @@ evaluation itself never consumes randomness.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,27 +164,44 @@ def standardize_by_train(train: Dataset, *others: Dataset):
     return tuple(out)
 
 
-def _block_sums(predict, targets: np.ndarray, sse: np.ndarray, sae: np.ndarray):
-    """Add per-column squared and absolute error sums into sse and sae.
+def _block_sums(predict, segments, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column squared and absolute error sums over ``segments``.
 
-    ``predict(rows)`` returns the predictions for ``targets[rows]``.
-    Rows are taken in blocks of about _BLOCK elements, so each block's
-    error array stays cache-resident; it is squared-and-summed by one
-    einsum and made absolute in place.
+    ``segments`` lists (inputs, targets) pairs with one input row per
+    target row of ``width`` columns.  ``predict(inputs[rows], out)``
+    returns the predictions for ``targets[rows]``, written into ``out``
+    when it can.  Rows are taken in blocks of about _BLOCK elements, all
+    scored in one error buffer, so each block stays cache-resident and
+    needs no fresh error array; each block's errors are squared-and-summed
+    by one einsum and made absolute in place.
     """
-    step = max(1, _BLOCK // targets.shape[1])
-    for lo in range(0, targets.shape[0], step):
-        rows = slice(lo, lo + step)
-        err = predict(rows) - targets[rows]
-        sse += np.einsum("ij,ij->j", err, err)
-        sae += np.abs(err, out=err).sum(axis=0)
+    step = max(1, _BLOCK // width)
+    buf = np.empty((min(step, max(len(t) for _, t in segments)), width))
+    sse, sae = np.zeros(width), np.zeros(width)
+    for inputs, targets in segments:
+        for lo in range(0, targets.shape[0], step):
+            tg = targets[lo : lo + step]
+            err = buf[: tg.shape[0]]
+            np.subtract(predict(inputs[lo : lo + step], err), tg, out=err)
+            sse += np.einsum("ij,ij->j", err, err)
+            sae += np.abs(err, out=err).sum(axis=0)
+    return sse, sae
 
 
-def _score(predict, targets: np.ndarray) -> tuple[float, float]:
+def _forecaster(model, h: int):
+    """``predict(X, out)`` for _block_sums: ``model.forecast(X, h)``.
+
+    A model whose ``forecast`` takes ``out`` writes into the buffer; the
+    result of any other model is subtracted into it.
+    """
+    if "out" in inspect.signature(model.forecast).parameters:
+        return lambda X, out: model.forecast(X, h, out=out)
+    return lambda X, out: model.forecast(X, h)
+
+
+def _score(predict, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """(MSE, MAE) of predict over a non-empty 2-D target array."""
-    sse = np.zeros(targets.shape[1])
-    sae = np.zeros(targets.shape[1])
-    _block_sums(predict, targets, sse, sae)
+    sse, sae = _block_sums(predict, [(inputs, targets)], targets.shape[1])
     return float(sse.sum()) / targets.size, float(sae.sum()) / targets.size
 
 
@@ -195,15 +213,14 @@ def metrics(preds, targets) -> tuple[float, float]:
         raise ShapeMismatch(f"shape {p.shape} vs {t.shape}")
     if p.size == 0:
         raise ShapeMismatch("cannot score empty arrays")
-    p, t = p.reshape(-1, 1), t.reshape(-1, 1)
-    return _score(lambda r: p[r], t)
+    return _score(lambda block, out: block, p.reshape(-1, 1), t.reshape(-1, 1))
 
 
 def windowset_metrics(model, ws: WindowSet) -> tuple[float, float]:
     """(MSE, MAE) of a model over a window set, predictions blocked."""
     if ws.count == 0:
         raise ShapeMismatch("cannot score an empty window set")
-    return _score(lambda r: model.forecast(ws.lookbacks[r], ws.H), ws.horizons)
+    return _score(_forecaster(model, ws.H), ws.lookbacks, ws.horizons)
 
 
 def _whole_number(name: str, value) -> int:
@@ -262,14 +279,18 @@ def evaluate_zero_shot(
     else:
         bands = [(0, count(h), h) for h in desc]
         reads = {h: [i] for i, h in enumerate(desc)}
-    sums = []
-    for lo, hi, hb in bands:
-        sse, sae = np.zeros(hb), np.zeros(hb)
-        for row in test_ds.values:
-            lbs = np.lib.stride_tricks.sliding_window_view(row, L)[lo:hi]
-            tgs = np.lib.stride_tricks.sliding_window_view(row, hb)[L + lo : L + hi]
-            _block_sums(lambda r: model.forecast(lbs[r], hb), tgs, sse, sae)
-        sums.append((sse, sae))
+    windows = np.lib.stride_tricks.sliding_window_view
+    sums = [
+        _block_sums(
+            _forecaster(model, hb),
+            [
+                (windows(row, L)[lo:hi], windows(row, hb)[L + lo : L + hi])
+                for row in test_ds.values
+            ],
+            hb,
+        )
+        for lo, hi, hb in bands
+    ]
 
     reports = []
     for h in horizons:

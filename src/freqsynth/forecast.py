@@ -1,7 +1,9 @@
 """Desk-scale forecasters.
 
-Three models share one calling convention, ``forecast(X, H)`` on a
-batch of lookback rows, and all three are prefix-consistent:
+Three models share one calling convention, ``forecast(X, H, out=None)``
+on a batch of N lookback rows; given an (N, H) float64 array ``out``,
+the forecast is written into it and ``out`` is returned, so a caller
+scoring many blocks can reuse one buffer.  All three are prefix-consistent:
 ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)`` up to rounding, which
 the ``prefix_consistent`` class attribute declares to the evaluation
 harness:
@@ -27,6 +29,7 @@ import numpy as np
 from .dataset import WindowSet
 from .errors import (
     EmptyTrainingSet,
+    InvalidModel,
     InvalidPeriod,
     InvalidWindow,
     PeriodTooLong,
@@ -59,10 +62,26 @@ def _as_batch(X, L: int | None = None) -> np.ndarray:
     return arr
 
 
-def _norm_stats(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design matrix [(X - mu) / sd, 1] of (N, L) lookbacks, with mu and sd.
+
+    mu and sd are each row's mean and population std (floored); the
+    matrix is built in one array, with no concatenated copy.
+    """
     mu = X.mean(axis=1, keepdims=True)
     sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
-    return mu, sd
+    phi = np.empty((X.shape[0], X.shape[1] + 1))
+    z = phi[:, :-1]
+    np.subtract(X, mu, out=z)
+    z /= sd
+    phi[:, -1] = 1.0
+    return phi, mu, sd
+
+
+def _check_coefficient(name: str, value: float) -> None:
+    """Ridge and anchor coefficients must be finite and >= 0 (NaN fails)."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 class NaiveForecaster:
@@ -71,11 +90,14 @@ class NaiveForecaster:
     model_id = "naive"
     prefix_consistent = True
 
-    def forecast(self, X, H: int) -> np.ndarray:
+    def forecast(self, X, H: int, out: np.ndarray | None = None) -> np.ndarray:
         if H < 1:
             raise InvalidWindow(f"horizon must be >= 1, got {H}")
         arr = _as_batch(X)
-        return np.repeat(arr[:, -1:], H, axis=1)
+        if out is None:
+            return np.repeat(arr[:, -1:], H, axis=1)
+        out[...] = arr[:, -1:]
+        return out
 
 
 class SeasonalNaiveForecaster:
@@ -92,7 +114,7 @@ class SeasonalNaiveForecaster:
     def model_id(self) -> str:
         return f"seasonal-naive-{self.period}"
 
-    def forecast(self, X, H: int) -> np.ndarray:
+    def forecast(self, X, H: int, out: np.ndarray | None = None) -> np.ndarray:
         if H < 1:
             raise InvalidWindow(f"horizon must be >= 1, got {H}")
         arr = _as_batch(X)
@@ -102,7 +124,7 @@ class SeasonalNaiveForecaster:
                 f"period {self.period} exceeds lookback length {L}"
             )
         idx = L - self.period + (np.arange(H) % self.period)
-        return arr[:, idx]
+        return np.take(arr, idx, axis=1, out=out)
 
 
 def naive_forecast(lookback, H: int) -> np.ndarray:
@@ -140,12 +162,13 @@ class LinearForecaster:
             )
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        _check_coefficient("lam", self.lam)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    def forecast(self, X, H: int | None = None) -> np.ndarray:
+    def forecast(
+        self, X, H: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Predict ``H`` steps (default self.H) for each lookback row.
 
         H below self.H truncates the prediction; above raises.
@@ -156,11 +179,11 @@ class LinearForecaster:
                 f"horizon {h} outside this model's range [1, {self.H}]"
             )
         arr = _as_batch(X, self.L)
-        mu, sd = _norm_stats(arr)
-        z = (arr - mu) / sd
-        phi = np.concatenate([z, np.ones((arr.shape[0], 1))], axis=1)
-        y = phi @ self.weights[:h].T
-        return y * sd + mu
+        phi, mu, sd = _design(arr)
+        y = np.matmul(phi, self.weights[:h].T, out=out)
+        y *= sd
+        y += mu
+        return y
 
 
 def predict(model: LinearForecaster, lookback) -> np.ndarray:
@@ -170,11 +193,8 @@ def predict(model: LinearForecaster, lookback) -> np.ndarray:
 
 def _features(ws: WindowSet) -> tuple[np.ndarray, np.ndarray]:
     """Instance-normalized design matrix [z; 1] and normalized targets."""
-    mu, sd = _norm_stats(ws.lookbacks)
-    z = (ws.lookbacks - mu) / sd
-    phi = np.concatenate([z, np.ones((ws.count, 1))], axis=1)
-    y = (ws.horizons - mu) / sd
-    return phi, y
+    phi, mu, sd = _design(ws.lookbacks)
+    return phi, (ws.horizons - mu) / sd
 
 
 def default_lambda(phi: np.ndarray) -> float:
@@ -194,8 +214,7 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
     phi, y = _features(train)
     if lam is None:
         lam = default_lambda(phi)
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    _check_coefficient("lam", lam)
     if lam == 0.0:
         wt, *_ = np.linalg.lstsq(phi, y, rcond=None)
     else:
@@ -224,10 +243,10 @@ def finetune(
             f"few-shot windows are L={fewshot.L}, H={fewshot.H}; "
             f"model expects L={model.L}, H={model.H}"
         )
-    if anchor < 0:
-        raise ValueError(f"anchor must be >= 0, got {anchor}")
+    _check_coefficient("anchor", anchor)
     if lam is None:
         lam = model.lam
+    _check_coefficient("lam", lam)
     if anchor == 0.0:
         fitted = fit_ridge(fewshot, lam)
         return LinearForecaster(
@@ -262,8 +281,36 @@ def model_to_json(model: LinearForecaster) -> str:
     return json.dumps(doc)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def model_from_json(text: str) -> LinearForecaster:
+    """Inverse of model_to_json; InvalidModel names a missing or bad field."""
     doc = json.loads(text)
-    L, H = int(doc["L"]), int(doc["H"])
-    w = np.array(doc["weights"], dtype=np.float64).reshape(H, L + 1)
-    return LinearForecaster(weights=w, L=L, H=H, lam=float(doc["lambda"]))
+    if not isinstance(doc, dict):
+        raise InvalidModel("model must be a JSON object")
+    for name in ("L", "H", "lambda", "weights"):
+        if name not in doc:
+            raise InvalidModel(f"model field {name!r} is missing")
+    L, H, lam, weights = doc["L"], doc["H"], doc["lambda"], doc["weights"]
+    for name, value in (("L", L), ("H", H)):
+        if not (_is_number(value) and 1 <= value < np.inf and value == int(value)):
+            raise InvalidModel(
+                f"model field {name!r} must be an integer >= 1, got {value!r}"
+            )
+    L, H = int(L), int(H)
+    if not (_is_number(lam) and 0.0 <= lam < np.inf):
+        raise InvalidModel(
+            f"model field 'lambda' must be a finite number >= 0, got {lam!r}"
+        )
+    size = H * (L + 1)
+    if not (isinstance(weights, list) and len(weights) == size):
+        got = f"{len(weights)} entries" if isinstance(weights, list) else repr(weights)
+        raise InvalidModel(
+            f"model field 'weights' must list H * (L + 1) = {size} numbers, got {got}"
+        )
+    if not all(_is_number(v) and np.isfinite(v) for v in weights):
+        raise InvalidModel("model field 'weights' must hold finite numbers")
+    w = np.array(weights, dtype=np.float64).reshape(H, L + 1)
+    return LinearForecaster(weights=w, L=L, H=H, lam=float(lam))

@@ -9,6 +9,12 @@ Construction happens in two stages:
 2. form each of the d channels as the pointwise sum of l pool members
    drawn uniformly WITH replacement, evaluated at t = 0 .. n-1.
 
+A harmonic pool has at most h distinct frequencies however large m is,
+so its channels are rendered from sin and cos rows of those frequencies
+(2h rows of n values instead of m), which matches rendering every member
+to within 1e-10 of the channel std for n up to 50,000; pools with few
+repeated frequencies, such as the mix variant's, render every member.
+
 Variants swap the pool's frequency law: the natural variant anchors
 pools on a fixed set of everyday fundamentals, the mix variant draws
 frequencies uniformly with no harmonic structure at all.  All outputs
@@ -61,8 +67,8 @@ class SineSpec:
             raise ValueError(f"phase must be in [0, 2*pi), got {self.phase}")
 
     def render(self, n: int) -> np.ndarray:
-        # association mirrors _render_pool so a one-sine channel is
-        # bitwise equal to the rendered spec
+        # association mirrors the per-member render in _render_channels,
+        # so a one-sine channel is bitwise equal to the rendered spec
         t = np.arange(n, dtype=np.float64)
         return self.amplitude * np.sin(
             2.0 * np.pi * self.frequency * t + self.phase
@@ -93,13 +99,20 @@ class GeneratorConfig:
             raise ValueError(
                 f"omega_bar must be in (0, 0.5), got {self.omega_bar}"
             )
-        if self.A_prime <= 0.01:
+        if not self.A_prime > 0.01:
             raise InvalidAmplitudeScale(
                 f"A_prime must exceed 0.01, got {self.A_prime}"
             )
         for name, lo in (("m", 1), ("h", 1), ("l", 1), ("n", 2), ("d", 1)):
-            if getattr(self, name) < lo:
-                raise ValueError(f"{name} must be >= {lo}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            try:
+                whole = int(value)
+                ok = not isinstance(value, bool) and whole == value and whole >= lo
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+            object.__setattr__(self, name, whole)
 
     def digest(self) -> str:
         """Short stable hash of all fields, used as provenance."""
@@ -139,7 +152,7 @@ def build_mix_pool(
     m: int, A_prime: float, rng: np.random.Generator
 ) -> list[SineSpec]:
     """Pool with frequencies uniform over MIX_FREQ_RANGE; no harmonics."""
-    if A_prime <= 0.01:
+    if not A_prime > 0.01:
         raise InvalidAmplitudeScale(f"A_prime must exceed 0.01, got {A_prime}")
     lo, hi = MIX_FREQ_RANGE
     amps = rng.exponential(scale=A_prime - 0.01, size=m) + 0.01
@@ -151,29 +164,47 @@ def build_mix_pool(
     ]
 
 
-def _render_pool(
-    amps: np.ndarray, freqs: np.ndarray, phases: np.ndarray, n: int
-) -> np.ndarray:
-    """Evaluate all pool sinusoids at t = 0..n-1 as an (m, n) matrix."""
-    t = np.arange(n, dtype=np.float64)
-    return amps[:, None] * np.sin(
-        2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]
-    )
-
-
-def _compose_channels(
-    signals: np.ndarray, d: int, l: int, rng: np.random.Generator
+def _render_channels(
+    amps: np.ndarray,
+    freqs: np.ndarray,
+    phases: np.ndarray,
+    n: int,
+    d: int,
+    l: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Sum l uniform-with-replacement pool draws into each of d channels.
 
-    Draws become a (d, m) count matrix so the channel sums reduce to one
-    matrix product instead of d gather-and-sum passes.
+    Draws become a (d, m) count matrix, so the channel sums reduce to one
+    matrix product over rendered rows.  When the pool has fewer than m/2
+    distinct frequencies (harmonic and natural pools have at most three),
+    the rows are a sin/cos basis of those frequencies instead of the m
+    members: A*sin(a + phi) = A*cos(phi)*sin(a) + A*sin(phi)*cos(a), so
+    channel c weights the pair of frequency f by the sum of
+    count * A * (cos(phi), sin(phi)) over the members at f.  That agrees
+    with rendering every member up to rounding of the largest argument
+    2*pi*f*n (within 1e-10 of the channel std for n up to 50,000); other
+    pools render every member.
     """
-    m = signals.shape[0]
+    m = amps.size
     idx = rng.integers(0, m, size=(d, l))
     counts = np.zeros((d, m), dtype=np.float64)
     np.add.at(counts, (np.repeat(np.arange(d), l), idx.ravel()), 1.0)
-    return counts @ signals
+    t = np.arange(n, dtype=np.float64)
+    uniq, member_of = np.unique(freqs, return_inverse=True)
+    if 2 * uniq.size >= m:
+        return counts @ (
+            amps[:, None]
+            * np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
+        )
+    onehot = np.eye(uniq.size)[member_of]
+    weights = counts * amps
+    coef = np.concatenate(
+        [(weights * np.cos(phases)) @ onehot, (weights * np.sin(phases)) @ onehot],
+        axis=1,
+    )
+    arg = 2.0 * np.pi * uniq[:, None] * t[None, :]
+    return coef @ np.concatenate([np.sin(arg), np.cos(arg)])
 
 
 def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Dataset:
@@ -192,8 +223,7 @@ def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Data
         amps = np.array([s.amplitude for s in pool])
         freqs = np.array([s.frequency for s in pool])
         phases = np.array([s.phase for s in pool])
-    signals = _render_pool(amps, freqs, phases, cfg.n)
-    values = _compose_channels(signals, cfg.d, cfg.l, rng)
+    values = _render_channels(amps, freqs, phases, cfg.n, cfg.d, cfg.l, rng)
     names = tuple(f"ch{i + 1}" for i in range(cfg.d))
     return Dataset(
         values=values,
@@ -428,8 +458,7 @@ def build_mix_datasets(
         amps = np.array([s.amplitude for s in pool])
         freqs = np.array([s.frequency for s in pool])
         phases = np.array([s.phase for s in pool])
-        signals = _render_pool(amps, freqs, phases, n)
-        values = _compose_channels(signals, d, l, rng)
+        values = _render_channels(amps, freqs, phases, n, d, l, rng)
         names = tuple(f"ch{j + 1}" for j in range(d))
         ds = Dataset(
             values=values,

@@ -8,6 +8,24 @@ from freqsynth.errors import SplitTooSmall
 _CHUNK = 4096
 
 
+def render_channels_direct(amps, freqs, phases, n, d, l, rng):
+    """Channels summed from every pool member rendered over t = 0..n-1.
+
+    The render synthesize used before harmonic pools went through a
+    sin/cos basis: an (m, n) pool matrix, then a (d, m) count matrix of
+    the channel draws times it.
+    """
+    t = np.arange(n, dtype=np.float64)
+    signals = amps[:, None] * np.sin(
+        2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None]
+    )
+    m = signals.shape[0]
+    idx = rng.integers(0, m, size=(d, l))
+    counts = np.zeros((d, m), dtype=np.float64)
+    np.add.at(counts, (np.repeat(np.arange(d), l), idx.ravel()), 1.0)
+    return counts @ signals
+
+
 def evaluate_zero_shot_per_horizon(
     model, test_ds, L=96, horizons=(96, 192, 336, 720), dataset_id=None, seed=None
 ):

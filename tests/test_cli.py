@@ -206,6 +206,20 @@ class TestFitEvaluate:
         assert main(argv + ["--out", o2]) == 0
         assert read_bytes(o1) == read_bytes(o2)
 
+    def test_evaluate_model_without_horizon_is_one_line_error(self, tmp_path, capsys):
+        model_path = str(tmp_path / "m.json")
+        with open(model_path, "w", encoding="utf-8") as f:
+            json.dump({"L": 4, "lambda": 0.0, "weights": [0.0] * 10}, f)
+        data = gen_csv(tmp_path, "ev", n=256, d=1)
+        capsys.readouterr()
+        rc = main([
+            "evaluate", "--model", model_path, "--input", data, "--lookback", "4",
+            "--out", str(tmp_path / "r.json"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and "'H'" in err
+
     def test_evaluate_ridge_model_on_matching_data(self, tmp_path):
         model_path = str(tmp_path / "m.json")
         main(

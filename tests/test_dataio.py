@@ -155,6 +155,16 @@ class TestLoadErrors:
             load_csv(path)
         assert (exc.value.row, exc.value.col) == (5, 2)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_coordinates(self, tmp_path, cell):
+        # first non-finite value in data row 3, absolute column 3
+        path = str(tmp_path / "nonfinite.csv")
+        write(path, f"date,x,y\n0,1,2\n1,3,4\n2,5,{cell}\n3,{cell},6\n")
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (3, 3)
+        assert "non-finite" in str(exc.value)
+
     def test_save_empty_dataset(self, tmp_path):
         ds = Dataset(values=np.empty((0, 0)), channel_names=())
         with pytest.raises(EmptyDataset):

@@ -12,6 +12,7 @@ from freqsynth import (
     SeasonalNaiveForecaster,
     SplitSpec,
     TransferMatrix,
+    WindowSet,
     aggregate_periodogram,
     confusion_experiment,
     evaluate_zero_shot,
@@ -226,6 +227,17 @@ class CountingNaive(NaiveForecaster):
         return super().forecast(X, H)
 
 
+class BufferSpy(NaiveForecaster):
+    """Naive forecaster that records each buffer it is asked to fill."""
+
+    def __init__(self):
+        self.buffers = []
+
+    def forecast(self, X, H, out=None):
+        self.buffers.append((H, out.__array_interface__["data"][0], len(X)))
+        return super().forecast(X, H, out=out)
+
+
 @pytest.fixture(scope="module")
 def ridge_model():
     train, _ = freq_synth(
@@ -308,6 +320,67 @@ class TestOnePassKernel:
         ds = Dataset(values=vals, channel_names=("x",))
         for r in evaluate_zero_shot(SeasonalNaiveForecaster(24), ds, L=96):
             assert r.mse < 1e-20
+
+
+class TestReusedBuffers:
+    """Forecasts are written into one error buffer per band."""
+
+    @pytest.mark.parametrize("name", ["ridge", "naive", "seasonal:24"])
+    def test_forecast_into_out_is_bitwise_equal(self, name, ridge_model):
+        model = {
+            "ridge": ridge_model,
+            "naive": NaiveForecaster(),
+            "seasonal:24": SeasonalNaiveForecaster(24),
+        }[name]
+        X = np.lib.stride_tricks.sliding_window_view(noisy_dataset(300, d=1).values[0], 48)
+        for h in (1, 10, 64):
+            want = model.forecast(X, h)
+            buf = np.full((len(X), h), np.nan)
+            got = model.forecast(X, h, out=buf)
+            assert got is buf
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["ridge", "naive", "seasonal:24"])
+    def test_scores_equal_to_a_model_without_out(self, name, ridge_model):
+        model = {
+            "ridge": ridge_model,
+            "naive": NaiveForecaster(),
+            "seasonal:24": SeasonalNaiveForecaster(24),
+        }[name]
+
+        class WithoutOut:
+            prefix_consistent = True
+
+            def forecast(self, X, h):
+                return model.forecast(X, h)
+
+        ds = noisy_dataset(700, d=2)
+        scores = [
+            [(r.mse, r.mae, r.windows) for r in evaluate_zero_shot(m, ds, 48, (16, 8, 64))]
+            for m in (model, WithoutOut())
+        ]
+        assert scores[0] == scores[1]
+        win = np.lib.stride_tricks.sliding_window_view(ds.values[0], 48 + 64)
+        ws = WindowSet(lookbacks=win[:, :48], horizons=win[:, 48:])
+        assert windowset_metrics(model, ws) == windowset_metrics(WithoutOut(), ws)
+
+    def test_every_block_of_a_band_gets_the_same_buffer(self, monkeypatch):
+        # 100 // 24 = 4 rows per block: about 87 blocks per channel at h = 24
+        monkeypatch.setattr(evaluation, "_BLOCK", 100)
+        ds = noisy_dataset(400, d=3)
+        spy = BufferSpy()
+        got = evaluate_zero_shot(spy, ds, 32, (8, 24, 16))
+        want = evaluate_zero_shot(NaiveForecaster(), ds, 32, (8, 24, 16))
+        assert [(r.mse, r.mae) for r in got] == [(r.mse, r.mae) for r in want]
+        by_band = {}
+        for h, address, rows in spy.buffers:
+            by_band.setdefault(h, []).append((address, rows))
+        assert sorted(by_band) == [8, 16, 24]
+        for blocks in by_band.values():
+            assert len({address for address, _ in blocks}) == 1
+        # every channel of the h = 24 band, tail block included
+        assert len(by_band[24]) > 3
+        assert sum(rows for _, rows in by_band[24]) == 3 * (400 - 32 - 24 + 1)
 
 
 class TestEvaluateValidation:

@@ -27,6 +27,7 @@ from freqsynth import (
 )
 from freqsynth.errors import (
     EmptyTrainingSet,
+    InvalidModel,
     InvalidPeriod,
     InvalidWindow,
     PeriodTooLong,
@@ -206,6 +207,13 @@ class TestFitRidge:
         with pytest.raises(ValueError):
             fit_ridge(random_windows(10, 4, 2, seed=0), -1.0)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            fit_ridge(random_windows(10, 4, 2, seed=0), lam)
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            LinearForecaster(weights=np.zeros((2, 5)), L=4, H=2, lam=lam)
+
     def test_deterministic(self):
         ws = random_windows(64, 8, 4, seed=7)
         a, b = fit_ridge(ws, 0.1), fit_ridge(ws, 0.1)
@@ -280,6 +288,18 @@ class TestFinetune:
         with pytest.raises(ShapeMismatch):
             finetune(src, random_windows(5, 6, 4, seed=18))
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"lam": float("nan")}, "lam"),
+        ({"anchor": float("nan")}, "anchor"),
+        ({"anchor": -1.0}, "anchor"),
+        ({"anchor": 0.0, "lam": float("nan")}, "lam"),
+    ])
+    def test_bad_coefficients_rejected_by_name(self, kwargs, name):
+        ws = random_windows(30, 6, 3, seed=22)
+        src = fit_ridge(ws, 0.1)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            finetune(src, ws, **kwargs)
+
     def test_empty_fewshot(self):
         src = fit_ridge(random_windows(20, 8, 4, seed=19), 0.1)
         empty = WindowSet(lookbacks=np.empty((0, 8)), horizons=np.empty((0, 4)))
@@ -301,6 +321,23 @@ class TestSerialization:
         doc = json.loads(model_to_json(model))
         assert set(doc) == {"L", "H", "lambda", "weights"}
         assert len(doc["weights"]) == 2 * 5
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"L": None}, "'L'"), ({"H": None}, "'H'"), ({"lambda": None}, "'lambda'"),
+        ({"weights": None}, "'weights'"), ({"H": 2.5}, "'H'"), ({"L": 0}, "'L'"),
+        ({"H": "2"}, "'H'"), ({"lambda": float("nan")}, "'lambda'"),
+        ({"lambda": -1.0}, "'lambda'"), ({"weights": [0.0] * 9}, "'weights'"),
+        ({"weights": [0.0] * 9 + ["x"]}, "'weights'"),
+        ({"weights": [0.0] * 9 + [float("inf")]}, "'weights'"),
+    ])
+    def test_bad_document_names_the_field(self, edit, field):
+        import json
+
+        doc = {"L": 4, "H": 2, "lambda": 0.5, "weights": [0.0] * 10}
+        doc.update(edit)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        with pytest.raises(InvalidModel, match=field):
+            model_from_json(json.dumps(doc))
 
     def test_weights_shape_guard(self):
         with pytest.raises(ShapeMismatch):

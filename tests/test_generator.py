@@ -30,6 +30,8 @@ from freqsynth.errors import (
     InvalidAmplitudeScale,
     WindowTooLong,
 )
+from freqsynth.generator import _draw_pool_arrays
+from oracles import render_channels_direct
 
 
 class TestHarmonicSet:
@@ -73,6 +75,25 @@ class TestConfig:
             GeneratorConfig(omega_bar=0.1, A_prime=0.01)
         with pytest.raises(InvalidAmplitudeScale):
             GeneratorConfig(omega_bar=0.1, A_prime=0.005)
+
+    def test_nan_rejected_naming_the_field(self):
+        with pytest.raises(InvalidAmplitudeScale, match="A_prime"):
+            GeneratorConfig(omega_bar=0.1, A_prime=float("nan"))
+        with pytest.raises(ValueError, match="omega_bar"):
+            GeneratorConfig(omega_bar=float("nan"))
+        with pytest.raises(InvalidAmplitudeScale, match="A_prime"):
+            build_mix_pool(10, float("nan"), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("field", ["m", "h", "l", "n", "d"])
+    @pytest.mark.parametrize("value", [1.5, True, float("nan"), float("inf"), "5", None])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            GeneratorConfig(omega_bar=0.1, **{field: value})
+
+    def test_integral_counts_become_ints(self):
+        cfg = GeneratorConfig(omega_bar=0.1, m=np.int64(100), n=2048.0)
+        assert type(cfg.m) is int and type(cfg.n) is int
+        assert cfg.digest() == GeneratorConfig(omega_bar=0.1, n=2048).digest()
 
     def test_digest_stable_and_sensitive(self):
         a = GeneratorConfig(omega_bar=1 / 24, seed=3)
@@ -178,6 +199,76 @@ class TestSynthesize:
             j = np.argmin(np.abs(agg.freqs - f))
             keep[max(0, j - 1) : j + 2] = True
         assert agg.powers[keep].sum() >= 0.99 * agg.powers.sum()
+
+
+def _pool_arrays(pool):
+    return tuple(np.array([getattr(s, k) for s in pool]) for k in ("amplitude", "frequency", "phase"))
+
+
+def direct_synthesize(cfg, pool=None):
+    """synthesize's channels from the per-member oracle render."""
+    rng = np.random.default_rng(cfg.seed)
+    arrays = _draw_pool_arrays(cfg, rng) if pool is None else _pool_arrays(pool)
+    return render_channels_direct(*arrays, cfg.n, cfg.d, cfg.l, rng)
+
+
+def assert_within_basis_tolerance(got, want):
+    # the basis path skips rounding (2*pi*f*t) + phase, so it differs
+    # from the per-member render by a few ulps of the largest argument
+    assert got.shape == want.shape
+    gap = np.abs(got - want).max(axis=1)
+    assert np.all(gap <= 1e-10 * want.std(axis=1)), gap / want.std(axis=1)
+
+
+class TestBasisRender:
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_harmonic_pools_match_direct_render(self, h, seed):
+        cfg = GeneratorConfig(omega_bar=1 / 24, h=h, n=50_000, seed=seed)
+        assert_within_basis_tolerance(synthesize(cfg).values, direct_synthesize(cfg))
+
+    @pytest.mark.parametrize("omega", NATURAL_FREQUENCIES)
+    def test_natural_pools_match_direct_render(self, omega):
+        cfg = GeneratorConfig(omega_bar=omega, h=3, n=50_000, seed=4)
+        assert_within_basis_tolerance(synthesize(cfg).values, direct_synthesize(cfg))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_nyquist_pool_matches_direct_render(self, seed):
+        # the largest arguments, so the widest gap (seed 2: 8.8e-11 std)
+        cfg = GeneratorConfig(omega_bar=0.45, h=1, n=50_000, seed=seed)
+        assert_within_basis_tolerance(synthesize(cfg).values, direct_synthesize(cfg))
+
+    def test_explicit_pool_with_repeated_frequencies(self):
+        rng = np.random.default_rng(8)
+        pool = [
+            SineSpec(amplitude=float(a), frequency=f, phase=float(p))
+            for a, f, p in zip(
+                rng.uniform(0.5, 3.0, 12), [1 / 24, 1 / 7, 0.2] * 4,
+                rng.uniform(0.0, 6.0, 12),
+            )
+        ]
+        cfg = GeneratorConfig(omega_bar=0.1, l=7, n=50_000, d=4, seed=3)
+        got = synthesize(cfg, pool=pool).values
+        assert_within_basis_tolerance(got, direct_synthesize(cfg, pool))
+
+    def test_pools_without_repeats_render_every_member(self):
+        # 2 distinct frequencies in a pool of 4: no basis saving, so the
+        # per-member render runs and matches bit for bit
+        pool = [SineSpec(amplitude=1.0 + k, frequency=(1 / 24, 0.2)[k % 2], phase=0.1 * k)
+                for k in range(4)]
+        cfg = GeneratorConfig(omega_bar=0.1, l=5, n=3000, d=3, seed=9)
+        assert np.array_equal(synthesize(cfg, pool=pool).values, direct_synthesize(cfg, pool))
+
+    def test_mix_datasets_bitwise_equal_to_direct_render(self):
+        seed, copies, n, d = 13, 2, 4096, 3
+        got = build_mix_datasets(seed, copies=copies, n=n, d=d)
+        master = np.random.default_rng(seed)
+        for ds in got:
+            rng = np.random.default_rng(int(master.integers(0, 2**63 - 1)))
+            pool = build_mix_pool(100, 5.0, rng)
+            values = render_channels_direct(*_pool_arrays(pool), n, d, 10, rng)
+            want = standardize(Dataset(values=values, channel_names=ds.channel_names))
+            assert np.array_equal(ds.values, want.values)
 
 
 class TestStandardize:
