@@ -6,8 +6,11 @@ step index as the date; on load the date column only fixes row order
 and its content is otherwise ignored.  Values are written with repr
 formatting (shortest exact round-trip, at most 17 significant digits).
 
-All writers build the full payload in memory and publish it with a
-temp-file-plus-rename, so a failed run never leaves a partial file.
+Every writer publishes through a temp file in the target's directory
+and a rename, so a failed run never leaves a partial file.  ``save_csv``
+streams its rows into that temp file in blocks of _ROWS rows, and
+``load_csv`` parses in blocks of the same size, so neither holds the
+dataset as text; the other writers build their payload in memory.
 
 Cell coordinates in errors are 1-based: rows count data rows (the
 header is row 0, so the first data row is row 1) and columns count all
@@ -21,7 +24,10 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +35,7 @@ from .dataset import Dataset
 from .errors import (
     DuplicateId,
     EmptyDataset,
+    InvalidRegistry,
     MissingHeader,
     NonNumericCell,
     RaggedRows,
@@ -38,14 +45,20 @@ from .freqest import parse_sampling_rate
 from .generator import GeneratorConfig
 from .spectral import Periodogram
 
+# Rows per block when save_csv streams and load_csv parses a dataset.
+_ROWS = 4096
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write text to path all-or-nothing via temp file + rename."""
+
+def _atomic_write(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or text chunks in order, to path all-or-nothing via
+    temp file + rename."""
+    chunks = (text,) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,42 +70,49 @@ def save_csv(ds: Dataset, path: str) -> None:
     """Write a dataset in LTSF layout with an integer-index date column."""
     if ds.d == 0 or ds.n == 0:
         raise EmptyDataset(f"refusing to write empty dataset of shape {ds.values.shape}")
+    _atomic_write(path, _csv_chunks(ds))
+
+
+def _csv_chunks(ds: Dataset) -> Iterator[str]:
+    """The header line, then the data rows _ROWS at a time.
+
+    Values are finite float64, so each cell is the repr of a Python
+    float, which csv.writer would never quote; only the header needs it.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", *ds.channel_names])
+    csv.writer(buf, lineterminator="\n").writerow(["date", *ds.channel_names])
+    yield buf.getvalue()
     cols = ds.values.T
-    for t in range(ds.n):
-        writer.writerow([t, *(repr(float(v)) for v in cols[t])])
-    _atomic_write(path, buf.getvalue())
+    for lo in range(0, ds.n, _ROWS):
+        yield "".join(
+            f"{t},{','.join(map(repr, row))}\n"
+            for t, row in enumerate(cols[lo : lo + _ROWS].tolist(), start=lo)
+        )
 
 
 def load_csv(path: str, rate: str | None = None) -> Dataset:
     """Read an LTSF-layout CSV; channels are the columns after the first."""
+    blocks = []
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
         except StopIteration:
             raise MissingHeader(f"{path}: file is empty") from None
-        rows = list(reader)
-    if len(header) < 2:
-        raise MissingHeader(
-            f"{path}: header needs a date column plus at least one channel"
-        )
-    if all(_is_number(cell) for cell in header):
-        raise MissingHeader(f"{path}: first row looks like data, not a header")
-    if not rows:
+        if len(header) < 2:
+            raise MissingHeader(
+                f"{path}: header needs a date column plus at least one channel"
+            )
+        if all(_is_number(cell) for cell in header):
+            raise MissingHeader(f"{path}: first row looks like data, not a header")
+        width = len(header)
+        first = 1
+        while rows := list(islice(reader, _ROWS)):
+            blocks.append(_parse_rows(rows, width, first))
+            first += len(rows)
+    if not blocks:
         raise EmptyDataset(f"{path}: no data rows")
-    width = len(header)
-    values = np.empty((len(rows), width - 1), dtype=np.float64)
-    for r, row in enumerate(rows, start=1):
-        if len(row) != width:
-            raise RaggedRows(r, width, len(row))
-        for c, cell in enumerate(row[1:], start=2):
-            try:
-                values[r - 1, c - 2] = float(cell)
-            except ValueError:
-                raise NonNumericCell(r, c) from None
+    values = np.concatenate(blocks)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         raise NonNumericCell(int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
@@ -102,6 +122,30 @@ def load_csv(path: str, rate: str | None = None) -> Dataset:
         rate=rate,
         provenance=path,
     )
+
+
+def _parse_rows(rows: list[list[str]], width: int, first: int) -> np.ndarray:
+    """(len(rows), width - 1) values of rows numbered from ``first``.
+
+    Every value cell goes through the builtin float in one pass.  If a
+    row is ragged or a cell does not parse, the rows are walked cell by
+    cell to raise the first error at its coordinates.
+    """
+    try:
+        if any(len(row) != width for row in rows):
+            raise ValueError("ragged row")
+        cells = chain.from_iterable(map(itemgetter(slice(1, None)), rows))
+        return np.array(list(map(float, cells))).reshape(len(rows), width - 1)
+    except ValueError:
+        for r, row in enumerate(rows, start=first):
+            if len(row) != width:
+                raise RaggedRows(r, width, len(row)) from None
+            for c, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise NonNumericCell(r, c) from None
+        raise
 
 
 def _is_number(cell: str) -> bool:
@@ -123,21 +167,30 @@ class DatasetRegistryEntry:
 
 
 def load_registry(path: str) -> list[DatasetRegistryEntry]:
-    """Read a JSON array of registry entries; ids must be unique."""
+    """Read a JSON array of registry entries; ids must be unique.
+
+    Each entry is an object with non-empty ``id`` and ``rate`` strings;
+    anything else raises InvalidRegistry naming the entry and the field.
+    """
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, list):
-        raise ValueError(f"{path}: registry must be a JSON array")
+        raise InvalidRegistry(path, "registry must be a JSON array")
     entries = []
     seen = set()
-    for item in doc:
-        ident = str(item.get("id", ""))
-        if not ident:
-            raise ValueError(f"{path}: registry entry without an id")
+    for i, item in enumerate(doc):
+        if not isinstance(item, dict):
+            raise InvalidRegistry(path, f"must be an object, got {item!r}", i)
+        for field in ("id", "rate"):
+            value = item.get(field)
+            if not isinstance(value, str) or not value:
+                raise InvalidRegistry(
+                    path, f"must be a non-empty string, got {value!r}", i, field
+                )
+        ident, rate = item["id"], item["rate"]
         if ident in seen:
             raise DuplicateId(f"{path}: duplicate registry id {ident!r}")
         seen.add(ident)
-        rate = str(item["rate"])
         parse_sampling_rate(rate)
         entries.append(
             DatasetRegistryEntry(

@@ -21,6 +21,19 @@ from .errors import InvalidSeries, ShapeMismatch
 # STANDARDIZED_ATOL of 0 and population std within STANDARDIZED_ATOL of 1.
 STANDARDIZED_ATOL = 1e-6
 
+# A computed channel mean is off by up to about 2 * eps * |mean| (worst
+# measured 1.7 over n = 100 .. 10^6), and centring by it leaves that error
+# divided by the std as a mean offset in standardized units.  A channel
+# whose std is at most this multiple of |mean| (about 9e-10) may not meet
+# STANDARDIZED_ATOL, so standardization treats it as constant.
+DEGENERATE_RTOL = 4 * np.finfo(np.float64).eps / STANDARDIZED_ATOL
+
+
+def degenerate_channels(mean: np.ndarray, std: np.ndarray) -> list[int]:
+    """Indices of channels, by their moments, that cannot be standardized:
+    a zero std, or one within DEGENERATE_RTOL of the mean's magnitude."""
+    return np.flatnonzero(std <= DEGENERATE_RTOL * np.abs(mean)).tolist()
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Return a float64 C-contiguous copy of ``a`` with the write flag off."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet
+from .dataset import Dataset, WindowSet, degenerate_channels
 from .errors import DegenerateChannel, InvalidWindow, ShapeMismatch, SplitTooSmall
 from .forecast import fit_ridge
 from .freqest import estimate_fundamental
@@ -143,13 +143,17 @@ def standardize_by_train(train: Dataset, *others: Dataset):
 
     The train split comes back marked standardized; the other splits
     are scaled by the same statistics but keep the flag off because
-    their own moments are not exactly 0/1.
+    their own moments are not exactly 0/1.  Raises DegenerateChannel
+    when a train channel is constant, or constant to float resolution
+    (see ``dataset.DEGENERATE_RTOL``).
     """
     mean = train.values.mean(axis=1, keepdims=True)
     std = train.values.std(axis=1, keepdims=True)
-    flat = np.flatnonzero(std[:, 0] == 0.0)
-    if flat.size:
-        raise DegenerateChannel(f"train channel(s) {flat.tolist()} are constant")
+    flat = degenerate_channels(mean, std)
+    if flat:
+        raise DegenerateChannel(
+            f"train channel(s) {flat} are constant to float resolution"
+        )
 
     def _apply(ds: Dataset, flag: bool) -> Dataset:
         return Dataset(

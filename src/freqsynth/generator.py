@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet
+from .dataset import Dataset, WindowSet, degenerate_channels
 from .errors import (
     DegenerateChannel,
     InsufficientData,
@@ -95,6 +96,10 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("omega_bar", "A_prime"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.omega_bar < 0.5:
             raise ValueError(
                 f"omega_bar must be in (0, 0.5), got {self.omega_bar}"
@@ -236,14 +241,15 @@ def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Data
 def standardize(ds: Dataset) -> Dataset:
     """Per-channel (x - mean) / std with population std.
 
-    Raises DegenerateChannel when any channel is constant.
+    Raises DegenerateChannel when any channel is constant, or constant
+    to float resolution (see ``dataset.DEGENERATE_RTOL``).
     """
     mean = ds.values.mean(axis=1, keepdims=True)
     std = ds.values.std(axis=1, keepdims=True)
-    flat = np.flatnonzero(std[:, 0] == 0.0)
-    if flat.size:
+    flat = degenerate_channels(mean, std)
+    if flat:
         raise DegenerateChannel(
-            f"channel(s) {flat.tolist()} have zero variance"
+            f"channel(s) {flat} have zero variance to float resolution"
         )
     return Dataset(
         values=(ds.values - mean) / std,

@@ -1,9 +1,20 @@
 """Reference implementations that fast paths in the library are tested against."""
 
+import csv
+import io
+
 import numpy as np
 
+from freqsynth.dataio import _atomic_write, _is_number
+from freqsynth.dataset import Dataset
 from freqsynth.evaluation import EvalReport
-from freqsynth.errors import SplitTooSmall
+from freqsynth.errors import (
+    EmptyDataset,
+    MissingHeader,
+    NonNumericCell,
+    RaggedRows,
+    SplitTooSmall,
+)
 
 _CHUNK = 4096
 
@@ -74,3 +85,58 @@ def evaluate_zero_shot_per_horizon(
             )
         )
     return reports
+
+
+def save_csv_per_cell(ds, path):
+    """The save_csv that wrote one csv.writer row per step.
+
+    Every value passes through repr(float(v)) and csv.writer, and the
+    whole file is built in memory before the temp-file publish.
+    """
+    if ds.d == 0 or ds.n == 0:
+        raise EmptyDataset(f"refusing to write empty dataset of shape {ds.values.shape}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["date", *ds.channel_names])
+    cols = ds.values.T
+    for t in range(ds.n):
+        writer.writerow([t, *(repr(float(v)) for v in cols[t])])
+    _atomic_write(path, buf.getvalue())
+
+
+def load_csv_per_cell(path, rate=None):
+    """The load_csv that held every row as strings and parsed cell by cell."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingHeader(f"{path}: file is empty") from None
+        rows = list(reader)
+    if len(header) < 2:
+        raise MissingHeader(
+            f"{path}: header needs a date column plus at least one channel"
+        )
+    if all(_is_number(cell) for cell in header):
+        raise MissingHeader(f"{path}: first row looks like data, not a header")
+    if not rows:
+        raise EmptyDataset(f"{path}: no data rows")
+    width = len(header)
+    values = np.empty((len(rows), width - 1), dtype=np.float64)
+    for r, row in enumerate(rows, start=1):
+        if len(row) != width:
+            raise RaggedRows(r, width, len(row))
+        for c, cell in enumerate(row[1:], start=2):
+            try:
+                values[r - 1, c - 2] = float(cell)
+            except ValueError:
+                raise NonNumericCell(r, c) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        raise NonNumericCell(int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
+    return Dataset(
+        values=values.T,
+        channel_names=tuple(header[1:]),
+        rate=rate,
+        provenance=path,
+    )

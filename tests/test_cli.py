@@ -104,6 +104,17 @@ class TestGenerate:
         assert "error" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("field", ["omega_bar", "A_prime"])
+    def test_config_string_number_is_one_line_error(self, tmp_path, capsys, field):
+        fields = {"omega_bar": 0.1, "n": 256, "d": 1, field: "0.1"}
+        cfg = write_config(tmp_path / "c.json", **fields)
+        out = str(tmp_path / "x.csv")
+        rc = main(["generate", "--config", cfg, "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and field in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
     def test_rate_token_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", omega_bar=0.1, n=256, d=1)
         out = str(tmp_path / "y.csv")

@@ -23,19 +23,28 @@ from freqsynth import (
     save_table_csv,
     scaled_periodogram,
 )
+from freqsynth import dataio
 from freqsynth.errors import (
     DuplicateId,
     EmptyDataset,
+    FreqSynthError,
+    InvalidRegistry,
     MissingHeader,
     NonNumericCell,
     RaggedRows,
     UnknownSamplingRate,
 )
+from oracles import load_csv_per_cell, save_csv_per_cell
 
 
 def write(path, text):
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
+
+
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
 
 
 class TestCsvRoundTrip:
@@ -172,6 +181,145 @@ class TestLoadErrors:
         assert not os.listdir(tmp_path)
 
 
+SPECIAL_VALUES = (
+    0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.79e308, 1e300, -1e-300,
+    0.1, 1 / 3, -2.5, 123456789.125,
+)
+
+
+def special_dataset(n, names=("a,b", 'q"x')):
+    """n steps of random values with the special values spread over them."""
+    vals = np.random.default_rng(n).normal(scale=1e3, size=(len(names), n))
+    flat = vals.reshape(-1)
+    for i, v in enumerate(SPECIAL_VALUES):
+        flat[(i * 7919) % flat.size] = v
+    return Dataset(values=vals, channel_names=names)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def raised(loader, path):
+    with pytest.raises(FreqSynthError) as exc:
+        loader(path)
+    e = exc.value
+    return type(e), getattr(e, "row", None), getattr(e, "col", None), str(e)
+
+
+class TestStreamedCsv:
+    """save_csv and load_csv against the per-cell writer and loader."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_bytes_match_per_cell_writer(self, tmp_path, blocks, offset):
+        ds = special_dataset(blocks * dataio._ROWS + offset)
+        save_csv(ds, str(tmp_path / "new.csv"))
+        save_csv_per_cell(ds, str(tmp_path / "old.csv"))
+        assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+
+    @pytest.mark.parametrize(
+        "names",
+        [("a,b", 'q"x'), ("line\nbreak", ""), (" lead", "tail ", "semi;colon")],
+    )
+    def test_names_needing_quotes(self, tmp_path, names):
+        ds = special_dataset(len(SPECIAL_VALUES), names)
+        save_csv(ds, str(tmp_path / "new.csv"))
+        save_csv_per_cell(ds, str(tmp_path / "old.csv"))
+        assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+        back = load_csv(str(tmp_path / "new.csv"))
+        assert back.channel_names == names
+        assert same_bits(back.values, ds.values)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_loads_bitwise_equal(self, tmp_path, offset):
+        path = str(tmp_path / "x.csv")
+        ds = special_dataset(dataio._ROWS + offset)
+        save_csv_per_cell(ds, path)
+        new, old = load_csv(path, rate="1h"), load_csv_per_cell(path, rate="1h")
+        assert same_bits(new.values, old.values)
+        assert same_bits(new.values, ds.values)
+        assert (new.channel_names, new.rate, new.provenance) == (
+            old.channel_names, old.rate, old.provenance,
+        )
+
+    def test_crlf_spaces_quotes_and_underscores(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_ROWS", 2)
+        path = str(tmp_path / "messy.csv")
+        lines = ["date,x,y", '0, 1.5,"2.25"', "1,1_0 ,-0.0", "2,\t3e2,1E-3",
+                 '3,"4",5e-324', "2020-01-05,+6,.5"]
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write("\r\n".join(lines) + "\r\n")
+        new, old = load_csv(path), load_csv_per_cell(path)
+        assert same_bits(new.values, old.values)
+        assert new.values[0].tolist() == [1.5, 10.0, 300.0, 4.0, 6.0]
+
+    BLOCK = 4
+    ROWS = 3 * BLOCK
+
+    def _body(self, bad):
+        """ROWS data rows of two channels, with ``bad`` {row: line} swapped in."""
+        lines = ["date,x,y"]
+        for r in range(1, self.ROWS + 1):
+            lines.append(bad.get(r, f"{r},{r}.5,-{r}"))
+        return "\n".join(lines) + "\n"
+
+    def _both(self, tmp_path, monkeypatch, bad):
+        monkeypatch.setattr(dataio, "_ROWS", self.BLOCK)
+        path = str(tmp_path / "bad.csv")
+        write(path, self._body(bad))
+        new = raised(load_csv, path)
+        assert new == raised(load_csv_per_cell, path)
+        return new
+
+    @pytest.mark.parametrize("row", [1, 4, 5, 8, 9, 12])
+    def test_ragged_row_at_block_edges(self, tmp_path, monkeypatch, row):
+        kind, r, _, _ = self._both(tmp_path, monkeypatch, {row: f"{row},1"})
+        assert (kind, r) == (RaggedRows, row)
+
+    @pytest.mark.parametrize("row", [1, 4, 5, 8, 9, 12])
+    def test_non_numeric_cell_at_block_edges(self, tmp_path, monkeypatch, row):
+        got = self._both(tmp_path, monkeypatch, {row: f"{row},1,x"})
+        assert got[:3] == (NonNumericCell, row, 3)
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ({3: "3,oops,1", 10: "10,1"}, (NonNumericCell, 3, 2)),
+            ({3: "3,1", 10: "10,oops,1"}, (RaggedRows, 3, None)),
+            ({5: "5,1,oops", 6: "6,1"}, (NonNumericCell, 5, 3)),
+            ({5: "5,1", 6: "6,oops,1"}, (RaggedRows, 5, None)),
+            ({7: "7,oops"}, (RaggedRows, 7, None)),
+            ({5: "5,1", 6: "6,1,2,3"}, (RaggedRows, 5, None)),
+            ({2: "2,nan,1", 11: "11,1,oops"}, (NonNumericCell, 11, 3)),
+            ({2: "2,1,inf", 11: "11,-inf,1"}, (NonNumericCell, 2, 3)),
+        ],
+    )
+    def test_error_precedence_across_blocks(self, tmp_path, monkeypatch, bad, first):
+        assert self._both(tmp_path, monkeypatch, bad)[:3] == first
+
+    def test_failed_stream_leaves_no_file(self, tmp_path, monkeypatch):
+        real = dataio._csv_chunks
+
+        def fails_after_first_block(ds):
+            chunks = real(ds)
+            yield next(chunks)  # header
+            yield next(chunks)  # first block of rows
+            raise OSError("disk full")
+
+        monkeypatch.setattr(dataio, "_ROWS", 4)
+        monkeypatch.setattr(dataio, "_csv_chunks", fails_after_first_block)
+        ds = special_dataset(10)
+        with pytest.raises(OSError, match="disk full"):
+            save_csv(ds, str(tmp_path / "never.csv"))
+        assert os.listdir(tmp_path) == []
+        write(str(tmp_path / "kept.csv"), "date,x\n0,1.0\n")
+        with pytest.raises(OSError, match="disk full"):
+            save_csv(ds, str(tmp_path / "kept.csv"))
+        assert os.listdir(tmp_path) == ["kept.csv"]
+        assert read_bytes(tmp_path / "kept.csv") == b"date,x\n0,1.0\n"
+
+
 class TestRegistry:
     def test_parse_and_rate(self, tmp_path):
         path = str(tmp_path / "reg.json")
@@ -211,6 +359,39 @@ class TestRegistry:
         path = str(tmp_path / "custom.json")
         write(path, json.dumps([{"id": "x", "rate": "custom:36"}]))
         assert load_registry(path)[0].rate == "custom:36"
+
+    def test_entry_not_an_object(self, tmp_path):
+        path = str(tmp_path / "notobj.json")
+        write(path, json.dumps([{"id": "a", "rate": "1h"}, 1]))
+        with pytest.raises(InvalidRegistry, match="entry 1") as exc:
+            load_registry(path)
+        assert (exc.value.entry, exc.value.field) == (1, None)
+
+    def test_missing_rate(self, tmp_path):
+        path = str(tmp_path / "norate.json")
+        write(path, json.dumps([{"id": "a"}]))
+        with pytest.raises(InvalidRegistry, match="entry 0, field 'rate'") as exc:
+            load_registry(path)
+        assert (exc.value.entry, exc.value.field) == (0, "rate")
+
+    def test_rate_not_a_string(self, tmp_path):
+        path = str(tmp_path / "intrate.json")
+        write(path, json.dumps([{"id": "a", "rate": 24}]))
+        with pytest.raises(InvalidRegistry, match="field 'rate'"):
+            load_registry(path)
+
+    def test_missing_id_and_non_array_are_typed(self, tmp_path):
+        path = str(tmp_path / "noid.json")
+        write(path, json.dumps([{"id": "a", "rate": "1h"}, {"rate": "1h"}]))
+        with pytest.raises(InvalidRegistry) as exc:
+            load_registry(path)
+        assert (exc.value.entry, exc.value.field) == (1, "id")
+        write(path, json.dumps([{"id": None, "rate": "1h"}]))
+        with pytest.raises(InvalidRegistry, match="field 'id'"):
+            load_registry(path)
+        write(path, json.dumps({"id": "a", "rate": "1h"}))
+        with pytest.raises(InvalidRegistry, match="JSON array"):
+            load_registry(path)
 
 
 class TestGeneratorConfigFile:

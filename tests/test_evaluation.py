@@ -35,7 +35,7 @@ from freqsynth import (
 )
 from freqsynth import evaluation
 from freqsynth.evaluation import ETT_SPLIT, STANDARD_SPLIT
-from freqsynth.errors import InvalidWindow, ShapeMismatch, SplitTooSmall
+from freqsynth.errors import DegenerateChannel, InvalidWindow, ShapeMismatch, SplitTooSmall
 from oracles import evaluate_zero_shot_per_horizon
 
 
@@ -99,6 +99,13 @@ class TestSplit:
 
 
 class TestStandardizeByTrain:
+    def test_near_constant_large_offset_train_channel(self):
+        t = np.arange(1000)
+        vals = np.vstack([np.sin(0.3 * t), 1e8 + 1e-7 * np.sin(t)])
+        train, val, test = split(Dataset(values=vals, channel_names=("a", "b")), ETT_SPLIT)
+        with pytest.raises(DegenerateChannel, match=r"channel\(s\) \[1\]"):
+            standardize_by_train(train, val, test)
+
     def test_train_statistics_applied_everywhere(self):
         rng = np.random.default_rng(1)
         ds = Dataset(

@@ -90,6 +90,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             GeneratorConfig(omega_bar=0.1, **{field: value})
 
+    @pytest.mark.parametrize("value", ["0.1", True, None, [0.1], 0.1 + 0j])
+    def test_omega_bar_must_be_real(self, value):
+        with pytest.raises(ValueError, match="^omega_bar must be a real number"):
+            GeneratorConfig(omega_bar=value)
+
+    @pytest.mark.parametrize("value", ["5.0", False, None, {"a": 5}, 5 + 0j])
+    def test_a_prime_must_be_real(self, value):
+        with pytest.raises(ValueError, match="^A_prime must be a real number"):
+            GeneratorConfig(omega_bar=0.1, A_prime=value)
+
     def test_integral_counts_become_ints(self):
         cfg = GeneratorConfig(omega_bar=0.1, m=np.int64(100), n=2048.0)
         assert type(cfg.m) is int and type(cfg.n) is int
@@ -289,6 +299,20 @@ class TestStandardize:
         vals = np.vstack([np.arange(5.0), np.full(5, 2.0)])
         with pytest.raises(DegenerateChannel):
             standardize(Dataset(values=vals, channel_names=("a", "b")))
+
+    def test_near_constant_large_offset_channel(self):
+        t = np.arange(1000)
+        vals = np.vstack([1e8 + 1e-7 * np.sin(t), np.sin(0.3 * t)])
+        with pytest.raises(DegenerateChannel, match=r"channel\(s\) \[0\]"):
+            standardize(Dataset(values=vals, channel_names=("a", "b")))
+
+    def test_small_relative_spread_still_standardized(self):
+        t = np.arange(1000)
+        vals = np.vstack([1e8 + 1.0 * np.sin(t), np.sin(0.3 * t)])
+        out = standardize(Dataset(values=vals, channel_names=("a", "b")))
+        mean = vals.mean(axis=1, keepdims=True)
+        std = vals.std(axis=1, keepdims=True)
+        assert np.array_equal(out.values, (vals - mean) / std)
 
     def test_moments(self):
         vals = np.random.default_rng(4).uniform(1, 9, size=(2, 333))
