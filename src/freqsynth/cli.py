@@ -39,13 +39,13 @@ from .evaluation import (
     ridge_trainer,
     size_variates_sweep,
     split,
-    standardize_by_train,
     synthetic_registry,
     transfer_matrix,
 )
 from .forecast import (
     NaiveForecaster,
     SeasonalNaiveForecaster,
+    fit_ridge,
     model_from_json,
     model_to_json,
 )
@@ -56,6 +56,7 @@ from .generator import (
     freq_synth_mix,
     freq_synth_natural,
     standardize,
+    standardize_by_train,
     synthesize,
 )
 from .spectral import aggregate_periodogram, default_window_len, periodogram_pcc
@@ -215,25 +216,12 @@ def cmd_similarity(args, parser) -> int:
 
 
 def cmd_fit(args, parser) -> int:
-    from .forecast import fit_ridge
-
-    H = max(args.horizons)
-    if args.variant == "single":
-        omega = _resolve_omega(args, parser)
-        train, _ = freq_synth(
-            omega, args.seed, count_train=args.count, count_val=0,
-            L=args.lookback, H=H,
-        )
-    elif args.variant == "natural":
-        train, _ = freq_synth_natural(
-            args.seed, count_train=args.count, count_val=0,
-            L=args.lookback, H=H,
-        )
-    else:
-        train, _ = freq_synth_mix(
-            args.seed, count_train=args.count, count_val=0,
-            L=args.lookback, H=H,
-        )
+    build = {"single": freq_synth, "natural": freq_synth_natural, "mix": freq_synth_mix}
+    lead = (_resolve_omega(args, parser),) if args.variant == "single" else ()
+    train, _ = build[args.variant](
+        *lead, args.seed, count_train=args.count, count_val=0,
+        L=args.lookback, H=max(args.horizons),
+    )
     model = fit_ridge(train, args.lam)
     dataio._atomic_write(args.out, model_to_json(model) + "\n")
     return 0

@@ -1,4 +1,4 @@
-"""File formats: LTSF-style CSV datasets, registries, reports.
+"""File formats: LTSF-style CSV datasets, generator configs, reports.
 
 Dataset CSV layout: first column ``date``, remaining columns one per
 channel, one row per time step.  Generated files use a 0-based integer
@@ -7,7 +7,8 @@ and its content is otherwise ignored.  Values are written with repr
 formatting (shortest exact round-trip, at most 17 significant digits).
 
 Every writer publishes through a temp file in the target's directory
-and a rename, so a failed run never leaves a partial file.  ``save_csv``
+and a rename, so a failed run never leaves a partial file; the file gets
+the mode ``open()`` would give it, 0o666 less the umask.  ``save_csv``
 streams its rows into that temp file in blocks of _ROWS rows, and
 ``load_csv`` parses in blocks of the same size, so neither holds the
 dataset as text; the other writers build their payload in memory.
@@ -23,25 +24,16 @@ import csv
 import io
 import json
 import os
-import tempfile
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (
-    DuplicateId,
-    EmptyDataset,
-    InvalidRegistry,
-    MissingHeader,
-    NonNumericCell,
-    RaggedRows,
-)
+from .errors import EmptyDataset, MissingHeader, NonNumericCell, RaggedRows
 from .evaluation import EvalReport, TransferMatrix
-from .freqest import parse_sampling_rate
 from .generator import GeneratorConfig
 from .spectral import Periodogram
 
@@ -51,10 +43,15 @@ _ROWS = 4096
 
 def _atomic_write(path: str, text: str | Iterable[str]) -> None:
     """Write text, or text chunks in order, to path all-or-nothing via
-    temp file + rename."""
+    temp file + rename.
+
+    The temp file is created exclusively with mode 0o666, as ``open()``
+    creates files, so the umask sets the published file's permissions.
+    """
     chunks = (text,) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             for chunk in chunks:
@@ -154,53 +151,6 @@ def _is_number(cell: str) -> bool:
     except ValueError:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class DatasetRegistryEntry:
-    """One row of a dataset registry: id, file path, rate, sector tag."""
-
-    id: str
-    rate: str
-    path: str = ""
-    sector: str = ""
-
-
-def load_registry(path: str) -> list[DatasetRegistryEntry]:
-    """Read a JSON array of registry entries; ids must be unique.
-
-    Each entry is an object with non-empty ``id`` and ``rate`` strings;
-    anything else raises InvalidRegistry naming the entry and the field.
-    """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, list):
-        raise InvalidRegistry(path, "registry must be a JSON array")
-    entries = []
-    seen = set()
-    for i, item in enumerate(doc):
-        if not isinstance(item, dict):
-            raise InvalidRegistry(path, f"must be an object, got {item!r}", i)
-        for field in ("id", "rate"):
-            value = item.get(field)
-            if not isinstance(value, str) or not value:
-                raise InvalidRegistry(
-                    path, f"must be a non-empty string, got {value!r}", i, field
-                )
-        ident, rate = item["id"], item["rate"]
-        if ident in seen:
-            raise DuplicateId(f"{path}: duplicate registry id {ident!r}")
-        seen.add(ident)
-        parse_sampling_rate(rate)
-        entries.append(
-            DatasetRegistryEntry(
-                id=ident,
-                rate=rate,
-                path=str(item.get("path", "")),
-                sector=str(item.get("sector", "")),
-            )
-        )
-    return entries
 
 
 def load_generator_config(path: str, **overrides) -> GeneratorConfig:

@@ -113,25 +113,3 @@ class NonNumericCell(FreqSynthError):
 
 class EmptyDataset(FreqSynthError):
     """Dataset has no channels or no samples."""
-
-
-class DuplicateId(FreqSynthError):
-    """Registry contains two entries with the same id."""
-
-
-class InvalidRegistry(FreqSynthError):
-    """A dataset registry is not a JSON array of objects, or an entry lacks
-    a field or holds a bad value in one.
-
-    Carries the 0-based ``entry`` index and the ``field`` name, each None
-    when the problem is not in one entry or one field.
-    """
-
-    def __init__(self, path: str, problem: str, entry: int | None = None,
-                 field: str | None = None):
-        self.entry = entry
-        self.field = field
-        where = path if entry is None else f"{path}: registry entry {entry}"
-        if field is not None:
-            where += f", field {field!r}"
-        super().__init__(f"{where}: {problem}")

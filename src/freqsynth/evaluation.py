@@ -17,19 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet, degenerate_channels
-from .errors import DegenerateChannel, InvalidWindow, ShapeMismatch, SplitTooSmall
+from .dataset import Dataset, WindowSet
+from .errors import InvalidWindow, ShapeMismatch, SplitTooSmall
 from .forecast import fit_ridge
 from .freqest import estimate_fundamental
 from .generator import (
     GeneratorConfig,
-    build_harmonic_datasets,
+    _child_seed,
+    build_datasets,
     sample_windows,
     standardize,
     synthesize,
 )
-
-_SEED_CEILING = 2**63 - 1
 
 # Support and exclusion zone for experiment distractor frequencies.
 DISTRACTOR_RANGE = (1 / 200, 0.45)
@@ -136,36 +135,6 @@ def split(
         ds.slice_time(n_train, n_train + n_val),
         ds.slice_time(n_train + n_val, n),
     )
-
-
-def standardize_by_train(train: Dataset, *others: Dataset):
-    """Standardize splits with the TRAIN split's per-channel statistics.
-
-    The train split comes back marked standardized; the other splits
-    are scaled by the same statistics but keep the flag off because
-    their own moments are not exactly 0/1.  Raises DegenerateChannel
-    when a train channel is constant, or constant to float resolution
-    (see ``dataset.DEGENERATE_RTOL``).
-    """
-    mean = train.values.mean(axis=1, keepdims=True)
-    std = train.values.std(axis=1, keepdims=True)
-    flat = degenerate_channels(mean, std)
-    if flat:
-        raise DegenerateChannel(
-            f"train channel(s) {flat} are constant to float resolution"
-        )
-
-    def _apply(ds: Dataset, flag: bool) -> Dataset:
-        return Dataset(
-            values=(ds.values - mean) / std,
-            channel_names=ds.channel_names,
-            rate=ds.rate,
-            provenance=ds.provenance,
-            standardized=flag,
-        )
-
-    out = [_apply(train, True)] + [_apply(o, False) for o in others]
-    return tuple(out)
 
 
 def _block_sums(predict, segments, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,10 +305,6 @@ def minmax_scale_columns(raw: np.ndarray, exclude_diagonal: bool = False) -> np.
     return scaled
 
 
-def _child(rng: np.random.Generator) -> int:
-    return int(rng.integers(0, _SEED_CEILING))
-
-
 def ridge_trainer(L: int, H: int, count: int = 1024, lam: float | None = 0.0):
     """Trainer factory for transfer_matrix: sample windows, fit ridge."""
 
@@ -374,7 +339,7 @@ def transfer_matrix(
     k = len(datasets)
     raw = np.empty((k, k), dtype=np.float64)
     for i, train_ds in enumerate(datasets):
-        model = trainer(train_ds, _child(master))
+        model = trainer(train_ds, _child_seed(master))
         for j, test_ds in enumerate(datasets):
             report = evaluate_zero_shot(
                 model, test_ds, L, (H,), dataset_id=ids[j], seed=seed
@@ -463,17 +428,17 @@ def confusion_experiment(
     if any(c < 0 for c in counts):
         raise ValueError(f"distractor counts must be >= 0, got {counts}")
     master = np.random.default_rng(seed)
-    base_ds = _pure_dataset(base_omega, _child(master), n, d)
-    eval_ds = _pure_dataset(base_omega, _child(master), n, d)
+    base_ds = _pure_dataset(base_omega, _child_seed(master), n, d)
+    eval_ds = _pure_dataset(base_omega, _child_seed(master), n, d)
     freqs = _sample_distractors(
         master, max(counts, default=0), base_omega, 1.0 / (L + H)
     )
-    distractor_ds = [_pure_dataset(f, _child(master), n, d) for f in freqs]
+    distractor_ds = [_pure_dataset(f, _child_seed(master), n, d) for f in freqs]
 
-    base_ws, _ = sample_windows([base_ds], windows_per_sine, 0, L, H, _child(master))
-    eval_ws, _ = sample_windows([eval_ds], eval_windows, 0, L, H, _child(master))
+    base_ws, _ = sample_windows([base_ds], windows_per_sine, 0, L, H, _child_seed(master))
+    eval_ws, _ = sample_windows([eval_ds], eval_windows, 0, L, H, _child_seed(master))
     distractor_ws = [
-        sample_windows([ds], windows_per_sine, 0, L, H, _child(master))[0]
+        sample_windows([ds], windows_per_sine, 0, L, H, _child_seed(master))[0]
         for ds in distractor_ds
     ]
 
@@ -509,22 +474,22 @@ def generalization_experiment(
     fillers = _sample_distractors(master, n_fillers + 1, target_omega, bin_width)
     replacement, fillers = float(fillers[-1]), fillers[:-1]
 
-    target_ds = _pure_dataset(target_omega, _child(master), n, d)
-    eval_ds = _pure_dataset(target_omega, _child(master), n, d)
-    filler_ds = [_pure_dataset(f, _child(master), n, d) for f in fillers]
-    replacement_ds = _pure_dataset(replacement, _child(master), n, d)
+    target_ds = _pure_dataset(target_omega, _child_seed(master), n, d)
+    eval_ds = _pure_dataset(target_omega, _child_seed(master), n, d)
+    filler_ds = [_pure_dataset(f, _child_seed(master), n, d) for f in fillers]
+    replacement_ds = _pure_dataset(replacement, _child_seed(master), n, d)
 
     filler_ws = [
-        sample_windows([ds], windows_per_freq, 0, L, H, _child(master))[0]
+        sample_windows([ds], windows_per_freq, 0, L, H, _child_seed(master))[0]
         for ds in filler_ds
     ]
     target_ws, _ = sample_windows(
-        [target_ds], windows_per_freq, 0, L, H, _child(master)
+        [target_ds], windows_per_freq, 0, L, H, _child_seed(master)
     )
     replacement_ws, _ = sample_windows(
-        [replacement_ds], windows_per_freq, 0, L, H, _child(master)
+        [replacement_ds], windows_per_freq, 0, L, H, _child_seed(master)
     )
-    eval_ws, _ = sample_windows([eval_ds], eval_windows, 0, L, H, _child(master))
+    eval_ws, _ = sample_windows([eval_ds], eval_windows, 0, L, H, _child_seed(master))
 
     model_with = fit_ridge(_concat_windows(filler_ws + [target_ws]), lam)
     model_without = fit_ridge(_concat_windows(filler_ws + [replacement_ws]), lam)
@@ -555,12 +520,9 @@ def harmonics_sweep(
     rows = []
     for h in h_values:
         for tid, ds in targets:
-            child = _child(master)
-            train_sets = build_harmonic_datasets(
-                est[tid], child, h_values=(h,), n=n, d=d
-            )
+            train_sets = build_datasets([(est[tid], h)], _child_seed(master), n=n, d=d)
             windows, _ = sample_windows(
-                train_sets, count_train, 0, L, H, _child(master)
+                train_sets, count_train, 0, L, H, _child_seed(master)
             )
             model = fit_ridge(windows, lam)
             mse = evaluate_zero_shot(model, ds, L, (H,), dataset_id=tid)[0].mse
@@ -592,7 +554,7 @@ def synthetic_registry(
     for omega in fundamentals:
         for c in range(copies):
             cfg = GeneratorConfig(
-                omega_bar=omega, h=h, n=n, d=d, seed=_child(master)
+                omega_bar=omega, h=h, n=n, d=d, seed=_child_seed(master)
             )
             name = f"w{round(1 / omega)}-{chr(ord('a') + c)}"
             out.append((name, standardize(synthesize(cfg))))
@@ -615,11 +577,11 @@ def size_variates_sweep(
     grid = np.empty((len(sizes), len(d_values)), dtype=np.float64)
     for i, size in enumerate(sizes):
         for j, d in enumerate(d_values):
-            train_sets = build_harmonic_datasets(
-                omega, _child(master), n=n, d=int(d)
+            train_sets = build_datasets(
+                [(omega, h) for h in (1, 2, 3)], _child_seed(master), n=n, d=int(d)
             )
             windows, _ = sample_windows(
-                train_sets, int(size), 0, L, H, _child(master)
+                train_sets, int(size), 0, L, H, _child_seed(master)
             )
             model = fit_ridge(windows, lam)
             grid[i, j] = evaluate_zero_shot(model, target, L, (H,))[0].mse

@@ -22,7 +22,7 @@ information leaks into the features.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -127,16 +127,6 @@ class SeasonalNaiveForecaster:
         return np.take(arr, idx, axis=1, out=out)
 
 
-def naive_forecast(lookback, H: int) -> np.ndarray:
-    """H copies of the last lookback value."""
-    return NaiveForecaster().forecast(lookback, H)[0]
-
-
-def seasonal_naive_forecast(lookback, H: int, period: int) -> np.ndarray:
-    """output[h] = lookback[L - period + (h mod period)]."""
-    return SeasonalNaiveForecaster(period).forecast(lookback, H)[0]
-
-
 @dataclass(frozen=True)
 class LinearForecaster:
     """Affine map from normalized lookback to horizon.
@@ -186,15 +176,17 @@ class LinearForecaster:
         return y
 
 
-def predict(model: LinearForecaster, lookback) -> np.ndarray:
-    """Single-window convenience wrapper around forecast."""
-    return model.forecast(np.asarray(lookback, dtype=np.float64)[None, :])[0]
-
-
 def _features(ws: WindowSet) -> tuple[np.ndarray, np.ndarray]:
     """Instance-normalized design matrix [z; 1] and normalized targets."""
     phi, mu, sd = _design(ws.lookbacks)
     return phi, (ws.horizons - mu) / sd
+
+
+def _solve(phi: np.ndarray, diag: float, rhs: np.ndarray) -> np.ndarray:
+    """W with (phi' phi + diag I) W' = rhs: the normal equations of a ridge."""
+    gram = phi.T @ phi
+    gram[np.diag_indices_from(gram)] += diag
+    return np.linalg.solve(gram, rhs).T
 
 
 def default_lambda(phi: np.ndarray) -> float:
@@ -216,12 +208,10 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
         lam = default_lambda(phi)
     _check_coefficient("lam", lam)
     if lam == 0.0:
-        wt, *_ = np.linalg.lstsq(phi, y, rcond=None)
+        w = np.linalg.lstsq(phi, y, rcond=None)[0].T
     else:
-        gram = phi.T @ phi
-        gram[np.diag_indices_from(gram)] += lam
-        wt = np.linalg.solve(gram, phi.T @ y)
-    return LinearForecaster(weights=wt.T, L=train.L, H=train.H, lam=float(lam))
+        w = _solve(phi, lam, phi.T @ y)
+    return LinearForecaster(weights=w, L=train.L, H=train.H, lam=float(lam))
 
 
 def finetune(
@@ -247,26 +237,13 @@ def finetune(
     if lam is None:
         lam = model.lam
     _check_coefficient("lam", lam)
+    model_id = f"{model.model_id}-finetuned"
     if anchor == 0.0:
-        fitted = fit_ridge(fewshot, lam)
-        return LinearForecaster(
-            weights=fitted.weights,
-            L=fitted.L,
-            H=fitted.H,
-            lam=fitted.lam,
-            model_id=f"{model.model_id}-finetuned",
-        )
+        return replace(fit_ridge(fewshot, lam), model_id=model_id)
     phi, y = _features(fewshot)
-    gram = phi.T @ phi
-    gram[np.diag_indices_from(gram)] += lam + anchor
-    rhs = phi.T @ y + anchor * model.weights.T
-    wt = np.linalg.solve(gram, rhs)
+    w = _solve(phi, lam + anchor, phi.T @ y + anchor * model.weights.T)
     return LinearForecaster(
-        weights=wt.T,
-        L=model.L,
-        H=model.H,
-        lam=float(lam),
-        model_id=f"{model.model_id}-finetuned",
+        weights=w, L=model.L, H=model.H, lam=float(lam), model_id=model_id
     )
 
 

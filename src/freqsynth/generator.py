@@ -15,10 +15,12 @@ so its channels are rendered from sin and cos rows of those frequencies
 to within 1e-10 of the channel std for n up to 50,000; pools with few
 repeated frequencies, such as the mix variant's, render every member.
 
-Variants swap the pool's frequency law: the natural variant anchors
-pools on a fixed set of everyday fundamentals, the mix variant draws
-frequencies uniformly with no harmonic structure at all.  All outputs
-are pure functions of (config, seed).
+Variants differ only in the pool's frequency law, which
+``build_datasets`` takes per dataset: a harmonic ``(omega_bar, h)`` pair
+(the single-fundamental variant uses h = 1, 2, 3 of one omega_bar, the
+natural variant the same over a fixed set of everyday fundamentals), or
+``"mix"``, frequencies uniform with no harmonic structure at all.  All
+outputs are pure functions of (config, seed).
 """
 
 from __future__ import annotations
@@ -134,39 +136,44 @@ def harmonic_set(omega_bar: float, h: int) -> list[float]:
     return [omega_bar * k for k in range(1, h + 1) if omega_bar * k < 0.5]
 
 
-def _draw_pool_arrays(cfg: GeneratorConfig, rng: np.random.Generator):
-    """Amplitude/frequency/phase vectors for one harmonic pool."""
-    omegas = np.array(harmonic_set(cfg.omega_bar, cfg.h))
-    amps = rng.exponential(scale=cfg.A_prime - 0.01, size=cfg.m) + 0.01
-    freqs = rng.choice(omegas, size=cfg.m, replace=True)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.m)
+def _draw_pool(law, m: int, A_prime: float, rng: np.random.Generator):
+    """Amplitude, frequency and phase vectors of an m-member pool.
+
+    ``law`` is a harmonic ``(omega_bar, h)`` pair, drawing frequencies
+    uniformly from harmonic_set(omega_bar, h), or ``"mix"``, drawing them
+    uniformly over MIX_FREQ_RANGE.  The vectors come off ``rng`` in the
+    order amplitudes, frequencies, phases.
+    """
+    if not A_prime > 0.01:
+        raise InvalidAmplitudeScale(f"A_prime must exceed 0.01, got {A_prime}")
+    amps = rng.exponential(scale=A_prime - 0.01, size=m) + 0.01
+    if law == "mix":
+        lo, hi = MIX_FREQ_RANGE
+        freqs = np.maximum(rng.uniform(lo, hi, size=m), np.nextafter(lo, hi))
+    else:
+        freqs = rng.choice(np.array(harmonic_set(*law)), size=m, replace=True)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
     return amps, freqs, phases
+
+
+def _specs(amps, freqs, phases) -> list[SineSpec]:
+    return [
+        SineSpec(amplitude=float(a), frequency=float(f), phase=float(p))
+        for a, f, p in zip(amps, freqs, phases)
+    ]
 
 
 def build_pool(cfg: GeneratorConfig) -> list[SineSpec]:
     """Draw the pool of m sinusoids deterministically from cfg.seed."""
     rng = np.random.default_rng(cfg.seed)
-    amps, freqs, phases = _draw_pool_arrays(cfg, rng)
-    return [
-        SineSpec(amplitude=float(a), frequency=float(f), phase=float(p))
-        for a, f, p in zip(amps, freqs, phases)
-    ]
+    return _specs(*_draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng))
 
 
 def build_mix_pool(
     m: int, A_prime: float, rng: np.random.Generator
 ) -> list[SineSpec]:
     """Pool with frequencies uniform over MIX_FREQ_RANGE; no harmonics."""
-    if not A_prime > 0.01:
-        raise InvalidAmplitudeScale(f"A_prime must exceed 0.01, got {A_prime}")
-    lo, hi = MIX_FREQ_RANGE
-    amps = rng.exponential(scale=A_prime - 0.01, size=m) + 0.01
-    freqs = np.maximum(rng.uniform(lo, hi, size=m), np.nextafter(lo, hi))
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
-    return [
-        SineSpec(amplitude=float(a), frequency=float(f), phase=float(p))
-        for a, f, p in zip(amps, freqs, phases)
-    ]
+    return _specs(*_draw_pool("mix", m, A_prime, rng))
 
 
 def _render_channels(
@@ -212,6 +219,11 @@ def _render_channels(
     return coef @ np.concatenate([np.sin(arg), np.cos(arg)])
 
 
+def _named(values: np.ndarray, provenance: str) -> Dataset:
+    names = tuple(f"ch{i + 1}" for i in range(values.shape[0]))
+    return Dataset(values=values, channel_names=names, provenance=provenance)
+
+
 def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Dataset:
     """Build a (d, n) dataset from a harmonic pool.
 
@@ -221,43 +233,49 @@ def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Data
     """
     rng = np.random.default_rng(cfg.seed)
     if pool is None:
-        amps, freqs, phases = _draw_pool_arrays(cfg, rng)
+        arrays = _draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng)
     else:
         if not pool:
             raise ValueError("explicit pool must be non-empty")
-        amps = np.array([s.amplitude for s in pool])
-        freqs = np.array([s.frequency for s in pool])
-        phases = np.array([s.phase for s in pool])
-    values = _render_channels(amps, freqs, phases, cfg.n, cfg.d, cfg.l, rng)
-    names = tuple(f"ch{i + 1}" for i in range(cfg.d))
-    return Dataset(
-        values=values,
-        channel_names=names,
-        rate=None,
-        provenance=f"freq-synth:{cfg.digest()}",
+        arrays = [np.array([getattr(s, k) for s in pool])
+                  for k in ("amplitude", "frequency", "phase")]
+    values = _render_channels(*arrays, cfg.n, cfg.d, cfg.l, rng)
+    return _named(values, f"freq-synth:{cfg.digest()}")
+
+
+def standardize_by_train(train: Dataset, *others: Dataset):
+    """Standardize splits with the TRAIN split's per-channel statistics.
+
+    Each split becomes (x - mean) / std with the train split's mean and
+    population std.  The train split comes back marked standardized; the
+    other splits keep the flag off because their own moments are not
+    exactly 0/1.  Raises DegenerateChannel when a train channel is
+    constant, or constant to float resolution (see
+    ``dataset.DEGENERATE_RTOL``).
+    """
+    mean = train.values.mean(axis=1, keepdims=True)
+    std = train.values.std(axis=1, keepdims=True)
+    flat = degenerate_channels(mean, std)
+    if flat:
+        raise DegenerateChannel(
+            f"channel(s) {flat} are constant to float resolution"
+        )
+    return tuple(
+        Dataset(
+            values=(ds.values - mean) / std,
+            channel_names=ds.channel_names,
+            rate=ds.rate,
+            provenance=ds.provenance,
+            standardized=i == 0,
+        )
+        for i, ds in enumerate((train, *others))
     )
 
 
 def standardize(ds: Dataset) -> Dataset:
-    """Per-channel (x - mean) / std with population std.
-
-    Raises DegenerateChannel when any channel is constant, or constant
-    to float resolution (see ``dataset.DEGENERATE_RTOL``).
-    """
-    mean = ds.values.mean(axis=1, keepdims=True)
-    std = ds.values.std(axis=1, keepdims=True)
-    flat = degenerate_channels(mean, std)
-    if flat:
-        raise DegenerateChannel(
-            f"channel(s) {flat} have zero variance to float resolution"
-        )
-    return Dataset(
-        values=(ds.values - mean) / std,
-        channel_names=ds.channel_names,
-        rate=ds.rate,
-        provenance=ds.provenance,
-        standardized=True,
-    )
+    """Per-channel (x - mean) / std with population std: the train split
+    of standardize_by_train(ds)."""
+    return standardize_by_train(ds)[0]
 
 
 def sample_windows(
@@ -330,10 +348,9 @@ def _child_seed(rng: np.random.Generator) -> int:
     return int(rng.integers(0, _SEED_CEILING))
 
 
-def build_harmonic_datasets(
-    omega_bar: float,
+def build_datasets(
+    laws,
     seed: int,
-    h_values: tuple[int, ...] = (1, 2, 3),
     *,
     m: int = 100,
     A_prime: float = 5.0,
@@ -341,22 +358,40 @@ def build_harmonic_datasets(
     n: int = 50_000,
     d: int = 5,
 ) -> list[Dataset]:
-    """One standardized dataset per harmonic count in ``h_values``."""
+    """One standardized (d, n) dataset per frequency law, in order.
+
+    A law is a harmonic ``(omega_bar, h)`` pair, which gives
+    synthesize's dataset for that config, or ``"mix"``, a pool with
+    frequencies uniform over MIX_FREQ_RANGE.  Dataset i is built from the
+    i-th child seed of ``seed``.
+    """
     master = np.random.default_rng(seed)
     out = []
-    for h in h_values:
-        cfg = GeneratorConfig(
-            omega_bar=omega_bar,
-            m=m,
-            h=h,
-            A_prime=A_prime,
-            l=l,
-            n=n,
-            d=d,
-            seed=_child_seed(master),
-        )
-        out.append(standardize(synthesize(cfg)))
+    for i, law in enumerate(laws):
+        child = _child_seed(master)
+        if law == "mix":
+            rng = np.random.default_rng(child)
+            values = _render_channels(*_draw_pool(law, m, A_prime, rng), n, d, l, rng)
+            ds = _named(values, f"freq-synth-mix:seed={seed}:copy={i}")
+        else:
+            omega_bar, h = law
+            ds = synthesize(
+                GeneratorConfig(
+                    omega_bar=omega_bar, m=m, h=h, A_prime=A_prime, l=l, n=n, d=d,
+                    seed=child,
+                )
+            )
+        out.append(standardize(ds))
     return out
+
+
+def _windows(laws, seed, count_train, count_val, L, H, **sizes):
+    """Windows of build_datasets(laws): a data seed, then a sample seed."""
+    master = np.random.default_rng(seed)
+    data_seed = _child_seed(master)
+    sample_seed = _child_seed(master)
+    datasets = build_datasets(laws, data_seed, **sizes)
+    return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
 
 
 def freq_synth(
@@ -379,43 +414,9 @@ def freq_synth(
     of length L + H uniformly across all of them; train and validation
     draws never share a (dataset, channel, start) triple.
     """
-    master = np.random.default_rng(seed)
-    data_seed = _child_seed(master)
-    sample_seed = _child_seed(master)
-    datasets = build_harmonic_datasets(
-        omega_bar, data_seed, m=m, A_prime=A_prime, l=l, n=n, d=d
-    )
-    return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
-
-
-def build_natural_datasets(
-    seed: int,
-    *,
-    frequencies: tuple[float, ...] = NATURAL_FREQUENCIES,
-    h_values: tuple[int, ...] = (1, 2, 3),
-    m: int = 100,
-    A_prime: float = 5.0,
-    l: int = 10,
-    n: int = 50_000,
-    d: int = 5,
-) -> list[Dataset]:
-    """Standardized datasets for every (fundamental, harmonic) pair."""
-    master = np.random.default_rng(seed)
-    out = []
-    for omega in frequencies:
-        for h in h_values:
-            cfg = GeneratorConfig(
-                omega_bar=omega,
-                m=m,
-                h=h,
-                A_prime=A_prime,
-                l=l,
-                n=n,
-                d=d,
-                seed=_child_seed(master),
-            )
-            out.append(standardize(synthesize(cfg)))
-    return out
+    laws = [(omega_bar, h) for h in (1, 2, 3)]
+    return _windows(laws, seed, count_train, count_val, L, H,
+                    m=m, A_prime=A_prime, l=l, n=n, d=d)
 
 
 def freq_synth_natural(
@@ -436,44 +437,9 @@ def freq_synth_natural(
     Each of the four everyday fundamentals is expanded with h = 1, 2, 3
     harmonics; window sampling spans all twelve resulting datasets.
     """
-    master = np.random.default_rng(seed)
-    data_seed = _child_seed(master)
-    sample_seed = _child_seed(master)
-    datasets = build_natural_datasets(
-        data_seed, m=m, A_prime=A_prime, l=l, n=n, d=d
-    )
-    return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
-
-
-def build_mix_datasets(
-    seed: int,
-    *,
-    copies: int = 3,
-    m: int = 100,
-    A_prime: float = 5.0,
-    l: int = 10,
-    n: int = 50_000,
-    d: int = 5,
-) -> list[Dataset]:
-    """Standardized datasets over unstructured uniform-frequency pools."""
-    master = np.random.default_rng(seed)
-    out = []
-    for i in range(copies):
-        rng = np.random.default_rng(_child_seed(master))
-        pool = build_mix_pool(m, A_prime, rng)
-        amps = np.array([s.amplitude for s in pool])
-        freqs = np.array([s.frequency for s in pool])
-        phases = np.array([s.phase for s in pool])
-        values = _render_channels(amps, freqs, phases, n, d, l, rng)
-        names = tuple(f"ch{j + 1}" for j in range(d))
-        ds = Dataset(
-            values=values,
-            channel_names=names,
-            rate=None,
-            provenance=f"freq-synth-mix:seed={seed}:copy={i}",
-        )
-        out.append(standardize(ds))
-    return out
+    laws = [(omega, h) for omega in NATURAL_FREQUENCIES for h in (1, 2, 3)]
+    return _windows(laws, seed, count_train, count_val, L, H,
+                    m=m, A_prime=A_prime, l=l, n=n, d=d)
 
 
 def freq_synth_mix(
@@ -494,10 +460,5 @@ def freq_synth_mix(
     Three independent mix datasets stand in for the h = 1, 2, 3 triple
     so sample budgets match the harmonic variant.
     """
-    master = np.random.default_rng(seed)
-    data_seed = _child_seed(master)
-    sample_seed = _child_seed(master)
-    datasets = build_mix_datasets(
-        data_seed, copies=3, m=m, A_prime=A_prime, l=l, n=n, d=d
-    )
-    return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
+    return _windows(["mix"] * 3, seed, count_train, count_val, L, H,
+                    m=m, A_prime=A_prime, l=l, n=n, d=d)

@@ -132,28 +132,23 @@ def dft_naive(x, chunk: int = 128) -> Spectrum:
     return Spectrum(coeffs=coeffs / np.sqrt(n), n=n)
 
 
-def periodogram_from_spectrum(spec: Spectrum) -> Periodogram:
-    """Scaled periodogram (4/n)|d(w_j)|^2 over bins j = 1..floor((n-1)/2)."""
-    n = spec.n
-    half = (n - 1) // 2
-    d = spec.coeffs[1 : half + 1]
-    powers = (4.0 / n) * (d.real * d.real + d.imag * d.imag)
-    freqs = np.arange(1, half + 1, dtype=np.float64) / n
-    return Periodogram(freqs=freqs, powers=powers)
-
-
-def scaled_periodogram(x) -> Periodogram:
-    """Scaled periodogram of one series.
+def _rfft_power(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin frequencies j/n and scaled powers (4/n)|d(w_j)|^2 of the
+    length-n rows of ``x``, for j = 1 .. floor((n-1)/2).
 
     Computed via the real FFT; the t-origin twist has unit modulus and
     cancels in |d|^2, so it is skipped here.
     """
-    arr = _as_series(x)
-    n = arr.size
+    n = x.shape[-1]
     half = (n - 1) // 2
-    spec = np.fft.rfft(arr)[1 : half + 1]
+    spec = np.fft.rfft(x)[..., 1 : half + 1]
     powers = (4.0 / (float(n) * n)) * (spec.real * spec.real + spec.imag * spec.imag)
-    freqs = np.arange(1, half + 1, dtype=np.float64) / n
+    return np.arange(1, half + 1, dtype=np.float64) / n, powers
+
+
+def scaled_periodogram(x) -> Periodogram:
+    """Scaled periodogram of one series."""
+    freqs, powers = _rfft_power(_as_series(x))
     return Periodogram(freqs=freqs, powers=powers)
 
 
@@ -169,13 +164,7 @@ def aggregate_periodogram(ds: Dataset, window_len: int) -> Periodogram:
     if w < 16:
         raise InvalidWindow(f"window_len must be >= 16, got {w}")
     k = ds.n // w
-    segs = ds.values[:, : k * w].reshape(ds.d * k, w)
-    half = (w - 1) // 2
-    spec = np.fft.rfft(segs, axis=1)[:, 1 : half + 1]
-    powers = (4.0 / (float(w) * w)) * (
-        spec.real * spec.real + spec.imag * spec.imag
-    )
-    freqs = np.arange(1, half + 1, dtype=np.float64) / w
+    freqs, powers = _rfft_power(ds.values[:, : k * w].reshape(ds.d * k, w))
     return Periodogram(freqs=freqs, powers=powers.mean(axis=0))
 
 

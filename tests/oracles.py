@@ -6,17 +6,42 @@ import io
 import numpy as np
 
 from freqsynth.dataio import _atomic_write, _is_number
-from freqsynth.dataset import Dataset
+from freqsynth.dataset import Dataset, WindowSet, degenerate_channels
 from freqsynth.evaluation import EvalReport
+from freqsynth.forecast import (
+    DEFAULT_ANCHOR,
+    LinearForecaster,
+    _check_coefficient,
+    _features,
+    default_lambda,
+)
 from freqsynth.errors import (
+    DegenerateChannel,
     EmptyDataset,
+    EmptyTrainingSet,
+    InvalidAmplitudeScale,
+    InvalidWindow,
     MissingHeader,
     NonNumericCell,
     RaggedRows,
+    ShapeMismatch,
     SplitTooSmall,
+    WindowTooLong,
 )
+from freqsynth.generator import (
+    MIX_FREQ_RANGE,
+    NATURAL_FREQUENCIES,
+    GeneratorConfig,
+    SineSpec,
+    _render_channels,
+    harmonic_set,
+    sample_windows,
+)
+from freqsynth.spectral import Periodogram, _as_series
 
 _CHUNK = 4096
+
+_SEED_CEILING = 2**63 - 1
 
 
 def render_channels_direct(amps, freqs, phases, n, d, l, rng):
@@ -139,4 +164,398 @@ def load_csv_per_cell(path, rate=None):
         channel_names=tuple(header[1:]),
         rate=rate,
         provenance=path,
+    )
+
+
+# The synthetic-data paths from before they shared one law-keyed builder:
+# a pool draw per law, three dataset builders, three freq_synth bodies and
+# two standardisers, copied unchanged, plus the two periodogram formulas
+# from before they shared one helper.  Each is an oracle for bitwise
+# equality with the library.
+
+def _draw_pool_arrays(cfg: GeneratorConfig, rng: np.random.Generator):
+    """Amplitude/frequency/phase vectors for one harmonic pool."""
+    omegas = np.array(harmonic_set(cfg.omega_bar, cfg.h))
+    amps = rng.exponential(scale=cfg.A_prime - 0.01, size=cfg.m) + 0.01
+    freqs = rng.choice(omegas, size=cfg.m, replace=True)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=cfg.m)
+    return amps, freqs, phases
+
+
+def build_mix_pool(
+    m: int, A_prime: float, rng: np.random.Generator
+) -> list[SineSpec]:
+    """Pool with frequencies uniform over MIX_FREQ_RANGE; no harmonics."""
+    if not A_prime > 0.01:
+        raise InvalidAmplitudeScale(f"A_prime must exceed 0.01, got {A_prime}")
+    lo, hi = MIX_FREQ_RANGE
+    amps = rng.exponential(scale=A_prime - 0.01, size=m) + 0.01
+    freqs = np.maximum(rng.uniform(lo, hi, size=m), np.nextafter(lo, hi))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
+    return [
+        SineSpec(amplitude=float(a), frequency=float(f), phase=float(p))
+        for a, f, p in zip(amps, freqs, phases)
+    ]
+
+
+def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Dataset:
+    """Build a (d, n) dataset from a harmonic pool.
+
+    When ``pool`` is given it is used as-is (its length replaces cfg.m)
+    and cfg.seed only drives the channel draws; otherwise the pool is
+    drawn first from the same seeded stream.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    if pool is None:
+        amps, freqs, phases = _draw_pool_arrays(cfg, rng)
+    else:
+        if not pool:
+            raise ValueError("explicit pool must be non-empty")
+        amps = np.array([s.amplitude for s in pool])
+        freqs = np.array([s.frequency for s in pool])
+        phases = np.array([s.phase for s in pool])
+    values = _render_channels(amps, freqs, phases, cfg.n, cfg.d, cfg.l, rng)
+    names = tuple(f"ch{i + 1}" for i in range(cfg.d))
+    return Dataset(
+        values=values,
+        channel_names=names,
+        rate=None,
+        provenance=f"freq-synth:{cfg.digest()}",
+    )
+
+
+def standardize(ds: Dataset) -> Dataset:
+    """Per-channel (x - mean) / std with population std.
+
+    Raises DegenerateChannel when any channel is constant, or constant
+    to float resolution (see ``dataset.DEGENERATE_RTOL``).
+    """
+    mean = ds.values.mean(axis=1, keepdims=True)
+    std = ds.values.std(axis=1, keepdims=True)
+    flat = degenerate_channels(mean, std)
+    if flat:
+        raise DegenerateChannel(
+            f"channel(s) {flat} have zero variance to float resolution"
+        )
+    return Dataset(
+        values=(ds.values - mean) / std,
+        channel_names=ds.channel_names,
+        rate=ds.rate,
+        provenance=ds.provenance,
+        standardized=True,
+    )
+
+
+def _child_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, _SEED_CEILING))
+
+
+def standardize_by_train(train: Dataset, *others: Dataset):
+    """Standardize splits with the TRAIN split's per-channel statistics.
+
+    The train split comes back marked standardized; the other splits
+    are scaled by the same statistics but keep the flag off because
+    their own moments are not exactly 0/1.  Raises DegenerateChannel
+    when a train channel is constant, or constant to float resolution
+    (see ``dataset.DEGENERATE_RTOL``).
+    """
+    mean = train.values.mean(axis=1, keepdims=True)
+    std = train.values.std(axis=1, keepdims=True)
+    flat = degenerate_channels(mean, std)
+    if flat:
+        raise DegenerateChannel(
+            f"train channel(s) {flat} are constant to float resolution"
+        )
+
+    def _apply(ds: Dataset, flag: bool) -> Dataset:
+        return Dataset(
+            values=(ds.values - mean) / std,
+            channel_names=ds.channel_names,
+            rate=ds.rate,
+            provenance=ds.provenance,
+            standardized=flag,
+        )
+
+    out = [_apply(train, True)] + [_apply(o, False) for o in others]
+    return tuple(out)
+
+
+def build_harmonic_datasets(
+    omega_bar: float,
+    seed: int,
+    h_values: tuple[int, ...] = (1, 2, 3),
+    *,
+    m: int = 100,
+    A_prime: float = 5.0,
+    l: int = 10,
+    n: int = 50_000,
+    d: int = 5,
+) -> list[Dataset]:
+    """One standardized dataset per harmonic count in ``h_values``."""
+    master = np.random.default_rng(seed)
+    out = []
+    for h in h_values:
+        cfg = GeneratorConfig(
+            omega_bar=omega_bar,
+            m=m,
+            h=h,
+            A_prime=A_prime,
+            l=l,
+            n=n,
+            d=d,
+            seed=_child_seed(master),
+        )
+        out.append(standardize(synthesize(cfg)))
+    return out
+
+
+def freq_synth(
+    omega_bar: float,
+    seed: int,
+    count_train: int = 5000,
+    count_val: int = 5000,
+    L: int = 96,
+    H: int = 720,
+    *,
+    m: int = 100,
+    A_prime: float = 5.0,
+    l: int = 10,
+    n: int = 50_000,
+    d: int = 5,
+) -> tuple[WindowSet, WindowSet]:
+    """Training and validation windows around one fundamental.
+
+    Builds standardized datasets for h = 1, 2, 3, then samples windows
+    of length L + H uniformly across all of them; train and validation
+    draws never share a (dataset, channel, start) triple.
+    """
+    master = np.random.default_rng(seed)
+    data_seed = _child_seed(master)
+    sample_seed = _child_seed(master)
+    datasets = build_harmonic_datasets(
+        omega_bar, data_seed, m=m, A_prime=A_prime, l=l, n=n, d=d
+    )
+    return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
+
+
+def build_natural_datasets(
+    seed: int,
+    *,
+    frequencies: tuple[float, ...] = NATURAL_FREQUENCIES,
+    h_values: tuple[int, ...] = (1, 2, 3),
+    m: int = 100,
+    A_prime: float = 5.0,
+    l: int = 10,
+    n: int = 50_000,
+    d: int = 5,
+) -> list[Dataset]:
+    """Standardized datasets for every (fundamental, harmonic) pair."""
+    master = np.random.default_rng(seed)
+    out = []
+    for omega in frequencies:
+        for h in h_values:
+            cfg = GeneratorConfig(
+                omega_bar=omega,
+                m=m,
+                h=h,
+                A_prime=A_prime,
+                l=l,
+                n=n,
+                d=d,
+                seed=_child_seed(master),
+            )
+            out.append(standardize(synthesize(cfg)))
+    return out
+
+
+def freq_synth_natural(
+    seed: int,
+    count_train: int = 5000,
+    count_val: int = 5000,
+    L: int = 96,
+    H: int = 720,
+    *,
+    m: int = 100,
+    A_prime: float = 5.0,
+    l: int = 10,
+    n: int = 50_000,
+    d: int = 5,
+) -> tuple[WindowSet, WindowSet]:
+    """As freq_synth, over pools anchored on NATURAL_FREQUENCIES.
+
+    Each of the four everyday fundamentals is expanded with h = 1, 2, 3
+    harmonics; window sampling spans all twelve resulting datasets.
+    """
+    master = np.random.default_rng(seed)
+    data_seed = _child_seed(master)
+    sample_seed = _child_seed(master)
+    datasets = build_natural_datasets(
+        data_seed, m=m, A_prime=A_prime, l=l, n=n, d=d
+    )
+    return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
+
+
+def build_mix_datasets(
+    seed: int,
+    *,
+    copies: int = 3,
+    m: int = 100,
+    A_prime: float = 5.0,
+    l: int = 10,
+    n: int = 50_000,
+    d: int = 5,
+) -> list[Dataset]:
+    """Standardized datasets over unstructured uniform-frequency pools."""
+    master = np.random.default_rng(seed)
+    out = []
+    for i in range(copies):
+        rng = np.random.default_rng(_child_seed(master))
+        pool = build_mix_pool(m, A_prime, rng)
+        amps = np.array([s.amplitude for s in pool])
+        freqs = np.array([s.frequency for s in pool])
+        phases = np.array([s.phase for s in pool])
+        values = _render_channels(amps, freqs, phases, n, d, l, rng)
+        names = tuple(f"ch{j + 1}" for j in range(d))
+        ds = Dataset(
+            values=values,
+            channel_names=names,
+            rate=None,
+            provenance=f"freq-synth-mix:seed={seed}:copy={i}",
+        )
+        out.append(standardize(ds))
+    return out
+
+
+def freq_synth_mix(
+    seed: int,
+    count_train: int = 5000,
+    count_val: int = 5000,
+    L: int = 96,
+    H: int = 720,
+    *,
+    m: int = 100,
+    A_prime: float = 5.0,
+    l: int = 10,
+    n: int = 50_000,
+    d: int = 5,
+) -> tuple[WindowSet, WindowSet]:
+    """As freq_synth, over frequency-unstructured pools.
+
+    Three independent mix datasets stand in for the h = 1, 2, 3 triple
+    so sample budgets match the harmonic variant.
+    """
+    master = np.random.default_rng(seed)
+    data_seed = _child_seed(master)
+    sample_seed = _child_seed(master)
+    datasets = build_mix_datasets(
+        data_seed, copies=3, m=m, A_prime=A_prime, l=l, n=n, d=d
+    )
+    return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
+
+
+def scaled_periodogram(x) -> Periodogram:
+    """Scaled periodogram of one series.
+
+    Computed via the real FFT; the t-origin twist has unit modulus and
+    cancels in |d|^2, so it is skipped here.
+    """
+    arr = _as_series(x)
+    n = arr.size
+    half = (n - 1) // 2
+    spec = np.fft.rfft(arr)[1 : half + 1]
+    powers = (4.0 / (float(n) * n)) * (spec.real * spec.real + spec.imag * spec.imag)
+    freqs = np.arange(1, half + 1, dtype=np.float64) / n
+    return Periodogram(freqs=freqs, powers=powers)
+
+
+def aggregate_periodogram(ds: Dataset, window_len: int) -> Periodogram:
+    """Mean periodogram over all non-overlapping windows of all channels.
+
+    The trailing n mod window_len samples of each channel are discarded.
+    The frequency grid is that of a length-``window_len`` series.
+    """
+    w = int(window_len)
+    if w > ds.n:
+        raise WindowTooLong(f"window_len {w} exceeds series length {ds.n}")
+    if w < 16:
+        raise InvalidWindow(f"window_len must be >= 16, got {w}")
+    k = ds.n // w
+    segs = ds.values[:, : k * w].reshape(ds.d * k, w)
+    half = (w - 1) // 2
+    spec = np.fft.rfft(segs, axis=1)[:, 1 : half + 1]
+    powers = (4.0 / (float(w) * w)) * (
+        spec.real * spec.real + spec.imag * spec.imag
+    )
+    freqs = np.arange(1, half + 1, dtype=np.float64) / w
+    return Periodogram(freqs=freqs, powers=powers.mean(axis=0))
+
+
+# fit_ridge and finetune from before they shared one Gram solve, copied
+# unchanged.
+
+def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
+    """Minimize sum ||W [z;1] - y_norm||^2 + lam ||W||_F^2 over windows.
+
+    lam=None picks the relative default; lam=0 solves exact least
+    squares via lstsq (minimum-norm on rank-deficient designs); lam>0
+    solves the normal equations directly.
+    """
+    if train.count == 0:
+        raise EmptyTrainingSet("cannot fit on an empty window set")
+    phi, y = _features(train)
+    if lam is None:
+        lam = default_lambda(phi)
+    _check_coefficient("lam", lam)
+    if lam == 0.0:
+        wt, *_ = np.linalg.lstsq(phi, y, rcond=None)
+    else:
+        gram = phi.T @ phi
+        gram[np.diag_indices_from(gram)] += lam
+        wt = np.linalg.solve(gram, phi.T @ y)
+    return LinearForecaster(weights=wt.T, L=train.L, H=train.H, lam=float(lam))
+
+
+def finetune(
+    model: LinearForecaster,
+    fewshot: WindowSet,
+    anchor: float = DEFAULT_ANCHOR,
+    lam: float | None = None,
+) -> LinearForecaster:
+    """Refit on few-shot windows, penalized toward the pretrained weights.
+
+    Solves sum ||W phi - y||^2 + lam ||W||_F^2 + anchor ||W - W0||_F^2,
+    so anchor -> infinity returns W0 and anchor = 0 refits from scratch.
+    lam=None reuses the coefficient recorded on the pretrained model.
+    """
+    if fewshot.count == 0:
+        raise EmptyTrainingSet("cannot finetune on an empty window set")
+    if fewshot.L != model.L or fewshot.H != model.H:
+        raise ShapeMismatch(
+            f"few-shot windows are L={fewshot.L}, H={fewshot.H}; "
+            f"model expects L={model.L}, H={model.H}"
+        )
+    _check_coefficient("anchor", anchor)
+    if lam is None:
+        lam = model.lam
+    _check_coefficient("lam", lam)
+    if anchor == 0.0:
+        fitted = fit_ridge(fewshot, lam)
+        return LinearForecaster(
+            weights=fitted.weights,
+            L=fitted.L,
+            H=fitted.H,
+            lam=fitted.lam,
+            model_id=f"{model.model_id}-finetuned",
+        )
+    phi, y = _features(fewshot)
+    gram = phi.T @ phi
+    gram[np.diag_indices_from(gram)] += lam + anchor
+    rhs = phi.T @ y + anchor * model.weights.T
+    wt = np.linalg.solve(gram, rhs)
+    return LinearForecaster(
+        weights=wt.T,
+        L=model.L,
+        H=model.H,
+        lam=float(lam),
+        model_id=f"{model.model_id}-finetuned",
     )

@@ -14,7 +14,6 @@ from freqsynth import (
     TransferMatrix,
     load_csv,
     load_generator_config,
-    load_registry,
     save_csv,
     save_matrix_csv,
     save_periodogram_csv,
@@ -25,14 +24,11 @@ from freqsynth import (
 )
 from freqsynth import dataio
 from freqsynth.errors import (
-    DuplicateId,
     EmptyDataset,
     FreqSynthError,
-    InvalidRegistry,
     MissingHeader,
     NonNumericCell,
     RaggedRows,
-    UnknownSamplingRate,
 )
 from oracles import load_csv_per_cell, save_csv_per_cell
 
@@ -320,80 +316,6 @@ class TestStreamedCsv:
         assert read_bytes(tmp_path / "kept.csv") == b"date,x\n0,1.0\n"
 
 
-class TestRegistry:
-    def test_parse_and_rate(self, tmp_path):
-        path = str(tmp_path / "reg.json")
-        write(
-            path,
-            json.dumps(
-                [
-                    {"id": "etth1", "rate": "1h", "sector": "Energy"},
-                    {"id": "traffic", "rate": "1h", "path": "traffic.csv"},
-                ]
-            ),
-        )
-        entries = load_registry(path)
-        assert [e.id for e in entries] == ["etth1", "traffic"]
-        assert entries[0].rate == "1h"
-        assert entries[0].sector == "Energy"
-        from freqsynth import freq_from_sampling_rate
-
-        assert freq_from_sampling_rate(entries[0].rate).omega_bar == 1 / 24
-
-    def test_duplicate_id(self, tmp_path):
-        path = str(tmp_path / "dup.json")
-        write(
-            path,
-            json.dumps([{"id": "x", "rate": "1h"}, {"id": "x", "rate": "1d"}]),
-        )
-        with pytest.raises(DuplicateId):
-            load_registry(path)
-
-    def test_unknown_rate(self, tmp_path):
-        path = str(tmp_path / "badrate.json")
-        write(path, json.dumps([{"id": "x", "rate": "3h"}]))
-        with pytest.raises(UnknownSamplingRate):
-            load_registry(path)
-
-    def test_custom_rate_ok(self, tmp_path):
-        path = str(tmp_path / "custom.json")
-        write(path, json.dumps([{"id": "x", "rate": "custom:36"}]))
-        assert load_registry(path)[0].rate == "custom:36"
-
-    def test_entry_not_an_object(self, tmp_path):
-        path = str(tmp_path / "notobj.json")
-        write(path, json.dumps([{"id": "a", "rate": "1h"}, 1]))
-        with pytest.raises(InvalidRegistry, match="entry 1") as exc:
-            load_registry(path)
-        assert (exc.value.entry, exc.value.field) == (1, None)
-
-    def test_missing_rate(self, tmp_path):
-        path = str(tmp_path / "norate.json")
-        write(path, json.dumps([{"id": "a"}]))
-        with pytest.raises(InvalidRegistry, match="entry 0, field 'rate'") as exc:
-            load_registry(path)
-        assert (exc.value.entry, exc.value.field) == (0, "rate")
-
-    def test_rate_not_a_string(self, tmp_path):
-        path = str(tmp_path / "intrate.json")
-        write(path, json.dumps([{"id": "a", "rate": 24}]))
-        with pytest.raises(InvalidRegistry, match="field 'rate'"):
-            load_registry(path)
-
-    def test_missing_id_and_non_array_are_typed(self, tmp_path):
-        path = str(tmp_path / "noid.json")
-        write(path, json.dumps([{"id": "a", "rate": "1h"}, {"rate": "1h"}]))
-        with pytest.raises(InvalidRegistry) as exc:
-            load_registry(path)
-        assert (exc.value.entry, exc.value.field) == (1, "id")
-        write(path, json.dumps([{"id": None, "rate": "1h"}]))
-        with pytest.raises(InvalidRegistry, match="field 'id'"):
-            load_registry(path)
-        write(path, json.dumps({"id": "a", "rate": "1h"}))
-        with pytest.raises(InvalidRegistry, match="JSON array"):
-            load_registry(path)
-
-
 class TestGeneratorConfigFile:
     def test_subset_plus_overrides(self, tmp_path):
         path = str(tmp_path / "cfg.json")
@@ -477,3 +399,35 @@ class TestReportAndTableWriters:
         lines = open(path, encoding="utf-8").read().splitlines()
         assert lines[0] == "count,mse"
         assert lines[1].startswith("0,")
+
+
+@pytest.fixture
+def restore_umask():
+    """Restore the process umask after a test that sets it."""
+    saved = os.umask(0o022)
+    yield
+    os.umask(saved)
+
+
+class TestFileMode:
+    """Written files get the mode open() gives: 0o666 less the umask."""
+
+    def _write_both(self, tmp_path):
+        ds = Dataset(values=np.ones((1, 3)), channel_names=("x",))
+        report = EvalReport(dataset="d", horizon=1, mse=0.0, mae=0.0, model="m")
+        save_csv(ds, str(tmp_path / "a.csv"))
+        save_reports_json([report], str(tmp_path / "r.json"))
+        return [os.stat(tmp_path / name).st_mode & 0o777 for name in ("a.csv", "r.json")]
+
+    def test_umask_022_gives_644(self, tmp_path, restore_umask):
+        os.umask(0o022)
+        assert self._write_both(tmp_path) == [0o644, 0o644]
+
+    def test_mode_follows_the_umask_on_replace(self, tmp_path, restore_umask):
+        os.umask(0o022)
+        self._write_both(tmp_path)
+        os.umask(0o077)
+        assert self._write_both(tmp_path) == [0o600, 0o600]
+        os.umask(0o002)
+        assert self._write_both(tmp_path) == [0o664, 0o664]
+        assert sorted(os.listdir(tmp_path)) == ["a.csv", "r.json"]

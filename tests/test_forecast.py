@@ -21,9 +21,6 @@ from freqsynth import (
     fit_ridge,
     model_from_json,
     model_to_json,
-    naive_forecast,
-    predict,
-    seasonal_naive_forecast,
 )
 from freqsynth.errors import (
     EmptyTrainingSet,
@@ -33,6 +30,8 @@ from freqsynth.errors import (
     PeriodTooLong,
     ShapeMismatch,
 )
+
+import oracles
 
 STD_FLOOR = 1e-8
 
@@ -72,14 +71,14 @@ def sine_windows(omega, n_windows, L, H, seed=0, amp=1.0):
 
 class TestNaive:
     def test_last_value_repeated(self):
-        assert np.array_equal(naive_forecast([1.0, 2.0, 7.0], 3), [7, 7, 7])
+        assert np.array_equal(NaiveForecaster().forecast([1.0, 2.0, 7.0], 3)[0], [7, 7, 7])
 
     def test_tiny(self):
-        assert np.array_equal(naive_forecast([1.0, 2.0], 1), [2.0])
+        assert np.array_equal(NaiveForecaster().forecast([1.0, 2.0], 1)[0], [2.0])
 
     def test_constant_series_zero_mse(self):
         x = np.full(20, 3.3)
-        out = naive_forecast(x[:10], 10)
+        out = NaiveForecaster().forecast(x[:10], 10)[0]
         assert np.max(np.abs(out - x[10:])) == 0.0
 
     def test_batch_shape(self):
@@ -88,33 +87,34 @@ class TestNaive:
 
     def test_empty_lookback(self):
         with pytest.raises(InvalidWindow):
-            naive_forecast(np.empty((0,)), 3)
+            NaiveForecaster().forecast(np.empty((0,)), 3)[0]
 
     def test_bad_horizon(self):
         with pytest.raises(InvalidWindow):
-            naive_forecast([1.0, 2.0], 0)
+            NaiveForecaster().forecast([1.0, 2.0], 0)[0]
 
 
 class TestSeasonalNaive:
     def test_hand_example(self):
-        out = seasonal_naive_forecast([1.0, 2.0, 3.0, 4.0], 4, period=2)
+        out = SeasonalNaiveForecaster(2).forecast([1.0, 2.0, 3.0, 4.0], 4)[0]
         assert np.array_equal(out, [3, 4, 3, 4])
 
     def test_period_one_is_naive(self):
         x = np.random.default_rng(0).normal(size=12)
         assert np.array_equal(
-            seasonal_naive_forecast(x, 7, period=1), naive_forecast(x, 7)
+            SeasonalNaiveForecaster(1).forecast(x, 7)[0],
+            NaiveForecaster().forecast(x, 7)[0],
         )
 
     def test_exact_sine_period_24(self):
         t = np.arange(192)
         x = np.sin(2 * np.pi * t / 24)
-        out = seasonal_naive_forecast(x[:96], 96, period=24)
+        out = SeasonalNaiveForecaster(24).forecast(x[:96], 96)[0]
         assert np.mean((out - x[96:]) ** 2) <= 1e-12
 
     def test_period_too_long(self):
         with pytest.raises(PeriodTooLong):
-            seasonal_naive_forecast([1.0, 2.0, 3.0], 2, period=4)
+            SeasonalNaiveForecaster(4).forecast([1.0, 2.0, 3.0], 2)[0]
 
     def test_bad_period(self):
         with pytest.raises(InvalidPeriod):
@@ -131,7 +131,7 @@ class TestSeasonalNaive:
         cell = np.random.default_rng(seed).normal(size=p)
         x = np.tile(cell, reps + (H + p - 1) // p + 1)
         L = p * reps
-        out = seasonal_naive_forecast(x[:L], H, period=p)
+        out = SeasonalNaiveForecaster(p).forecast(x[:L], H)[0]
         assert np.max(np.abs(out - x[L : L + H])) == 0.0
 
 
@@ -180,7 +180,7 @@ class TestFitRidge:
         assert np.max(np.abs(resid)) < 1e-6
         preds = model.forecast(raw)
         assert np.max(np.abs(preds - horizons)) < 1e-6
-        one = predict(model, raw[0])
+        one = model.forecast(raw[0][None])[0]
         assert np.max(np.abs(one - preds[0])) < 1e-9
 
     def test_huge_lambda_shrinks_to_mean(self):
@@ -188,7 +188,7 @@ class TestFitRidge:
         model = fit_ridge(ws, 1e9)
         assert np.max(np.abs(model.weights)) < 1e-3
         x = np.arange(1.0, 9.0)
-        out = predict(model, x)
+        out = model.forecast(x[None])[0]
         assert np.max(np.abs(out - x.mean())) < 1e-2
 
     def test_pure_sine_heldout(self):
@@ -223,13 +223,13 @@ class TestFitRidge:
 class TestPredict:
     def test_zero_weights_give_mean(self):
         model = LinearForecaster(weights=np.zeros((3, 5)), L=4, H=3, lam=0.0)
-        out = predict(model, [2.0, 4.0, 6.0, 8.0])
+        out = model.forecast(np.array([2.0, 4.0, 6.0, 8.0])[None])[0]
         assert np.allclose(out, 5.0, atol=1e-12)
 
     def test_length_mismatch(self):
         model = LinearForecaster(weights=np.zeros((3, 5)), L=4, H=3, lam=0.0)
         with pytest.raises(InvalidWindow):
-            predict(model, [1.0, 2.0, 3.0])
+            model.forecast(np.array([1.0, 2.0, 3.0])[None])[0]
 
     def test_horizon_truncation(self):
         ws = random_windows(40, 8, 6, seed=8)
@@ -252,8 +252,8 @@ class TestPredict:
         ws = random_windows(30, 8, 4, seed=10)
         model = fit_ridge(ws, 0.2)
         x = np.random.default_rng(seed).normal(size=8)
-        lhs = predict(model, a * x + b)
-        rhs = a * predict(model, x) + b
+        lhs = model.forecast((a * x + b)[None])[0]
+        rhs = a * model.forecast(x[None])[0] + b
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
 
@@ -342,3 +342,25 @@ class TestSerialization:
     def test_weights_shape_guard(self):
         with pytest.raises(ShapeMismatch):
             LinearForecaster(weights=np.zeros((3, 4)), L=4, H=3, lam=0.0)
+
+
+class TestRidgeSolveBitForBit:
+    """fit_ridge and finetune against the code before they shared one
+    Gram solve (tests/oracles.py), bit for bit."""
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 1e-6, 0.3, 40.0])
+    def test_fit_ridge(self, lam):
+        ws = random_windows(120, 12, 5, seed=21)
+        got, want = fit_ridge(ws, lam), oracles.fit_ridge(ws, lam)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (got.lam, got.model_id) == (want.lam, want.model_id)
+
+    @pytest.mark.parametrize("anchor", [0.0, 1e-3, 1.0, 7.5])
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.2])
+    def test_finetune(self, anchor, lam):
+        model = fit_ridge(random_windows(200, 12, 5, seed=22), 0.1)
+        few = random_windows(15, 12, 5, seed=23)
+        got = finetune(model, few, anchor, lam)
+        want = oracles.finetune(model, few, anchor, lam)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert (got.lam, got.model_id) == (want.lam, want.model_id)

@@ -9,10 +9,8 @@ from freqsynth import (
     NATURAL_FREQUENCIES,
     SineSpec,
     aggregate_periodogram,
-    build_harmonic_datasets,
-    build_mix_datasets,
+    build_datasets,
     build_mix_pool,
-    build_natural_datasets,
     build_pool,
     estimate_fundamental,
     freq_synth,
@@ -20,7 +18,9 @@ from freqsynth import (
     freq_synth_natural,
     harmonic_set,
     sample_windows,
+    scaled_periodogram,
     standardize,
+    standardize_by_train,
     synthesize,
 )
 from freqsynth.dataset import Dataset
@@ -30,8 +30,12 @@ from freqsynth.errors import (
     InvalidAmplitudeScale,
     WindowTooLong,
 )
-from freqsynth.generator import _draw_pool_arrays
+from freqsynth.generator import _draw_pool
+
+import oracles
 from oracles import render_channels_direct
+
+NATURAL_LAWS = [(omega, h) for omega in NATURAL_FREQUENCIES for h in (1, 2, 3)]
 
 
 class TestHarmonicSet:
@@ -218,7 +222,10 @@ def _pool_arrays(pool):
 def direct_synthesize(cfg, pool=None):
     """synthesize's channels from the per-member oracle render."""
     rng = np.random.default_rng(cfg.seed)
-    arrays = _draw_pool_arrays(cfg, rng) if pool is None else _pool_arrays(pool)
+    if pool is None:
+        arrays = _draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng)
+    else:
+        arrays = _pool_arrays(pool)
     return render_channels_direct(*arrays, cfg.n, cfg.d, cfg.l, rng)
 
 
@@ -271,7 +278,7 @@ class TestBasisRender:
 
     def test_mix_datasets_bitwise_equal_to_direct_render(self):
         seed, copies, n, d = 13, 2, 4096, 3
-        got = build_mix_datasets(seed, copies=copies, n=n, d=d)
+        got = build_datasets(["mix"] * copies, seed, n=n, d=d)
         master = np.random.default_rng(seed)
         for ds in got:
             rng = np.random.default_rng(int(master.integers(0, 2**63 - 1)))
@@ -395,7 +402,7 @@ class TestFreqSynth:
             freq_synth(1 / 24, seed=0, count_train=1, count_val=1, n=500)
 
     def test_harmonic_datasets_standardized(self):
-        datasets = build_harmonic_datasets(1 / 24, seed=1, n=2048, d=2)
+        datasets = build_datasets([(1 / 24, h) for h in (1, 2, 3)], seed=1, n=2048, d=2)
         assert len(datasets) == 3
         for ds in datasets:
             assert ds.standardized
@@ -403,11 +410,11 @@ class TestFreqSynth:
 
 class TestNaturalVariant:
     def test_dataset_grid(self):
-        datasets = build_natural_datasets(0, n=4096, d=2)
+        datasets = build_datasets(NATURAL_LAWS, 0, n=4096, d=2)
         assert len(datasets) == len(NATURAL_FREQUENCIES) * 3
 
     def test_recovery_on_quarter_day_subset(self):
-        datasets = build_natural_datasets(0, n=8192, d=2)
+        datasets = build_datasets(NATURAL_LAWS, 0, n=8192, d=2)
         # layout is fundamental-major: entries 6..8 carry omega = 1/24
         i = NATURAL_FREQUENCIES.index(1 / 24) * 3
         for ds in datasets[i + 1 : i + 3]:
@@ -433,7 +440,7 @@ class TestMixVariant:
     def test_no_dominant_bin(self):
         # unstructured pools spread power; no bin may hold > 50%
         for seed in range(10):
-            ds = build_mix_datasets(seed, copies=1, n=4096, d=2)[0]
+            ds = build_datasets(["mix"], seed, n=4096, d=2)[0]
             agg = aggregate_periodogram(ds, 1024)
             assert agg.powers.max() <= 0.5 * agg.powers.sum()
 
@@ -458,3 +465,145 @@ class TestCorrelationTrend:
         lo = np.mean([mean_abs_pcc(1, s) for s in range(5)])
         hi = np.mean([mean_abs_pcc(50, s) for s in range(5)])
         assert hi > lo
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_datasets(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_bitwise(a.values, b.values)
+        assert (a.channel_names, a.rate, a.provenance, a.standardized) == (
+            b.channel_names, b.rate, b.provenance, b.standardized)
+
+
+def assert_same_windows(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert_bitwise(a.lookbacks, b.lookbacks)
+        assert_bitwise(a.horizons, b.horizons)
+        assert_bitwise(a.origins, b.origins)
+
+
+SIZES = [
+    dict(n=600, d=2),
+    dict(m=37, A_prime=2.5, l=4, n=513, d=3),
+    dict(m=8, A_prime=0.02, l=1, n=300, d=1),
+]
+
+
+class TestBitForBit:
+    """build_datasets, the freq_synth variants and the standardisers
+    against the code they replaced (tests/oracles.py), bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 99, 2**40 + 3])
+    @pytest.mark.parametrize("sizes", SIZES)
+    @pytest.mark.parametrize("h_values", [(1, 2, 3), (4,), (2, 1, 5)])
+    def test_harmonic_datasets(self, seed, sizes, h_values):
+        laws = [(1 / 24, h) for h in h_values]
+        assert_same_datasets(
+            build_datasets(laws, seed, **sizes),
+            oracles.build_harmonic_datasets(1 / 24, seed, h_values, **sizes),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_natural_datasets(self, seed, sizes):
+        assert_same_datasets(
+            build_datasets(NATURAL_LAWS, seed, **sizes),
+            oracles.build_natural_datasets(seed, **sizes),
+        )
+        freqs, h_values = (0.2, 1 / 60), (3, 1)
+        assert_same_datasets(
+            build_datasets([(f, h) for f in freqs for h in h_values], seed, **sizes),
+            oracles.build_natural_datasets(
+                seed, frequencies=freqs, h_values=h_values, **sizes
+            ),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**40 + 3])
+    @pytest.mark.parametrize("sizes", SIZES)
+    @pytest.mark.parametrize("copies", [1, 3, 4])
+    def test_mix_datasets(self, seed, sizes, copies):
+        assert_same_datasets(
+            build_datasets(["mix"] * copies, seed, **sizes),
+            oracles.build_mix_datasets(seed, copies=copies, **sizes),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**40 + 3])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_freq_synth_variants(self, seed, sizes):
+        counts = dict(count_train=40, count_val=9, L=24, H=12)
+        assert_same_windows(
+            freq_synth(1 / 7, seed, **counts, **sizes),
+            oracles.freq_synth(1 / 7, seed, **counts, **sizes),
+        )
+        assert_same_windows(
+            freq_synth_natural(seed, **counts, **sizes),
+            oracles.freq_synth_natural(seed, **counts, **sizes),
+        )
+        assert_same_windows(
+            freq_synth_mix(seed, **counts, **sizes),
+            oracles.freq_synth_mix(seed, **counts, **sizes),
+        )
+
+    def test_freq_synth_defaults(self):
+        assert_same_windows(
+            freq_synth(1 / 24, 11, count_train=200, count_val=20, n=2048),
+            oracles.freq_synth(1 / 24, 11, count_train=200, count_val=20, n=2048),
+        )
+
+    def test_pools(self):
+        for seed in range(4):
+            cfg = GeneratorConfig(omega_bar=0.07, h=4, m=37, A_prime=2.0, seed=seed)
+            want = oracles._draw_pool_arrays(cfg, np.random.default_rng(seed))
+            for k, spec_field in enumerate(("amplitude", "frequency", "phase")):
+                assert_bitwise([getattr(s, spec_field) for s in build_pool(cfg)], want[k])
+            got = build_mix_pool(41, 3.0, np.random.default_rng(seed))
+            assert got == oracles.build_mix_pool(41, 3.0, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_synthesize(self, seed):
+        cfg = GeneratorConfig(omega_bar=0.11, h=3, m=20, l=6, n=700, d=3, seed=seed)
+        assert_same_datasets([synthesize(cfg)], [oracles.synthesize(cfg)])
+        pool = build_pool(cfg)[:7]
+        assert_same_datasets([synthesize(cfg, pool)], [oracles.synthesize(cfg, pool)])
+
+    def test_standardisers(self):
+        rng = np.random.default_rng(6)
+        names = ("a", "b", "c")
+        ds = Dataset(values=rng.normal(3.0, 2.0, size=(3, 301)), channel_names=names,
+                     rate="1h", provenance="p")
+        assert_same_datasets([standardize(ds)], [oracles.standardize(ds)])
+        train, val, test = ds.slice_time(0, 200), ds.slice_time(200, 250), ds.slice_time(250, 301)
+        for splits in ((train,), (train, test), (train, val, test), (train, train)):
+            assert_same_datasets(
+                standardize_by_train(*splits), oracles.standardize_by_train(*splits)
+            )
+
+    def test_standardisers_refuse_the_same_channels(self):
+        t = np.arange(400)
+        vals = np.vstack([np.sin(0.3 * t), np.full(400, 2.0), 1e8 + 1e-7 * np.sin(t)])
+        ds = Dataset(values=vals, channel_names=("a", "b", "c"))
+        for new, old in ((standardize, oracles.standardize),
+                         (standardize_by_train, oracles.standardize_by_train)):
+            with pytest.raises(DegenerateChannel, match=r"channel\(s\) \[1, 2\]"):
+                new(ds)
+            with pytest.raises(DegenerateChannel, match=r"channel\(s\) \[1, 2\]"):
+                old(ds)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 17, 1000, 1001])
+    def test_periodograms(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        got, want = scaled_periodogram(x), oracles.scaled_periodogram(x)
+        assert_bitwise(got.freqs, want.freqs)
+        assert_bitwise(got.powers, want.powers)
+        if n >= 16:
+            ds = Dataset(values=rng.normal(size=(3, 4 * n + 5)), channel_names=("a", "b", "c"))
+            got, want = aggregate_periodogram(ds, n), oracles.aggregate_periodogram(ds, n)
+            assert_bitwise(got.freqs, want.freqs)
+            assert_bitwise(got.powers, want.powers)
