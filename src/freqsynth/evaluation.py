@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, WindowSet
-from .errors import InvalidWindow, ShapeMismatch, SplitTooSmall
-from .forecast import fit_ridge
+from .errors import InvalidWindow, ShapeMismatch, SplitTooSmall, WindowTooLong
+from .forecast import LinearForecaster, fit_ridge
 from .freqest import estimate_fundamental
 from .generator import (
     GeneratorConfig,
@@ -137,27 +137,34 @@ def split(
     )
 
 
-def _block_sums(predict, segments, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column squared and absolute error sums over ``segments``.
+def _block_sums(
+    predict, segments, width: int, k: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-model, per-column squared and absolute error sums over ``segments``.
 
     ``segments`` lists (inputs, targets) pairs with one input row per
     target row of ``width`` columns.  ``predict(inputs[rows], out)``
-    returns the predictions for ``targets[rows]``, written into ``out``
-    when it can.  Rows are taken in blocks of about _BLOCK elements, all
-    scored in one error buffer, so each block stays cache-resident and
-    needs no fresh error array; each block's errors are squared-and-summed
-    by one einsum and made absolute in place.
+    returns the predictions of k models for ``targets[rows]`` side by
+    side, (rows, k * width), written into ``out`` when it can; each
+    model's block is scored against the same targets and the sums come
+    back as (k, width) arrays.  Rows are taken in blocks of about _BLOCK
+    elements, all scored in one error buffer, so each block stays
+    cache-resident and needs no fresh error array; each block's errors
+    are squared-and-summed by one einsum and made absolute in place.
     """
-    step = max(1, _BLOCK // width)
-    buf = np.empty((min(step, max(len(t) for _, t in segments)), width))
-    sse, sae = np.zeros(width), np.zeros(width)
+    cols = k * width
+    step = max(1, _BLOCK // cols)
+    buf = np.empty((min(step, max(len(t) for _, t in segments)), cols))
+    sse, sae = np.zeros((k, width)), np.zeros((k, width))
     for inputs, targets in segments:
         for lo in range(0, targets.shape[0], step):
             tg = targets[lo : lo + step]
             err = buf[: tg.shape[0]]
-            np.subtract(predict(inputs[lo : lo + step], err), tg, out=err)
-            sse += np.einsum("ij,ij->j", err, err)
-            sae += np.abs(err, out=err).sum(axis=0)
+            pred = predict(inputs[lo : lo + step], err)
+            shape = (tg.shape[0], k, width)
+            np.subtract(pred.reshape(shape), tg[:, None, :], out=err.reshape(shape))
+            sse += np.einsum("ij,ij->j", err, err).reshape(k, width)
+            sae += np.abs(err, out=err).sum(axis=0).reshape(k, width)
     return sse, sae
 
 
@@ -175,7 +182,7 @@ def _forecaster(model, h: int):
 def _score(predict, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """(MSE, MAE) of predict over a non-empty 2-D target array."""
     sse, sae = _block_sums(predict, [(inputs, targets)], targets.shape[1])
-    return float(sse.sum()) / targets.size, float(sae.sum()) / targets.size
+    return float(sse[0].sum()) / targets.size, float(sae[0].sum()) / targets.size
 
 
 def metrics(preds, targets) -> tuple[float, float]:
@@ -208,6 +215,23 @@ def _whole_number(name: str, value) -> int:
     return whole
 
 
+def _checked_window(
+    test_ds: Dataset, L, horizons
+) -> tuple[int, tuple[int, ...]]:
+    """Whole-number L and horizons that fit one window of ``test_ds``."""
+    L = _whole_number("lookback L", L)
+    horizons = tuple(_whole_number("horizon", h) for h in horizons)
+    if not horizons:
+        raise InvalidWindow("at least one horizon is required")
+    max_h = max(horizons)
+    if test_ds.n < L + max_h:
+        raise SplitTooSmall(
+            f"test segment of length {test_ds.n} cannot hold one "
+            f"window of L + H = {L + max_h}"
+        )
+    return L, horizons
+
+
 def evaluate_zero_shot(
     model,
     test_ds: Dataset,
@@ -226,16 +250,7 @@ def evaluate_zero_shot(
     fits it, and shorter horizons are scored from the prefix.  Other
     models are forecast once per distinct horizon.
     """
-    L = _whole_number("lookback L", L)
-    horizons = tuple(_whole_number("horizon", h) for h in horizons)
-    if not horizons:
-        raise InvalidWindow("at least one horizon is required")
-    max_h = max(horizons)
-    if test_ds.n < L + max_h:
-        raise SplitTooSmall(
-            f"test segment of length {test_ds.n} cannot hold one "
-            f"window of L + H = {L + max_h}"
-        )
+    L, horizons = _checked_window(test_ds, L, horizons)
     ds_id = dataset_id if dataset_id is not None else (test_ds.provenance or "dataset")
     model_id = getattr(model, "model_id", type(model).__name__)
 
@@ -267,8 +282,8 @@ def evaluate_zero_shot(
 
     reports = []
     for h in horizons:
-        sse = sum(float(sums[b][0][:h].sum()) for b in reads[h])
-        sae = sum(float(sums[b][1][:h].sum()) for b in reads[h])
+        sse = sum(float(sums[b][0][0, :h].sum()) for b in reads[h])
+        sae = sum(float(sums[b][1][0, :h].sum()) for b in reads[h])
         total = count(h) * test_ds.d * h
         reports.append(
             EvalReport(
@@ -282,6 +297,44 @@ def evaluate_zero_shot(
             )
         )
     return reports
+
+
+def _stacked_mse(models, test_ds: Dataset, L: int, H: int) -> list[float]:
+    """Zero-shot MSE at horizon H of each model on ``test_ds``, in order.
+
+    Models that are exactly LinearForecaster with lookback L and a
+    horizon of at least H are scored in one pass: their first H weight
+    rows are stacked into one forecaster, so each block of stride-1
+    windows gets one design matrix and one matmul, and _block_sums
+    scores every model against the same targets.  Any other model goes
+    through evaluate_zero_shot.
+    """
+    if not models:
+        return []
+    L, (H,) = _checked_window(test_ds, L, (H,))
+    mses = [None] * len(models)
+    stack = []
+    for i, model in enumerate(models):
+        if type(model) is LinearForecaster and model.L == L and model.H >= H:
+            stack.append(i)
+        else:
+            mses[i] = evaluate_zero_shot(model, test_ds, L, (H,))[0].mse
+    if stack:
+        k = len(stack)
+        stacked = LinearForecaster(
+            weights=np.vstack([models[i].weights[:H] for i in stack]),
+            L=L, H=k * H, lam=0.0,
+        )
+        windows = np.lib.stride_tricks.sliding_window_view
+        count = test_ds.n - L - H + 1
+        segments = [
+            (windows(row, L)[:count], windows(row, H)[L:]) for row in test_ds.values
+        ]
+        sse, _ = _block_sums(_forecaster(stacked, k * H), segments, H, k)
+        total = count * test_ds.d * H
+        for i, s in zip(stack, sse):
+            mses[i] = float(s.sum()) / total
+    return mses
 
 
 def minmax_scale_columns(raw: np.ndarray, exclude_diagonal: bool = False) -> np.ndarray:
@@ -326,8 +379,11 @@ def transfer_matrix(
     """Train on each dataset, test on every dataset, min-max per column.
 
     ``trainer`` is a callable (dataset, seed) -> model; each row gets a
-    deterministic child seed.  Diagonal (in-domain) cells are reported
-    but excluded from each column's min-max range.
+    deterministic child seed.  Every row is trained first, then each
+    column is scored in one pass (see _stacked_mse).  Diagonal
+    (in-domain) cells are reported but excluded from each column's
+    min-max range.  Raises WindowTooLong naming the first dataset that
+    cannot hold one window of L + H, before any training.
     """
     if len(datasets) < 2:
         raise ValueError("transfer matrix needs at least 2 datasets")
@@ -335,16 +391,17 @@ def transfer_matrix(
         ids = [ds.provenance or f"ds{i}" for i, ds in enumerate(datasets)]
     if len(ids) != len(datasets):
         raise ShapeMismatch(f"{len(ids)} ids for {len(datasets)} datasets")
+    L = _whole_number("lookback L", L)
+    H = _whole_number("horizon", H)
+    for ds_id, ds in zip(ids, datasets):
+        if ds.n < L + H:
+            raise WindowTooLong(
+                f"dataset {ds_id!r} of length {ds.n} cannot hold one "
+                f"window of L + H = {L + H}"
+            )
     master = np.random.default_rng(seed)
-    k = len(datasets)
-    raw = np.empty((k, k), dtype=np.float64)
-    for i, train_ds in enumerate(datasets):
-        model = trainer(train_ds, _child_seed(master))
-        for j, test_ds in enumerate(datasets):
-            report = evaluate_zero_shot(
-                model, test_ds, L, (H,), dataset_id=ids[j], seed=seed
-            )[0]
-            raw[i, j] = report.mse
+    models = [trainer(ds, _child_seed(master)) for ds in datasets]
+    raw = np.column_stack([_stacked_mse(models, ds, L, H) for ds in datasets])
     scaled = minmax_scale_columns(raw, exclude_diagonal=True)
     return TransferMatrix(
         train_ids=tuple(ids), test_ids=tuple(ids), raw=raw, scaled=scaled
@@ -516,18 +573,22 @@ def harmonics_sweep(
     the target.  Returns |h_values| * |targets| rows (h, id, mse).
     """
     master = np.random.default_rng(seed)
-    est = {tid: estimate_fundamental(ds).omega_bar for tid, ds in targets}
-    rows = []
+    est = [estimate_fundamental(ds).omega_bar for _, ds in targets]
+    models = []  # h-major: models[a * len(targets) + b] is (h_values[a], target b)
     for h in h_values:
-        for tid, ds in targets:
-            train_sets = build_datasets([(est[tid], h)], _child_seed(master), n=n, d=d)
+        for omega in est:
+            train_sets = build_datasets([(omega, h)], _child_seed(master), n=n, d=d)
             windows, _ = sample_windows(
                 train_sets, count_train, 0, L, H, _child_seed(master)
             )
-            model = fit_ridge(windows, lam)
-            mse = evaluate_zero_shot(model, ds, L, (H,), dataset_id=tid)[0].mse
-            rows.append((int(h), tid, float(mse)))
-    return rows
+            models.append(fit_ridge(windows, lam))
+    t = len(targets)
+    mses = [_stacked_mse(models[b::t], ds, L, H) for b, (_, ds) in enumerate(targets)]
+    return [
+        (int(h), tid, float(mses[b][a]))
+        for a, h in enumerate(h_values)
+        for b, (tid, _) in enumerate(targets)
+    ]
 
 
 def synthetic_registry(
@@ -574,15 +635,15 @@ def size_variates_sweep(
     """Zero-shot MSE grid over (training window count, variate count)."""
     master = np.random.default_rng(seed)
     omega = estimate_fundamental(target).omega_bar
-    grid = np.empty((len(sizes), len(d_values)), dtype=np.float64)
-    for i, size in enumerate(sizes):
-        for j, d in enumerate(d_values):
+    models = []
+    for size in sizes:
+        for d in d_values:
             train_sets = build_datasets(
                 [(omega, h) for h in (1, 2, 3)], _child_seed(master), n=n, d=int(d)
             )
             windows, _ = sample_windows(
                 train_sets, int(size), 0, L, H, _child_seed(master)
             )
-            model = fit_ridge(windows, lam)
-            grid[i, j] = evaluate_zero_shot(model, target, L, (H,))[0].mse
-    return grid
+            models.append(fit_ridge(windows, lam))
+    mses = _stacked_mse(models, target, L, H)
+    return np.array(mses, dtype=np.float64).reshape(len(sizes), len(d_values))

@@ -78,6 +78,23 @@ class SineSpec:
         )
 
 
+# Smallest accepted value of each integer size of a synthesized dataset.
+_SIZE_MINIMUM = {"m": 1, "h": 1, "l": 1, "n": 2, "d": 1}
+
+
+def _whole_size(name: str, value) -> int:
+    """``value`` as an int >= _SIZE_MINIMUM[name]; ValueError naming it otherwise."""
+    lo = _SIZE_MINIMUM[name]
+    try:
+        whole = int(value)
+        ok = not isinstance(value, bool) and whole == value and whole >= lo
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for one synthesized dataset.
@@ -110,16 +127,8 @@ class GeneratorConfig:
             raise InvalidAmplitudeScale(
                 f"A_prime must exceed 0.01, got {self.A_prime}"
             )
-        for name, lo in (("m", 1), ("h", 1), ("l", 1), ("n", 2), ("d", 1)):
-            value = getattr(self, name)
-            try:
-                whole = int(value)
-                ok = not isinstance(value, bool) and whole == value and whole >= lo
-            except (TypeError, ValueError, OverflowError):
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
-            object.__setattr__(self, name, whole)
+        for name in _SIZE_MINIMUM:
+            object.__setattr__(self, name, _whole_size(name, getattr(self, name)))
 
     def digest(self) -> str:
         """Short stable hash of all fields, used as provenance."""
@@ -363,8 +372,18 @@ def build_datasets(
     A law is a harmonic ``(omega_bar, h)`` pair, which gives
     synthesize's dataset for that config, or ``"mix"``, a pool with
     frequencies uniform over MIX_FREQ_RANGE.  Dataset i is built from the
-    i-th child seed of ``seed``.
+    i-th child seed of ``seed``.  Before anything is drawn, m, l, n and d
+    are checked as GeneratorConfig checks them, and each law must be
+    ``"mix"`` or a pair.
     """
+    laws = list(laws)
+    for law in laws:
+        if law != "mix" and not (isinstance(law, (tuple, list)) and len(law) == 2):
+            raise ValueError(
+                f"unknown frequency law {law!r}: expected 'mix' or an "
+                "(omega_bar, h) pair"
+            )
+    m, l, n, d = (_whole_size(name, v) for name, v in zip("mlnd", (m, l, n, d)))
     master = np.random.default_rng(seed)
     out = []
     for i, law in enumerate(laws):

@@ -7,7 +7,14 @@ import numpy as np
 
 from freqsynth.dataio import _atomic_write, _is_number
 from freqsynth.dataset import Dataset, WindowSet, degenerate_channels
-from freqsynth.evaluation import EvalReport
+from freqsynth.evaluation import (
+    DEFAULT_HORIZONS,
+    EvalReport,
+    TransferMatrix,
+    _forecaster,
+    _whole_number,
+    minmax_scale_columns,
+)
 from freqsynth.forecast import (
     DEFAULT_ANCHOR,
     LinearForecaster,
@@ -28,18 +35,22 @@ from freqsynth.errors import (
     SplitTooSmall,
     WindowTooLong,
 )
+from freqsynth.freqest import estimate_fundamental
 from freqsynth.generator import (
     MIX_FREQ_RANGE,
     NATURAL_FREQUENCIES,
     GeneratorConfig,
     SineSpec,
     _render_channels,
+    build_datasets,
     harmonic_set,
     sample_windows,
 )
 from freqsynth.spectral import Periodogram, _as_series
 
 _CHUNK = 4096
+
+_BLOCK = 2**18
 
 _SEED_CEILING = 2**63 - 1
 
@@ -559,3 +570,239 @@ def finetune(
         lam=float(lam),
         model_id=f"{model.model_id}-finetuned",
     )
+
+
+def block_sums_unstacked(predict, segments, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column squared and absolute error sums over ``segments``.
+
+    The one-model scoring kernel evaluation used before it scored a stack
+    of ridge models per block.
+
+    ``segments`` lists (inputs, targets) pairs with one input row per
+    target row of ``width`` columns.  ``predict(inputs[rows], out)``
+    returns the predictions for ``targets[rows]``, written into ``out``
+    when it can.  Rows are taken in blocks of about _BLOCK elements, all
+    scored in one error buffer, so each block stays cache-resident and
+    needs no fresh error array; each block's errors are squared-and-summed
+    by one einsum and made absolute in place.
+    """
+    step = max(1, _BLOCK // width)
+    buf = np.empty((min(step, max(len(t) for _, t in segments)), width))
+    sse, sae = np.zeros(width), np.zeros(width)
+    for inputs, targets in segments:
+        for lo in range(0, targets.shape[0], step):
+            tg = targets[lo : lo + step]
+            err = buf[: tg.shape[0]]
+            np.subtract(predict(inputs[lo : lo + step], err), tg, out=err)
+            sse += np.einsum("ij,ij->j", err, err)
+            sae += np.abs(err, out=err).sum(axis=0)
+    return sse, sae
+
+
+def _score_unstacked(
+    predict, inputs: np.ndarray, targets: np.ndarray
+) -> tuple[float, float]:
+    """(MSE, MAE) of predict over a non-empty 2-D target array."""
+    sse, sae = block_sums_unstacked(predict, [(inputs, targets)], targets.shape[1])
+    return float(sse.sum()) / targets.size, float(sae.sum()) / targets.size
+
+
+def metrics_unstacked(preds, targets) -> tuple[float, float]:
+    """(MSE, MAE) over all elements of equal-shaped arrays, one-model kernel."""
+    p = np.asarray(preds, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)
+    if p.shape != t.shape:
+        raise ShapeMismatch(f"shape {p.shape} vs {t.shape}")
+    if p.size == 0:
+        raise ShapeMismatch("cannot score empty arrays")
+    return _score_unstacked(lambda block, out: block, p.reshape(-1, 1), t.reshape(-1, 1))
+
+
+def windowset_metrics_unstacked(model, ws: WindowSet) -> tuple[float, float]:
+    """(MSE, MAE) of a model over a window set, one-model kernel."""
+    if ws.count == 0:
+        raise ShapeMismatch("cannot score an empty window set")
+    return _score_unstacked(_forecaster(model, ws.H), ws.lookbacks, ws.horizons)
+
+
+def evaluate_zero_shot_unstacked(
+    model,
+    test_ds: Dataset,
+    L: int = 96,
+    horizons: tuple[int, ...] = DEFAULT_HORIZONS,
+    dataset_id: str | None = None,
+    seed: int | None = None,
+) -> list[EvalReport]:
+    """Stride-1 evaluation over the test segment, one report per horizon.
+
+    evaluate_zero_shot as it was before the one-model kernel took a model
+    count, kept to pin single-model scores bit for bit.
+
+    Reports follow the requested order, duplicates included.  The model
+    must accept ``forecast(X, h)`` for every requested h.  A model whose
+    class sets ``prefix_consistent = True`` promises that
+    ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)`` for h <= H; each
+    window is then forecast once, at the largest requested horizon that
+    fits it, and shorter horizons are scored from the prefix.  Other
+    models are forecast once per distinct horizon.
+    """
+    L = _whole_number("lookback L", L)
+    horizons = tuple(_whole_number("horizon", h) for h in horizons)
+    if not horizons:
+        raise InvalidWindow("at least one horizon is required")
+    max_h = max(horizons)
+    if test_ds.n < L + max_h:
+        raise SplitTooSmall(
+            f"test segment of length {test_ds.n} cannot hold one "
+            f"window of L + H = {L + max_h}"
+        )
+    ds_id = dataset_id if dataset_id is not None else (test_ds.provenance or "dataset")
+    model_id = getattr(model, "model_id", type(model).__name__)
+
+    def count(h: int) -> int:
+        return test_ds.n - L - h + 1
+
+    # A band (lo, hi, hb) forecasts windows [lo, hi) at horizon hb;
+    # reads[h] lists the bands whose first h columns horizon h sums.
+    desc = sorted(set(horizons), reverse=True)
+    if getattr(model, "prefix_consistent", False):
+        bounds = [0] + [count(h) for h in desc]
+        bands = [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)]
+        reads = {h: range(i + 1) for i, h in enumerate(desc)}
+    else:
+        bands = [(0, count(h), h) for h in desc]
+        reads = {h: [i] for i, h in enumerate(desc)}
+    windows = np.lib.stride_tricks.sliding_window_view
+    sums = [
+        block_sums_unstacked(
+            _forecaster(model, hb),
+            [
+                (windows(row, L)[lo:hi], windows(row, hb)[L + lo : L + hi])
+                for row in test_ds.values
+            ],
+            hb,
+        )
+        for lo, hi, hb in bands
+    ]
+
+    reports = []
+    for h in horizons:
+        sse = sum(float(sums[b][0][:h].sum()) for b in reads[h])
+        sae = sum(float(sums[b][1][:h].sum()) for b in reads[h])
+        total = count(h) * test_ds.d * h
+        reports.append(
+            EvalReport(
+                dataset=ds_id,
+                horizon=h,
+                mse=sse / total,
+                mae=sae / total,
+                model=model_id,
+                seed=seed,
+                windows=count(h) * test_ds.d,
+            )
+        )
+    return reports
+
+
+def transfer_matrix_per_model(
+    datasets: list[Dataset],
+    trainer,
+    L: int,
+    H: int,
+    ids: list[str] | None = None,
+    seed: int = 0,
+) -> TransferMatrix:
+    """Train on each dataset, test on every dataset, min-max per column.
+
+    The loop transfer_matrix ran before it fit every row first: each row's
+    model is trained, then scored on every column, one model at a time.
+
+    ``trainer`` is a callable (dataset, seed) -> model; each row gets a
+    deterministic child seed.  Diagonal (in-domain) cells are reported
+    but excluded from each column's min-max range.
+    """
+    if len(datasets) < 2:
+        raise ValueError("transfer matrix needs at least 2 datasets")
+    if ids is None:
+        ids = [ds.provenance or f"ds{i}" for i, ds in enumerate(datasets)]
+    if len(ids) != len(datasets):
+        raise ShapeMismatch(f"{len(ids)} ids for {len(datasets)} datasets")
+    master = np.random.default_rng(seed)
+    k = len(datasets)
+    raw = np.empty((k, k), dtype=np.float64)
+    for i, train_ds in enumerate(datasets):
+        model = trainer(train_ds, _child_seed(master))
+        for j, test_ds in enumerate(datasets):
+            report = evaluate_zero_shot_unstacked(
+                model, test_ds, L, (H,), dataset_id=ids[j], seed=seed
+            )[0]
+            raw[i, j] = report.mse
+    scaled = minmax_scale_columns(raw, exclude_diagonal=True)
+    return TransferMatrix(
+        train_ids=tuple(ids), test_ids=tuple(ids), raw=raw, scaled=scaled
+    )
+
+
+def harmonics_sweep_per_model(
+    targets: list[tuple[str, Dataset]],
+    h_values: tuple[int, ...] = (1, 2, 3, 4),
+    seed: int = 0,
+    L: int = 96,
+    H: int = 96,
+    count_train: int = 2000,
+    n: int = 16384,
+    d: int = 5,
+    lam: float | None = None,
+) -> list[tuple[int, str, float]]:
+    """Zero-shot MSE per (harmonic count, target dataset) pair.
+
+    The loop harmonics_sweep ran before it fit all its models first: each
+    model is fit and scored on its target in turn.
+
+    For each target the fundamental is estimated from its periodogram;
+    a fresh synthetic train set with the given h is fit and scored on
+    the target.  Returns |h_values| * |targets| rows (h, id, mse).
+    """
+    master = np.random.default_rng(seed)
+    est = {tid: estimate_fundamental(ds).omega_bar for tid, ds in targets}
+    rows = []
+    for h in h_values:
+        for tid, ds in targets:
+            train_sets = build_datasets([(est[tid], h)], _child_seed(master), n=n, d=d)
+            windows, _ = sample_windows(
+                train_sets, count_train, 0, L, H, _child_seed(master)
+            )
+            model = fit_ridge(windows, lam)
+            mse = evaluate_zero_shot_unstacked(model, ds, L, (H,), dataset_id=tid)[0].mse
+            rows.append((int(h), tid, float(mse)))
+    return rows
+
+
+def size_variates_sweep_per_model(
+    sizes: tuple[int, ...],
+    d_values: tuple[int, ...],
+    target: Dataset,
+    seed: int = 0,
+    L: int = 96,
+    H: int = 96,
+    n: int = 16384,
+    lam: float | None = None,
+) -> np.ndarray:
+    """Zero-shot MSE grid over (training window count, variate count).
+
+    The loop size_variates_sweep ran before it fit all its models first.
+    """
+    master = np.random.default_rng(seed)
+    omega = estimate_fundamental(target).omega_bar
+    grid = np.empty((len(sizes), len(d_values)), dtype=np.float64)
+    for i, size in enumerate(sizes):
+        for j, d in enumerate(d_values):
+            train_sets = build_datasets(
+                [(omega, h) for h in (1, 2, 3)], _child_seed(master), n=n, d=int(d)
+            )
+            windows, _ = sample_windows(
+                train_sets, int(size), 0, L, H, _child_seed(master)
+            )
+            model = fit_ridge(windows, lam)
+            grid[i, j] = evaluate_zero_shot_unstacked(model, target, L, (H,))[0].mse
+    return grid

@@ -330,6 +330,19 @@ class TestExperimentCommands:
         vals = [float(v) for v in raw_lines[1].split(",")[1:]]
         assert all(np.isfinite(v) and v >= 0 for v in vals)
 
+    def test_transfer_short_input_is_one_line_error(self, tmp_path, capsys):
+        a = gen_csv(tmp_path, "ta", omega=1 / 24, n=1500, d=1, seed=1)
+        short = gen_csv(tmp_path, "short", omega=1 / 7, n=150, d=1, seed=2)
+        out = str(tmp_path / "t.csv")
+        capsys.readouterr()
+        rc = main(["transfer", "--inputs", a, short, "--out", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "WindowTooLong" not in err and "Traceback" not in err
+        assert f"dataset {short!r} of length 150" in err
+        assert not os.path.exists(out)
+
     def test_sweep_harmonics_table(self, tmp_path):
         out = str(tmp_path / "h.csv")
         rc = main(

@@ -8,6 +8,7 @@ from freqsynth import (
     Dataset,
     EvalReport,
     GeneratorConfig,
+    LinearForecaster,
     NaiveForecaster,
     SeasonalNaiveForecaster,
     SplitSpec,
@@ -33,9 +34,16 @@ from freqsynth import (
     transfer_matrix,
     windowset_metrics,
 )
-from freqsynth import evaluation
+from freqsynth import evaluation, forecast
 from freqsynth.evaluation import ETT_SPLIT, STANDARD_SPLIT
-from freqsynth.errors import DegenerateChannel, InvalidWindow, ShapeMismatch, SplitTooSmall
+from freqsynth.errors import (
+    DegenerateChannel,
+    InvalidWindow,
+    ShapeMismatch,
+    SplitTooSmall,
+    WindowTooLong,
+)
+import oracles
 from oracles import evaluate_zero_shot_per_horizon
 
 
@@ -639,3 +647,172 @@ class TestWindowsetMetrics:
         got = metrics(p, t)
         assert abs(got[0] - np.mean((p - t) ** 2)) <= 1e-12 * got[0]
         assert abs(got[1] - np.mean(np.abs(p - t))) <= 1e-12 * got[1]
+
+
+class OffsetRidge(LinearForecaster):
+    """A LinearForecaster subclass whose forecast differs from its weights'."""
+
+    def forecast(self, X, H=None, out=None):
+        return super().forecast(X, H, out=out) + 0.5
+
+
+def mixed_trainer(L, H, calls):
+    """Trainer cycling through every kind of model the drivers meet.
+
+    Records each (dataset, seed) call in ``calls``; the kinds are plain
+    ridge (three, so several share one stack), ridge with a horizon above
+    H, naive, seasonal:24, a duck-typed model and a LinearForecaster
+    subclass.
+    """
+
+    def ridge(ds, seed, h=H):
+        windows, _ = evaluation.sample_windows([ds], 96, 0, L, h, seed)
+        return fit_ridge(windows)
+
+    def offset(ds, seed):
+        m = ridge(ds, seed)
+        return OffsetRidge(weights=m.weights, L=m.L, H=m.H, lam=m.lam)
+
+    kinds = [
+        ridge,
+        lambda ds, seed: NaiveForecaster(),
+        ridge,
+        lambda ds, seed: ridge(ds, seed, H + 8),
+        lambda ds, seed: SeasonalNaiveForecaster(24),
+        lambda ds, seed: HorizonScaledNaive(),
+        offset,
+        ridge,
+    ]
+
+    def train(ds, seed):
+        calls.append((ds, seed))
+        return kinds[len(calls) - 1](ds, seed)
+
+    return train
+
+
+def assert_close(got, want, rtol=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * np.abs(want))
+
+
+class TestStackedScoring:
+    """Drivers score plain ridge models per block in one pass."""
+
+    def test_single_model_scores_are_hex_equal_to_the_one_model_kernel(
+        self, ridge_model, monkeypatch
+    ):
+        ds = noisy_dataset(700, d=2)
+        win = np.lib.stride_tricks.sliding_window_view(ds.values[1], 48 + 64)
+        ws = WindowSet(lookbacks=win[:, :48], horizons=win[:, 48:])
+        p, t = np.random.default_rng(3).normal(size=(2, 37, 5))
+        models = [ridge_model, NaiveForecaster(), SeasonalNaiveForecaster(24),
+                  HorizonScaledNaive()]
+        for block in (evaluation._BLOCK, 100):
+            monkeypatch.setattr(evaluation, "_BLOCK", block)
+            monkeypatch.setattr(oracles, "_BLOCK", block)
+            for model in models:
+                got = evaluate_zero_shot(model, ds, 48, (16, 7, 64, 16), seed=2)
+                want = oracles.evaluate_zero_shot_unstacked(
+                    model, ds, 48, (16, 7, 64, 16), seed=2
+                )
+                assert [(r.mse.hex(), r.mae.hex()) for r in got] == [
+                    (r.mse.hex(), r.mae.hex()) for r in want
+                ]
+                assert got == want
+            for model in models[:3]:
+                got = windowset_metrics(model, ws)
+                want = oracles.windowset_metrics_unstacked(model, ws)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+            got, want = metrics(p, t), oracles.metrics_unstacked(p, t)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_transfer_matrix_matches_per_model_loop(self, monkeypatch):
+        # 3 ridge models stacked at H = 24: 1000 // 72 = 13 rows per block
+        # against 432 windows per channel
+        monkeypatch.setattr(evaluation, "_BLOCK", 1000)
+        datasets = [noisy_dataset(503, d=2, seed=s) for s in range(8)]
+        ids = [f"n{s}" for s in range(8)]
+        calls, oracle_calls = [], []
+        got = transfer_matrix(
+            datasets, mixed_trainer(48, 24, calls), 48, 24, ids=ids, seed=4
+        )
+        want = oracles.transfer_matrix_per_model(
+            datasets, mixed_trainer(48, 24, oracle_calls), 48, 24, ids=ids, seed=4
+        )
+        assert [(id(d), s) for d, s in calls] == [(id(d), s) for d, s in oracle_calls]
+        assert [d for d, _ in calls] == datasets
+        assert (got.train_ids, got.test_ids) == (want.train_ids, want.test_ids)
+        assert_close(got.raw, want.raw)
+        np.testing.assert_allclose(got.scaled, want.scaled, rtol=0, atol=1e-9)
+
+    def test_one_design_per_block_per_test_dataset(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_BLOCK", 5000)
+        monkeypatch.setattr(oracles, "_BLOCK", 5000)
+        built = []
+
+        def spy(X):
+            built.append(len(X))
+            return design(X)
+
+        design = forecast._design
+        monkeypatch.setattr(forecast, "_design", spy)
+        k, L, H, count = 6, 48, 24, 160
+        datasets = [noisy_dataset(400 + 37 * i, d=2, seed=i) for i in range(k)]
+
+        def blocks(step):
+            return sum(ds.d * -(-(ds.n - L - H + 1) // step) for ds in datasets)
+
+        trainer = ridge_trainer(L, H, count=count)
+        transfer_matrix(datasets, trainer, L, H, seed=1)
+        assert built[:k] == [count] * k  # one design per fit
+        assert len(built) == k + blocks(5000 // (k * H))
+        # the per-model loop builds one design per block per model
+        built.clear()
+        oracles.transfer_matrix_per_model(datasets, trainer, L, H, seed=1)
+        assert len(built) == k + k * blocks(5000 // H)
+
+    def test_harmonics_sweep_matches_per_model_loop_with_repeated_h(self):
+        targets = [
+            ("a", sine_dataset(1 / 32, n=1024, d=2, seed=14)),
+            ("b", noisy_dataset(1024, d=2, seed=5)),
+        ]
+        kw = dict(seed=3, L=48, H=24, count_train=200, n=2048, d=2)
+        got = harmonics_sweep(targets, h_values=(1, 2, 1), **kw)
+        want = oracles.harmonics_sweep_per_model(targets, h_values=(1, 2, 1), **kw)
+        assert [(h, tid) for h, tid, _ in got] == [(h, tid) for h, tid, _ in want]
+        assert [(h, tid) for h, tid, _ in got] == [
+            (1, "a"), (1, "b"), (2, "a"), (2, "b"), (1, "a"), (1, "b")
+        ]
+        assert_close([m for _, _, m in got], [m for _, _, m in want])
+        # the repeated h = 1 rows are fit from their own seeds
+        assert got[0][2] != got[4][2] and got[1][2] != got[5][2]
+
+    def test_size_variates_sweep_matches_per_model_loop_with_repeated_size(self):
+        target = sine_dataset(1 / 24, n=2048, d=2, seed=15)
+        kw = dict(seed=2, L=48, H=24, n=2048)
+        got = size_variates_sweep((64, 128, 64), (2, 1), target, **kw)
+        want = oracles.size_variates_sweep_per_model((64, 128, 64), (2, 1), target, **kw)
+        assert got.shape == (3, 2)
+        assert_close(got, want)
+        assert np.all(got[0] != got[2])
+
+    def test_empty_sweeps_score_nothing(self):
+        target = sine_dataset(1 / 24, n=100, d=1, seed=15)  # below L + H
+        assert harmonics_sweep([("t", target)], h_values=()) == []
+        assert size_variates_sweep((), (1, 2), target).shape == (0, 2)
+
+    def test_short_dataset_is_named_before_any_training(self):
+        calls = []
+
+        def trainer(ds, seed):
+            calls.append(seed)
+            return NaiveForecaster()
+
+        datasets = [noisy_dataset(200, seed=1), noisy_dataset(60, seed=2),
+                    noisy_dataset(50, seed=3)]
+        with pytest.raises(WindowTooLong, match="'short'.*length 60.*L \\+ H = 72"):
+            transfer_matrix(datasets, trainer, 48, 24, ids=["ok", "short", "shorter"])
+        assert calls == []
+

@@ -449,6 +449,23 @@ class TestMixVariant:
         b, _ = freq_synth_mix(4, count_train=30, count_val=10, n=4096, d=2)
         assert np.array_equal(a.lookbacks, b.lookbacks)
 
+    @pytest.mark.parametrize(
+        "sizes", [{"m": 0}, {"m": 2.5}, {"d": 0}, {"n": 1}, {"l": 0}, {"n": "64"}]
+    )
+    @pytest.mark.parametrize("law", ["mix", (1 / 24, 2)])
+    def test_sizes_checked_as_generator_config_checks_them(self, sizes, law):
+        with pytest.raises(ValueError) as want:
+            GeneratorConfig(omega_bar=0.1, **sizes)
+        with pytest.raises(ValueError) as got:
+            build_datasets([law], 0, **sizes)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("law", ["mixx", "ab", (0.1,), (0.1, 2, 3), 0.1, None])
+    def test_unknown_law_is_named(self, law):
+        with pytest.raises(ValueError, match="^unknown frequency law") as exc:
+            build_datasets(["mix", law], 0, n=64, d=1)
+        assert repr(law) in str(exc.value)
+
 
 class TestCorrelationTrend:
     def test_more_sines_per_channel_raises_mean_pcc(self):
