@@ -62,24 +62,25 @@ from .generator import (
 from .spectral import aggregate_periodogram, default_window_len, periodogram_pcc
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("list must be non-empty")
-    return vals
+def _list_of(kind, noun: str):
+    """argparse type for a non-empty comma-separated list of ``kind``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(kind(v) for v in text.split(",") if v.strip() != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}"
+            ) from None
+        if not vals:
+            raise argparse.ArgumentTypeError("list must be non-empty")
+        return vals
+
+    return parse
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(v) for v in text.split(",") if v.strip() != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated reals, got {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("list must be non-empty")
-    return vals
+_int_list = _list_of(int, "integers")
+_float_list = _list_of(float, "reals")
 
 
 def _svg_line_plot(path, xs, ys, title, xlabel, ylabel):

@@ -187,21 +187,11 @@ def save_reports_json(reports: list[EvalReport], path: str) -> None:
 
 def save_reports_csv(reports: list[EvalReport], path: str) -> None:
     """Summary rows ``dataset,horizon,mse,mae,model,seed``."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["dataset", "horizon", "mse", "mae", "model", "seed"])
-    for r in reports:
-        writer.writerow(
-            [
-                r.dataset,
-                r.horizon,
-                repr(float(r.mse)),
-                repr(float(r.mae)),
-                r.model,
-                "" if r.seed is None else r.seed,
-            ]
-        )
-    _atomic_write(path, buf.getvalue())
+    rows = [
+        (r.dataset, r.horizon, float(r.mse), float(r.mae), r.model, r.seed)
+        for r in reports
+    ]
+    save_table_csv(rows, ["dataset", "horizon", "mse", "mae", "model", "seed"], path)
 
 
 def save_matrix_csv(tm: TransferMatrix, path: str, kind: str = "scaled") -> None:
@@ -209,16 +199,13 @@ def save_matrix_csv(tm: TransferMatrix, path: str, kind: str = "scaled") -> None
     if kind not in ("scaled", "raw"):
         raise ValueError(f"kind must be 'scaled' or 'raw', got {kind!r}")
     mat = tm.scaled if kind == "scaled" else tm.raw
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["train\\test", *tm.test_ids])
-    for label, row in zip(tm.train_ids, mat):
-        writer.writerow([label, *(repr(float(v)) for v in row)])
-    _atomic_write(path, buf.getvalue())
+    rows = [(label, *row) for label, row in zip(tm.train_ids, mat)]
+    save_table_csv(rows, ["train\\test", *tm.test_ids], path)
 
 
 def save_table_csv(rows: list[tuple], header: list[str], path: str) -> None:
-    """Generic table writer for curves and sweeps; floats use repr."""
+    """Generic table writer for curves and sweeps; floats use repr, None
+    is an empty cell."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSeries, ShapeMismatch
+from .errors import InvalidSeries, InvalidWindow, ShapeMismatch
 
 # Tolerance for the standardized-flag contract: per-channel mean within
 # STANDARDIZED_ATOL of 0 and population std within STANDARDIZED_ATOL of 1.
@@ -33,6 +33,21 @@ def degenerate_channels(mean: np.ndarray, std: np.ndarray) -> list[int]:
     """Indices of channels, by their moments, that cannot be standardized:
     a zero std, or one within DEGENERATE_RTOL of the mean's magnitude."""
     return np.flatnonzero(std <= DEGENERATE_RTOL * np.abs(mean)).tolist()
+
+
+def _whole_number(name: str, value, lo: int = 1, error=InvalidWindow) -> int:
+    """``value`` as an int >= ``lo``; ``error`` naming it otherwise.
+
+    Integral floats and numpy integers pass; bools do not.
+    """
+    try:
+        whole = int(value)
+        ok = not isinstance(value, (bool, np.bool_)) and whole == value and whole >= lo
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
+    return whole
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

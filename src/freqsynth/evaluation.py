@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet
+from .dataset import Dataset, WindowSet, _whole_number
 from .errors import InvalidWindow, ShapeMismatch, SplitTooSmall, WindowTooLong
 from .forecast import LinearForecaster, fit_ridge
 from .freqest import estimate_fundamental
 from .generator import (
     GeneratorConfig,
     _child_seed,
-    build_datasets,
+    _windows,
     sample_windows,
     standardize,
     synthesize,
@@ -203,18 +203,6 @@ def windowset_metrics(model, ws: WindowSet) -> tuple[float, float]:
     return _score(_forecaster(model, ws.H), ws.lookbacks, ws.horizons)
 
 
-def _whole_number(name: str, value) -> int:
-    """``value`` as an int >= 1; InvalidWindow naming it otherwise."""
-    try:
-        whole = int(value)
-        ok = whole == value and whole >= 1
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise InvalidWindow(f"{name} must be an integer >= 1, got {value!r}")
-    return whole
-
-
 def _checked_window(
     test_ds: Dataset, L, horizons
 ) -> tuple[int, tuple[int, ...]]:
@@ -230,6 +218,84 @@ def _checked_window(
             f"window of L + H = {L + max_h}"
         )
     return L, horizons
+
+
+def _zero_shot(
+    models, test_ds: Dataset, L, horizons, dataset_id=None, seed=None
+) -> list[list[EvalReport]]:
+    """evaluate_zero_shot's reports for each model in turn; none for no model.
+
+    Models that are exactly LinearForecaster with lookback L and a
+    horizon of at least max(horizons) are scored together: in each band
+    their first hb weight rows are stacked into one forecaster, so each
+    block of windows gets one design matrix and one matmul, and
+    _block_sums scores every model against the same targets.  A lone
+    ridge model is a stack of one.  Every other model is scored alone.
+    """
+    if not models:
+        return []
+    L, horizons = _checked_window(test_ds, L, horizons)
+    ds_id = dataset_id if dataset_id is not None else (test_ds.provenance or "dataset")
+    count = {h: test_ds.n - L - h + 1 for h in horizons}
+
+    # A band (lo, hi, hb) forecasts windows [lo, hi) at horizon hb;
+    # reads[h] lists the bands whose first h columns horizon h sums.
+    desc = sorted(count, reverse=True)
+    bounds = [0] + [count[h] for h in desc]
+    prefix = (
+        [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)],
+        {h: range(i + 1) for i, h in enumerate(desc)},
+    )
+    per_horizon = (
+        [(0, count[h], h) for h in desc],
+        {h: [i] for i, h in enumerate(desc)},
+    )
+    stack = [
+        i for i, m in enumerate(models)
+        if type(m) is LinearForecaster and m.L == L and m.H >= desc[0]
+    ]
+    groups = [(stack, prefix)] if stack else []
+    groups += [
+        ([i], prefix if getattr(m, "prefix_consistent", False) else per_horizon)
+        for i, m in enumerate(models) if i not in stack
+    ]
+
+    windows = np.lib.stride_tricks.sliding_window_view
+    reports = [None] * len(models)
+    for members, (bands, reads) in groups:
+        k = len(members)
+        sums = []
+        for lo, hi, hb in bands:
+            model = models[members[0]]
+            if members is stack:
+                model = LinearForecaster(
+                    weights=np.vstack([models[i].weights[:hb] for i in stack]),
+                    L=L, H=k * hb, lam=0.0,
+                )
+            segments = [
+                (windows(row, L)[lo:hi], windows(row, hb)[L + lo : L + hi])
+                for row in test_ds.values
+            ]
+            sums.append(_block_sums(_forecaster(model, k * hb), segments, hb, k))
+        for j, i in enumerate(members):
+            model_id = getattr(models[i], "model_id", type(models[i]).__name__)
+            reports[i] = []
+            for h in horizons:
+                sse = sum(float(sums[b][0][j, :h].sum()) for b in reads[h])
+                sae = sum(float(sums[b][1][j, :h].sum()) for b in reads[h])
+                total = count[h] * test_ds.d * h
+                reports[i].append(
+                    EvalReport(
+                        dataset=ds_id,
+                        horizon=h,
+                        mse=sse / total,
+                        mae=sae / total,
+                        model=model_id,
+                        seed=seed,
+                        windows=count[h] * test_ds.d,
+                    )
+                )
+    return reports
 
 
 def evaluate_zero_shot(
@@ -250,91 +316,7 @@ def evaluate_zero_shot(
     fits it, and shorter horizons are scored from the prefix.  Other
     models are forecast once per distinct horizon.
     """
-    L, horizons = _checked_window(test_ds, L, horizons)
-    ds_id = dataset_id if dataset_id is not None else (test_ds.provenance or "dataset")
-    model_id = getattr(model, "model_id", type(model).__name__)
-
-    def count(h: int) -> int:
-        return test_ds.n - L - h + 1
-
-    # A band (lo, hi, hb) forecasts windows [lo, hi) at horizon hb;
-    # reads[h] lists the bands whose first h columns horizon h sums.
-    desc = sorted(set(horizons), reverse=True)
-    if getattr(model, "prefix_consistent", False):
-        bounds = [0] + [count(h) for h in desc]
-        bands = [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)]
-        reads = {h: range(i + 1) for i, h in enumerate(desc)}
-    else:
-        bands = [(0, count(h), h) for h in desc]
-        reads = {h: [i] for i, h in enumerate(desc)}
-    windows = np.lib.stride_tricks.sliding_window_view
-    sums = [
-        _block_sums(
-            _forecaster(model, hb),
-            [
-                (windows(row, L)[lo:hi], windows(row, hb)[L + lo : L + hi])
-                for row in test_ds.values
-            ],
-            hb,
-        )
-        for lo, hi, hb in bands
-    ]
-
-    reports = []
-    for h in horizons:
-        sse = sum(float(sums[b][0][0, :h].sum()) for b in reads[h])
-        sae = sum(float(sums[b][1][0, :h].sum()) for b in reads[h])
-        total = count(h) * test_ds.d * h
-        reports.append(
-            EvalReport(
-                dataset=ds_id,
-                horizon=h,
-                mse=sse / total,
-                mae=sae / total,
-                model=model_id,
-                seed=seed,
-                windows=count(h) * test_ds.d,
-            )
-        )
-    return reports
-
-
-def _stacked_mse(models, test_ds: Dataset, L: int, H: int) -> list[float]:
-    """Zero-shot MSE at horizon H of each model on ``test_ds``, in order.
-
-    Models that are exactly LinearForecaster with lookback L and a
-    horizon of at least H are scored in one pass: their first H weight
-    rows are stacked into one forecaster, so each block of stride-1
-    windows gets one design matrix and one matmul, and _block_sums
-    scores every model against the same targets.  Any other model goes
-    through evaluate_zero_shot.
-    """
-    if not models:
-        return []
-    L, (H,) = _checked_window(test_ds, L, (H,))
-    mses = [None] * len(models)
-    stack = []
-    for i, model in enumerate(models):
-        if type(model) is LinearForecaster and model.L == L and model.H >= H:
-            stack.append(i)
-        else:
-            mses[i] = evaluate_zero_shot(model, test_ds, L, (H,))[0].mse
-    if stack:
-        k = len(stack)
-        stacked = LinearForecaster(
-            weights=np.vstack([models[i].weights[:H] for i in stack]),
-            L=L, H=k * H, lam=0.0,
-        )
-        windows = np.lib.stride_tricks.sliding_window_view
-        count = test_ds.n - L - H + 1
-        segments = [
-            (windows(row, L)[:count], windows(row, H)[L:]) for row in test_ds.values
-        ]
-        sse, _ = _block_sums(_forecaster(stacked, k * H), segments, H, k)
-        total = count * test_ds.d * H
-        for i, s in zip(stack, sse):
-            mses[i] = float(s.sum()) / total
-    return mses
+    return _zero_shot([model], test_ds, L, horizons, dataset_id, seed)[0]
 
 
 def minmax_scale_columns(raw: np.ndarray, exclude_diagonal: bool = False) -> np.ndarray:
@@ -380,7 +362,7 @@ def transfer_matrix(
 
     ``trainer`` is a callable (dataset, seed) -> model; each row gets a
     deterministic child seed.  Every row is trained first, then each
-    column is scored in one pass (see _stacked_mse).  Diagonal
+    column is scored in one pass (see _zero_shot).  Diagonal
     (in-domain) cells are reported but excluded from each column's
     min-max range.  Raises WindowTooLong naming the first dataset that
     cannot hold one window of L + H, before any training.
@@ -401,7 +383,9 @@ def transfer_matrix(
             )
     master = np.random.default_rng(seed)
     models = [trainer(ds, _child_seed(master)) for ds in datasets]
-    raw = np.column_stack([_stacked_mse(models, ds, L, H) for ds in datasets])
+    raw = np.column_stack(
+        [[r[0].mse for r in _zero_shot(models, ds, L, (H,))] for ds in datasets]
+    )
     scaled = minmax_scale_columns(raw, exclude_diagonal=True)
     return TransferMatrix(
         train_ids=tuple(ids), test_ids=tuple(ids), raw=raw, scaled=scaled
@@ -481,9 +465,9 @@ def confusion_experiment(
     the map can fit the whole default grid exactly and the curve stays
     flat at zero.
     """
-    counts = tuple(int(c) for c in distractor_counts)
-    if any(c < 0 for c in counts):
-        raise ValueError(f"distractor counts must be >= 0, got {counts}")
+    counts = tuple(
+        _whole_number("distractor count", c, 0, ValueError) for c in distractor_counts
+    )
     master = np.random.default_rng(seed)
     base_ds = _pure_dataset(base_omega, _child_seed(master), n, d)
     eval_ds = _pure_dataset(base_omega, _child_seed(master), n, d)
@@ -577,15 +561,12 @@ def harmonics_sweep(
     models = []  # h-major: models[a * len(targets) + b] is (h_values[a], target b)
     for h in h_values:
         for omega in est:
-            train_sets = build_datasets([(omega, h)], _child_seed(master), n=n, d=d)
-            windows, _ = sample_windows(
-                train_sets, count_train, 0, L, H, _child_seed(master)
-            )
+            windows = _windows([(omega, h)], master, count_train, 0, L, H, n=n, d=d)[0]
             models.append(fit_ridge(windows, lam))
     t = len(targets)
-    mses = [_stacked_mse(models[b::t], ds, L, H) for b, (_, ds) in enumerate(targets)]
+    mses = [_zero_shot(models[b::t], ds, L, (H,)) for b, (_, ds) in enumerate(targets)]
     return [
-        (int(h), tid, float(mses[b][a]))
+        (int(h), tid, float(mses[b][a][0].mse))
         for a, h in enumerate(h_values)
         for b, (tid, _) in enumerate(targets)
     ]
@@ -636,14 +617,10 @@ def size_variates_sweep(
     master = np.random.default_rng(seed)
     omega = estimate_fundamental(target).omega_bar
     models = []
+    laws = [(omega, h) for h in (1, 2, 3)]
     for size in sizes:
         for d in d_values:
-            train_sets = build_datasets(
-                [(omega, h) for h in (1, 2, 3)], _child_seed(master), n=n, d=int(d)
-            )
-            windows, _ = sample_windows(
-                train_sets, int(size), 0, L, H, _child_seed(master)
-            )
+            windows = _windows(laws, master, size, 0, L, H, n=n, d=d)[0]
             models.append(fit_ridge(windows, lam))
-    mses = _stacked_mse(models, target, L, H)
+    mses = [r[0].mse for r in _zero_shot(models, target, L, (H,))]
     return np.array(mses, dtype=np.float64).reshape(len(sizes), len(d_values))

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import WindowSet
+from .dataset import WindowSet, _whole_number
 from .errors import (
     EmptyTrainingSet,
     InvalidModel,
@@ -91,8 +91,7 @@ class NaiveForecaster:
     prefix_consistent = True
 
     def forecast(self, X, H: int, out: np.ndarray | None = None) -> np.ndarray:
-        if H < 1:
-            raise InvalidWindow(f"horizon must be >= 1, got {H}")
+        H = _whole_number("horizon", H)
         arr = _as_batch(X)
         if out is None:
             return np.repeat(arr[:, -1:], H, axis=1)
@@ -106,17 +105,14 @@ class SeasonalNaiveForecaster:
     prefix_consistent = True
 
     def __init__(self, period: int):
-        if period < 1:
-            raise InvalidPeriod(f"period must be >= 1, got {period}")
-        self.period = int(period)
+        self.period = _whole_number("period", period, error=InvalidPeriod)
 
     @property
     def model_id(self) -> str:
         return f"seasonal-naive-{self.period}"
 
     def forecast(self, X, H: int, out: np.ndarray | None = None) -> np.ndarray:
-        if H < 1:
-            raise InvalidWindow(f"horizon must be >= 1, got {H}")
+        H = _whole_number("horizon", H)
         arr = _as_batch(X)
         L = arr.shape[1]
         if self.period > L:
@@ -163,8 +159,8 @@ class LinearForecaster:
 
         H below self.H truncates the prediction; above raises.
         """
-        h = self.H if H is None else int(H)
-        if not 1 <= h <= self.H:
+        h = self.H if H is None else _whole_number("horizon", H)
+        if h > self.H:
             raise InvalidWindow(
                 f"horizon {h} outside this model's range [1, {self.H}]"
             )

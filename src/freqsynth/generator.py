@@ -32,12 +32,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet, degenerate_channels
+from .dataset import Dataset, WindowSet, _whole_number, degenerate_channels
 from .errors import (
     DegenerateChannel,
     InsufficientData,
     InvalidAmplitudeScale,
-    InvalidWindow,
     WindowTooLong,
 )
 
@@ -82,19 +81,6 @@ class SineSpec:
 _SIZE_MINIMUM = {"m": 1, "h": 1, "l": 1, "n": 2, "d": 1}
 
 
-def _whole_size(name: str, value) -> int:
-    """``value`` as an int >= _SIZE_MINIMUM[name]; ValueError naming it otherwise."""
-    lo = _SIZE_MINIMUM[name]
-    try:
-        whole = int(value)
-        ok = not isinstance(value, bool) and whole == value and whole >= lo
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
-    return whole
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for one synthesized dataset.
@@ -127,8 +113,9 @@ class GeneratorConfig:
             raise InvalidAmplitudeScale(
                 f"A_prime must exceed 0.01, got {self.A_prime}"
             )
-        for name in _SIZE_MINIMUM:
-            object.__setattr__(self, name, _whole_size(name, getattr(self, name)))
+        for name, lo in _SIZE_MINIMUM.items():
+            value = _whole_number(name, getattr(self, name), lo, ValueError)
+            object.__setattr__(self, name, value)
 
     def digest(self) -> str:
         """Short stable hash of all fields, used as provenance."""
@@ -140,8 +127,7 @@ def harmonic_set(omega_bar: float, h: int) -> list[float]:
     """Ascending multiples k*omega_bar for k = 1..h that stay below 0.5."""
     if not 0.0 < omega_bar < 0.5:
         raise ValueError(f"omega_bar must be in (0, 0.5), got {omega_bar}")
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
+    h = _whole_number("h", h, 1, ValueError)
     return [omega_bar * k for k in range(1, h + 1) if omega_bar * k < 0.5]
 
 
@@ -301,10 +287,10 @@ def sample_windows(
     every dataset; count_train + count_val distinct triples are drawn
     without replacement, the first count_train forming the train set.
     """
-    if L < 1 or H < 1:
-        raise InvalidWindow(f"need L >= 1 and H >= 1, got L={L}, H={H}")
-    if count_train < 1 or count_val < 0:
-        raise ValueError("need count_train >= 1 and count_val >= 0")
+    L = _whole_number("lookback L", L)
+    H = _whole_number("horizon H", H)
+    count_train = _whole_number("count_train", count_train, 1, ValueError)
+    count_val = _whole_number("count_val", count_val, 0, ValueError)
     length = L + H
     starts = []
     for ds in datasets:
@@ -383,7 +369,10 @@ def build_datasets(
                 f"unknown frequency law {law!r}: expected 'mix' or an "
                 "(omega_bar, h) pair"
             )
-    m, l, n, d = (_whole_size(name, v) for name, v in zip("mlnd", (m, l, n, d)))
+    m, l, n, d = (
+        _whole_number(name, v, _SIZE_MINIMUM[name], ValueError)
+        for name, v in zip("mlnd", (m, l, n, d))
+    )
     master = np.random.default_rng(seed)
     out = []
     for i, law in enumerate(laws):

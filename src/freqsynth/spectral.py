@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _whole_number
 from .errors import (
     DegenerateSpectrum,
     InvalidSeries,
-    InvalidWindow,
     NoDominantFrequency,
     WindowTooLong,
 )
@@ -158,11 +157,9 @@ def aggregate_periodogram(ds: Dataset, window_len: int) -> Periodogram:
     The trailing n mod window_len samples of each channel are discarded.
     The frequency grid is that of a length-``window_len`` series.
     """
-    w = int(window_len)
+    w = _whole_number("window_len", window_len, 16)
     if w > ds.n:
         raise WindowTooLong(f"window_len {w} exceeds series length {ds.n}")
-    if w < 16:
-        raise InvalidWindow(f"window_len must be >= 16, got {w}")
     k = ds.n // w
     freqs, powers = _rfft_power(ds.values[:, : k * w].reshape(ds.d * k, w))
     return Periodogram(freqs=freqs, powers=powers.mean(axis=0))
@@ -173,9 +170,8 @@ def default_window_len(n: int, cap: int = DEFAULT_WINDOW_CAP) -> int:
 
     The cap (1024) or, for shorter data, the largest power of two <= n.
     """
-    if n < 16:
-        raise InvalidWindow(f"series too short to window, n={n}")
-    return min(cap, 1 << (int(n).bit_length() - 1))
+    n = _whole_number("series length n", n, 16)
+    return min(cap, 1 << (n.bit_length() - 1))
 
 
 def common_grid(size: int = COMMON_GRID_SIZE) -> np.ndarray:

@@ -1,0 +1,90 @@
+"""sha256 of every file the CLI writes for one seed.
+
+Runs the freqsynth subcommands below with ``--seed SEED`` in a fresh
+directory and prints one ``<sha256>  <file>`` line per output file, 17
+in all.  Two checkouts are bit-for-bit equal on these outputs when their
+printouts are, e.g.
+
+    PYTHONPATH=src python tests/cli_digests.py --seed 0 > after.txt
+
+A refactor that must not change outputs compares seeds 0-2 this way
+before and after.  This is a script, not a pytest module; one seed
+takes about ten seconds on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+from freqsynth.cli import main
+
+
+def invocations(seed: int) -> list[list[str]]:
+    """Each subcommand's argv; every output file is named by an --out."""
+    s = ["--seed", str(seed)]
+    return [
+        ["generate", "--rate", "1h", *s, "--out", "gen_rate.csv"],
+        ["generate", "--omega", "0.1", "--h", "2", *s, "--out", "gen_omega.csv"],
+        ["periodogram", "--input", "gen_rate.csv", "--out", "periodogram.csv"],
+        ["estimate", "--input", "gen_rate.csv", "--out", "estimate.json"],
+        ["similarity", "--inputs", "gen_rate.csv", "gen_omega.csv",
+         "--out", "similarity.csv"],
+        ["fit", "--rate", "1h", "--count", "2000", *s, "--out", "fit_single.json"],
+        ["fit", "--variant", "natural", "--count", "2000", *s,
+         "--out", "fit_natural.json"],
+        ["fit", "--variant", "mix", "--count", "2000", *s, "--out", "fit_mix.json"],
+        ["evaluate", "--model", "fit_single.json", "--input", "gen_rate.csv", *s,
+         "--out", "evaluate_ridge.json"],
+        ["evaluate", "--model", "seasonal:24", "--input", "gen_rate.csv",
+         "--split", "0.7,0.1,0.2", *s, "--out", "evaluate_seasonal.csv"],
+        ["confusion", *s, "--out", "confusion.csv"],
+        ["generalization", *s, "--out", "generalization.json"],
+        ["transfer", *s, "--out", "transfer.csv", "--raw-out", "transfer_raw.csv"],
+        ["sweep-harmonics", "--h-values", "1,2,3", *s, "--out", "sweep_harmonics.csv"],
+        ["sweep-size", "--sizes", "300,600", "--d-values", "1,3", *s,
+         "--out", "sweep_size.csv"],
+        ["bench-gen", *s, "--out", "bench_gen.json"],
+    ]
+
+
+def outputs(argv: list[str]) -> list[str]:
+    return [argv[i + 1] for i, a in enumerate(argv) if a in ("--out", "--raw-out")]
+
+
+def digests(seed: int, directory: str) -> list[tuple[str, str]]:
+    """(sha256, file) per output, in invocation order; raises on a failed run."""
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        rows = []
+        for argv in invocations(seed):
+            # bench-gen prints its timing; keep stdout to the digests
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"freqsynth {' '.join(argv)} exited {code}")
+            for name in outputs(argv):
+                with open(name, "rb") as f:
+                    rows.append((hashlib.sha256(f.read()).hexdigest(), name))
+        return rows
+    finally:
+        os.chdir(cwd)
+
+
+def main_digests(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as directory:
+        for digest, name in digests(args.seed, directory):
+            print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main_digests())

@@ -12,7 +12,6 @@ from freqsynth.evaluation import (
     EvalReport,
     TransferMatrix,
     _forecaster,
-    _whole_number,
     minmax_scale_columns,
 )
 from freqsynth.forecast import (
@@ -625,6 +624,18 @@ def windowset_metrics_unstacked(model, ws: WindowSet) -> tuple[float, float]:
     return _score_unstacked(_forecaster(model, ws.H), ws.lookbacks, ws.horizons)
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int >= 1; InvalidWindow naming it otherwise."""
+    try:
+        whole = int(value)
+        ok = whole == value and whole >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidWindow(f"{name} must be an integer >= 1, got {value!r}")
+    return whole
+
+
 def evaluate_zero_shot_unstacked(
     model,
     test_ds: Dataset,
@@ -806,3 +817,41 @@ def size_variates_sweep_per_model(
             model = fit_ridge(windows, lam)
             grid[i, j] = evaluate_zero_shot_unstacked(model, target, L, (H,))[0].mse
     return grid
+
+
+def save_reports_csv_direct(reports: list[EvalReport], path: str) -> None:
+    """Summary rows ``dataset,horizon,mse,mae,model,seed``.
+
+    save_reports_csv as it was before it went through save_table_csv.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["dataset", "horizon", "mse", "mae", "model", "seed"])
+    for r in reports:
+        writer.writerow(
+            [
+                r.dataset,
+                r.horizon,
+                repr(float(r.mse)),
+                repr(float(r.mae)),
+                r.model,
+                "" if r.seed is None else r.seed,
+            ]
+        )
+    _atomic_write(path, buf.getvalue())
+
+
+def save_matrix_csv_direct(tm: TransferMatrix, path: str, kind: str = "scaled") -> None:
+    """Transfer matrix with train ids as row labels, test ids as columns.
+
+    save_matrix_csv as it was before it went through save_table_csv.
+    """
+    if kind not in ("scaled", "raw"):
+        raise ValueError(f"kind must be 'scaled' or 'raw', got {kind!r}")
+    mat = tm.scaled if kind == "scaled" else tm.raw
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["train\\test", *tm.test_ids])
+    for label, row in zip(tm.train_ids, mat):
+        writer.writerow([label, *(repr(float(v)) for v in row)])
+    _atomic_write(path, buf.getvalue())

@@ -64,6 +64,23 @@ class TestParsing:
             main(["generate", "--out", "x.csv", "--bogus", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--horizons", "96,x", "expected comma-separated integers, got '96,x'"),
+            ("--horizons", "2.5", "expected comma-separated integers, got '2.5'"),
+            ("--horizons", " , ", "list must be non-empty"),
+            ("--split", "0.7,a,0.1", "expected comma-separated reals, got '0.7,a,0.1'"),
+            ("--split", ",", "list must be non-empty"),
+        ],
+    )
+    def test_bad_list_is_a_usage_error(self, flag, value, message, capsys):
+        argv = ["evaluate", "--model", "naive", "--input", "x.csv", "--out", "r.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"{flag}: {message}")
+
     def test_parser_lists_all_subcommands(self):
         helptext = build_parser().format_help()
         for name in SUBCOMMANDS:

@@ -30,7 +30,12 @@ from freqsynth.errors import (
     NonNumericCell,
     RaggedRows,
 )
-from oracles import load_csv_per_cell, save_csv_per_cell
+from oracles import (
+    load_csv_per_cell,
+    save_csv_per_cell,
+    save_matrix_csv_direct,
+    save_reports_csv_direct,
+)
 
 
 def write(path, text):
@@ -399,6 +404,36 @@ class TestReportAndTableWriters:
         lines = open(path, encoding="utf-8").read().splitlines()
         assert lines[0] == "count,mse"
         assert lines[1].startswith("0,")
+
+    QUOTED = ("plain", "a,b", 'q"x', "line\nbreak", "", " lead")
+
+    def test_reports_csv_bytes_equal_the_direct_writer(self, tmp_path):
+        vals = [0.1, 1 / 3, 5e-324, 1.7976931348623157e308, 0, np.float64(2.5)]
+        reports = [
+            EvalReport(dataset=name, horizon=96 * (i + 1), mse=v, mae=vals[-1 - i],
+                       model=self.QUOTED[-1 - i], seed=[None, 0, 7, 2**40][i % 4])
+            for i, (name, v) in enumerate(zip(self.QUOTED, vals))
+        ]
+        for rows in (reports, []):
+            save_reports_csv(rows, str(tmp_path / "got.csv"))
+            save_reports_csv_direct(rows, str(tmp_path / "want.csv"))
+            got = (tmp_path / "got.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            # a quoted id and a None seed's empty cell are both written
+            assert (b'"a,b"' in got and got.split(b"\n")[1].endswith(b",")) == bool(rows)
+
+    def test_matrix_csv_bytes_equal_the_direct_writer(self, tmp_path):
+        k = len(self.QUOTED)
+        raw = np.random.default_rng(4).lognormal(size=(k, k))
+        raw[0, 1], raw[1, 0] = 5e-324, 1e300
+        tm = TransferMatrix(train_ids=self.QUOTED, test_ids=self.QUOTED[::-1],
+                            raw=raw, scaled=np.linspace(0, 1, k * k).reshape(k, k))
+        for kind in ("scaled", "raw"):
+            save_matrix_csv(tm, str(tmp_path / "got.csv"), kind=kind)
+            save_matrix_csv_direct(tm, str(tmp_path / "want.csv"), kind=kind)
+            got = (tmp_path / "got.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            assert b'"q""x"' in got and b'"line\nbreak"' in got
 
 
 @pytest.fixture

@@ -414,6 +414,7 @@ class TestEvaluateValidation:
             (16, (8, "8"), "'8'"),
             (0, (8,), "0"),
             (2.5, (8,), "2.5"),
+            (True, (8,), "True"),
         ],
     )
     def test_invalid_value_is_named(self, L, horizons, bad):
@@ -772,6 +773,61 @@ class TestStackedScoring:
         built.clear()
         oracles.transfer_matrix_per_model(datasets, trainer, L, H, seed=1)
         assert len(built) == k + k * blocks(5000 // H)
+
+    def test_stack_scores_every_band_like_each_model_alone(self, ridge_model, monkeypatch):
+        # horizons 64 > 16 > 7 give three bands; the three plain ridge
+        # models (one fit to H = 80) share one stack per band
+        monkeypatch.setattr(evaluation, "_BLOCK", 1000)
+        monkeypatch.setattr(oracles, "_BLOCK", 1000)
+        ds = noisy_dataset(503, d=2, seed=6)
+
+        def ridge(h, seed):
+            train = noisy_dataset(900, d=2, seed=seed)
+            return fit_ridge(evaluation.sample_windows([train], 300, 0, 48, h, seed)[0])
+
+        extra = ridge(64, 11)
+        offset = OffsetRidge(weights=extra.weights, L=48, H=64, lam=0.0)
+        models = [ridge_model, NaiveForecaster(), extra, HorizonScaledNaive(),
+                  ridge(80, 12), offset]
+        horizons = (16, 7, 64, 16)
+        got = evaluation._zero_shot(models, ds, 48, horizons, dataset_id="t", seed=1)
+        assert len(got) == len(models)
+        for model, reports in zip(models, got):
+            want = oracles.evaluate_zero_shot_unstacked(
+                model, ds, 48, horizons, dataset_id="t", seed=1
+            )
+            assert [(r.dataset, r.horizon, r.model, r.seed, r.windows) for r in reports] == [
+                (r.dataset, r.horizon, r.model, r.seed, r.windows) for r in want
+            ]
+            assert_close([(r.mse, r.mae) for r in reports], [(r.mse, r.mae) for r in want])
+        # the offset subclass is scored alone, not from its weights
+        assert got[5][0].mse != got[2][0].mse
+
+        built = []
+        design = forecast._design
+        monkeypatch.setattr(forecast, "_design", lambda X: built.append(len(X)) or design(X))
+        evaluation._zero_shot([ridge_model, extra, models[4]], ds, 48, horizons)
+        count = {h: 503 - 48 - h + 1 for h in (64, 16, 7)}
+        bands = [(0, count[64], 64), (count[64], count[16], 16), (count[16], count[7], 7)]
+        step = {hb: 1000 // (3 * hb) for _, _, hb in bands}
+        assert len(built) == sum(2 * -(-(hi - lo) // step[hb]) for lo, hi, hb in bands)
+
+    def test_evaluate_and_every_driver_reach_one_scorer(self, monkeypatch):
+        seen = []
+        scorer = evaluation._zero_shot
+
+        def spy(models, *args, **kwargs):
+            seen.append(len(models))
+            return scorer(models, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_zero_shot", spy)
+        target = sine_dataset(1 / 24, n=400, d=1, seed=15)
+        evaluate_zero_shot(NaiveForecaster(), target, 48, (24,))
+        transfer_matrix([target, target], ridge_trainer(48, 24, count=64), 48, 24)
+        harmonics_sweep([("t", target)], h_values=(1, 2), L=48, H=24, count_train=64,
+                        n=512, d=1)
+        size_variates_sweep((32, 64), (1,), target, L=48, H=24, n=512)
+        assert seen == [1, 2, 2, 2, 2]
 
     def test_harmonics_sweep_matches_per_model_loop_with_repeated_h(self):
         targets = [
