@@ -141,22 +141,15 @@ def _load_target(args) -> tuple[str, Dataset]:
 
 
 def cmd_generate(args, parser) -> int:
-    overrides = {
-        "omega_bar": args.omega,
-        "h": args.h,
-        "seed": args.seed,
-    }
+    if args.config is None and args.omega is None and args.rate is None:
+        parser.error("one of --omega, --rate, or --config is required")
+    flags = {"h": args.h, "seed": args.seed}
+    if args.omega is not None or args.rate is not None:
+        flags["omega_bar"] = _resolve_omega(args, parser)
     if args.config is not None:
-        cfg = dataio.load_generator_config(args.config, **overrides)
+        cfg = dataio.load_generator_config(args.config, **flags)
     else:
-        if args.omega is None and args.rate is None:
-            parser.error("one of --omega, --rate, or --config is required")
-        omega = _resolve_omega(args, parser)
-        cfg = GeneratorConfig(
-            omega_bar=omega,
-            h=args.h if args.h is not None else 3,
-            seed=args.seed,
-        )
+        cfg = GeneratorConfig(**{k: v for k, v in flags.items() if v is not None})
     ds = synthesize(cfg)
     dataio.save_csv(ds, args.out)
     return 0
@@ -380,8 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, help="fundamental frequency in cycles/step")
     p.add_argument("--rate", help="sampling-rate token, e.g. 1h or custom:96")
     p.add_argument("--h", type=int, help="harmonics (default 3)")
-    p.add_argument("--config", help="JSON file with generator fields")
-    p.set_defaults(func=cmd_generate)
+    p.add_argument("--config", help="JSON file with generator fields; a flag "
+                   "given here overrides the file's field")
+    p.set_defaults(func=cmd_generate, seed=None)
 
     p = new("periodogram", "aggregate periodogram of a CSV dataset")
     p.add_argument("--input", required=True, help="input CSV path")

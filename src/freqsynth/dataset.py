@@ -119,11 +119,12 @@ class Dataset:
             raise KeyError(f"no channel named {name!r}") from None
         return self.values[i]
 
-    def slice_time(self, start: int, stop: int, provenance: str | None = None) -> "Dataset":
+    def slice_time(self, start: int, stop: int) -> "Dataset":
         """Return the [start, stop) time slice as a new dataset.
 
-        The slice keeps channel names and rate; the standardized flag is
-        dropped because moments are no longer guaranteed on a sub-range.
+        The slice keeps channel names, rate and provenance; the
+        standardized flag is dropped because moments are no longer
+        guaranteed on a sub-range.
         """
         if not 0 <= start < stop <= self.n:
             raise InvalidSeries(
@@ -133,7 +134,7 @@ class Dataset:
             values=self.values[:, start:stop],
             channel_names=self.channel_names,
             rate=self.rate,
-            provenance=self.provenance if provenance is None else provenance,
+            provenance=self.provenance,
         )
 
 

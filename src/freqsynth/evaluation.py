@@ -25,6 +25,7 @@ from .generator import (
     GeneratorConfig,
     _child_seed,
     _windows,
+    build_datasets,
     sample_windows,
     standardize,
     synthesize,
@@ -32,6 +33,13 @@ from .generator import (
 
 # Support and exclusion zone for experiment distractor frequencies.
 DISTRACTOR_RANGE = (1 / 200, 0.45)
+
+# The frequency experiments' fixed protocol: training windows per
+# sinusoid, held-out evaluation windows, and channels per pure-sine
+# dataset.  Both fit exact least squares (lambda = 0).
+_WINDOWS_PER_SINE = 256
+_EVAL_WINDOWS = 512
+_PURE_D = 4
 
 DEFAULT_HORIZONS = (96, 192, 336, 720)
 
@@ -392,33 +400,27 @@ def transfer_matrix(
     )
 
 
-def _pure_dataset(
-    omega: float, seed: int, n: int, d: int, m: int = 16, l: int = 3
-) -> Dataset:
-    """Standardized dataset whose every channel is a single sinusoid.
+def _pure_dataset(omega: float, seed: int, n: int) -> Dataset:
+    """Standardized _PURE_D-channel dataset of single sinusoids.
 
-    Uses a single-harmonic pool: sums of equal-frequency sines collapse
-    to one sinusoid per channel, with phase and amplitude set by the
-    pool draws.
+    Uses a single-harmonic pool of 16 sines, 3 summed per channel: sums
+    of equal-frequency sines collapse to one sinusoid per channel, with
+    phase and amplitude set by the pool draws.
     """
-    cfg = GeneratorConfig(omega_bar=omega, m=m, h=1, l=l, n=n, d=d, seed=seed)
+    cfg = GeneratorConfig(omega_bar=omega, m=16, h=1, l=3, n=n, d=_PURE_D, seed=seed)
     return standardize(synthesize(cfg))
 
 
 def _sample_distractors(
-    rng: np.random.Generator,
-    count: int,
-    exclude_around: float,
-    bin_width: float,
-    max_harmonic: int = 5,
+    rng: np.random.Generator, count: int, exclude_around: float, bin_width: float
 ) -> np.ndarray:
     """Log-uniform draws over DISTRACTOR_RANGE, avoiding a harmonic comb.
 
     Frequencies within one bin (``bin_width``) of k * exclude_around
-    for k = 1..max_harmonic are rejected and redrawn.
+    for k = 1..5 are rejected and redrawn.
     """
     lo, hi = DISTRACTOR_RANGE
-    comb = exclude_around * np.arange(1, max_harmonic + 1)
+    comb = exclude_around * np.arange(1, 6)
     comb = comb[comb < 0.5]
     out = np.empty(count, dtype=np.float64)
     filled = 0
@@ -442,13 +444,7 @@ def confusion_experiment(
     base_omega: float = 1 / 24,
     distractor_counts: tuple[int, ...] = (0, 1, 2, 4, 8, 16),
     seed: int = 0,
-    L: int = 8,
-    H: int = 96,
-    windows_per_sine: int = 256,
-    eval_windows: int = 512,
     n: int = 4096,
-    d: int = 4,
-    lam: float | None = 0.0,
 ) -> list[tuple[int, float]]:
     """Test MSE at the base frequency as distractor sines pile up.
 
@@ -457,36 +453,37 @@ def confusion_experiment(
     (distractor windows augment, never replace, the base windows).
     Evaluation uses held-out base-frequency windows.  Distractor
     frequencies avoid the base harmonic comb by one bin of the training
-    window, 1 / (L + H).
+    window, 1 / (L + H), with L = 8 and H = 96.
 
-    The default lookback is deliberately short: each frequency needs
-    about three directions of the affine map's L + 1, so crowding only
-    sets in once roughly (L + 1) / 3 frequencies compete.  At L = 96
-    the map can fit the whole default grid exactly and the curve stays
-    flat at zero.
+    The lookback is deliberately short: each frequency needs about
+    three directions of the affine map's L + 1, so crowding only sets
+    in once roughly (L + 1) / 3 frequencies compete.  At L = 96 the map
+    can fit the whole default grid exactly and the curve stays flat at
+    zero.
     """
+    L, H = 8, 96
     counts = tuple(
         _whole_number("distractor count", c, 0, ValueError) for c in distractor_counts
     )
     master = np.random.default_rng(seed)
-    base_ds = _pure_dataset(base_omega, _child_seed(master), n, d)
-    eval_ds = _pure_dataset(base_omega, _child_seed(master), n, d)
+    base_ds = _pure_dataset(base_omega, _child_seed(master), n)
+    eval_ds = _pure_dataset(base_omega, _child_seed(master), n)
     freqs = _sample_distractors(
         master, max(counts, default=0), base_omega, 1.0 / (L + H)
     )
-    distractor_ds = [_pure_dataset(f, _child_seed(master), n, d) for f in freqs]
+    distractor_ds = [_pure_dataset(f, _child_seed(master), n) for f in freqs]
 
-    base_ws, _ = sample_windows([base_ds], windows_per_sine, 0, L, H, _child_seed(master))
-    eval_ws, _ = sample_windows([eval_ds], eval_windows, 0, L, H, _child_seed(master))
+    base_ws, _ = sample_windows([base_ds], _WINDOWS_PER_SINE, 0, L, H, _child_seed(master))
+    eval_ws, _ = sample_windows([eval_ds], _EVAL_WINDOWS, 0, L, H, _child_seed(master))
     distractor_ws = [
-        sample_windows([ds], windows_per_sine, 0, L, H, _child_seed(master))[0]
+        sample_windows([ds], _WINDOWS_PER_SINE, 0, L, H, _child_seed(master))[0]
         for ds in distractor_ds
     ]
 
     curve = []
     for c in counts:
         train = _concat_windows([base_ws] + distractor_ws[:c])
-        model = fit_ridge(train, lam)
+        model = fit_ridge(train, 0.0)
         mse, _ = windowset_metrics(model, eval_ws)
         curve.append((c, mse))
     return curve
@@ -495,45 +492,39 @@ def confusion_experiment(
 def generalization_experiment(
     target_omega: float,
     seed: int = 0,
-    L: int = 96,
-    H: int = 96,
-    windows_per_freq: int = 256,
-    eval_windows: int = 512,
     n: int = 4096,
-    d: int = 4,
-    n_fillers: int = 3,
-    lam: float | None = 0.0,
 ) -> tuple[float, float]:
     """MSE on target-frequency windows with and without the target seen.
 
-    Trains twice on equal-size frequency sets: fillers plus the target,
-    and the same fillers plus a disjoint replacement frequency.  Both
-    models are scored on held-out target windows.
+    Trains twice on equal-size frequency sets, L = H = 96: three fillers
+    plus the target, and the same fillers plus a disjoint replacement
+    frequency.  Both models are scored on held-out target windows.
     """
+    L, H = 96, 96
     master = np.random.default_rng(seed)
     bin_width = 1.0 / (L + H)
-    fillers = _sample_distractors(master, n_fillers + 1, target_omega, bin_width)
+    fillers = _sample_distractors(master, 4, target_omega, bin_width)
     replacement, fillers = float(fillers[-1]), fillers[:-1]
 
-    target_ds = _pure_dataset(target_omega, _child_seed(master), n, d)
-    eval_ds = _pure_dataset(target_omega, _child_seed(master), n, d)
-    filler_ds = [_pure_dataset(f, _child_seed(master), n, d) for f in fillers]
-    replacement_ds = _pure_dataset(replacement, _child_seed(master), n, d)
+    target_ds = _pure_dataset(target_omega, _child_seed(master), n)
+    eval_ds = _pure_dataset(target_omega, _child_seed(master), n)
+    filler_ds = [_pure_dataset(f, _child_seed(master), n) for f in fillers]
+    replacement_ds = _pure_dataset(replacement, _child_seed(master), n)
 
     filler_ws = [
-        sample_windows([ds], windows_per_freq, 0, L, H, _child_seed(master))[0]
+        sample_windows([ds], _WINDOWS_PER_SINE, 0, L, H, _child_seed(master))[0]
         for ds in filler_ds
     ]
     target_ws, _ = sample_windows(
-        [target_ds], windows_per_freq, 0, L, H, _child_seed(master)
+        [target_ds], _WINDOWS_PER_SINE, 0, L, H, _child_seed(master)
     )
     replacement_ws, _ = sample_windows(
-        [replacement_ds], windows_per_freq, 0, L, H, _child_seed(master)
+        [replacement_ds], _WINDOWS_PER_SINE, 0, L, H, _child_seed(master)
     )
-    eval_ws, _ = sample_windows([eval_ds], eval_windows, 0, L, H, _child_seed(master))
+    eval_ws, _ = sample_windows([eval_ds], _EVAL_WINDOWS, 0, L, H, _child_seed(master))
 
-    model_with = fit_ridge(_concat_windows(filler_ws + [target_ws]), lam)
-    model_without = fit_ridge(_concat_windows(filler_ws + [replacement_ws]), lam)
+    model_with = fit_ridge(_concat_windows(filler_ws + [target_ws]), 0.0)
+    model_without = fit_ridge(_concat_windows(filler_ws + [replacement_ws]), 0.0)
     mse_with, _ = windowset_metrics(model_with, eval_ws)
     mse_without, _ = windowset_metrics(model_without, eval_ws)
     return mse_with, mse_without
@@ -548,13 +539,13 @@ def harmonics_sweep(
     count_train: int = 2000,
     n: int = 16384,
     d: int = 5,
-    lam: float | None = None,
 ) -> list[tuple[int, str, float]]:
     """Zero-shot MSE per (harmonic count, target dataset) pair.
 
     For each target the fundamental is estimated from its periodogram;
     a fresh synthetic train set with the given h is fit and scored on
-    the target.  Returns |h_values| * |targets| rows (h, id, mse).
+    the target.  Ridge uses the relative default lambda.  Returns
+    |h_values| * |targets| rows (h, id, mse).
     """
     master = np.random.default_rng(seed)
     est = [estimate_fundamental(ds).omega_bar for _, ds in targets]
@@ -562,7 +553,7 @@ def harmonics_sweep(
     for h in h_values:
         for omega in est:
             windows = _windows([(omega, h)], master, count_train, 0, L, H, n=n, d=d)[0]
-            models.append(fit_ridge(windows, lam))
+            models.append(fit_ridge(windows))
     t = len(targets)
     mses = [_zero_shot(models[b::t], ds, L, (H,)) for b, (_, ds) in enumerate(targets)]
     return [
@@ -573,34 +564,24 @@ def harmonics_sweep(
 
 
 def synthetic_registry(
-    seed: int = 0,
-    fundamentals: tuple[float, ...] = (1 / 7, 1 / 24, 1 / 96),
-    copies: int = 2,
-    n: int = 8192,
-    d: int = 4,
-    h: int = 1,
+    seed: int = 0, n: int = 8192, d: int = 4
 ) -> list[tuple[str, Dataset]]:
     """Small pool of labelled synthetic datasets for transfer studies.
 
-    ``copies`` independent datasets per fundamental, each with h
-    harmonics, standardized, named like ``w24-a`` for omega = 1/24.
+    Two independent standardized datasets per fundamental 1/7, 1/24 and
+    1/96, built by build_datasets with one harmonic each and named like
+    ``w24-a`` for omega = 1/24.
 
-    The default h = 1 keeps same-fundamental copies affinely similar in
-    the spectrum (periodogram correlation near 1), so similarity-based
+    One harmonic keeps same-fundamental copies affinely similar in the
+    spectrum (periodogram correlation near 1), so similarity-based
     grouping of transfer cells is well populated; with h >= 2 the
-    independent per-harmonic amplitude draws make copies of the same
-    fundamental genuinely dissimilar.
+    independent per-harmonic amplitude draws would make copies of the
+    same fundamental genuinely dissimilar.
     """
-    master = np.random.default_rng(seed)
-    out = []
-    for omega in fundamentals:
-        for c in range(copies):
-            cfg = GeneratorConfig(
-                omega_bar=omega, h=h, n=n, d=d, seed=_child_seed(master)
-            )
-            name = f"w{round(1 / omega)}-{chr(ord('a') + c)}"
-            out.append((name, standardize(synthesize(cfg))))
-    return out
+    periods = (7, 24, 96)
+    names = [f"w{k}-{c}" for k in periods for c in "ab"]
+    laws = [(1 / k, 1) for k in periods for _ in "ab"]
+    return list(zip(names, build_datasets(laws, seed, n=n, d=d)))
 
 
 def size_variates_sweep(
@@ -611,9 +592,11 @@ def size_variates_sweep(
     L: int = 96,
     H: int = 96,
     n: int = 16384,
-    lam: float | None = None,
 ) -> np.ndarray:
-    """Zero-shot MSE grid over (training window count, variate count)."""
+    """Zero-shot MSE grid over (training window count, variate count).
+
+    Ridge uses the relative default lambda.
+    """
     master = np.random.default_rng(seed)
     omega = estimate_fundamental(target).omega_bar
     models = []
@@ -621,6 +604,6 @@ def size_variates_sweep(
     for size in sizes:
         for d in d_values:
             windows = _windows(laws, master, size, 0, L, H, n=n, d=d)[0]
-            models.append(fit_ridge(windows, lam))
+            models.append(fit_ridge(windows))
     mses = [r[0].mse for r in _zero_shot(models, target, L, (H,))]
     return np.array(mses, dtype=np.float64).reshape(len(sizes), len(d_values))

@@ -266,13 +266,11 @@ def model_from_json(text: str) -> LinearForecaster:
     for name in ("L", "H", "lambda", "weights"):
         if name not in doc:
             raise InvalidModel(f"model field {name!r} is missing")
-    L, H, lam, weights = doc["L"], doc["H"], doc["lambda"], doc["weights"]
-    for name, value in (("L", L), ("H", H)):
-        if not (_is_number(value) and 1 <= value < np.inf and value == int(value)):
-            raise InvalidModel(
-                f"model field {name!r} must be an integer >= 1, got {value!r}"
-            )
-    L, H = int(L), int(H)
+    L, H = (
+        _whole_number(f"model field {name!r}", doc[name], 1, InvalidModel)
+        for name in ("L", "H")
+    )
+    lam, weights = doc["lambda"], doc["weights"]
     if not (_is_number(lam) and 0.0 <= lam < np.inf):
         raise InvalidModel(
             f"model field 'lambda' must be a finite number >= 0, got {lam!r}"

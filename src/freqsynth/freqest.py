@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _whole_number
 from .errors import InsufficientData, InvalidPeriod, UnknownSamplingRate
 from .spectral import aggregate_periodogram, default_window_len, find_peaks
 
@@ -101,16 +101,15 @@ def estimate_fundamental(
     Among peaks at rel_threshold of the maximum power, the fundamental
     is the lowest-frequency peak with at least one harmonic partner: a
     peak within bin_tol bins of k times its frequency for some k in
-    2..5.  If no peak has a partner the strongest peak wins.  The
-    confidence is the fraction of total power within bin_tol bins of
-    the chosen frequency and its in-range harmonics.
+    HARMONIC_RANGE (2..5).  If no peak has a partner the strongest peak
+    wins.  The confidence is the fraction of total power within bin_tol
+    bins of the chosen frequency and its in-range harmonics.
     """
     if ds.n < 64:
         raise InsufficientData(
             f"need at least 64 samples to estimate a fundamental, got {ds.n}"
         )
-    if bin_tol < 1:
-        raise ValueError(f"bin_tol must be >= 1, got {bin_tol}")
+    bin_tol = _whole_number("bin_tol", bin_tol, 1, ValueError)
     w = default_window_len(ds.n)
     pgram = aggregate_periodogram(ds, w)
     peaks = find_peaks(pgram, rel_threshold)
@@ -118,9 +117,10 @@ def estimate_fundamental(
 
     freqs = np.array([f for f, _ in peaks])
     powers = np.array([p for _, p in peaks])
+    multiples = np.array(HARMONIC_RANGE)
     chosen = None
     for i, f in enumerate(freqs):
-        partners = np.abs(freqs[:, None] - f * np.arange(2, 6)[None, :]) <= tol
+        partners = np.abs(freqs[:, None] - f * multiples[None, :]) <= tol
         partners[i, :] = False
         if partners.any():
             chosen = float(f)
@@ -130,7 +130,7 @@ def estimate_fundamental(
 
     # Power captured by the chosen bin and its harmonics, each +- bin_tol.
     mask = np.zeros(len(pgram), dtype=bool)
-    for k in range(1, 6):
+    for k in (1, *HARMONIC_RANGE):
         target = k * chosen
         if target >= 0.5:
             break

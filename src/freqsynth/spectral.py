@@ -114,8 +114,8 @@ def dft(x) -> Spectrum:
     return Spectrum(coeffs=coeffs, n=n)
 
 
-def dft_naive(x, chunk: int = 128) -> Spectrum:
-    """Reference O(n^2) summation, chunked over output bins.
+def dft_naive(x) -> Spectrum:
+    """Reference O(n^2) summation, in chunks of 128 output bins.
 
     Exists as an independent check on :func:`dft`; the two agree to
     1e-9 relative error for n up to a few thousand.
@@ -124,6 +124,7 @@ def dft_naive(x, chunk: int = 128) -> Spectrum:
     n = arr.size
     t = np.arange(1, n + 1, dtype=np.float64)
     coeffs = np.empty(n, dtype=np.complex128)
+    chunk = 128
     for start in range(0, n, chunk):
         j = np.arange(start, min(start + chunk, n), dtype=np.float64)
         kernel = np.exp((-2j * np.pi / n) * np.outer(j, t))
@@ -165,17 +166,19 @@ def aggregate_periodogram(ds: Dataset, window_len: int) -> Periodogram:
     return Periodogram(freqs=freqs, powers=powers.mean(axis=0))
 
 
-def default_window_len(n: int, cap: int = DEFAULT_WINDOW_CAP) -> int:
+def default_window_len(n: int) -> int:
     """Aggregation window for a length-n dataset.
 
-    The cap (1024) or, for shorter data, the largest power of two <= n.
+    DEFAULT_WINDOW_CAP (1024) or, for shorter data, the largest power of
+    two <= n.
     """
     n = _whole_number("series length n", n, 16)
-    return min(cap, 1 << (n.bit_length() - 1))
+    return min(DEFAULT_WINDOW_CAP, 1 << (n.bit_length() - 1))
 
 
-def common_grid(size: int = COMMON_GRID_SIZE) -> np.ndarray:
-    """``size`` uniformly spaced frequencies strictly inside (0, 0.5)."""
+def common_grid() -> np.ndarray:
+    """COMMON_GRID_SIZE uniformly spaced frequencies strictly inside (0, 0.5)."""
+    size = COMMON_GRID_SIZE
     return 0.5 * np.arange(1, size + 1, dtype=np.float64) / (size + 1)
 
 

@@ -1,8 +1,8 @@
 """sha256 of every file the CLI writes for one seed.
 
 Runs the freqsynth subcommands below with ``--seed SEED`` in a fresh
-directory and prints one ``<sha256>  <file>`` line per output file, 17
-in all.  Two checkouts are bit-for-bit equal on these outputs when their
+directory and prints one ``<sha256>  <file>`` line per output file, 21
+in all: every --out, --raw-out and --plot.  Two checkouts are bit-for-bit equal on these outputs when their
 printouts are, e.g.
 
     PYTHONPATH=src python tests/cli_digests.py --seed 0 > after.txt
@@ -18,19 +18,27 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
 
 from freqsynth.cli import main
 
+# generate --config input, written before the runs; it sets no seed,
+# so the --seed flag alone decides it.
+CONFIG = {"omega_bar": 0.05, "h": 2, "n": 3000, "d": 3}
+
 
 def invocations(seed: int) -> list[list[str]]:
-    """Each subcommand's argv; every output file is named by an --out."""
+    """Each subcommand's argv; every output file is named by an --out,
+    --raw-out or --plot."""
     s = ["--seed", str(seed)]
     return [
         ["generate", "--rate", "1h", *s, "--out", "gen_rate.csv"],
         ["generate", "--omega", "0.1", "--h", "2", *s, "--out", "gen_omega.csv"],
-        ["periodogram", "--input", "gen_rate.csv", "--out", "periodogram.csv"],
+        ["generate", "--config", "config.json", *s, "--out", "gen_config.csv"],
+        ["periodogram", "--input", "gen_rate.csv", "--out", "periodogram.csv",
+         "--plot", "periodogram.svg"],
         ["estimate", "--input", "gen_rate.csv", "--out", "estimate.json"],
         ["similarity", "--inputs", "gen_rate.csv", "gen_omega.csv",
          "--out", "similarity.csv"],
@@ -42,10 +50,11 @@ def invocations(seed: int) -> list[list[str]]:
          "--out", "evaluate_ridge.json"],
         ["evaluate", "--model", "seasonal:24", "--input", "gen_rate.csv",
          "--split", "0.7,0.1,0.2", *s, "--out", "evaluate_seasonal.csv"],
-        ["confusion", *s, "--out", "confusion.csv"],
+        ["confusion", *s, "--out", "confusion.csv", "--plot", "confusion.svg"],
         ["generalization", *s, "--out", "generalization.json"],
         ["transfer", *s, "--out", "transfer.csv", "--raw-out", "transfer_raw.csv"],
-        ["sweep-harmonics", "--h-values", "1,2,3", *s, "--out", "sweep_harmonics.csv"],
+        ["sweep-harmonics", "--h-values", "1,2,3", *s, "--out", "sweep_harmonics.csv",
+         "--plot", "sweep_harmonics.svg"],
         ["sweep-size", "--sizes", "300,600", "--d-values", "1,3", *s,
          "--out", "sweep_size.csv"],
         ["bench-gen", *s, "--out", "bench_gen.json"],
@@ -53,7 +62,8 @@ def invocations(seed: int) -> list[list[str]]:
 
 
 def outputs(argv: list[str]) -> list[str]:
-    return [argv[i + 1] for i, a in enumerate(argv) if a in ("--out", "--raw-out")]
+    return [argv[i + 1] for i, a in enumerate(argv)
+            if a in ("--out", "--raw-out", "--plot")]
 
 
 def digests(seed: int, directory: str) -> list[tuple[str, str]]:
@@ -61,6 +71,8 @@ def digests(seed: int, directory: str) -> list[tuple[str, str]]:
     cwd = os.getcwd()
     os.chdir(directory)
     try:
+        with open("config.json", "w", encoding="utf-8") as f:
+            json.dump(CONFIG, f)
         rows = []
         for argv in invocations(seed):
             # bench-gen prints its timing; keep stdout to the digests

@@ -463,6 +463,34 @@ def freq_synth_mix(
     return sample_windows(datasets, count_train, count_val, L, H, sample_seed)
 
 
+def synthetic_registry(
+    seed: int = 0,
+    fundamentals: tuple[float, ...] = (1 / 7, 1 / 24, 1 / 96),
+    copies: int = 2,
+    n: int = 8192,
+    d: int = 4,
+    h: int = 1,
+) -> list[tuple[str, Dataset]]:
+    """Small pool of labelled synthetic datasets for transfer studies.
+
+    The registry's own child-seed loop from before it became one
+    build_datasets call, copied unchanged.
+
+    ``copies`` independent datasets per fundamental, each with h
+    harmonics, standardized, named like ``w24-a`` for omega = 1/24.
+    """
+    master = np.random.default_rng(seed)
+    out = []
+    for omega in fundamentals:
+        for c in range(copies):
+            cfg = GeneratorConfig(
+                omega_bar=omega, h=h, n=n, d=d, seed=_child_seed(master)
+            )
+            name = f"w{round(1 / omega)}-{chr(ord('a') + c)}"
+            out.append((name, standardize(synthesize(cfg))))
+    return out
+
+
 def scaled_periodogram(x) -> Periodogram:
     """Scaled periodogram of one series.
 

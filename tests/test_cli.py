@@ -138,6 +138,41 @@ class TestGenerate:
         rc = main(["generate", "--config", cfg, "--rate", "1h", "--out", out])
         assert rc == 0
 
+    def test_config_rate_flag_overrides_file_omega(self, tmp_path):
+        # --rate 1h is omega 1/24; --omega, when also given, wins over it
+        cfg = write_config(tmp_path / "c.json", omega_bar=0.1, n=256, d=1)
+        paths = {k: str(tmp_path / f"{k}.csv") for k in ("rate", "omega", "both")}
+        main(["generate", "--config", cfg, "--rate", "1h", "--out", paths["rate"]])
+        main(["generate", "--config", cfg, "--omega", str(1 / 24),
+              "--out", paths["omega"]])
+        main(["generate", "--config", cfg, "--rate", "1d", "--omega", str(1 / 24),
+              "--out", paths["both"]])
+        assert read_bytes(paths["rate"]) == read_bytes(paths["omega"])
+        assert read_bytes(paths["both"]) == read_bytes(paths["omega"])
+        plain = str(tmp_path / "plain.csv")
+        main(["generate", "--config", cfg, "--out", plain])
+        assert read_bytes(plain) != read_bytes(paths["rate"])
+
+    def test_config_seed_kept_unless_flag_given(self, tmp_path):
+        seeded = write_config(tmp_path / "s.json", omega_bar=0.1, n=256, d=1, seed=5)
+        bare = write_config(tmp_path / "b.json", omega_bar=0.1, n=256, d=1)
+        paths = {k: str(tmp_path / f"{k}.csv") for k in ("file", "flag", "over")}
+        main(["generate", "--config", seeded, "--out", paths["file"]])
+        main(["generate", "--config", bare, "--seed", "5", "--out", paths["flag"]])
+        main(["generate", "--config", seeded, "--seed", "0", "--out", paths["over"]])
+        assert read_bytes(paths["file"]) == read_bytes(paths["flag"])
+        bare_default = str(tmp_path / "bare.csv")
+        main(["generate", "--config", bare, "--out", bare_default])
+        assert read_bytes(paths["over"]) == read_bytes(bare_default)
+        assert read_bytes(paths["file"]) != read_bytes(bare_default)
+
+    def test_config_bad_rate_is_one_line_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", omega_bar=0.1, n=256, d=1)
+        out = str(tmp_path / "x.csv")
+        assert main(["generate", "--config", cfg, "--rate", "2y", "--out", out]) == 2
+        assert "2y" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
 
 class TestPeriodogramAndEstimate:
     def test_periodogram_csv_and_plot(self, tmp_path):

@@ -615,6 +615,17 @@ class TestSyntheticRegistry:
         for _, ds in reg:
             assert ds.standardized
 
+    @pytest.mark.parametrize("seed, n, d", [(0, 8192, 4), (1, 2048, 2), (7, 300, 1)])
+    def test_matches_the_child_seed_loop(self, seed, n, d):
+        got = synthetic_registry(seed=seed, n=n, d=d)
+        want = oracles.synthetic_registry(seed=seed, n=n, d=d)
+        assert [name for name, _ in got] == [name for name, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.provenance == b.provenance
+            assert a.channel_names == b.channel_names
+            assert a.standardized and b.standardized
+
 
 class TestWindowsetMetrics:
     def test_matches_direct_computation(self):

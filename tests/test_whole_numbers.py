@@ -21,6 +21,7 @@ from freqsynth import (
     build_datasets,
     confusion_experiment,
     default_window_len,
+    estimate_fundamental,
     evaluate_zero_shot,
     harmonic_set,
     sample_windows,
@@ -79,6 +80,10 @@ CASES = [
      ValueError, "d", repr(np.True_)),
     ("mix law size", lambda: build_datasets(["mix"], 0, n=2.5),
      ValueError, "n", "2.5", 2),
+    ("estimate bin_tol bool", lambda: estimate_fundamental(DS, bin_tol=True),
+     ValueError, "bin_tol", "True"),
+    ("estimate bin_tol fraction", lambda: estimate_fundamental(DS, bin_tol=1.5),
+     ValueError, "bin_tol", "1.5"),
 ]
 
 
