@@ -3,7 +3,10 @@
 A :class:`Dataset` is a d-channel real-valued series stored as a (d, n)
 float64 matrix together with channel names, an optional sampling-rate tag,
 and a free-text provenance string.  A :class:`WindowSet` is a batch of
-(lookback, horizon) training pairs cut from one or more datasets.
+(lookback, horizon) training pairs cut from one or more datasets.  It
+holds no window tensor: it keeps the source series and an (N, 3) gather
+index of (source, row, start), and gathers blocks of windows on demand,
+so a set keeps its source series alive.
 
 Both containers are frozen: the arrays they hold are marked read-only so
 downstream code can share them without defensive copies.
@@ -11,7 +14,7 @@ downstream code can share them without defensive copies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,25 +141,33 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
 class WindowSet:
-    """A batch of N (lookback, horizon) pairs.
+    """A batch of N (lookback, horizon) pairs, gathered on demand.
 
-    Fields
-    ------
-    lookbacks : (N, L) float64, read-only
-    horizons : (N, H) float64, read-only
+    The set holds read-only 2-D source arrays and an (N, 3) int64 gather
+    index: row i is window i, the L + H values of
+    ``sources[source][row, start:start + L + H]``.  It copies no window
+    until asked: ``block(lo, hi)`` gathers windows lo..hi-1 as one
+    (hi - lo, L + H) array, so a fit or a score can stream over blocks.
+    The set keeps its source series alive.
+
+    Attributes
+    ----------
+    count, L, H : window count, lookback length and horizon length
     origins : optional (N, 3) int64 of (dataset index, channel, start),
         recording where each window was cut; purely informational
+    lookbacks : (N, L) float64, read-only, gathered on first access
+    horizons : (N, H) float64, read-only, gathered on first access
+
+    ``WindowSet(lookbacks=, horizons=, origins=None)`` builds a set whose
+    one source holds one window per row; ``sample_windows`` builds sets
+    over the sampled datasets' series.  ``lookbacks`` and ``horizons``
+    gather the whole set at once, so library code reads blocks instead.
     """
 
-    lookbacks: np.ndarray
-    horizons: np.ndarray
-    origins: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        lb = _freeze(self.lookbacks)
-        hz = _freeze(self.horizons)
+    def __init__(self, lookbacks, horizons, origins=None):
+        lb = np.asarray(lookbacks, dtype=np.float64)
+        hz = np.asarray(horizons, dtype=np.float64)
         if lb.ndim != 2 or hz.ndim != 2:
             raise InvalidSeries("lookbacks and horizons must be 2-d (N, len)")
         if lb.shape[0] != hz.shape[0]:
@@ -167,28 +178,82 @@ class WindowSet:
             raise InvalidSeries("lookback and horizon lengths must be >= 1")
         if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(hz))):
             raise InvalidSeries("window values must be finite")
-        object.__setattr__(self, "lookbacks", lb)
-        object.__setattr__(self, "horizons", hz)
-        if self.origins is not None:
-            org = np.array(self.origins, dtype=np.int64, copy=True)
-            if org.shape != (lb.shape[0], 3):
+        index = np.zeros((lb.shape[0], 3), dtype=np.int64)
+        index[:, 1] = np.arange(lb.shape[0])
+        source = np.concatenate([lb, hz], axis=1)
+        source.setflags(write=False)
+        self._build((source,), index, lb.shape[1], hz.shape[1], origins)
+
+    @classmethod
+    def _gather(cls, sources, index, L: int, H: int, origins=None) -> "WindowSet":
+        """A set over read-only 2-D ``sources`` by an (N, 3) gather index
+        of (source, row, start); no window values are checked or copied."""
+        ws = object.__new__(cls)
+        ws._build(tuple(sources), index, L, H, origins)
+        return ws
+
+    def _build(self, sources, index, L, H, origins) -> None:
+        index = np.array(index, dtype=np.int64, copy=True)
+        index.setflags(write=False)
+        if origins is not None:
+            origins = np.array(origins, dtype=np.int64, copy=True)
+            if origins.shape != (index.shape[0], 3):
                 raise ShapeMismatch(
-                    f"origins shape {org.shape}, expected ({lb.shape[0]}, 3)"
+                    f"origins shape {origins.shape}, expected ({index.shape[0]}, 3)"
                 )
-            org.setflags(write=False)
-            object.__setattr__(self, "origins", org)
+            origins.setflags(write=False)
+        for name, value in (("_sources", sources), ("_index", index), ("L", L),
+                            ("H", H), ("origins", origins), ("_whole", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WindowSet is read-only; cannot set {name!r}")
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """Windows lo..hi-1 as a fresh (hi - lo, L + H) array."""
+        return self._take(lo, hi, 0, self.L + self.H)
+
+    def _take(self, lo: int, hi: int, first: int, stop: int) -> np.ndarray:
+        """Columns first..stop-1 of windows lo..hi-1, as a fresh array."""
+        if not 0 <= lo <= hi <= self.count:
+            raise IndexError(f"window range [{lo}, {hi}) outside [0, {self.count})")
+        source, row, start = self._index[lo:hi].T
+
+        def cut(s, rows):
+            windows = np.lib.stride_tricks.sliding_window_view(
+                self._sources[s], self.L + self.H, axis=1
+            )
+            return windows[row[rows], start[rows], first:stop]
+
+        if len(self._sources) == 1:
+            return cut(0, slice(None))
+        out = np.empty((hi - lo, stop - first))
+        for s in range(len(self._sources)):
+            rows = np.flatnonzero(source == s)
+            if rows.size:
+                out[rows] = cut(s, rows)
+        return out
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._whole is None:
+            whole = self.block(0, self.count)
+            whole.setflags(write=False)
+            object.__setattr__(
+                self, "_whole", (whole[:, : self.L], whole[:, self.L :])
+            )
+        return self._whole
+
+    @property
+    def lookbacks(self) -> np.ndarray:
+        return self._arrays()[0]
+
+    @property
+    def horizons(self) -> np.ndarray:
+        return self._arrays()[1]
 
     @property
     def count(self) -> int:
-        return self.lookbacks.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.lookbacks.shape[1]
-
-    @property
-    def H(self) -> int:
-        return self.horizons.shape[1]
+        return self._index.shape[0]
 
     def __len__(self) -> int:
         return self.count

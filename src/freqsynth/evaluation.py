@@ -150,8 +150,9 @@ def _block_sums(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-model, per-column squared and absolute error sums over ``segments``.
 
-    ``segments`` lists (inputs, targets) pairs with one input row per
-    target row of ``width`` columns.  ``predict(inputs[rows], out)``
+    ``segments`` yields (inputs, targets) pairs, one input row per target
+    row of ``width`` columns; it may be a generator, so a caller can
+    gather each segment as it is scored.  ``predict(inputs[rows], out)``
     returns the predictions of k models for ``targets[rows]`` side by
     side, (rows, k * width), written into ``out`` when it can; each
     model's block is scored against the same targets and the sums come
@@ -162,11 +163,13 @@ def _block_sums(
     """
     cols = k * width
     step = max(1, _BLOCK // cols)
-    buf = np.empty((min(step, max(len(t) for _, t in segments)), cols))
+    buf = np.empty((0, cols))
     sse, sae = np.zeros((k, width)), np.zeros((k, width))
     for inputs, targets in segments:
         for lo in range(0, targets.shape[0], step):
             tg = targets[lo : lo + step]
+            if buf.shape[0] < tg.shape[0]:
+                buf = np.empty((tg.shape[0], cols))
             err = buf[: tg.shape[0]]
             pred = predict(inputs[lo : lo + step], err)
             shape = (tg.shape[0], k, width)
@@ -205,10 +208,19 @@ def metrics(preds, targets) -> tuple[float, float]:
 
 
 def windowset_metrics(model, ws: WindowSet) -> tuple[float, float]:
-    """(MSE, MAE) of a model over a window set, predictions blocked."""
+    """(MSE, MAE) of a model over a window set, predictions blocked.
+
+    Windows are gathered one _block_sums block at a time, so the sums
+    run in the order they would over the whole set at once.
+    """
     if ws.count == 0:
         raise ShapeMismatch("cannot score an empty window set")
-    return _score(_forecaster(model, ws.H), ws.lookbacks, ws.horizons)
+    step = max(1, _BLOCK // ws.H)
+    blocks = (ws.block(lo, min(lo + step, ws.count)) for lo in range(0, ws.count, step))
+    segments = ((b[:, : ws.L], b[:, ws.L :]) for b in blocks)
+    sse, sae = _block_sums(_forecaster(model, ws.H), segments, ws.H)
+    size = ws.count * ws.H
+    return float(sse[0].sum()) / size, float(sae[0].sum()) / size
 
 
 def _checked_window(
@@ -434,10 +446,15 @@ def _sample_distractors(
 
 
 def _concat_windows(sets: list[WindowSet]) -> WindowSet:
-    return WindowSet(
-        lookbacks=np.concatenate([w.lookbacks for w in sets], axis=0),
-        horizons=np.concatenate([w.horizons for w in sets], axis=0),
-    )
+    """The windows of ``sets`` in order, over all their sources; no
+    window is copied."""
+    sources, index = [], []
+    for ws in sets:
+        shifted = ws._index.copy()
+        shifted[:, 0] += len(sources)
+        sources.extend(ws._sources)
+        index.append(shifted)
+    return WindowSet._gather(sources, np.concatenate(index), sets[0].L, sets[0].H)
 
 
 def confusion_experiment(

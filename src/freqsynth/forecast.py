@@ -45,6 +45,9 @@ DEFAULT_LAMBDA_REL = 1e-3
 
 DEFAULT_ANCHOR = 1.0
 
+# Windows per block when a fit streams over a window set.
+_FIT_BLOCK = 4096
+
 
 def _as_batch(X, L: int | None = None) -> np.ndarray:
     """Validate lookbacks as a finite (N, L) float64 batch."""
@@ -172,10 +175,36 @@ class LinearForecaster:
         return y
 
 
-def _features(ws: WindowSet) -> tuple[np.ndarray, np.ndarray]:
-    """Instance-normalized design matrix [z; 1] and normalized targets."""
-    phi, mu, sd = _design(ws.lookbacks)
-    return phi, (ws.horizons - mu) / sd
+def _design_blocks(ws: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 1 of a fit: the (N, L + 1) design of ``ws`` with per-row mu, sd.
+
+    Lookbacks are gathered and designed _FIT_BLOCK windows at a time, so
+    each block's design is built exactly once and no window tensor is
+    held.
+    """
+    n = ws.count
+    phi, mu, sd = np.empty((n, ws.L + 1)), np.empty((n, 1)), np.empty((n, 1))
+    for lo in range(0, n, _FIT_BLOCK):
+        hi = min(lo + _FIT_BLOCK, n)
+        phi[lo:hi], mu[lo:hi], sd[lo:hi] = _design(ws._take(lo, hi, 0, ws.L))
+    return phi, mu, sd
+
+
+def _target_products(ws: WindowSet, left: np.ndarray, mu, sd) -> np.ndarray:
+    """Pass 2 of a fit: the sum over blocks of left_b' Y_b.
+
+    Y_b is the block's horizons normalized by its stored mu and sd (no
+    design is rebuilt); ``left`` has one row per window.
+    """
+    total = None
+    for lo in range(0, ws.count, _FIT_BLOCK):
+        hi = min(lo + _FIT_BLOCK, ws.count)
+        y = ws._take(lo, hi, ws.L, ws.L + ws.H)
+        y -= mu[lo:hi]
+        y /= sd[lo:hi]
+        part = left[lo:hi].T @ y
+        total = part if total is None else total + part
+    return total
 
 
 def _solve(phi: np.ndarray, diag: float, rhs: np.ndarray) -> np.ndarray:
@@ -183,6 +212,19 @@ def _solve(phi: np.ndarray, diag: float, rhs: np.ndarray) -> np.ndarray:
     gram = phi.T @ phi
     gram[np.diag_indices_from(gram)] += diag
     return np.linalg.solve(gram, rhs).T
+
+
+def _min_norm(ws: WindowSet, phi: np.ndarray, mu, sd) -> np.ndarray:
+    """Minimum-norm least-squares W of phi W' = Y, with lstsq's cutoff.
+
+    A thin SVD phi = U diag(s) V' drops singular values at or below
+    eps * max(N, L + 1) * s[0], as lstsq(rcond=None) does, and then
+    W' = V diag(1/s) sum_b U_b' Y_b.
+    """
+    u, s, vt = np.linalg.svd(phi, full_matrices=False)
+    rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * max(phi.shape) * s[0]))
+    rhs = _target_products(ws, u[:, :rank], mu, sd)
+    return (vt[:rank].T @ (rhs / s[:rank, None])).T
 
 
 def default_lambda(phi: np.ndarray) -> float:
@@ -194,19 +236,22 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
     """Minimize sum ||W [z;1] - y_norm||^2 + lam ||W||_F^2 over windows.
 
     lam=None picks the relative default; lam=0 solves exact least
-    squares via lstsq (minimum-norm on rank-deficient designs); lam>0
-    solves the normal equations directly.
+    squares through a thin SVD of the design (minimum-norm on
+    rank-deficient designs, with lstsq's singular-value cutoff); lam>0
+    solves the normal equations directly.  Windows are read in blocks of
+    _FIT_BLOCK: one pass designs the lookbacks, a second streams the
+    normalized horizons into the right-hand side.
     """
     if train.count == 0:
         raise EmptyTrainingSet("cannot fit on an empty window set")
-    phi, y = _features(train)
+    phi, mu, sd = _design_blocks(train)
     if lam is None:
         lam = default_lambda(phi)
     _check_coefficient("lam", lam)
     if lam == 0.0:
-        w = np.linalg.lstsq(phi, y, rcond=None)[0].T
+        w = _min_norm(train, phi, mu, sd)
     else:
-        w = _solve(phi, lam, phi.T @ y)
+        w = _solve(phi, lam, _target_products(train, phi, mu, sd))
     return LinearForecaster(weights=w, L=train.L, H=train.H, lam=float(lam))
 
 
@@ -236,8 +281,9 @@ def finetune(
     model_id = f"{model.model_id}-finetuned"
     if anchor == 0.0:
         return replace(fit_ridge(fewshot, lam), model_id=model_id)
-    phi, y = _features(fewshot)
-    w = _solve(phi, lam + anchor, phi.T @ y + anchor * model.weights.T)
+    phi, mu, sd = _design_blocks(fewshot)
+    rhs = _target_products(fewshot, phi, mu, sd) + anchor * model.weights.T
+    w = _solve(phi, lam + anchor, rhs)
     return LinearForecaster(
         weights=w, L=model.L, H=model.H, lam=float(lam), model_id=model_id
     )

@@ -113,7 +113,7 @@ class GeneratorConfig:
             raise InvalidAmplitudeScale(
                 f"A_prime must exceed 0.01, got {self.A_prime}"
             )
-        for name, lo in _SIZE_MINIMUM.items():
+        for name, lo in (*_SIZE_MINIMUM.items(), ("seed", 0)):
             value = _whole_number(name, getattr(self, name), lo, ValueError)
             object.__setattr__(self, name, value)
 
@@ -286,6 +286,8 @@ def sample_windows(
     Start positions run over every valid offset of every channel of
     every dataset; count_train + count_val distinct triples are drawn
     without replacement, the first count_train forming the train set.
+    Both sets gather their windows from the datasets' series, which they
+    share and keep alive; no window is copied here.
     """
     L = _whole_number("lookback L", L)
     H = _whole_number("horizon H", H)
@@ -318,23 +320,11 @@ def sample_windows(
     chan = local // starts_arr[ds_idx]
     start = local % starts_arr[ds_idx]
 
-    out = np.empty((need, length), dtype=np.float64)
-    for di, ds in enumerate(datasets):
-        rows = np.flatnonzero(ds_idx == di)
-        if rows.size == 0:
-            continue
-        views = np.lib.stride_tricks.sliding_window_view(
-            ds.values, length, axis=1
-        )
-        out[rows] = views[chan[rows], start[rows]]
     origins = np.column_stack([ds_idx, chan, start]).astype(np.int64)
+    sources = [ds.values for ds in datasets]
 
     def _cut(rows: slice) -> WindowSet:
-        return WindowSet(
-            lookbacks=out[rows, :L],
-            horizons=out[rows, L:],
-            origins=origins[rows],
-        )
+        return WindowSet._gather(sources, origins[rows], L, H, origins[rows])
 
     return _cut(slice(0, count_train)), _cut(slice(count_train, need))
 

@@ -10,6 +10,17 @@ printouts are, e.g.
 A refactor that must not change outputs compares seeds 0-2 this way
 before and after.  This is a script, not a pytest module; one seed
 takes about ten seconds on two cores.
+
+``--keep DIR`` also copies the 21 output files into DIR, so a change
+that moves numbers on purpose can compare values, not only hashes.
+Run each checkout with its own ``src`` on the path, then diff the
+kept trees, e.g.
+
+    (cd parent && PYTHONPATH=src python tests/cli_digests.py --seed 0 --keep /tmp/a)
+    (cd change && PYTHONPATH=src python tests/cli_digests.py --seed 0 --keep /tmp/b)
+    diff -r /tmp/a /tmp/b
+
+and read the numbers of each file that differs side by side.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import tempfile
 
 from freqsynth.cli import main
@@ -91,10 +103,15 @@ def digests(seed: int, directory: str) -> list[tuple[str, str]]:
 def main_digests(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--keep", metavar="DIR",
+                        help="also copy the output files into DIR")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
         for digest, name in digests(args.seed, directory):
             print(f"{digest}  {name}")
+            if args.keep is not None:
+                os.makedirs(args.keep, exist_ok=True)
+                shutil.copy(os.path.join(directory, name), args.keep)
     return 0
 
 

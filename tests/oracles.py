@@ -7,6 +7,7 @@ import numpy as np
 
 from freqsynth.dataio import _atomic_write, _is_number
 from freqsynth.dataset import Dataset, WindowSet, degenerate_channels
+from freqsynth.dataset import _whole_number as whole_number
 from freqsynth.evaluation import (
     DEFAULT_HORIZONS,
     EvalReport,
@@ -18,13 +19,14 @@ from freqsynth.forecast import (
     DEFAULT_ANCHOR,
     LinearForecaster,
     _check_coefficient,
-    _features,
+    _design,
     default_lambda,
 )
 from freqsynth.errors import (
     DegenerateChannel,
     EmptyDataset,
     EmptyTrainingSet,
+    InsufficientData,
     InvalidAmplitudeScale,
     InvalidWindow,
     MissingHeader,
@@ -528,8 +530,71 @@ def aggregate_periodogram(ds: Dataset, window_len: int) -> Periodogram:
     return Periodogram(freqs=freqs, powers=powers.mean(axis=0))
 
 
+def sample_windows_eager(datasets, count_train, count_val, L, H, seed):
+    """sample_windows from before window sets gathered on demand, copied
+    unchanged: it cuts every sampled window into one (need, L + H)
+    tensor, and each set copies its lookback and horizon columns."""
+    L = whole_number("lookback L", L)
+    H = whole_number("horizon H", H)
+    count_train = whole_number("count_train", count_train, 1, ValueError)
+    count_val = whole_number("count_val", count_val, 0, ValueError)
+    length = L + H
+    starts = []
+    for ds in datasets:
+        s = ds.n - length + 1
+        if s < 1:
+            raise WindowTooLong(
+                f"window length {length} exceeds series length {ds.n}"
+            )
+        starts.append(s)
+    sizes = [ds.d * s for ds, s in zip(datasets, starts)]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    need = count_train + count_val
+    if need > total:
+        raise InsufficientData(
+            f"requested {need} windows but only {total} distinct "
+            "(dataset, channel, start) triples exist"
+        )
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(total, size=need, replace=False)
+
+    ds_idx = np.searchsorted(offsets, flat, side="right") - 1
+    local = flat - offsets[ds_idx]
+    starts_arr = np.array(starts)
+    chan = local // starts_arr[ds_idx]
+    start = local % starts_arr[ds_idx]
+
+    out = np.empty((need, length), dtype=np.float64)
+    for di, ds in enumerate(datasets):
+        rows = np.flatnonzero(ds_idx == di)
+        if rows.size == 0:
+            continue
+        views = np.lib.stride_tricks.sliding_window_view(
+            ds.values, length, axis=1
+        )
+        out[rows] = views[chan[rows], start[rows]]
+    origins = np.column_stack([ds_idx, chan, start]).astype(np.int64)
+
+    def _cut(rows: slice) -> WindowSet:
+        return WindowSet(
+            lookbacks=out[rows, :L],
+            horizons=out[rows, L:],
+            origins=origins[rows],
+        )
+
+    return _cut(slice(0, count_train)), _cut(slice(count_train, need))
+
+
 # fit_ridge and finetune from before they shared one Gram solve, copied
-# unchanged.
+# unchanged, with the feature builder they used: the whole window set's
+# lookbacks and horizons at once.
+
+def _features(ws: WindowSet) -> tuple[np.ndarray, np.ndarray]:
+    """Instance-normalized design matrix [z; 1] and normalized targets."""
+    phi, mu, sd = _design(ws.lookbacks)
+    return phi, (ws.horizons - mu) / sd
+
 
 def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
     """Minimize sum ||W [z;1] - y_norm||^2 + lam ||W||_F^2 over windows.

@@ -132,6 +132,15 @@ class TestGenerate:
         assert err.count("\n") == 1 and field in err and "Traceback" not in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", True, -1])
+    def test_config_bad_seed_is_one_line_error(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path / "c.json", omega_bar=0.1, n=256, d=1, seed=seed)
+        out = str(tmp_path / "x.csv")
+        assert main(["generate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"freqsynth: error: seed must be an integer >= 0, got {seed!r}\n"
+        assert not os.path.exists(out)
+
     def test_rate_token_accepted(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", omega_bar=0.1, n=256, d=1)
         out = str(tmp_path / "y.csv")

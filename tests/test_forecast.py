@@ -35,6 +35,9 @@ import oracles
 
 STD_FLOOR = 1e-8
 
+# Declared bound on the exact (lam = 0) fit's move from lstsq to a thin SVD.
+SVD_RTOL = 1e-12
+
 
 def normalize_windows(ws):
     """Objective features exactly as the fitting contract states them."""
@@ -182,6 +185,19 @@ class TestFitRidge:
         assert np.max(np.abs(preds - horizons)) < 1e-6
         one = model.forecast(raw[0][None])[0]
         assert np.max(np.abs(one - preds[0])) < 1e-9
+
+    def test_rank_deficient_exact_fit_is_minimum_norm(self):
+        # windows of one sinusoid: z spans sin and cos, so the design
+        # [z; 1] has rank 3 of L + 1 = 97 and lam = 0 has many solutions
+        ws = sine_windows(1 / 24, 400, 96, 96, seed=5)
+        phi, _ = normalize_windows(ws)
+        assert np.linalg.matrix_rank(phi) == 3
+        got, want = fit_ridge(ws, 0.0).weights, oracles.fit_ridge(ws, 0.0).weights
+        assert np.max(np.abs(got - want)) <= SVD_RTOL * np.max(np.abs(want))
+        assert np.linalg.norm(got) <= np.linalg.norm(want) * (1 + SVD_RTOL)
+        # the minimum-norm solution has no component in the null space
+        null = np.linalg.svd(phi)[2][3:]
+        assert np.max(np.abs(got @ null.T)) <= SVD_RTOL * np.linalg.norm(got)
 
     def test_huge_lambda_shrinks_to_mean(self):
         ws = random_windows(80, 8, 4, seed=4)
@@ -344,16 +360,26 @@ class TestSerialization:
             LinearForecaster(weights=np.zeros((3, 4)), L=4, H=3, lam=0.0)
 
 
+def assert_same_fit(got, want, exact):
+    """Bitwise equal weights; within SVD_RTOL relative for an exact fit."""
+    if exact:
+        gap = np.max(np.abs(got.weights - want.weights))
+        assert gap <= SVD_RTOL * np.max(np.abs(want.weights))
+    else:
+        assert got.weights.tobytes() == want.weights.tobytes()
+    assert (got.lam, got.model_id) == (want.lam, want.model_id)
+
+
 class TestRidgeSolveBitForBit:
     """fit_ridge and finetune against the code before they shared one
-    Gram solve (tests/oracles.py), bit for bit."""
+    Gram solve (tests/oracles.py): bit for bit when lam > 0, within
+    SVD_RTOL when lam = 0, where an SVD replaced lstsq."""
 
     @pytest.mark.parametrize("lam", [None, 0.0, 1e-6, 0.3, 40.0])
     def test_fit_ridge(self, lam):
         ws = random_windows(120, 12, 5, seed=21)
         got, want = fit_ridge(ws, lam), oracles.fit_ridge(ws, lam)
-        assert got.weights.tobytes() == want.weights.tobytes()
-        assert (got.lam, got.model_id) == (want.lam, want.model_id)
+        assert_same_fit(got, want, exact=lam == 0.0)
 
     @pytest.mark.parametrize("anchor", [0.0, 1e-3, 1.0, 7.5])
     @pytest.mark.parametrize("lam", [None, 0.0, 0.2])
@@ -362,5 +388,4 @@ class TestRidgeSolveBitForBit:
         few = random_windows(15, 12, 5, seed=23)
         got = finetune(model, few, anchor, lam)
         want = oracles.finetune(model, few, anchor, lam)
-        assert got.weights.tobytes() == want.weights.tobytes()
-        assert (got.lam, got.model_id) == (want.lam, want.model_id)
+        assert_same_fit(got, want, exact=anchor == 0.0 and lam == 0.0)

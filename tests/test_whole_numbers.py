@@ -78,6 +78,14 @@ CASES = [
      InvalidWindow, "horizon", "True"),
     ("config numpy bool", lambda: GeneratorConfig(omega_bar=0.1, d=np.True_),
      ValueError, "d", repr(np.True_)),
+    ("config seed fraction", lambda: GeneratorConfig(omega_bar=0.1, seed=1.5),
+     ValueError, "seed", "1.5", 0),
+    ("config seed string", lambda: GeneratorConfig(omega_bar=0.1, seed="3"),
+     ValueError, "seed", "'3'", 0),
+    ("config seed bool", lambda: GeneratorConfig(omega_bar=0.1, seed=True),
+     ValueError, "seed", "True", 0),
+    ("config negative seed", lambda: GeneratorConfig(omega_bar=0.1, seed=-1),
+     ValueError, "seed", "-1", 0),
     ("mix law size", lambda: build_datasets(["mix"], 0, n=2.5),
      ValueError, "n", "2.5", 2),
     ("estimate bin_tol bool", lambda: estimate_fundamental(DS, bin_tol=True),
@@ -100,6 +108,10 @@ def test_whole_floats_and_numpy_integers_pass():
     assert NaiveForecaster().forecast(X, 3.0).shape == (2, 3)
     assert RIDGE.forecast(X, np.int64(5)).shape == (2, 5)
     assert SeasonalNaiveForecaster(np.int32(4)).period == 4
+    assert GeneratorConfig(omega_bar=0.1, seed=np.int64(0)).seed == 0
+    assert GeneratorConfig(omega_bar=0.1, seed=7.0).digest() == GeneratorConfig(
+        omega_bar=0.1, seed=7
+    ).digest()
     a, b = aggregate_periodogram(DS, 100.0), aggregate_periodogram(DS, 100)
     assert a.powers.tobytes() == b.powers.tobytes()
     train, val = sample_windows([DS], np.int64(4), 0.0, 8.0, np.int16(4), 0)

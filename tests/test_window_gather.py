@@ -1,0 +1,185 @@
+"""Window sets gathered on demand, against the eager sampler they replace.
+
+A window set keeps its source series and an (N, 3) gather index instead
+of a window tensor; tests/oracles.py keeps the sampler that cut every
+window up front.  Fits and scores read a set one block at a time and
+never its whole lookbacks or horizons, so their memory stays well under
+the window tensor's.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from freqsynth import (
+    Dataset,
+    WindowSet,
+    confusion_experiment,
+    finetune,
+    fit_ridge,
+    generalization_experiment,
+    sample_windows,
+    windowset_metrics,
+)
+from freqsynth import evaluation, forecast
+
+import oracles
+
+
+def noisy(n, d, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    vals = np.sin(2 * np.pi * t / 24)[None, :] + 0.3 * rng.normal(size=(d, n))
+    return Dataset(values=vals, channel_names=tuple(f"c{i}" for i in range(d)))
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestAgainstEagerSampler:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123])
+    def test_multi_dataset_multi_channel(self, seed):
+        datasets = [noisy(300 + 41 * i, d=1 + i, seed=seed + i) for i in range(3)]
+        got = sample_windows(datasets, 150, 40, 24, 16, seed)
+        want = oracles.sample_windows_eager(datasets, 150, 40, 24, 16, seed)
+        for g, w in zip(got, want):
+            assert (g.count, g.L, g.H) == (w.count, w.L, w.H)
+            assert_bitwise(g.block(0, g.count), np.hstack([w.lookbacks, w.horizons]))
+            assert_bitwise(g.lookbacks, w.lookbacks)
+            assert_bitwise(g.horizons, w.horizons)
+            assert_bitwise(g.origins, w.origins)
+
+    def test_one_dataset(self):
+        ds = noisy(500, d=2, seed=3)
+        got, _ = sample_windows([ds], 200, 0, 32, 8, 5)
+        want, _ = oracles.sample_windows_eager([ds], 200, 0, 32, 8, 5)
+        assert_bitwise(got.block(0, got.count), np.hstack([want.lookbacks, want.horizons]))
+
+    def test_blocks_tile_the_set(self):
+        datasets = [noisy(200, d=2, seed=i) for i in range(2)]
+        ws, _ = sample_windows(datasets, 90, 0, 16, 8, 4)
+        whole = ws.block(0, ws.count)
+        cuts = [0, 1, 1, 30, 64, 90]
+        parts = [ws.block(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        assert_bitwise(np.concatenate(parts), whole)
+
+    def test_train_and_validation_share_sources(self):
+        datasets = [noisy(200, d=2, seed=i) for i in range(2)]
+        train, val = sample_windows(datasets, 30, 10, 16, 8, 4)
+        for ws in (train, val):
+            assert [id(s) for s in ws._sources] == [id(ds.values) for ds in datasets]
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 11)])
+    def test_block_range_checked(self, lo, hi):
+        ws = WindowSet(lookbacks=np.ones((10, 4)), horizons=np.ones((10, 2)))
+        with pytest.raises(IndexError):
+            ws.block(lo, hi)
+
+    def test_constructed_set_is_read_only(self):
+        lb, hz = np.arange(12.0).reshape(3, 4), -np.arange(6.0).reshape(3, 2)
+        ws = WindowSet(lookbacks=lb, horizons=hz)
+        lb[0, 0] = 99.0  # the set keeps its own copy
+        assert_bitwise(ws.block(0, 3), np.hstack([np.arange(12.0).reshape(3, 4), hz]))
+        with pytest.raises(AttributeError):
+            ws.L = 5
+        with pytest.raises(ValueError):
+            ws.horizons[0, 0] = 1.0
+
+    def test_concatenation_keeps_window_order(self):
+        sets = [sample_windows([noisy(300, d=2, seed=i)], 40 + i, 0, 16, 8, i)[0]
+                for i in range(3)]
+        joined = evaluation._concat_windows(sets)
+        assert joined.count == sum(ws.count for ws in sets)
+        assert_bitwise(joined.block(0, joined.count),
+                       np.concatenate([ws.block(0, ws.count) for ws in sets]))
+
+
+class TestStreamedFits:
+    """A fit streamed over blocks against the same fit in one block."""
+
+    @pytest.fixture
+    def windows(self):
+        datasets = [noisy(400, d=3, seed=i) for i in range(2)]
+        return sample_windows(datasets, 500, 60, 24, 12, 8)
+
+    def test_block_designs_equal_the_whole_design(self, windows, monkeypatch):
+        train, _ = windows
+        monkeypatch.setattr(forecast, "_FIT_BLOCK", 37)
+        phi, mu, sd = forecast._design_blocks(train)
+        want_phi, want_mu, want_sd = forecast._design(train.lookbacks)
+        for got, want in ((phi, want_phi), (mu, want_mu), (sd, want_sd)):
+            assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("lam", [None, 0.0, 0.5])
+    def test_fit_ridge(self, windows, monkeypatch, lam):
+        train, _ = windows
+        whole = fit_ridge(train, lam)
+        monkeypatch.setattr(forecast, "_FIT_BLOCK", 37)
+        streamed = fit_ridge(train, lam)
+        assert relative_gap(streamed.weights, whole.weights) <= 1e-12
+        assert relative_gap(whole.weights, oracles.fit_ridge(train, lam).weights) <= 1e-12
+
+    def test_finetune(self, windows, monkeypatch):
+        train, val = windows
+        model = fit_ridge(train)
+        whole = finetune(model, val, anchor=2.0)
+        assert whole.weights.tobytes() == oracles.finetune(model, val, 2.0).weights.tobytes()
+        monkeypatch.setattr(forecast, "_FIT_BLOCK", 7)
+        streamed = finetune(model, val, anchor=2.0)
+        assert relative_gap(streamed.weights, whole.weights) <= 1e-12
+
+    def test_windowset_metrics_bit_for_bit(self, windows):
+        train, val = windows
+        model = fit_ridge(train)
+        got = windowset_metrics(model, val)
+        want = oracles.windowset_metrics_unstacked(model, val)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_library_paths_read_blocks_only(monkeypatch):
+    """Fits, scores and the experiment drivers never read a whole set."""
+
+    def refuse(self):
+        raise AssertionError("a library path read a whole window set")
+
+    train, val = sample_windows([noisy(600, d=2, seed=1)], 300, 60, 32, 16, 0)
+    monkeypatch.setattr(WindowSet, "lookbacks", property(refuse))
+    monkeypatch.setattr(WindowSet, "horizons", property(refuse))
+    with pytest.raises(AssertionError):
+        train.lookbacks
+    for lam in (None, 0.0, 0.5):
+        model = fit_ridge(train, lam)
+    finetune(model, val)
+    finetune(model, val, anchor=0.0)
+    windowset_metrics(model, val)
+    confusion_experiment(distractor_counts=(0, 2), seed=0, n=1024)
+    generalization_experiment(1 / 24, seed=0, n=1024)
+
+
+@pytest.mark.parametrize("lam", [None, 0.0])
+def test_peak_memory_under_half_the_window_tensor(monkeypatch, lam):
+    """sample_windows and fit_ridge at H = 720 each peak below half of the
+    N * (L + H) float64 tensor the eager sampler cut.  The block is shrunk
+    so that a small N still spans many blocks."""
+    monkeypatch.setattr(forecast, "_FIT_BLOCK", 128)
+    count, L, H = 3000, 96, 720
+    half = count * (L + H) * 8 / 2
+    ds = noisy(4000, d=4, seed=2)
+    tracemalloc.start()
+    try:
+        train, _ = sample_windows([ds], count, 0, L, H, 1)
+        sampled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        fit_ridge(train, lam)
+        fitted = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampled < half
+    assert fitted < half
