@@ -24,12 +24,13 @@ import hashlib
 import json
 import sys
 import time
+from xml.sax.saxutils import escape
 
 import numpy as np
 
 from . import dataio
 from .dataset import Dataset
-from .errors import FreqSynthError
+from .errors import FreqSynthError, InvalidPeriod
 from .evaluation import (
     SplitSpec,
     confusion_experiment,
@@ -103,6 +104,7 @@ def _svg_line_plot(path, xs, ys, title, xlabel, ylabel):
         return height - mb - (y - ymin) / (ymax - ymin) * (height - mt - mb)
 
     points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -225,7 +227,12 @@ def _resolve_model(token: str):
     if token == "naive":
         return NaiveForecaster()
     if token.startswith("seasonal:"):
-        return SeasonalNaiveForecaster(int(token.split(":", 1)[1]))
+        try:
+            return SeasonalNaiveForecaster(int(token.split(":", 1)[1]))
+        except (ValueError, InvalidPeriod):
+            raise InvalidPeriod(
+                f"--model {token}: the period must be an integer >= 1"
+            ) from None
     with open(token, "r", encoding="utf-8") as f:
         return model_from_json(f.read())
 

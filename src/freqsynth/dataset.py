@@ -4,9 +4,8 @@ A :class:`Dataset` is a d-channel real-valued series stored as a (d, n)
 float64 matrix together with channel names, an optional sampling-rate tag,
 and a free-text provenance string.  A :class:`WindowSet` is a batch of
 (lookback, horizon) training pairs cut from one or more datasets.  It
-holds no window tensor: it keeps the source series and an (N, 3) gather
-index of (source, row, start), and gathers blocks of windows on demand,
-so a set keeps its source series alive.
+holds no window tensor: it keeps one flat series and the start offset of
+each window in it, and gathers blocks of windows on demand.
 
 Both containers are frozen: the arrays they hold are marked read-only so
 downstream code can share them without defensive copies.
@@ -144,25 +143,25 @@ class Dataset:
 class WindowSet:
     """A batch of N (lookback, horizon) pairs, gathered on demand.
 
-    The set holds read-only 2-D source arrays and an (N, 3) int64 gather
-    index: row i is window i, the L + H values of
-    ``sources[source][row, start:start + L + H]``.  It copies no window
-    until asked: ``block(lo, hi)`` gathers windows lo..hi-1 as one
+    The set holds one read-only 1-D series and an int64 vector of N
+    start offsets: window i is the L + H values
+    ``series[starts[i]:starts[i] + L + H]``.  It copies no window until
+    asked: ``block(lo, hi)`` gathers windows lo..hi-1 as one
     (hi - lo, L + H) array, so a fit or a score can stream over blocks.
-    The set keeps its source series alive.
 
     Attributes
     ----------
     count, L, H : window count, lookback length and horizon length
     origins : optional (N, 3) int64 of (dataset index, channel, start),
         recording where each window was cut; purely informational
-    lookbacks : (N, L) float64, read-only, gathered on first access
-    horizons : (N, H) float64, read-only, gathered on first access
+    lookbacks : (N, L) float64, read-only, gathered on each access
+    horizons : (N, H) float64, read-only, gathered on each access
 
     ``WindowSet(lookbacks=, horizons=, origins=None)`` builds a set whose
-    one source holds one window per row; ``sample_windows`` builds sets
-    over the sampled datasets' series.  ``lookbacks`` and ``horizons``
-    gather the whole set at once, so library code reads blocks instead.
+    series is the ravelled ``[lookbacks | horizons]``; ``sample_windows``
+    builds sets over the sampled datasets' channels laid end to end.
+    ``lookbacks`` and ``horizons`` gather the whole set, so library code
+    reads blocks instead.
     """
 
     def __init__(self, lookbacks, horizons, origins=None):
@@ -178,32 +177,40 @@ class WindowSet:
             raise InvalidSeries("lookback and horizon lengths must be >= 1")
         if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(hz))):
             raise InvalidSeries("window values must be finite")
-        index = np.zeros((lb.shape[0], 3), dtype=np.int64)
-        index[:, 1] = np.arange(lb.shape[0])
-        source = np.concatenate([lb, hz], axis=1)
-        source.setflags(write=False)
-        self._build((source,), index, lb.shape[1], hz.shape[1], origins)
+        L, H = lb.shape[1], hz.shape[1]
+        series = np.concatenate([lb, hz], axis=1).ravel()
+        self._build(series, np.arange(lb.shape[0]) * (L + H), L, H, origins)
 
     @classmethod
-    def _gather(cls, sources, index, L: int, H: int, origins=None) -> "WindowSet":
-        """A set over read-only 2-D ``sources`` by an (N, 3) gather index
-        of (source, row, start); no window values are checked or copied."""
+    def _over(cls, series, starts, L: int, H: int, origins=None) -> "WindowSet":
+        """A set over a 1-D ``series`` by window ``starts``; no window
+        values are checked or copied."""
         ws = object.__new__(cls)
-        ws._build(tuple(sources), index, L, H, origins)
+        ws._build(series, starts, L, H, origins)
         return ws
 
-    def _build(self, sources, index, L, H, origins) -> None:
-        index = np.array(index, dtype=np.int64, copy=True)
-        index.setflags(write=False)
+    @classmethod
+    def _concat(cls, sets: list["WindowSet"]) -> "WindowSet":
+        """The windows of ``sets`` in order, over their series laid end to
+        end; origins are dropped."""
+        shifts = np.cumsum([0] + [ws._series.size for ws in sets[:-1]])
+        starts = [ws._starts + shift for ws, shift in zip(sets, shifts)]
+        series = np.concatenate([ws._series for ws in sets])
+        return cls._over(series, np.concatenate(starts), sets[0].L, sets[0].H)
+
+    def _build(self, series, starts, L, H, origins) -> None:
+        series.setflags(write=False)
+        starts = np.array(starts, dtype=np.int64, copy=True)
+        starts.setflags(write=False)
         if origins is not None:
             origins = np.array(origins, dtype=np.int64, copy=True)
-            if origins.shape != (index.shape[0], 3):
+            if origins.shape != (starts.size, 3):
                 raise ShapeMismatch(
-                    f"origins shape {origins.shape}, expected ({index.shape[0]}, 3)"
+                    f"origins shape {origins.shape}, expected ({starts.size}, 3)"
                 )
             origins.setflags(write=False)
-        for name, value in (("_sources", sources), ("_index", index), ("L", L),
-                            ("H", H), ("origins", origins), ("_whole", None)):
+        for name, value in (("_series", series), ("_starts", starts), ("L", L),
+                            ("H", H), ("origins", origins)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -217,43 +224,29 @@ class WindowSet:
         """Columns first..stop-1 of windows lo..hi-1, as a fresh array."""
         if not 0 <= lo <= hi <= self.count:
             raise IndexError(f"window range [{lo}, {hi}) outside [0, {self.count})")
-        source, row, start = self._index[lo:hi].T
+        if lo == hi:  # an empty set's series may be shorter than one window
+            return np.empty((0, stop - first))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            self._series, self.L + self.H
+        )
+        return windows[self._starts[lo:hi], first:stop]
 
-        def cut(s, rows):
-            windows = np.lib.stride_tricks.sliding_window_view(
-                self._sources[s], self.L + self.H, axis=1
-            )
-            return windows[row[rows], start[rows], first:stop]
-
-        if len(self._sources) == 1:
-            return cut(0, slice(None))
-        out = np.empty((hi - lo, stop - first))
-        for s in range(len(self._sources)):
-            rows = np.flatnonzero(source == s)
-            if rows.size:
-                out[rows] = cut(s, rows)
-        return out
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._whole is None:
-            whole = self.block(0, self.count)
-            whole.setflags(write=False)
-            object.__setattr__(
-                self, "_whole", (whole[:, : self.L], whole[:, self.L :])
-            )
-        return self._whole
+    def _frozen(self, first: int, stop: int) -> np.ndarray:
+        whole = self._take(0, self.count, first, stop)
+        whole.setflags(write=False)
+        return whole
 
     @property
     def lookbacks(self) -> np.ndarray:
-        return self._arrays()[0]
+        return self._frozen(0, self.L)
 
     @property
     def horizons(self) -> np.ndarray:
-        return self._arrays()[1]
+        return self._frozen(self.L, self.L + self.H)
 
     @property
     def count(self) -> int:
-        return self._index.shape[0]
+        return self._starts.size
 
     def __len__(self) -> int:
         return self.count

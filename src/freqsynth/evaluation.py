@@ -445,18 +445,6 @@ def _sample_distractors(
     return out
 
 
-def _concat_windows(sets: list[WindowSet]) -> WindowSet:
-    """The windows of ``sets`` in order, over all their sources; no
-    window is copied."""
-    sources, index = [], []
-    for ws in sets:
-        shifted = ws._index.copy()
-        shifted[:, 0] += len(sources)
-        sources.extend(ws._sources)
-        index.append(shifted)
-    return WindowSet._gather(sources, np.concatenate(index), sets[0].L, sets[0].H)
-
-
 def confusion_experiment(
     base_omega: float = 1 / 24,
     distractor_counts: tuple[int, ...] = (0, 1, 2, 4, 8, 16),
@@ -499,7 +487,7 @@ def confusion_experiment(
 
     curve = []
     for c in counts:
-        train = _concat_windows([base_ws] + distractor_ws[:c])
+        train = WindowSet._concat([base_ws] + distractor_ws[:c])
         model = fit_ridge(train, 0.0)
         mse, _ = windowset_metrics(model, eval_ws)
         curve.append((c, mse))
@@ -540,8 +528,8 @@ def generalization_experiment(
     )
     eval_ws, _ = sample_windows([eval_ds], _EVAL_WINDOWS, 0, L, H, _child_seed(master))
 
-    model_with = fit_ridge(_concat_windows(filler_ws + [target_ws]), 0.0)
-    model_without = fit_ridge(_concat_windows(filler_ws + [replacement_ws]), 0.0)
+    model_with = fit_ridge(WindowSet._concat(filler_ws + [target_ws]), 0.0)
+    model_without = fit_ridge(WindowSet._concat(filler_ws + [replacement_ws]), 0.0)
     mse_with, _ = windowset_metrics(model_with, eval_ws)
     mse_without, _ = windowset_metrics(model_without, eval_ws)
     return mse_with, mse_without

@@ -105,6 +105,10 @@ class GeneratorConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} is out of range, got {value!r}") from None
         if not 0.0 < self.omega_bar < 0.5:
             raise ValueError(
                 f"omega_bar must be in (0, 0.5), got {self.omega_bar}"
@@ -286,8 +290,8 @@ def sample_windows(
     Start positions run over every valid offset of every channel of
     every dataset; count_train + count_val distinct triples are drawn
     without replacement, the first count_train forming the train set.
-    Both sets gather their windows from the datasets' series, which they
-    share and keep alive; no window is copied here.
+    Both sets gather from one shared copy of the datasets' channels laid
+    end to end, so they do not keep the datasets alive; no window is copied.
     """
     L = _whole_number("lookback L", L)
     H = _whole_number("horizon H", H)
@@ -321,12 +325,14 @@ def sample_windows(
     start = local % starts_arr[ds_idx]
 
     origins = np.column_stack([ds_idx, chan, start]).astype(np.int64)
-    sources = [ds.values for ds in datasets]
-
-    def _cut(rows: slice) -> WindowSet:
-        return WindowSet._gather(sources, origins[rows], L, H, origins[rows])
-
-    return _cut(slice(0, count_train)), _cut(slice(count_train, need))
+    series = np.concatenate([ds.values.ravel() for ds in datasets])
+    base = np.concatenate([[0], np.cumsum([ds.values.size for ds in datasets])])
+    lengths = np.array([ds.n for ds in datasets])
+    flat_starts = base[ds_idx] + chan * lengths[ds_idx] + start
+    return tuple(
+        WindowSet._over(series, flat_starts[rows], L, H, origins[rows])
+        for rows in (slice(0, count_train), slice(count_train, need))
+    )
 
 
 def _child_seed(rng: np.random.Generator) -> int:

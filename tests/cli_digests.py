@@ -1,20 +1,22 @@
-"""sha256 of every file the CLI writes for one seed.
+"""sha256 of every file the CLI writes for one or more seeds.
 
 Runs the freqsynth subcommands below with ``--seed SEED`` in a fresh
 directory and prints one ``<sha256>  <file>`` line per output file, 21
-in all: every --out, --raw-out and --plot.  Two checkouts are bit-for-bit equal on these outputs when their
-printouts are, e.g.
+per seed: every --out, --raw-out and --plot.  Two checkouts are
+bit-for-bit equal on these outputs when their printouts are, e.g.
 
-    PYTHONPATH=src python tests/cli_digests.py --seed 0 > after.txt
+    PYTHONPATH=src python tests/cli_digests.py --seed 0 1 2 > after.txt
 
 A refactor that must not change outputs compares seeds 0-2 this way
-before and after.  This is a script, not a pytest module; one seed
-takes about ten seconds on two cores.
+before and after.  With one seed the lines name the bare files, as
+older checkouts print them; with several, each file is prefixed with
+``seed<k>/``.  This is a script, not a pytest module; one seed takes
+about ten seconds on two cores.
 
-``--keep DIR`` also copies the 21 output files into DIR, so a change
-that moves numbers on purpose can compare values, not only hashes.
-Run each checkout with its own ``src`` on the path, then diff the
-kept trees, e.g.
+``--keep DIR`` also copies the output files into DIR (into
+``DIR/seed<k>/`` with several seeds), so a change that moves numbers on
+purpose can compare values, not only hashes.  Run each checkout with
+its own ``src`` on the path, then diff the kept trees, e.g.
 
     (cd parent && PYTHONPATH=src python tests/cli_digests.py --seed 0 --keep /tmp/a)
     (cd change && PYTHONPATH=src python tests/cli_digests.py --seed 0 --keep /tmp/b)
@@ -102,16 +104,19 @@ def digests(seed: int, directory: str) -> list[tuple[str, str]]:
 
 def main_digests(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--keep", metavar="DIR",
                         help="also copy the output files into DIR")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as directory:
-        for digest, name in digests(args.seed, directory):
-            print(f"{digest}  {name}")
-            if args.keep is not None:
-                os.makedirs(args.keep, exist_ok=True)
-                shutil.copy(os.path.join(directory, name), args.keep)
+    for seed in args.seed:
+        prefix = f"seed{seed}/" if len(args.seed) > 1 else ""
+        with tempfile.TemporaryDirectory() as directory:
+            for digest, name in digests(seed, directory):
+                print(f"{digest}  {prefix}{name}")
+                if args.keep is not None:
+                    keep = os.path.join(args.keep, prefix)
+                    os.makedirs(keep, exist_ok=True)
+                    shutil.copy(os.path.join(directory, name), keep)
     return 0
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -329,6 +330,17 @@ class TestFitEvaluate:
         for line in lines[1:]:
             assert float(line.split(",")[2]) <= 1e-12
 
+    @pytest.mark.parametrize("period", ["abc", "", "0", "2.5"])
+    def test_evaluate_bad_seasonal_period_names_the_token(self, tmp_path, capsys, period):
+        data = gen_csv(tmp_path, "per", omega=1 / 24, h=1, n=512, d=1)
+        out = str(tmp_path / "sn.csv")
+        token = f"seasonal:{period}"
+        capsys.readouterr()
+        assert main(["evaluate", "--model", token, "--input", data, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and token in err[0]
+        assert not os.path.exists(out)
+
     def test_evaluate_split_protocol(self, tmp_path):
         data = gen_csv(tmp_path, "sp", omega=1 / 24, h=1, n=2048, d=1)
         out = str(tmp_path / "split.csv")
@@ -413,6 +425,17 @@ class TestExperimentCommands:
         lines = open(out, encoding="utf-8").read().splitlines()
         assert lines[0] == "h,dataset,mse"
         assert len(lines) == 2
+
+    def test_plot_text_is_escaped(self, tmp_path):
+        data = gen_csv(tmp_path, "a&b<c", omega=1 / 24, h=1, n=2048, d=1)
+        svg = str(tmp_path / "s.svg")
+        rc = main(
+            ["sweep-harmonics", "--input", data, "--h-values", "1",
+             "--out", str(tmp_path / "s.csv"), "--plot", svg]
+        )
+        assert rc == 0
+        texts = [t.text for t in ElementTree.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert f"harmonics sweep on {data}" in texts
 
     def test_sweep_size_grid(self, tmp_path):
         out = str(tmp_path / "z.csv")

@@ -109,6 +109,26 @@ class TestConfig:
         assert type(cfg.m) is int and type(cfg.n) is int
         assert cfg.digest() == GeneratorConfig(omega_bar=0.1, n=2048).digest()
 
+    @pytest.mark.parametrize("real", [float, np.float64, np.float32, np.float16])
+    def test_real_fields_become_floats(self, real):
+        cfg = GeneratorConfig(omega_bar=real(0.125), A_prime=real(2.0), n=256, d=1)
+        assert type(cfg.omega_bar) is float and type(cfg.A_prime) is float
+        assert cfg.digest() == GeneratorConfig(
+            omega_bar=0.125, A_prime=2.0, n=256, d=1
+        ).digest()
+        assert cfg.digest() in synthesize(cfg).provenance
+
+    @pytest.mark.parametrize("real", [float, np.float64])
+    def test_real_fields_keep_their_digest(self, real):
+        # the digest this config had before its real fields were stored
+        # as floats
+        cfg = GeneratorConfig(omega_bar=real(0.1), A_prime=real(0.3))
+        assert cfg.digest() == "d75b7426f2cfdcd5"
+
+    def test_real_fields_out_of_float_range(self):
+        with pytest.raises(ValueError, match="^A_prime is out of range"):
+            GeneratorConfig(omega_bar=0.1, A_prime=10**400)
+
     def test_digest_stable_and_sensitive(self):
         a = GeneratorConfig(omega_bar=1 / 24, seed=3)
         b = GeneratorConfig(omega_bar=1 / 24, seed=3)

@@ -1,13 +1,14 @@
 """Window sets gathered on demand, against the eager sampler they replace.
 
-A window set keeps its source series and an (N, 3) gather index instead
-of a window tensor; tests/oracles.py keeps the sampler that cut every
-window up front.  Fits and scores read a set one block at a time and
+A window set keeps one flat series and a vector of window start offsets
+instead of a window tensor; tests/oracles.py keeps the sampler that cut
+every window up front.  Fits and scores read a set one block at a time and
 never its whole lookbacks or horizons, so their memory stays well under
 the window tensor's.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from freqsynth import (
     sample_windows,
     windowset_metrics,
 )
-from freqsynth import evaluation, forecast
+from freqsynth import forecast
 
 import oracles
 
@@ -70,11 +71,22 @@ class TestAgainstEagerSampler:
         parts = [ws.block(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         assert_bitwise(np.concatenate(parts), whole)
 
-    def test_train_and_validation_share_sources(self):
+    def test_train_and_validation_share_one_series(self):
         datasets = [noisy(200, d=2, seed=i) for i in range(2)]
         train, val = sample_windows(datasets, 30, 10, 16, 8, 4)
-        for ws in (train, val):
-            assert [id(s) for s in ws._sources] == [id(ds.values) for ds in datasets]
+        want = oracles.sample_windows_eager(datasets, 30, 10, 16, 8, 4)
+        assert train._series is val._series
+        assert train._series.ndim == 1 and not train._series.flags.writeable
+        for g, w in zip((train, val), want):
+            assert_bitwise(g.block(0, g.count), np.hstack([w.lookbacks, w.horizons]))
+
+    def test_sets_do_not_keep_the_datasets_alive(self):
+        datasets = [noisy(200, d=2, seed=i) for i in range(2)]
+        refs = [weakref.ref(ds.values) for ds in datasets]
+        train, val = sample_windows(datasets, 30, 10, 16, 8, 4)
+        del datasets
+        assert all(ref() is None for ref in refs)
+        assert train.block(0, train.count).shape == (30, 24)
 
     @pytest.mark.parametrize("lo, hi", [(-1, 2), (3, 2), (0, 11)])
     def test_block_range_checked(self, lo, hi):
@@ -92,13 +104,52 @@ class TestAgainstEagerSampler:
         with pytest.raises(ValueError):
             ws.horizons[0, 0] = 1.0
 
-    def test_concatenation_keeps_window_order(self):
-        sets = [sample_windows([noisy(300, d=2, seed=i)], 40 + i, 0, 16, 8, i)[0]
-                for i in range(3)]
-        joined = evaluation._concat_windows(sets)
+    @pytest.mark.parametrize("shapes", [[(300, 2)] * 3, [(300, 1), (451, 3), (97, 2)]])
+    def test_concatenation_keeps_window_order(self, shapes):
+        sets = [sample_windows([noisy(n, d, seed=i)], 40 + i, 0, 16, 8, i)[0]
+                for i, (n, d) in enumerate(shapes)]
+        joined = WindowSet._concat(sets)
         assert joined.count == sum(ws.count for ws in sets)
         assert_bitwise(joined.block(0, joined.count),
                        np.concatenate([ws.block(0, ws.count) for ws in sets]))
+
+
+class TestWholeSetArrays:
+    """lookbacks and horizons: the whole set, gathered on each access."""
+
+    @pytest.fixture
+    def ws(self):
+        return sample_windows([noisy(300, d=2, seed=0), noisy(250, d=1, seed=1)],
+                              60, 0, 24, 12, 3)[0]
+
+    def test_read_only_on_every_access(self, ws):
+        for _ in range(2):
+            for arr in (ws.lookbacks, ws.horizons):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+
+    def test_equal_to_the_block_columns(self, ws):
+        whole = ws.block(0, ws.count)
+        assert_bitwise(ws.lookbacks, whole[:, : ws.L])
+        assert_bitwise(ws.horizons, whole[:, ws.L :])
+
+    @pytest.mark.parametrize("L, H", [(1, 1), (4, 3)])
+    def test_empty_set(self, L, H):
+        ws = WindowSet(lookbacks=np.empty((0, L)), horizons=np.empty((0, H)))
+        assert ws.count == len(ws) == 0
+        assert ws.block(0, 0).shape == (0, L + H)
+        assert ws.lookbacks.shape == (0, L) and ws.horizons.shape == (0, H)
+        assert not ws.lookbacks.flags.writeable and not ws.horizons.flags.writeable
+        with pytest.raises(IndexError):
+            ws.block(0, 1)
+
+    def test_empty_validation_set(self):
+        ds = noisy(100, d=1, seed=0)
+        _, val = sample_windows([ds], 10, 0, 8, 4, 0)
+        assert val.count == 0
+        assert val.block(0, 0).shape == (0, 12)
+        assert val.lookbacks.shape == (0, 8) and not val.lookbacks.flags.writeable
 
 
 class TestStreamedFits:
