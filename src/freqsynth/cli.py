@@ -238,8 +238,8 @@ def _resolve_model(token: str):
 
 
 def cmd_evaluate(args, parser) -> int:
-    ds = dataio.load_csv(args.input)
     model = _resolve_model(args.model)
+    ds = dataio.load_csv(args.input)
     max_h = max(args.horizons)
     if args.split is not None:
         fracs = args.split

@@ -48,6 +48,9 @@ DEFAULT_ANCHOR = 1.0
 # Windows per block when a fit streams over a window set.
 _FIT_BLOCK = 4096
 
+# Horizon columns a fit gathers at once within a block; a multiple of 64.
+_FIT_COLUMNS = 192
+
 
 def _as_batch(X, L: int | None = None) -> np.ndarray:
     """Validate lookbacks as a finite (N, L) float64 batch."""
@@ -65,17 +68,26 @@ def _as_batch(X, L: int | None = None) -> np.ndarray:
     return arr
 
 
-def _design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _design(
+    X: np.ndarray, phi: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design matrix [(X - mu) / sd, 1] of (N, L) lookbacks, with mu and sd.
 
     mu and sd are each row's mean and population std (floored); the
-    matrix is built in one array, with no concatenated copy.
+    matrix is built in one array, ``phi`` when given, with no
+    concatenated copy.  sd comes from the centred columns already in
+    phi, sqrt(sum((X - mu)**2) / L): the operations np.std performs, so
+    it is bitwise np.std without its second mean pass.
     """
     mu = X.mean(axis=1, keepdims=True)
-    sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
-    phi = np.empty((X.shape[0], X.shape[1] + 1))
+    if phi is None:
+        phi = np.empty((X.shape[0], X.shape[1] + 1))
     z = phi[:, :-1]
     np.subtract(X, mu, out=z)
+    sd = np.add.reduce(z * z, axis=1, keepdims=True)
+    sd /= X.shape[1]
+    np.sqrt(sd, out=sd)
+    np.maximum(sd, STD_FLOOR, out=sd)
     z /= sd
     phi[:, -1] = 1.0
     return phi, mu, sd
@@ -122,8 +134,17 @@ class SeasonalNaiveForecaster:
             raise PeriodTooLong(
                 f"period {self.period} exceeds lookback length {L}"
             )
-        idx = L - self.period + (np.arange(H) % self.period)
-        return np.take(arr, idx, axis=1, out=out)
+        if out is None:
+            out = np.empty((arr.shape[0], H))
+        # copy the last period once, then double the filled prefix, which
+        # always holds whole periods
+        filled = min(self.period, H)
+        out[:, :filled] = arr[:, L - self.period : L - self.period + filled]
+        while filled < H:
+            step = min(filled, H - filled)
+            out[:, filled : filled + step] = out[:, :step]
+            filled += step
+        return out
 
 
 @dataclass(frozen=True)
@@ -186,7 +207,7 @@ def _design_blocks(ws: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     phi, mu, sd = np.empty((n, ws.L + 1)), np.empty((n, 1)), np.empty((n, 1))
     for lo in range(0, n, _FIT_BLOCK):
         hi = min(lo + _FIT_BLOCK, n)
-        phi[lo:hi], mu[lo:hi], sd[lo:hi] = _design(ws._take(lo, hi, 0, ws.L))
+        _, mu[lo:hi], sd[lo:hi] = _design(ws._take(lo, hi, 0, ws.L), phi[lo:hi])
     return phi, mu, sd
 
 
@@ -194,16 +215,25 @@ def _target_products(ws: WindowSet, left: np.ndarray, mu, sd) -> np.ndarray:
     """Pass 2 of a fit: the sum over blocks of left_b' Y_b.
 
     Y_b is the block's horizons normalized by its stored mu and sd (no
-    design is rebuilt); ``left`` has one row per window.
+    design is rebuilt); ``left`` has one row per window.  Each block's
+    horizons are gathered _FIT_COLUMNS at a time, and each column slice
+    of left_b' Y_b is its own matmul: every element still sums over the
+    block's windows in one order, so the products are those of whole
+    blocks, bit for bit.
     """
-    total = None
+    total, part = None, np.empty((left.shape[1], ws.H))
     for lo in range(0, ws.count, _FIT_BLOCK):
         hi = min(lo + _FIT_BLOCK, ws.count)
-        y = ws._take(lo, hi, ws.L, ws.L + ws.H)
-        y -= mu[lo:hi]
-        y /= sd[lo:hi]
-        part = left[lo:hi].T @ y
-        total = part if total is None else total + part
+        for c0 in range(0, ws.H, _FIT_COLUMNS):
+            c1 = min(c0 + _FIT_COLUMNS, ws.H)
+            y = ws._take(lo, hi, ws.L + c0, ws.L + c1)
+            y -= mu[lo:hi]
+            y /= sd[lo:hi]
+            np.matmul(left[lo:hi].T, y, out=part[:, c0:c1])
+        if total is None:
+            total = part.copy()
+        else:
+            total += part
     return total
 
 

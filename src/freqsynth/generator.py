@@ -14,6 +14,10 @@ so its channels are rendered from sin and cos rows of those frequencies
 (2h rows of n values instead of m), which matches rendering every member
 to within 1e-10 of the channel std for n up to 50,000; pools with few
 repeated frequencies, such as the mix variant's, render every member.
+Those m rows are computed in one (m, n) buffer, in place: the phase
+argument, then its sine, then the amplitude scaling, each an elementwise
+pass over that buffer, so the render holds one pool-sized array besides
+the channels.
 
 Variants differ only in the pool's frequency law, which
 ``build_datasets`` takes per dataset: a harmonic ``(omega_bar, h)`` pair
@@ -195,7 +199,7 @@ def _render_channels(
     count * A * (cos(phi), sin(phi)) over the members at f.  That agrees
     with rendering every member up to rounding of the largest argument
     2*pi*f*n (within 1e-10 of the channel std for n up to 50,000); other
-    pools render every member.
+    pools render every member, in one (m, n) buffer updated in place.
     """
     m = amps.size
     idx = rng.integers(0, m, size=(d, l))
@@ -204,10 +208,11 @@ def _render_channels(
     t = np.arange(n, dtype=np.float64)
     uniq, member_of = np.unique(freqs, return_inverse=True)
     if 2 * uniq.size >= m:
-        return counts @ (
-            amps[:, None]
-            * np.sin(2.0 * np.pi * freqs[:, None] * t[None, :] + phases[:, None])
-        )
+        rows = (2.0 * np.pi * freqs)[:, None] * t
+        rows += phases[:, None]
+        np.sin(rows, out=rows)
+        rows *= amps[:, None]
+        return counts @ rows
     onehot = np.eye(uniq.size)[member_of]
     weights = counts * amps
     coef = np.concatenate(

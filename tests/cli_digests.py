@@ -13,6 +13,14 @@ older checkouts print them; with several, each file is prefixed with
 ``seed<k>/``.  This is a script, not a pytest module; one seed takes
 about ten seconds on two cores.
 
+``--compare FILE`` makes that check one command: after the printout,
+the lines that differ from a saved printout go to stderr as a unified
+diff (``-`` saved, ``+`` this run), and the script exits 1 on any
+difference, e.g.
+
+    (cd parent && PYTHONPATH=src python tests/cli_digests.py --seed 0 1 2 > before.txt)
+    PYTHONPATH=src python tests/cli_digests.py --seed 0 1 2 --compare before.txt
+
 ``--keep DIR`` also copies the output files into DIR (into
 ``DIR/seed<k>/`` with several seeds), so a change that moves numbers on
 purpose can compare values, not only hashes.  Run each checkout with
@@ -29,11 +37,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
 import os
 import shutil
+import sys
 import tempfile
 
 from freqsynth.cli import main
@@ -107,17 +117,32 @@ def main_digests(argv=None) -> int:
     parser.add_argument("--seed", type=int, nargs="+", default=[0])
     parser.add_argument("--keep", metavar="DIR",
                         help="also copy the output files into DIR")
+    parser.add_argument("--compare", metavar="FILE",
+                        help="diff this printout against a saved one; exit 1 "
+                             "on any difference")
     args = parser.parse_args(argv)
+    lines = []
     for seed in args.seed:
         prefix = f"seed{seed}/" if len(args.seed) > 1 else ""
         with tempfile.TemporaryDirectory() as directory:
             for digest, name in digests(seed, directory):
-                print(f"{digest}  {prefix}{name}")
+                lines.append(f"{digest}  {prefix}{name}")
+                print(lines[-1])
                 if args.keep is not None:
                     keep = os.path.join(args.keep, prefix)
                     os.makedirs(keep, exist_ok=True)
                     shutil.copy(os.path.join(directory, name), keep)
-    return 0
+    if args.compare is None:
+        return 0
+    with open(args.compare, encoding="utf-8") as f:
+        saved = f.read().splitlines()
+    diff = list(difflib.unified_diff(saved, lines, args.compare, "this run",
+                                     n=0, lineterm=""))
+    for line in diff:
+        print(line, file=sys.stderr)
+    verdict = "differ from" if diff else "are identical to"
+    print(f"these {len(lines)} lines {verdict} {args.compare}", file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

@@ -17,11 +17,13 @@ from freqsynth.evaluation import (
 )
 from freqsynth.forecast import (
     DEFAULT_ANCHOR,
+    STD_FLOOR,
     LinearForecaster,
     _check_coefficient,
     _design,
     default_lambda,
 )
+from freqsynth import forecast
 from freqsynth.errors import (
     DegenerateChannel,
     EmptyDataset,
@@ -61,7 +63,9 @@ def render_channels_direct(amps, freqs, phases, n, d, l, rng):
 
     The render synthesize used before harmonic pools went through a
     sin/cos basis: an (m, n) pool matrix, then a (d, m) count matrix of
-    the channel draws times it.
+    the channel draws times it.  Its pool matrix is, verbatim, the one
+    expression the member branch of _render_channels evaluated before it
+    computed the rows in place.
     """
     t = np.arange(n, dtype=np.float64)
     signals = amps[:, None] * np.sin(
@@ -662,6 +666,59 @@ def finetune(
         lam=float(lam),
         model_id=f"{model.model_id}-finetuned",
     )
+
+
+# The two passes of a streamed fit before its horizons were gathered in
+# column slices and its design took sd from the centred columns, copied
+# unchanged: a design with np.std, blocks designed whole and then copied
+# into phi, and each block's horizons normalized and multiplied whole.
+
+def design_with_std(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design matrix [(X - mu) / sd, 1] of (N, L) lookbacks, with mu and sd.
+
+    mu and sd are each row's mean and population std (floored); the
+    matrix is built in one array, with no concatenated copy.
+    """
+    mu = X.mean(axis=1, keepdims=True)
+    sd = np.maximum(X.std(axis=1, keepdims=True), STD_FLOOR)
+    phi = np.empty((X.shape[0], X.shape[1] + 1))
+    z = phi[:, :-1]
+    np.subtract(X, mu, out=z)
+    z /= sd
+    phi[:, -1] = 1.0
+    return phi, mu, sd
+
+
+def design_blocks_whole(ws: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pass 1 of a fit: the (N, L + 1) design of ``ws`` with per-row mu, sd.
+
+    Lookbacks are gathered and designed _FIT_BLOCK windows at a time, so
+    each block's design is built exactly once and no window tensor is
+    held.
+    """
+    n = ws.count
+    phi, mu, sd = np.empty((n, ws.L + 1)), np.empty((n, 1)), np.empty((n, 1))
+    for lo in range(0, n, forecast._FIT_BLOCK):
+        hi = min(lo + forecast._FIT_BLOCK, n)
+        phi[lo:hi], mu[lo:hi], sd[lo:hi] = design_with_std(ws._take(lo, hi, 0, ws.L))
+    return phi, mu, sd
+
+
+def target_products_whole(ws: WindowSet, left: np.ndarray, mu, sd) -> np.ndarray:
+    """Pass 2 of a fit: the sum over blocks of left_b' Y_b.
+
+    Y_b is the block's horizons normalized by its stored mu and sd (no
+    design is rebuilt); ``left`` has one row per window.
+    """
+    total = None
+    for lo in range(0, ws.count, forecast._FIT_BLOCK):
+        hi = min(lo + forecast._FIT_BLOCK, ws.count)
+        y = ws._take(lo, hi, ws.L, ws.L + ws.H)
+        y -= mu[lo:hi]
+        y /= sd[lo:hi]
+        part = left[lo:hi].T @ y
+        total = part if total is None else total + part
+    return total
 
 
 def block_sums_unstacked(predict, segments, width: int) -> tuple[np.ndarray, np.ndarray]:

@@ -341,6 +341,15 @@ class TestFitEvaluate:
         assert len(err) == 1 and token in err[0]
         assert not os.path.exists(out)
 
+    def test_evaluate_checks_the_model_before_the_input(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.csv")
+        capsys.readouterr()
+        argv = ["evaluate", "--model", "seasonal:0", "--input", missing,
+                "--out", str(tmp_path / "sn.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "period" in err[0] and "nonexistent" not in err[0]
+
     def test_evaluate_split_protocol(self, tmp_path):
         data = gen_csv(tmp_path, "sp", omega=1 / 24, h=1, n=2048, d=1)
         out = str(tmp_path / "split.csv")

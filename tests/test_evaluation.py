@@ -764,9 +764,9 @@ class TestStackedScoring:
         monkeypatch.setattr(oracles, "_BLOCK", 5000)
         built = []
 
-        def spy(X):
+        def spy(X, *phi):
             built.append(len(X))
-            return design(X)
+            return design(X, *phi)
 
         design = forecast._design
         monkeypatch.setattr(forecast, "_design", spy)

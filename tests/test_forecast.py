@@ -137,6 +137,31 @@ class TestSeasonalNaive:
         out = SeasonalNaiveForecaster(p).forecast(x[:L], H)[0]
         assert np.max(np.abs(out - x[L : L + H])) == 0.0
 
+    @pytest.mark.parametrize(
+        "L, p, H",
+        [
+            (20, 7, 5),      # H < p
+            (20, 7, 7),      # H = p
+            (20, 7, 28),     # H = k * p
+            (20, 7, 29),     # H = k * p + 1
+            (20, 20, 45),    # p = L
+            (20, 1, 13),     # p = 1
+            (96, 24, 720),
+            (96, 24, 1),
+        ],
+    )
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_block_copies_equal_take(self, L, p, H, with_out):
+        """The doubled block copies against the np.take gather they replace."""
+        X = np.random.default_rng(L * H + p).normal(size=(9, L)) * 1e3 + 7.0
+        want = np.take(X, L - p + (np.arange(H) % p), axis=1)
+        out = np.full((9, H), np.nan) if with_out else None
+        got = SeasonalNaiveForecaster(p).forecast(X, H, out=out)
+        if with_out:
+            assert got is out
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestFitRidge:
     @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0])

@@ -30,7 +30,7 @@ from freqsynth.errors import (
     InvalidAmplitudeScale,
     WindowTooLong,
 )
-from freqsynth.generator import _draw_pool
+from freqsynth.generator import _draw_pool, _render_channels
 
 import oracles
 from oracles import render_channels_direct
@@ -306,6 +306,18 @@ class TestBasisRender:
             values = render_channels_direct(*_pool_arrays(pool), n, d, 10, rng)
             want = standardize(Dataset(values=values, channel_names=ds.channel_names))
             assert np.array_equal(ds.values, want.values)
+
+    @pytest.mark.parametrize("m", [7, 100])
+    @pytest.mark.parametrize("n", [1000, 50_000, 123_457])
+    def test_mix_pools_render_in_place_bit_for_bit(self, n, m):
+        # the in-place member rows against the one-expression render
+        rng = np.random.default_rng(n + m)
+        arrays = _draw_pool("mix", m, 5.0, rng)
+        twin = np.random.default_rng()
+        twin.bit_generator.state = rng.bit_generator.state
+        got = _render_channels(*arrays, n, 5, 10, rng)
+        want = render_channels_direct(*arrays, n, 5, 10, twin)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestStandardize:

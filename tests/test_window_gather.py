@@ -16,6 +16,7 @@ import pytest
 from freqsynth import (
     Dataset,
     WindowSet,
+    build_datasets,
     confusion_experiment,
     finetune,
     fit_ridge,
@@ -194,6 +195,67 @@ class TestStreamedFits:
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+def use_whole_block_passes(monkeypatch):
+    """Fits from here on run the passes of tests/oracles.py: whole-block
+    horizons, and designs with np.std."""
+    monkeypatch.setattr(forecast, "_design_blocks", oracles.design_blocks_whole)
+    monkeypatch.setattr(forecast, "_target_products", oracles.target_products_whole)
+
+
+def fit_windows(count, L, H, seed=0):
+    d, val = 5, 500
+    n = L + H + -(-(count + val) // d) + 50
+    return sample_windows([noisy(n, d, seed)], count, val, L, H, seed)
+
+
+class TestColumnSlicedFitsBitForBit:
+    """Horizons gathered in column slices and sd from the centred design
+    columns, against the passes they replace, hex for hex."""
+
+    @pytest.mark.parametrize(
+        "count, H, lam",
+        [(5000, 720, None), (20000, 720, 0.0), (300, 96, None), (9000, 97, 0.0),
+         (4097, 1000, None)],
+    )
+    def test_fit_ridge(self, monkeypatch, count, H, lam):
+        train, _ = fit_windows(count, 96, H)
+        got = fit_ridge(train, lam)
+        phi, mu, sd = forecast._design_blocks(train)
+        products = forecast._target_products(train, phi, mu, sd)
+        use_whole_block_passes(monkeypatch)
+        want = fit_ridge(train, lam)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.lam.hex() == want.lam.hex()
+        for g, w in zip((phi, mu, sd), oracles.design_blocks_whole(train)):
+            assert_bitwise(g, w)
+        assert_bitwise(products, oracles.target_products_whole(train, phi, mu, sd))
+
+    @pytest.mark.parametrize("anchor", [0.0, 2.0])
+    def test_finetune(self, monkeypatch, anchor):
+        train, val = fit_windows(5000, 96, 720, seed=3)
+        model = fit_ridge(train)
+        got = finetune(model, val, anchor)
+        use_whole_block_passes(monkeypatch)
+        want = finetune(model, val, anchor)
+        assert got.weights.tobytes() == want.weights.tobytes()
+
+    @pytest.mark.parametrize("L", [1, 7, 96, 1000])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e8])
+    def test_design(self, L, offset):
+        X = offset + np.random.default_rng(L).normal(size=(40, L))
+        X[0] = offset
+        X[1] = 0.0
+        X[2] = -3.5
+        want = oracles.design_with_std(X)
+        for g, w in zip(forecast._design(X), want):
+            assert_bitwise(g, w)
+        phi = np.full((40, L + 1), np.nan)
+        got = forecast._design(X, phi)
+        assert got[0] is phi
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+
+
 def test_library_paths_read_blocks_only(monkeypatch):
     """Fits, scores and the experiment drivers never read a whole set."""
 
@@ -234,3 +296,35 @@ def test_peak_memory_under_half_the_window_tensor(monkeypatch, lam):
         tracemalloc.stop()
     assert sampled < half
     assert fitted < half
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 2**20
+
+
+@pytest.mark.parametrize("lam, bound", [(None, 20 * MiB), (0.0, 24 * MiB)])
+def test_fit_peak_at_the_default_block(lam, bound):
+    """fit_ridge on 5,000 windows at L = 96, H = 720 and the default block.
+
+    Gathering each block's horizons whole peaked at 31.8 MiB (lam None)
+    and 35.5 MiB (lam 0); column slices peak at 16.3 and 20.1 MiB.  The
+    bounds leave about 20% above those, under the 17 MiB a whole-block
+    horizon gather would add back."""
+    train, _ = sample_windows([noisy(6000, d=2, seed=2)], 5000, 0, 96, 720, 1)
+    assert traced_peak(lambda: fit_ridge(train, lam)) < bound
+
+
+def test_mix_render_peak():
+    """build_datasets(["mix"], 0, n=50_000, d=5) renders a 100 x 50,000
+    pool: 38 MiB per (m, n) array.  Rendering the rows as one expression
+    peaked at 76.7 MiB; in place it peaks at 40.4 MiB, and the bound of
+    48 MiB leaves about 19% above that, well under one more pool array."""
+    assert traced_peak(lambda: build_datasets(["mix"], 0, n=50_000, d=5)) < 48 * MiB
