@@ -7,7 +7,10 @@ drivers: frequency confusion, frequency generalization, and the
 harmonics / size-and-variates sweeps.
 
 Every driver is a pure function of its arguments and a seed; model
-evaluation itself never consumes randomness.
+evaluation itself never consumes randomness.  Models are scored in
+blocks of forecasts, except SeasonalNaiveForecaster, whose errors are
+differences of each series at multiples of its period and are summed
+without a forecast.
 """
 
 from __future__ import annotations
@@ -18,8 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, WindowSet, _whole_number
-from .errors import InvalidWindow, ShapeMismatch, SplitTooSmall, WindowTooLong
-from .forecast import LinearForecaster, fit_ridge
+from .errors import (
+    InvalidWindow,
+    PeriodTooLong,
+    ShapeMismatch,
+    SplitTooSmall,
+    WindowTooLong,
+)
+from .forecast import LinearForecaster, SeasonalNaiveForecaster, fit_ridge
 from .freqest import estimate_fundamental
 from .generator import (
     GeneratorConfig,
@@ -190,6 +199,63 @@ def _forecaster(model, h: int):
     return lambda X, out: model.forecast(X, h)
 
 
+def _window_sums(d: np.ndarray, m: int, w: int, square: bool) -> np.ndarray:
+    """Per row of d and r < w, the sum of d**2 (``square``) or d over d[:, r : r + m].
+
+    Those windows share d[:, w - 1 : m], which is reduced once; their
+    first and last w - 1 positions are added as cumulative sums.  Every
+    term is a square or an absolute value, so no sum cancels and exact
+    zeros stay 0.0.
+    """
+
+    def total(v):
+        return np.einsum("...i,...i->...", v, v) if square else v.sum(axis=-1)
+
+    if m < w:
+        return total(np.lib.stride_tricks.sliding_window_view(d, m, axis=1))
+    out = total(d[:, w - 1 : m])[:, None].repeat(w, axis=1)
+    head, tail = d[:, : w - 1][:, ::-1], d[:, m:]
+    if square:
+        head, tail = head * head, tail * tail
+    out[:, :-1] += np.cumsum(head, axis=1)[:, ::-1]
+    out[:, 1:] += np.cumsum(tail, axis=1)
+    return out
+
+
+def _lag_sums(
+    values: np.ndarray, L: int, p: int, lo: int, hi: int, hb: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """_block_sums of SeasonalNaiveForecaster(p) over one band, without forecasts.
+
+    For window i and column j = (k - 1) * p + r (r < p), the forecast
+    minus the target is x[s] - x[s + k * p] at s = i + L - p + r: the
+    same subtraction of the same two floats, so every error is bitwise
+    the block kernel's and only the summation order differs.  Per
+    channel, windows [lo, hi) are taken in pieces of at most _BLOCK, and
+    lags in chunks of about _BLOCK elements: one subtraction gives each
+    lag's differences over the m + w - 1 positions its w columns read,
+    and _window_sums sums them per column.  Returns (1, hb) arrays, as
+    _block_sums does for one model.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view
+    sse, sae = np.zeros((1, hb)), np.zeros((1, hb))
+    full, rest = divmod(hb, p)
+    for x in values:
+        for a in range(lo, hi, _BLOCK):
+            m = min(hi - a, _BLOCK)
+            s = L - p + a
+            step = max(1, _BLOCK // (m + p - 1))
+            chunks = [(k0, min(k0 + step, full), p) for k0 in range(0, full, step)]
+            chunks += [(full, full + 1, rest)] if rest else []
+            for k0, k1, w in chunks:
+                span = m + w - 1
+                d = x[s : s + span] - windows(x[s + p :], span)[k0 * p : k1 * p : p]
+                cols = slice(k0 * p, k0 * p + (k1 - k0) * w)
+                sse[0, cols] += _window_sums(d, m, w, True).ravel()
+                sae[0, cols] += _window_sums(np.abs(d, out=d), m, w, False).ravel()
+    return sse, sae
+
+
 def _score(predict, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
     """(MSE, MAE) of predict over a non-empty 2-D target array."""
     sse, sae = _block_sums(predict, [(inputs, targets)], targets.shape[1])
@@ -250,7 +316,11 @@ def _zero_shot(
     their first hb weight rows are stacked into one forecaster, so each
     block of windows gets one design matrix and one matmul, and
     _block_sums scores every model against the same targets.  A lone
-    ridge model is a stack of one.  Every other model is scored alone.
+    ridge model is a stack of one.  A model that is exactly
+    SeasonalNaiveForecaster is scored by _lag_sums, with no forecast
+    call; its sums differ from the block kernel's in summation order
+    only.  Every other model is scored alone.  A seasonal period longer
+    than L raises PeriodTooLong before any model is scored.
     """
     if not models:
         return []
@@ -274,6 +344,9 @@ def _zero_shot(
         i for i, m in enumerate(models)
         if type(m) is LinearForecaster and m.L == L and m.H >= desc[0]
     ]
+    for m in models:
+        if type(m) is SeasonalNaiveForecaster and m.period > L:
+            raise PeriodTooLong(f"period {m.period} exceeds lookback length {L}")
     groups = [(stack, prefix)] if stack else []
     groups += [
         ([i], prefix if getattr(m, "prefix_consistent", False) else per_horizon)
@@ -292,6 +365,9 @@ def _zero_shot(
                     weights=np.vstack([models[i].weights[:hb] for i in stack]),
                     L=L, H=k * hb, lam=0.0,
                 )
+            if type(model) is SeasonalNaiveForecaster:
+                sums.append(_lag_sums(test_ds.values, L, model.period, lo, hi, hb))
+                continue
             segments = [
                 (windows(row, L)[lo:hi], windows(row, hb)[L + lo : L + hi])
                 for row in test_ds.values

@@ -8,10 +8,13 @@ bit-for-bit equal on these outputs when their printouts are, e.g.
     PYTHONPATH=src python tests/cli_digests.py --seed 0 1 2 > after.txt
 
 A refactor that must not change outputs compares seeds 0-2 this way
-before and after.  With one seed the lines name the bare files, as
-older checkouts print them; with several, each file is prefixed with
-``seed<k>/``.  This is a script, not a pytest module; one seed takes
-about ten seconds on two cores.
+before and after.  The fit outputs depend on BLAS's thread count, so
+the script sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 before numpy is imported: printouts compare on
+the same numpy and BLAS build.  With one seed the lines name the bare
+files, as older checkouts print them; with several, each file is
+prefixed with ``seed<k>/``.  This is a script, not a pytest module;
+one seed takes about ten seconds on two cores.
 
 ``--compare FILE`` makes that check one command: after the printout,
 the lines that differ from a saved printout go to stderr as a unified
@@ -46,7 +49,13 @@ import shutil
 import sys
 import tempfile
 
-from freqsynth.cli import main
+# The fits' Gram and target products round differently with BLAS's
+# thread count, so the digests are taken with one thread; the variables
+# are read when numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from freqsynth.cli import main  # noqa: E402
 
 # generate --config input, written before the runs; it sets no seed,
 # so the --seed flag alone decides it.

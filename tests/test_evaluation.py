@@ -35,10 +35,11 @@ from freqsynth import (
     windowset_metrics,
 )
 from freqsynth import evaluation, forecast
-from freqsynth.evaluation import ETT_SPLIT, STANDARD_SPLIT
+from freqsynth.evaluation import DEFAULT_HORIZONS, ETT_SPLIT, STANDARD_SPLIT
 from freqsynth.errors import (
     DegenerateChannel,
     InvalidWindow,
+    PeriodTooLong,
     ShapeMismatch,
     SplitTooSmall,
     WindowTooLong,
@@ -242,6 +243,18 @@ class CountingNaive(NaiveForecaster):
         return super().forecast(X, H)
 
 
+class CountingSeasonal(SeasonalNaiveForecaster):
+    """Seasonal naive subclass that counts the rows it forecasts."""
+
+    def __init__(self, period):
+        super().__init__(period)
+        self.rows = 0
+
+    def forecast(self, X, H, out=None):
+        self.rows += len(X)
+        return super().forecast(X, H, out=out)
+
+
 class BufferSpy(NaiveForecaster):
     """Naive forecaster that records each buffer it is asked to fill."""
 
@@ -357,10 +370,12 @@ class TestReusedBuffers:
 
     @pytest.mark.parametrize("name", ["ridge", "naive", "seasonal:24"])
     def test_scores_equal_to_a_model_without_out(self, name, ridge_model):
+        # a subclass, as SeasonalNaiveForecaster itself is scored without
+        # forecasts (see TestLagScoring)
         model = {
             "ridge": ridge_model,
             "naive": NaiveForecaster(),
-            "seasonal:24": SeasonalNaiveForecaster(24),
+            "seasonal:24": CountingSeasonal(24),
         }[name]
 
         class WithoutOut:
@@ -709,6 +724,14 @@ def assert_close(got, want, rtol=1e-12):
     assert np.all(np.abs(got - want) <= rtol * np.abs(want))
 
 
+def assert_reports_close(got, want, rtol=1e-12):
+    """Equal reports but for MSE and MAE, which agree within rtol."""
+    assert [(r.dataset, r.horizon, r.model, r.seed, r.windows) for r in got] == [
+        (r.dataset, r.horizon, r.model, r.seed, r.windows) for r in want
+    ]
+    assert_close([(r.mse, r.mae) for r in got], [(r.mse, r.mae) for r in want], rtol)
+
+
 class TestStackedScoring:
     """Drivers score plain ridge models per block in one pass."""
 
@@ -729,6 +752,10 @@ class TestStackedScoring:
                 want = oracles.evaluate_zero_shot_unstacked(
                     model, ds, 48, (16, 7, 64, 16), seed=2
                 )
+                if type(model) is SeasonalNaiveForecaster:
+                    # scored from lagged differences: summation order only
+                    assert_reports_close(got, want)
+                    continue
                 assert [(r.mse.hex(), r.mae.hex()) for r in got] == [
                     (r.mse.hex(), r.mae.hex()) for r in want
                 ]
@@ -883,3 +910,112 @@ class TestStackedScoring:
             transfer_matrix(datasets, trainer, 48, 24, ids=["ok", "short", "shorter"])
         assert calls == []
 
+
+class DuckSeasonal:
+    """Duck-typed seasonal naive: the library's forecasts, another class."""
+
+    prefix_consistent = True
+
+    def __init__(self, period):
+        self.inner = SeasonalNaiveForecaster(period)
+        self.rows = 0
+
+    def forecast(self, X, h, out=None):
+        self.rows += len(X)
+        return self.inner.forecast(X, h, out=out)
+
+
+def refuse_forecast(self, X, H, out=None):
+    raise AssertionError("SeasonalNaiveForecaster.forecast called")
+
+
+def lag_scored(model, ds, L, horizons):
+    """evaluate_zero_shot of a SeasonalNaiveForecaster with forecast refused,
+    checked against the one-model kernel at 1e-12."""
+    want = oracles.evaluate_zero_shot_unstacked(
+        model, ds, L, horizons, dataset_id="t", seed=4
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SeasonalNaiveForecaster, "forecast", refuse_forecast)
+        got = evaluate_zero_shot(model, ds, L, horizons, dataset_id="t", seed=4)
+    assert_reports_close(got, want)
+    return got
+
+
+class TestLagScoring:
+    """SeasonalNaiveForecaster is scored from lagged differences, unforecast."""
+
+    @pytest.mark.parametrize("block", [evaluation._BLOCK, 100])
+    @pytest.mark.parametrize("p", [1, 2, 7, 24, 48])
+    def test_periods_and_horizons_match_the_kernel(self, p, block, monkeypatch):
+        # h < p, h = p, h = 3p and h = 3p + 1, unsorted; a block of 100
+        # splits windows into pieces and lags into chunks of one
+        monkeypatch.setattr(evaluation, "_BLOCK", block)
+        horizons = (3 * p + 1, p, 3 * p) + ((p - 1,) if p > 1 else ())
+        got = lag_scored(SeasonalNaiveForecaster(p), noisy_dataset(700), 48, horizons)
+        assert [r.horizon for r in got] == list(horizons)
+
+    @pytest.mark.parametrize("p", [7, 24])
+    def test_duplicated_horizons_and_a_single_window(self, p):
+        ds = noisy_dataset(48 + 64, d=2)
+        got = lag_scored(SeasonalNaiveForecaster(p), ds, 48, (16, 7, 64, 16))
+        assert got[0] == got[3]
+        assert [r.windows for r in got] == [2 * 49, 2 * 58, 2 * 1, 2 * 49]
+
+    @pytest.mark.parametrize("gap", [1, 22, 23, 24, 25])
+    def test_bands_about_one_period_wide(self, gap):
+        # the band of windows scored at h = 64 - gap holds gap windows
+        lag_scored(SeasonalNaiveForecaster(24), noisy_dataset(300), 48, (64, 64 - gap))
+
+    def test_channels_offset_by_1e8(self):
+        ds = noisy_dataset(700)
+        vals = ds.values + 1e8 * np.arange(1, 4)[:, None]
+        offset = Dataset(values=vals, channel_names=ds.channel_names)
+        lag_scored(SeasonalNaiveForecaster(24), offset, 48, (16, 7, 64))
+
+    @pytest.mark.parametrize("p", [24, 48, 96])
+    def test_exactly_periodic_data_scores_exact_zeros(self, p):
+        cell = np.random.default_rng(5).normal(size=24)
+        ds = Dataset(values=np.tile(cell, (2, 50)), channel_names=("x", "y"))
+        for r in lag_scored(SeasonalNaiveForecaster(p), ds, 96, DEFAULT_HORIZONS):
+            assert (r.mse, r.mae) == (0.0, 0.0)
+
+    def test_period_longer_than_lookback_is_raised_before_any_scoring(self):
+        ds = noisy_dataset(300)
+        first = CountingNaive()
+        with pytest.raises(PeriodTooLong, match="period 49 exceeds lookback length 48"):
+            evaluation._zero_shot([first, SeasonalNaiveForecaster(49)], ds, 48, (8,))
+        assert first.rows == 0
+        with pytest.raises(PeriodTooLong, match="period 49"):
+            evaluate_zero_shot(SeasonalNaiveForecaster(49), ds, 48, (8,))
+
+    @pytest.mark.parametrize("kind", [CountingSeasonal, DuckSeasonal])
+    def test_subclass_and_duck_typed_models_keep_the_block_kernel(self, kind):
+        ds = noisy_dataset(400, d=2)
+        model = kind(24)
+        got = evaluate_zero_shot(model, ds, 48, (16, 7, 64, 16), seed=2)
+        want = oracles.evaluate_zero_shot_unstacked(kind(24), ds, 48, (16, 7, 64, 16), seed=2)
+        assert [(r.mse.hex(), r.mae.hex()) for r in got] == [
+            (r.mse.hex(), r.mae.hex()) for r in want
+        ]
+        assert model.rows == 2 * (400 - 48 - 7 + 1)
+
+    def test_forecast_is_never_called(self, ridge_model, monkeypatch):
+        calls = []
+        real = SeasonalNaiveForecaster.forecast
+
+        def spy(self, X, H, out=None):
+            calls.append(len(X))
+            return real(self, X, H, out=out)
+
+        monkeypatch.setattr(SeasonalNaiveForecaster, "forecast", spy)
+        ds = noisy_dataset(400, d=2)
+        evaluate_zero_shot(SeasonalNaiveForecaster(24), ds, 48, (16, 7, 64))
+        models = [ridge_model, SeasonalNaiveForecaster(7), NaiveForecaster()]
+        evaluation._zero_shot(models, ds, 48, (24,))
+        assert calls == []
+        # windowset_metrics still forecasts, so the spy is live
+        win = np.lib.stride_tricks.sliding_window_view(ds.values[0], 48 + 16)
+        windowset_metrics(SeasonalNaiveForecaster(24),
+                          WindowSet(lookbacks=win[:, :48], horizons=win[:, 48:]))
+        assert calls == [len(win)]
