@@ -9,9 +9,23 @@ formatting (shortest exact round-trip, at most 17 significant digits).
 Every writer publishes through a temp file in the target's directory
 and a rename, so a failed run never leaves a partial file; the file gets
 the mode ``open()`` would give it, 0o666 less the umask.  ``save_csv``
-streams its rows into that temp file in blocks of _ROWS rows, and
-``load_csv`` parses in blocks of the same size, so neither holds the
-dataset as text; the other writers build their payload in memory.
+streams its rows into that temp file in blocks of _ROWS rows, each
+formatted column by column, and ``load_csv`` parses in blocks of the same
+size, so neither holds the dataset as text; the other writers build
+their payload in memory.
+
+``load_csv`` reads the header with ``csv.reader``.  A block of lines
+goes to numpy's C text reader (``np.loadtxt``) only where that reader
+must agree with ``csv.reader`` plus ``float``: the block is ASCII with
+no control character but tab, CR and LF, and no quote; it holds exactly
+(width - 1) commas per line; no line is longer than
+``csv.field_size_limit()``; and loadtxt parses it into one row per
+line.  Both readers then split the same fields and parse each value
+with the same correctly rounded conversion, so the values are bitwise
+those of ``float``.  The first block that fails a guard, and every
+block after it, goes through ``csv.reader`` and ``float`` cell by cell,
+which accept quoted and multi-line fields, ``1_0`` and non-ASCII digits
+and raise each error at its coordinates.
 
 Cell coordinates in errors are 1-based: rows count data rows (the
 header is row 0, so the first data row is row 1) and columns count all
@@ -32,13 +46,25 @@ from operator import itemgetter
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmptyDataset, MissingHeader, NonNumericCell, RaggedRows
+from .errors import (
+    EmptyDataset,
+    InvalidConfig,
+    MalformedRow,
+    MissingHeader,
+    NonNumericCell,
+    RaggedRows,
+)
 from .evaluation import EvalReport, TransferMatrix
 from .generator import GeneratorConfig
 from .spectral import Periodogram
 
 # Rows per block when save_csv streams and load_csv parses a dataset.
 _ROWS = 4096
+
+# Characters that keep a block off np.loadtxt: the ASCII controls other
+# than tab, LF and CR, which loadtxt and float strip differently, and the
+# quote, which lets one csv row span lines or hide a comma.
+_NOT_FAST = dict.fromkeys([*range(9), 11, 12, *range(14, 32), 127, ord('"')])
 
 
 def _atomic_write(path: str, text: str | Iterable[str]) -> None:
@@ -79,23 +105,22 @@ def _csv_chunks(ds: Dataset) -> Iterator[str]:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(["date", *ds.channel_names])
     yield buf.getvalue()
-    cols = ds.values.T
     for lo in range(0, ds.n, _ROWS):
-        yield "".join(
-            f"{t},{','.join(map(repr, row))}\n"
-            for t, row in enumerate(cols[lo : lo + _ROWS].tolist(), start=lo)
-        )
+        hi = min(lo + _ROWS, ds.n)
+        cells = [map(repr, ch) for ch in ds.values[:, lo:hi].tolist()]
+        yield "\n".join(map(",".join, zip(map(str, range(lo, hi)), *cells))) + "\n"
 
 
 def load_csv(path: str, rate: str | None = None) -> Dataset:
     """Read an LTSF-layout CSV; channels are the columns after the first."""
     blocks = []
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
         try:
-            header = next(reader)
+            header = next(csv.reader(f))
         except StopIteration:
             raise MissingHeader(f"{path}: file is empty") from None
+        except csv.Error as exc:
+            raise MalformedRow(path, 0, str(exc)) from None
         if len(header) < 2:
             raise MissingHeader(
                 f"{path}: header needs a date column plus at least one channel"
@@ -104,7 +129,23 @@ def load_csv(path: str, rate: str | None = None) -> Dataset:
             raise MissingHeader(f"{path}: first row looks like data, not a header")
         width = len(header)
         first = 1
-        while rows := list(islice(reader, _ROWS)):
+        while lines := list(islice(f, _ROWS)):
+            values = _loadtxt_block(lines, width)
+            if values is None:
+                break
+            blocks.append(values)
+            first += len(lines)
+        reader = csv.reader(chain(lines, f))
+        while True:
+            rows = []
+            try:
+                # extend keeps the rows read before a failing one
+                rows.extend(islice(reader, _ROWS))
+            except csv.Error as exc:
+                _parse_rows(rows, width, first)  # an earlier bad row wins
+                raise MalformedRow(path, first + len(rows), str(exc)) from None
+            if not rows:
+                break
             blocks.append(_parse_rows(rows, width, first))
             first += len(rows)
     if not blocks:
@@ -119,6 +160,26 @@ def load_csv(path: str, rate: str | None = None) -> Dataset:
         rate=rate,
         provenance=path,
     )
+
+
+def _loadtxt_block(lines: list[str], width: int) -> np.ndarray | None:
+    """(len(lines), width - 1) values of lines by np.loadtxt, or None
+    where csv.reader plus float could read them differently."""
+    text = "".join(lines)
+    if not (
+        text.isascii()
+        and len(text.translate(_NOT_FAST)) == len(text)
+        and text.count(",") == (width - 1) * len(lines)
+        and max(map(len, lines)) <= csv.field_size_limit()
+    ):
+        return None
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", comments=None, ndmin=2, usecols=range(1, width)
+        )
+    except ValueError:
+        return None
+    return values if len(values) == len(lines) else None
 
 
 def _parse_rows(rows: list[list[str]], width: int, first: int) -> np.ndarray:
@@ -162,11 +223,11 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+        raise InvalidConfig(f"{path}: config must be a JSON object")
     fields = set(GeneratorConfig.__dataclass_fields__)
     unknown = set(doc) - fields
     if unknown:
-        raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+        raise InvalidConfig(f"{path}: unknown config keys {sorted(unknown)}")
     merged = dict(doc)
     merged.update({k: v for k, v in overrides.items() if v is not None})
     return GeneratorConfig(**merged)

@@ -111,5 +111,21 @@ class NonNumericCell(FreqSynthError):
         super().__init__(f"{kind} cell at row {row}, col {col}")
 
 
+class MalformedRow(FreqSynthError):
+    """The csv module cannot read a CSV row, for example because one of
+    its fields is longer than ``csv.field_size_limit()``.
+
+    Carries the ``row`` index: 1-based over data rows, 0 for the header.
+    """
+
+    def __init__(self, path: str, row: int, reason: str):
+        self.row = row
+        super().__init__(f"{path}: row {row}: {reason}")
+
+
 class EmptyDataset(FreqSynthError):
     """Dataset has no channels or no samples."""
+
+
+class InvalidConfig(FreqSynthError, ValueError):
+    """A generator config file is not a JSON object or sets unknown keys."""

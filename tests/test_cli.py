@@ -231,6 +231,20 @@ class TestPeriodogramAndEstimate:
         assert not os.path.exists(out)
 
 
+    def test_oversized_field_is_one_line_error(self, tmp_path, capsys):
+        src = str(tmp_path / "big.csv")
+        with open(src, "w", encoding="utf-8") as f:
+            f.write(f"date,x\n0,1.5\n1,{'1' * 200_000}\n")
+        out = str(tmp_path / "never.json")
+        rc = main(["estimate", "--input", src, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (
+            f"freqsynth: error: {src}: row 2: field larger than field limit (131072)\n"
+        )
+        assert not os.path.exists(out)
+
+
 class TestSimilarity:
     def test_matrix_diagonal_and_range(self, tmp_path):
         a = gen_csv(tmp_path, "sa", omega=1 / 24, seed=1)

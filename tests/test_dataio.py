@@ -1,7 +1,11 @@
 """CSV/JSON persistence tests."""
 
+import csv
 import json
 import os
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +30,8 @@ from freqsynth import dataio
 from freqsynth.errors import (
     EmptyDataset,
     FreqSynthError,
+    InvalidConfig,
+    MalformedRow,
     MissingHeader,
     NonNumericCell,
     RaggedRows,
@@ -184,7 +190,7 @@ class TestLoadErrors:
 
 SPECIAL_VALUES = (
     0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.79e308, 1e300, -1e-300,
-    0.1, 1 / 3, -2.5, 123456789.125,
+    0.1, 1 / 3, -2.5, 123456789.125, 1e16, 1e-5, -1e300,
 )
 
 
@@ -218,6 +224,31 @@ class TestStreamedCsv:
         save_csv(ds, str(tmp_path / "new.csv"))
         save_csv_per_cell(ds, str(tmp_path / "old.csv"))
         assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+
+    @pytest.mark.parametrize(
+        "names", [("a,b",), ("a,b", 'q"x', "line\nbreak", "", " lead")], ids=["d1", "d5"]
+    )
+    @pytest.mark.parametrize(
+        "n", [1, dataio._ROWS - 1, dataio._ROWS, dataio._ROWS + 1, 3 * dataio._ROWS + 7]
+    )
+    def test_bytes_match_at_block_edges(self, tmp_path, n, names):
+        ds = special_dataset(n, names)
+        save_csv(ds, str(tmp_path / "new.csv"))
+        save_csv_per_cell(ds, str(tmp_path / "old.csv"))
+        assert read_bytes(tmp_path / "new.csv") == read_bytes(tmp_path / "old.csv")
+
+    def test_save_memory_stays_one_block(self, tmp_path):
+        """Peak traced memory of save_csv does not grow with the block count."""
+        peaks = {}
+        for blocks in (4, 16):
+            ds = special_dataset(blocks * dataio._ROWS, tuple("abcde"))
+            tracemalloc.start()
+            try:
+                save_csv(ds, str(tmp_path / "m.csv"))
+                peaks[blocks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] < 1.25 * peaks[4]
 
     @pytest.mark.parametrize(
         "names",
@@ -321,6 +352,204 @@ class TestStreamedCsv:
         assert read_bytes(tmp_path / "kept.csv") == b"date,x\n0,1.0\n"
 
 
+def outcome(loader, path):
+    """A loader's names and value bits, or its error class and message."""
+    try:
+        ds = loader(path)
+    except FreqSynthError as e:
+        return type(e), str(e)
+    return ds.channel_names, ds.values.shape, ds.values.tobytes()
+
+
+def both_outcomes(text, rows):
+    """outcome of load_csv with _ROWS = rows and of load_csv_per_cell on text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.csv")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        with mock.patch.object(dataio, "_ROWS", rows):
+            got = outcome(load_csv, path)
+        return got, outcome(load_csv_per_cell, path)
+
+
+GOOD_ROWS = [f"{r},{r}.5,-{r}" for r in range(1, 10)]
+
+
+def body(swap=(), end="\n", header="date,x,y", final=True):
+    """A header plus nine data rows of two channels, with {row: line} swapped in."""
+    swap = dict(swap)
+    lines = [header] + [swap.get(r, line) for r, line in enumerate(GOOD_ROWS, 1)]
+    return end.join(lines) + (end if final else "")
+
+
+# id, file text.  With _ROWS = 3, rows 1-3, 4-6 and 7-9 are the blocks.
+DIFFERENTIAL_CASES = [
+    ("plain", body()),
+    # np.loadtxt strips a unit separator, float refuses it
+    ("unit-separator", body({2: "2,1.5\x1f,1"})),
+    # float takes these, np.loadtxt refuses them
+    ("underscore", body({5: "5,1_5,2"})),
+    ("arabic-indic-digit", body({5: "5,\u0663,2"})),
+    # np.loadtxt skips blank lines; usecols hides an extra trailing field
+    ("blank-line", body({4: ""})),
+    ("whitespace-only-line", body({4: "  \t "})),
+    ("blank-line-beside-two-extra-fields", body({4: "4,1,2,3,4", 5: ""})),
+    ("extra-trailing-field", body({4: "4,1,2,3"})),
+    ("extra-field-beside-a-missing-one", body({4: "4,1,2,3", 5: "5,1"})),
+    ("missing-field", body({7: "7,1"})),
+    ("empty-field", body({4: "4,,1"})),
+    ("vertical-tab-and-form-feed-padding", body({2: "2,\x0b1.5\x0c,2"})),
+    ("spaces-and-tabs", body({2: "2, 1.5\t,\t2 "})),
+    ("crlf", body(end="\r\n")),
+    ("lone-cr", body(end="\r")),
+    ("no-final-line-end", body(final=False)),
+    ("quoted-numbers", body({3: '3,"1.5","2"'})),
+    ("quoted-date-with-comma", body({3: '"2020,01",1,2'})),
+    # row 3 spans lines 3 and 4, across the block edge
+    ("quoted-date-with-newline", body({3: '"2020\n01",1,2'})),
+    # split at its newline, row 3 has two lines of two commas each
+    ("quoted-date-keeping-the-comma-count", body({3: '"x,1,2\ny",1,2'})),
+    ("quoted-header-names", body(header='date,"a,b","q""x"')),
+    ("header-name-with-newline", body(header='date,"line\nbreak",y')),
+    ("non-ascii-dates",
+     body({r: f"2020-01-0{r} \u00e9t\u00e9,{r},1" for r in range(1, 10)})),
+    ("nan-and-1e400", body({6: "6,nan,1e400"})),
+    ("infinity-words", body({2: "2,-Infinity,+inf"})),
+    ("subnormals", body({2: "2,5e-324,2.225073858507201e-308",
+                         3: "3,4.9e-324,-2.4703282292062328e-324"})),
+    ("25-digit-mantissas", body({4: "4,1.234567890123456789012345,"
+                                    "0.1000000000000000055511151231257827"})),
+    ("bad-cell-after-two-fast-blocks", body({8: "8,oops,1"})),
+    ("ragged-row-after-two-fast-blocks", body({9: "9,1"})),
+    ("hex-and-bare-exponent", body({2: "2,0x10,1", 3: "3,1e,2"})),
+    ("nul-in-a-value", body({2: "2,1\x00,2"})),
+]
+
+
+class TestLoadtxtBlocks:
+    """load_csv's numpy-reader blocks against the per-cell loader."""
+
+    @pytest.mark.parametrize(
+        "text", [t for _, t in DIFFERENTIAL_CASES], ids=[n for n, _ in DIFFERENTIAL_CASES]
+    )
+    @pytest.mark.parametrize("rows", [2, 3])
+    def test_listed_cases(self, text, rows):
+        got, want = both_outcomes(text, rows)
+        assert got == want
+
+    CELLS = st.one_of(
+        st.floats(allow_nan=False).map(repr),
+        st.integers(-(10**30), 10**30).map(str),
+        st.sampled_from(
+            ["0.1", "-0.0", "5e-324", "1e400", "nan", "1_0", " 2 ", "\t3", '"4"',
+             "", "x", "\u0663", "1.5\x1f", "\x0b6", ".5", "1e", "+7"]
+        ),
+        st.text(alphabet=' \t\x0b\x1f"_,.019eE+-naif\u0663\u00e9\n\r', max_size=5),
+    )
+    DATES = st.one_of(
+        st.integers(0, 99).map(str),
+        st.sampled_from(['"2020,01"', '"20\n20"', "\u00e9", '"x,1', "2020-01-01 00:00"]),
+    )
+    LINES = st.one_of(
+        st.tuples(DATES, st.lists(CELLS, min_size=2, max_size=2)),
+        st.tuples(DATES, st.lists(CELLS, min_size=0, max_size=4)),
+        st.just(("", [])),
+    ).map(lambda dc: ",".join([dc[0], *dc[1]]) if dc[1] else dc[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(LINES, min_size=1, max_size=10),
+        end=st.sampled_from(["\n", "\r\n", "\r"]),
+        final=st.booleans(),
+        rows=st.integers(2, 3),
+    )
+    def test_fuzz_matches_the_per_cell_loader(self, lines, end, final, rows):
+        text = end.join(["date,x,y", *lines]) + (end if final else "")
+        got, want = both_outcomes(text, rows)
+        assert got == want
+
+    def _spy(self, monkeypatch):
+        """Record which blocks np.loadtxt took, and the first row of each
+        block that csv.reader and float parsed."""
+        taken, parsed = [], []
+        fast, slow = dataio._loadtxt_block, dataio._parse_rows
+
+        def loadtxt_block(lines, width):
+            values = fast(lines, width)
+            taken.append(values is not None)
+            return values
+
+        def parse_rows(rows, width, first):
+            parsed.append(first)
+            return slow(rows, width, first)
+
+        monkeypatch.setattr(dataio, "_loadtxt_block", loadtxt_block)
+        monkeypatch.setattr(dataio, "_parse_rows", parse_rows)
+        return taken, parsed
+
+    def test_generated_file_takes_numpy_on_every_block(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "g.csv")
+        ds = special_dataset(3 * dataio._ROWS + 5)
+        save_csv(ds, path)
+        taken, parsed = self._spy(monkeypatch)
+        assert same_bits(load_csv(path).values, ds.values)
+        assert taken == [True] * 4 and parsed == []
+
+    def test_bad_cell_in_third_block_falls_back_there(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_ROWS", 3)
+        path = str(tmp_path / "b.csv")
+        write(path, body({8: "8,oops,1"}))
+        taken, parsed = self._spy(monkeypatch)
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (8, 2)
+        assert taken == [True, True, False] and parsed == [7]
+
+    @pytest.mark.parametrize(
+        "line", ['"5",5.5,-5', "5 \u00e9t\u00e9,5.5,-5", "5,\x0b5.5,-5", "5,5_5,-5"],
+        ids=["quote", "non-ascii-date", "vertical-tab", "underscore"],
+    )
+    def test_guard_sends_its_block_and_the_rest_to_csv(self, tmp_path, monkeypatch, line):
+        monkeypatch.setattr(dataio, "_ROWS", 3)
+        path = str(tmp_path / "q.csv")
+        write(path, body({5: line}))
+        taken, parsed = self._spy(monkeypatch)
+        assert outcome(load_csv, path) == outcome(load_csv_per_cell, path)
+        assert taken == [True, False] and parsed == [4, 7]
+
+
+class TestFieldLimit:
+    """A field over csv.field_size_limit() is a typed error, not csv.Error."""
+
+    BIG = csv.field_size_limit() + 1
+
+    @pytest.mark.parametrize("row", [1, 2, 5, 6])
+    def test_oversized_cell_names_file_and_row(self, tmp_path, monkeypatch, row):
+        monkeypatch.setattr(dataio, "_ROWS", 2)
+        path = str(tmp_path / "big.csv")
+        # spaces around a number: float and np.loadtxt would both take it
+        write(path, body({row: f"{row},{' ' * self.BIG}1.5,2"}))
+        with pytest.raises(MalformedRow) as exc:
+            load_csv(path)
+        assert exc.value.row == row
+        assert str(exc.value).startswith(f"{path}: row {row}: field larger than")
+
+    def test_earlier_bad_cell_in_the_block_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_ROWS", 3)
+        path = str(tmp_path / "big.csv")
+        write(path, body({4: "4,oops,1", 5: f"5,{'1' * self.BIG},2"}))
+        with pytest.raises(NonNumericCell) as exc:
+            load_csv(path)
+        assert (exc.value.row, exc.value.col) == (4, 2)
+
+    def test_oversized_header(self, tmp_path):
+        path = str(tmp_path / "big.csv")
+        write(path, body(header=f"date,{'x' * self.BIG},y"))
+        with pytest.raises(MalformedRow) as exc:
+            load_csv(path)
+        assert exc.value.row == 0
+
+
 class TestGeneratorConfigFile:
     def test_subset_plus_overrides(self, tmp_path):
         path = str(tmp_path / "cfg.json")
@@ -344,6 +573,19 @@ class TestGeneratorConfigFile:
         write(path, json.dumps({"omega_bar": 0.05, "bogus": 1}))
         with pytest.raises(ValueError):
             load_generator_config(path)
+
+    @pytest.mark.parametrize(
+        "doc, words",
+        [([1, 2], "JSON object"), ({"omega_bar": 0.05, "bogus": 1}, "'bogus'")],
+    )
+    def test_bad_document_is_typed_and_names_the_path(self, tmp_path, doc, words):
+        path = str(tmp_path / "cfg5.json")
+        write(path, json.dumps(doc))
+        with pytest.raises(InvalidConfig) as exc:
+            load_generator_config(path)
+        assert isinstance(exc.value, FreqSynthError)
+        assert isinstance(exc.value, ValueError)
+        assert str(exc.value).startswith(f"{path}: ") and words in str(exc.value)
 
 
 class TestReportAndTableWriters:
