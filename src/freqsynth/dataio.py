@@ -111,7 +111,7 @@ def _csv_chunks(ds: Dataset) -> Iterator[str]:
         yield "\n".join(map(",".join, zip(map(str, range(lo, hi)), *cells))) + "\n"
 
 
-def load_csv(path: str, rate: str | None = None) -> Dataset:
+def load_csv(path: str) -> Dataset:
     """Read an LTSF-layout CSV; channels are the columns after the first."""
     blocks = []
     with open(path, "r", encoding="utf-8", newline="") as f:
@@ -154,12 +154,7 @@ def load_csv(path: str, rate: str | None = None) -> Dataset:
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         raise NonNumericCell(int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
-    return Dataset(
-        values=values.T,
-        channel_names=tuple(header[1:]),
-        rate=rate,
-        provenance=path,
-    )
+    return Dataset(values=values.T, channel_names=tuple(header[1:]), provenance=path)
 
 
 def _loadtxt_block(lines: list[str], width: int) -> np.ndarray | None:

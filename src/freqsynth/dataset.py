@@ -113,14 +113,6 @@ class Dataset:
         """Series length."""
         return self.values.shape[1]
 
-    def channel(self, name: str) -> np.ndarray:
-        """Return the 1-d series for the named channel."""
-        try:
-            i = self.channel_names.index(name)
-        except ValueError:
-            raise KeyError(f"no channel named {name!r}") from None
-        return self.values[i]
-
     def slice_time(self, start: int, stop: int) -> "Dataset":
         """Return the [start, stop) time slice as a new dataset.
 
@@ -152,19 +144,20 @@ class WindowSet:
     Attributes
     ----------
     count, L, H : window count, lookback length and horizon length
-    origins : optional (N, 3) int64 of (dataset index, channel, start),
-        recording where each window was cut; purely informational
+    origins : (N, 3) int64 of (dataset index, channel, start), recording
+        where ``sample_windows`` cut each window; None for other sets;
+        purely informational
     lookbacks : (N, L) float64, read-only, gathered on each access
     horizons : (N, H) float64, read-only, gathered on each access
 
-    ``WindowSet(lookbacks=, horizons=, origins=None)`` builds a set whose
-    series is the ravelled ``[lookbacks | horizons]``; ``sample_windows``
-    builds sets over the sampled datasets' channels laid end to end.
+    ``WindowSet(lookbacks=, horizons=)`` builds a set whose series is the
+    ravelled ``[lookbacks | horizons]``; ``sample_windows`` builds sets
+    over the sampled datasets' channels laid end to end.
     ``lookbacks`` and ``horizons`` gather the whole set, so library code
     reads blocks instead.
     """
 
-    def __init__(self, lookbacks, horizons, origins=None):
+    def __init__(self, lookbacks, horizons):
         lb = np.asarray(lookbacks, dtype=np.float64)
         hz = np.asarray(horizons, dtype=np.float64)
         if lb.ndim != 2 or hz.ndim != 2:
@@ -179,7 +172,7 @@ class WindowSet:
             raise InvalidSeries("window values must be finite")
         L, H = lb.shape[1], hz.shape[1]
         series = np.concatenate([lb, hz], axis=1).ravel()
-        self._build(series, np.arange(lb.shape[0]) * (L + H), L, H, origins)
+        self._build(series, np.arange(lb.shape[0]) * (L + H), L, H, None)
 
     @classmethod
     def _over(cls, series, starts, L: int, H: int, origins=None) -> "WindowSet":
@@ -204,10 +197,6 @@ class WindowSet:
         starts.setflags(write=False)
         if origins is not None:
             origins = np.array(origins, dtype=np.int64, copy=True)
-            if origins.shape != (starts.size, 3):
-                raise ShapeMismatch(
-                    f"origins shape {origins.shape}, expected ({starts.size}, 3)"
-                )
             origins.setflags(write=False)
         for name, value in (("_series", series), ("_starts", starts), ("L", L),
                             ("H", H), ("origins", origins)):

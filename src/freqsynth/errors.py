@@ -52,6 +52,10 @@ class InsufficientData(FreqSynthError):
     """Requested more windows than distinct start positions exist."""
 
 
+class TooManyPoints(FreqSynthError, ValueError):
+    """A synthesized dataset's n * d exceeds the generator's point budget."""
+
+
 # -- forecasting ------------------------------------------------------------
 
 class InvalidWindow(FreqSynthError):

@@ -1,6 +1,6 @@
 """Zero-shot and few-shot evaluation harness.
 
-Provides the chronological split plus metric plumbing, stride-1
+Provides the chronological split, window-set metrics, stride-1
 zero-shot evaluation over a test segment, cross-dataset transfer
 matrices with per-column min-max scaling, and the synthetic experiment
 drivers: frequency confusion, frequency generalization, and the
@@ -72,10 +72,6 @@ class SplitSpec:
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"fractions must sum to 1, got {total}")
-
-
-ETT_SPLIT = SplitSpec(0.6, 0.2, 0.2)
-STANDARD_SPLIT = SplitSpec(0.7, 0.2, 0.1)
 
 
 @dataclass(frozen=True)
@@ -254,23 +250,6 @@ def _lag_sums(
                 sse[0, cols] += _window_sums(d, m, w, True).ravel()
                 sae[0, cols] += _window_sums(np.abs(d, out=d), m, w, False).ravel()
     return sse, sae
-
-
-def _score(predict, inputs: np.ndarray, targets: np.ndarray) -> tuple[float, float]:
-    """(MSE, MAE) of predict over a non-empty 2-D target array."""
-    sse, sae = _block_sums(predict, [(inputs, targets)], targets.shape[1])
-    return float(sse[0].sum()) / targets.size, float(sae[0].sum()) / targets.size
-
-
-def metrics(preds, targets) -> tuple[float, float]:
-    """(MSE, MAE) over all elements of equal-shaped arrays."""
-    p = np.asarray(preds, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeMismatch(f"shape {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ShapeMismatch("cannot score empty arrays")
-    return _score(lambda block, out: block, p.reshape(-1, 1), t.reshape(-1, 1))
 
 
 def windowset_metrics(model, ws: WindowSet) -> tuple[float, float]:
@@ -670,14 +649,14 @@ def size_variates_sweep(
     d_values: tuple[int, ...],
     target: Dataset,
     seed: int = 0,
-    L: int = 96,
-    H: int = 96,
-    n: int = 16384,
 ) -> np.ndarray:
     """Zero-shot MSE grid over (training window count, variate count).
 
-    Ridge uses the relative default lambda.
+    Each model trains on L = H = 96 windows sampled from the h = 1, 2, 3
+    datasets of the target's estimated fundamental, each n = 16,384 steps
+    of d variates.  Ridge uses the relative default lambda.
     """
+    L, H, n = 96, 96, 16384
     master = np.random.default_rng(seed)
     omega = estimate_fundamental(target).omega_bar
     models = []

@@ -289,13 +289,12 @@ def finetune(
     model: LinearForecaster,
     fewshot: WindowSet,
     anchor: float = DEFAULT_ANCHOR,
-    lam: float | None = None,
 ) -> LinearForecaster:
     """Refit on few-shot windows, penalized toward the pretrained weights.
 
     Solves sum ||W phi - y||^2 + lam ||W||_F^2 + anchor ||W - W0||_F^2,
     so anchor -> infinity returns W0 and anchor = 0 refits from scratch.
-    lam=None reuses the coefficient recorded on the pretrained model.
+    lam is the coefficient recorded on the pretrained model.
     """
     if fewshot.count == 0:
         raise EmptyTrainingSet("cannot finetune on an empty window set")
@@ -305,9 +304,7 @@ def finetune(
             f"model expects L={model.L}, H={model.H}"
         )
     _check_coefficient("anchor", anchor)
-    if lam is None:
-        lam = model.lam
-    _check_coefficient("lam", lam)
+    lam = model.lam
     model_id = f"{model.model_id}-finetuned"
     if anchor == 0.0:
         return replace(fit_ridge(fewshot, lam), model_id=model_id)

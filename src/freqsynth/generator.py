@@ -23,7 +23,9 @@ Variants differ only in the pool's frequency law, which
 ``build_datasets`` takes per dataset: a harmonic ``(omega_bar, h)`` pair
 (the single-fundamental variant uses h = 1, 2, 3 of one omega_bar, the
 natural variant the same over a fixed set of everyday fundamentals), or
-``"mix"``, frequencies uniform with no harmonic structure at all.  All
+``"mix"``, frequencies uniform with no harmonic structure at all.  The
+pool hyperparameters m, A' and l are GeneratorConfig's fields;
+``build_datasets`` and the freq_synth variants use their defaults.  All
 outputs are pure functions of (config, seed).
 """
 
@@ -41,6 +43,7 @@ from .errors import (
     DegenerateChannel,
     InsufficientData,
     InvalidAmplitudeScale,
+    TooManyPoints,
     WindowTooLong,
 )
 
@@ -72,17 +75,21 @@ class SineSpec:
         if not 0.0 <= self.phase < 2.0 * np.pi:
             raise ValueError(f"phase must be in [0, 2*pi), got {self.phase}")
 
-    def render(self, n: int) -> np.ndarray:
-        # association mirrors the per-member render in _render_channels,
-        # so a one-sine channel is bitwise equal to the rendered spec
-        t = np.arange(n, dtype=np.float64)
-        return self.amplitude * np.sin(
-            2.0 * np.pi * self.frequency * t + self.phase
-        )
-
 
 # Smallest accepted value of each integer size of a synthesized dataset.
 _SIZE_MINIMUM = {"m": 1, "h": 1, "l": 1, "n": 2, "d": 1}
+
+# Largest accepted n * d of a synthesized dataset: 8 GB of float64.
+_MAX_POINTS = 10**9
+
+
+def _check_points(n: int, d: int) -> None:
+    """Reject a (d, n) dataset of more than _MAX_POINTS points."""
+    if n * d > _MAX_POINTS:
+        raise TooManyPoints(
+            f"n * d = {n} * {d} = {n * d} points exceeds the limit of "
+            f"{_MAX_POINTS} points"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,9 @@ class GeneratorConfig:
     m: pool size; h: harmonics kept (k*omega_bar below Nyquist)
     A_prime: expected sine amplitude; l: sines summed per channel
     n: series length; d: channel count; seed: RNG seed
+
+    n * d may not exceed _MAX_POINTS (10**9 points, 8 GB of float64);
+    a larger config raises TooManyPoints, before anything is allocated.
     """
 
     omega_bar: float
@@ -124,6 +134,7 @@ class GeneratorConfig:
         for name, lo in (*_SIZE_MINIMUM.items(), ("seed", 0)):
             value = _whole_number(name, getattr(self, name), lo, ValueError)
             object.__setattr__(self, name, value)
+        _check_points(self.n, self.d)
 
     def digest(self) -> str:
         """Short stable hash of all fields, used as provenance."""
@@ -145,10 +156,9 @@ def _draw_pool(law, m: int, A_prime: float, rng: np.random.Generator):
     ``law`` is a harmonic ``(omega_bar, h)`` pair, drawing frequencies
     uniformly from harmonic_set(omega_bar, h), or ``"mix"``, drawing them
     uniformly over MIX_FREQ_RANGE.  The vectors come off ``rng`` in the
-    order amplitudes, frequencies, phases.
+    order amplitudes, frequencies, phases.  A_prime is GeneratorConfig's,
+    already checked to exceed 0.01.
     """
-    if not A_prime > 0.01:
-        raise InvalidAmplitudeScale(f"A_prime must exceed 0.01, got {A_prime}")
     amps = rng.exponential(scale=A_prime - 0.01, size=m) + 0.01
     if law == "mix":
         lo, hi = MIX_FREQ_RANGE
@@ -159,24 +169,14 @@ def _draw_pool(law, m: int, A_prime: float, rng: np.random.Generator):
     return amps, freqs, phases
 
 
-def _specs(amps, freqs, phases) -> list[SineSpec]:
+def build_pool(cfg: GeneratorConfig) -> list[SineSpec]:
+    """Draw the pool of m sinusoids deterministically from cfg.seed."""
+    rng = np.random.default_rng(cfg.seed)
+    amps, freqs, phases = _draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng)
     return [
         SineSpec(amplitude=float(a), frequency=float(f), phase=float(p))
         for a, f, p in zip(amps, freqs, phases)
     ]
-
-
-def build_pool(cfg: GeneratorConfig) -> list[SineSpec]:
-    """Draw the pool of m sinusoids deterministically from cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
-    return _specs(*_draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng))
-
-
-def build_mix_pool(
-    m: int, A_prime: float, rng: np.random.Generator
-) -> list[SineSpec]:
-    """Pool with frequencies uniform over MIX_FREQ_RANGE; no harmonics."""
-    return _specs(*_draw_pool("mix", m, A_prime, rng))
 
 
 def _render_channels(
@@ -348,9 +348,6 @@ def build_datasets(
     laws,
     seed: int,
     *,
-    m: int = 100,
-    A_prime: float = 5.0,
-    l: int = 10,
     n: int = 50_000,
     d: int = 5,
 ) -> list[Dataset]:
@@ -358,10 +355,11 @@ def build_datasets(
 
     A law is a harmonic ``(omega_bar, h)`` pair, which gives
     synthesize's dataset for that config, or ``"mix"``, a pool with
-    frequencies uniform over MIX_FREQ_RANGE.  Dataset i is built from the
-    i-th child seed of ``seed``.  Before anything is drawn, m, l, n and d
-    are checked as GeneratorConfig checks them, and each law must be
-    ``"mix"`` or a pair.
+    frequencies uniform over MIX_FREQ_RANGE.  Pools take GeneratorConfig's
+    default m, A' and l.  Dataset i is built from the i-th child seed of
+    ``seed``.  Before anything is drawn, n and d are checked as
+    GeneratorConfig checks them, point budget included, and each law must
+    be ``"mix"`` or a pair.
     """
     laws = list(laws)
     for law in laws:
@@ -370,25 +368,24 @@ def build_datasets(
                 f"unknown frequency law {law!r}: expected 'mix' or an "
                 "(omega_bar, h) pair"
             )
-    m, l, n, d = (
+    n, d = (
         _whole_number(name, v, _SIZE_MINIMUM[name], ValueError)
-        for name, v in zip("mlnd", (m, l, n, d))
+        for name, v in zip("nd", (n, d))
     )
+    _check_points(n, d)
     master = np.random.default_rng(seed)
     out = []
     for i, law in enumerate(laws):
         child = _child_seed(master)
         if law == "mix":
             rng = np.random.default_rng(child)
-            values = _render_channels(*_draw_pool(law, m, A_prime, rng), n, d, l, rng)
+            pool = _draw_pool(law, GeneratorConfig.m, GeneratorConfig.A_prime, rng)
+            values = _render_channels(*pool, n, d, GeneratorConfig.l, rng)
             ds = _named(values, f"freq-synth-mix:seed={seed}:copy={i}")
         else:
             omega_bar, h = law
             ds = synthesize(
-                GeneratorConfig(
-                    omega_bar=omega_bar, m=m, h=h, A_prime=A_prime, l=l, n=n, d=d,
-                    seed=child,
-                )
+                GeneratorConfig(omega_bar=omega_bar, h=h, n=n, d=d, seed=child)
             )
         out.append(standardize(ds))
     return out
@@ -411,9 +408,6 @@ def freq_synth(
     L: int = 96,
     H: int = 720,
     *,
-    m: int = 100,
-    A_prime: float = 5.0,
-    l: int = 10,
     n: int = 50_000,
     d: int = 5,
 ) -> tuple[WindowSet, WindowSet]:
@@ -424,8 +418,7 @@ def freq_synth(
     draws never share a (dataset, channel, start) triple.
     """
     laws = [(omega_bar, h) for h in (1, 2, 3)]
-    return _windows(laws, seed, count_train, count_val, L, H,
-                    m=m, A_prime=A_prime, l=l, n=n, d=d)
+    return _windows(laws, seed, count_train, count_val, L, H, n=n, d=d)
 
 
 def freq_synth_natural(
@@ -435,9 +428,6 @@ def freq_synth_natural(
     L: int = 96,
     H: int = 720,
     *,
-    m: int = 100,
-    A_prime: float = 5.0,
-    l: int = 10,
     n: int = 50_000,
     d: int = 5,
 ) -> tuple[WindowSet, WindowSet]:
@@ -447,8 +437,7 @@ def freq_synth_natural(
     harmonics; window sampling spans all twelve resulting datasets.
     """
     laws = [(omega, h) for omega in NATURAL_FREQUENCIES for h in (1, 2, 3)]
-    return _windows(laws, seed, count_train, count_val, L, H,
-                    m=m, A_prime=A_prime, l=l, n=n, d=d)
+    return _windows(laws, seed, count_train, count_val, L, H, n=n, d=d)
 
 
 def freq_synth_mix(
@@ -458,9 +447,6 @@ def freq_synth_mix(
     L: int = 96,
     H: int = 720,
     *,
-    m: int = 100,
-    A_prime: float = 5.0,
-    l: int = 10,
     n: int = 50_000,
     d: int = 5,
 ) -> tuple[WindowSet, WindowSet]:
@@ -469,5 +455,4 @@ def freq_synth_mix(
     Three independent mix datasets stand in for the h = 1, 2, 3 triple
     so sample budgets match the harmonic variant.
     """
-    return _windows(["mix"] * 3, seed, count_train, count_val, L, H,
-                    m=m, A_prime=A_prime, l=l, n=n, d=d)
+    return _windows(["mix"] * 3, seed, count_train, count_val, L, H, n=n, d=d)

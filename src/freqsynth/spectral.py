@@ -114,24 +114,6 @@ def dft(x) -> Spectrum:
     return Spectrum(coeffs=coeffs, n=n)
 
 
-def dft_naive(x) -> Spectrum:
-    """Reference O(n^2) summation, in chunks of 128 output bins.
-
-    Exists as an independent check on :func:`dft`; the two agree to
-    1e-9 relative error for n up to a few thousand.
-    """
-    arr = _as_series(x)
-    n = arr.size
-    t = np.arange(1, n + 1, dtype=np.float64)
-    coeffs = np.empty(n, dtype=np.complex128)
-    chunk = 128
-    for start in range(0, n, chunk):
-        j = np.arange(start, min(start + chunk, n), dtype=np.float64)
-        kernel = np.exp((-2j * np.pi / n) * np.outer(j, t))
-        coeffs[start : start + j.size] = kernel @ arr
-    return Spectrum(coeffs=coeffs / np.sqrt(n), n=n)
-
-
 def _rfft_power(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bin frequencies j/n and scaled powers (4/n)|d(w_j)|^2 of the
     length-n rows of ``x``, for j = 1 .. floor((n-1)/2).

@@ -11,6 +11,7 @@ from freqsynth.dataset import _whole_number as whole_number
 from freqsynth.evaluation import (
     DEFAULT_HORIZONS,
     EvalReport,
+    SplitSpec,
     TransferMatrix,
     _forecaster,
     minmax_scale_columns,
@@ -49,13 +50,46 @@ from freqsynth.generator import (
     harmonic_set,
     sample_windows,
 )
-from freqsynth.spectral import Periodogram, _as_series
+from freqsynth.spectral import Periodogram, Spectrum, _as_series
 
 _CHUNK = 4096
 
 _BLOCK = 2**18
 
 _SEED_CEILING = 2**63 - 1
+
+# The ETTh/ETTm chronological split and the split of the other LTSF
+# datasets.
+ETT_SPLIT = SplitSpec(0.6, 0.2, 0.2)
+STANDARD_SPLIT = SplitSpec(0.7, 0.2, 0.1)
+
+
+def render_spec(spec: SineSpec, n: int) -> np.ndarray:
+    """spec's sinusoid at t = 0 .. n-1.
+
+    The association mirrors the per-member render in _render_channels,
+    so a one-sine channel is bitwise equal to the rendered spec.
+    """
+    t = np.arange(n, dtype=np.float64)
+    return spec.amplitude * np.sin(2.0 * np.pi * spec.frequency * t + spec.phase)
+
+
+def dft_naive(x) -> Spectrum:
+    """Reference O(n^2) summation of spectral.dft, in chunks of 128 output bins.
+
+    An independent check on the FFT path; the two agree to 1e-9
+    relative error for n up to a few thousand.
+    """
+    arr = _as_series(x)
+    n = arr.size
+    t = np.arange(1, n + 1, dtype=np.float64)
+    coeffs = np.empty(n, dtype=np.complex128)
+    chunk = 128
+    for start in range(0, n, chunk):
+        j = np.arange(start, min(start + chunk, n), dtype=np.float64)
+        kernel = np.exp((-2j * np.pi / n) * np.outer(j, t))
+        coeffs[start : start + j.size] = kernel @ arr
+    return Spectrum(coeffs=coeffs / np.sqrt(n), n=n)
 
 
 def render_channels_direct(amps, freqs, phases, n, d, l, rng):
@@ -145,7 +179,7 @@ def save_csv_per_cell(ds, path):
     _atomic_write(path, buf.getvalue())
 
 
-def load_csv_per_cell(path, rate=None):
+def load_csv_per_cell(path):
     """The load_csv that held every row as strings and parsed cell by cell."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -175,12 +209,7 @@ def load_csv_per_cell(path, rate=None):
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         raise NonNumericCell(int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
-    return Dataset(
-        values=values.T,
-        channel_names=tuple(header[1:]),
-        rate=rate,
-        provenance=path,
-    )
+    return Dataset(values=values.T, channel_names=tuple(header[1:]), provenance=path)
 
 
 # The synthetic-data paths from before they shared one law-keyed builder:
@@ -581,11 +610,10 @@ def sample_windows_eager(datasets, count_train, count_val, L, H, seed):
     origins = np.column_stack([ds_idx, chan, start]).astype(np.int64)
 
     def _cut(rows: slice) -> WindowSet:
-        return WindowSet(
-            lookbacks=out[rows, :L],
-            horizons=out[rows, L:],
-            origins=origins[rows],
-        )
+        # the set WindowSet(lookbacks, horizons) builds, with origins
+        windows = out[rows]
+        starts = np.arange(windows.shape[0]) * length
+        return WindowSet._over(windows.ravel(), starts, L, H, origins[rows])
 
     return _cut(slice(0, count_train)), _cut(slice(count_train, need))
 
@@ -754,17 +782,6 @@ def _score_unstacked(
     """(MSE, MAE) of predict over a non-empty 2-D target array."""
     sse, sae = block_sums_unstacked(predict, [(inputs, targets)], targets.shape[1])
     return float(sse.sum()) / targets.size, float(sae.sum()) / targets.size
-
-
-def metrics_unstacked(preds, targets) -> tuple[float, float]:
-    """(MSE, MAE) over all elements of equal-shaped arrays, one-model kernel."""
-    p = np.asarray(preds, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ShapeMismatch(f"shape {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise ShapeMismatch("cannot score empty arrays")
-    return _score_unstacked(lambda block, out: block, p.reshape(-1, 1), t.reshape(-1, 1))
 
 
 def windowset_metrics_unstacked(model, ws: WindowSet) -> tuple[float, float]:

@@ -20,7 +20,6 @@ from freqsynth import (
     build_pool,
     default_window_len,
     dft,
-    dft_naive,
     estimate_fundamental,
     evaluate_zero_shot,
     finetune,
@@ -40,6 +39,7 @@ from freqsynth import (
     windowset_metrics,
 )
 from freqsynth.cli import main as cli_main
+from oracles import dft_naive
 
 
 def verdict(num, ok, desc):

@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from freqsynth import load_csv, model_from_json
+from freqsynth import cli, load_csv, model_from_json
 from freqsynth.cli import build_parser, main
 
 SUBCOMMANDS = (
@@ -181,6 +181,23 @@ class TestGenerate:
         out = str(tmp_path / "x.csv")
         assert main(["generate", "--config", cfg, "--rate", "2y", "--out", out]) == 2
         assert "2y" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_config_over_point_budget_is_one_line_error(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the config is refused when it is built; nothing of this size
+        # may ever be synthesized
+        def refuse(cfg):
+            raise AssertionError("synthesize was called")
+
+        monkeypatch.setattr(cli, "synthesize", refuse)
+        cfg = write_config(tmp_path / "c.json", omega_bar=0.1, n=10**9, d=10**6)
+        out = str(tmp_path / "x.csv")
+        assert main(["generate", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            "freqsynth: error: n * d = 1000000000 * 1000000 = 1000000000000000 "
+            "points exceeds the limit of 1000000000 points\n"
+        )
         assert not os.path.exists(out)
 
 

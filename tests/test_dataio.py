@@ -118,12 +118,6 @@ class TestCsvRoundTrip:
         ds = load_csv(path)
         assert np.array_equal(ds.values, [[1.5, 2.5]])
 
-    def test_rate_tag_passthrough(self, tmp_path):
-        ds = Dataset(values=np.array([[1.0, 2.0]]), channel_names=("x",))
-        path = str(tmp_path / "rate.csv")
-        save_csv(ds, path)
-        assert load_csv(path, rate="1h").rate == "1h"
-
     def test_no_stray_temp_files(self, tmp_path):
         ds = Dataset(values=np.array([[1.0, 2.0]]), channel_names=("x",))
         save_csv(ds, str(tmp_path / "a.csv"))
@@ -268,7 +262,7 @@ class TestStreamedCsv:
         path = str(tmp_path / "x.csv")
         ds = special_dataset(dataio._ROWS + offset)
         save_csv_per_cell(ds, path)
-        new, old = load_csv(path, rate="1h"), load_csv_per_cell(path, rate="1h")
+        new, old = load_csv(path), load_csv_per_cell(path)
         assert same_bits(new.values, old.values)
         assert same_bits(new.values, ds.values)
         assert (new.channel_names, new.rate, new.provenance) == (

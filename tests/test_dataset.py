@@ -38,13 +38,6 @@ class TestDataset:
         with pytest.raises(InvalidSeries):
             Dataset(values=vals, channel_names=("a",))
 
-    def test_channel_lookup(self):
-        ds = make_ds(2, 6)
-        got = ds.channel("c1")
-        assert np.array_equal(got, ds.values[1])
-        with pytest.raises(KeyError):
-            ds.channel("missing")
-
     def test_slice_time(self):
         ds = make_ds(2, 10)
         sub = ds.slice_time(3, 8)
@@ -83,11 +76,6 @@ class TestWindowSet:
     def test_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
             WindowSet(lookbacks=np.ones((4, 8)), horizons=np.ones((3, 2)))
-
-    def test_origin_shape_checked(self):
-        lb, hz = np.ones((2, 4)), np.ones((2, 1))
-        with pytest.raises(ShapeMismatch):
-            WindowSet(lookbacks=lb, horizons=hz, origins=np.zeros((3, 3), dtype=np.int64))
 
     def test_non_finite_rejected(self):
         lb = np.ones((2, 4))

@@ -21,7 +21,6 @@ from freqsynth import (
     freq_synth,
     generalization_experiment,
     harmonics_sweep,
-    metrics,
     minmax_scale_columns,
     periodogram_pcc,
     ridge_trainer,
@@ -35,7 +34,7 @@ from freqsynth import (
     windowset_metrics,
 )
 from freqsynth import evaluation, forecast
-from freqsynth.evaluation import DEFAULT_HORIZONS, ETT_SPLIT, STANDARD_SPLIT
+from freqsynth.evaluation import DEFAULT_HORIZONS
 from freqsynth.errors import (
     DegenerateChannel,
     InvalidWindow,
@@ -45,7 +44,7 @@ from freqsynth.errors import (
     WindowTooLong,
 )
 import oracles
-from oracles import evaluate_zero_shot_per_horizon
+from oracles import ETT_SPLIT, STANDARD_SPLIT, evaluate_zero_shot_per_horizon
 
 
 def sine_dataset(omega, n, d=2, seed=0, standardized=True):
@@ -62,18 +61,6 @@ def sine_dataset(omega, n, d=2, seed=0, standardized=True):
 
 
 class TestSplitSpec:
-    def test_presets(self):
-        assert (ETT_SPLIT.train_frac, ETT_SPLIT.val_frac, ETT_SPLIT.test_frac) == (
-            0.6,
-            0.2,
-            0.2,
-        )
-        assert (
-            STANDARD_SPLIT.train_frac,
-            STANDARD_SPLIT.val_frac,
-            STANDARD_SPLIT.test_frac,
-        ) == (0.7, 0.2, 0.1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SplitSpec(0.5, 0.5, 0.2)
@@ -145,21 +132,6 @@ class TestStandardizeByTrain:
 
 
 class TestMetrics:
-    def test_identity(self):
-        x = np.random.default_rng(3).normal(size=(4, 7))
-        assert metrics(x, x) == (0.0, 0.0)
-
-    def test_unit_offset(self):
-        x = np.random.default_rng(4).normal(size=(4, 7))
-        assert metrics(x + 1, x) == (1.0, 1.0)
-
-    def test_hand_example(self):
-        assert metrics([0.0, 2.0], [1.0, 1.0]) == (1.0, 1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            metrics(np.ones((2, 3)), np.ones((3, 2)))
-
     def test_report_validation(self):
         with pytest.raises(ValueError):
             EvalReport(dataset="d", horizon=96, mse=-1.0, mae=0.0, model="m")
@@ -607,9 +579,7 @@ class TestHarmonicsSweep:
 class TestSizeVariatesSweep:
     def test_grid_shape_and_finiteness(self):
         target = sine_dataset(1 / 24, n=2048, d=2, seed=15)
-        grid = size_variates_sweep(
-            (64, 128), (2, 3), target, seed=0, L=48, H=24, n=4096
-        )
+        grid = size_variates_sweep((64, 128), (2, 3), target, seed=0)
         assert grid.shape == (2, 2)
         assert np.all(np.isfinite(grid))
         assert np.all(grid > 0)
@@ -670,10 +640,6 @@ class TestWindowsetMetrics:
         err = SeasonalNaiveForecaster(5).forecast(ws.lookbacks, 8) - ws.horizons
         assert abs(mse - np.mean(err**2)) <= 1e-12 * mse
         assert abs(mae - np.mean(np.abs(err))) <= 1e-12 * mae
-        p, t = rng.normal(size=(7, 5)), rng.normal(size=(7, 5))
-        got = metrics(p, t)
-        assert abs(got[0] - np.mean((p - t) ** 2)) <= 1e-12 * got[0]
-        assert abs(got[1] - np.mean(np.abs(p - t))) <= 1e-12 * got[1]
 
 
 class OffsetRidge(LinearForecaster):
@@ -741,7 +707,6 @@ class TestStackedScoring:
         ds = noisy_dataset(700, d=2)
         win = np.lib.stride_tricks.sliding_window_view(ds.values[1], 48 + 64)
         ws = WindowSet(lookbacks=win[:, :48], horizons=win[:, 48:])
-        p, t = np.random.default_rng(3).normal(size=(2, 37, 5))
         models = [ridge_model, NaiveForecaster(), SeasonalNaiveForecaster(24),
                   HorizonScaledNaive()]
         for block in (evaluation._BLOCK, 100):
@@ -764,8 +729,6 @@ class TestStackedScoring:
                 got = windowset_metrics(model, ws)
                 want = oracles.windowset_metrics_unstacked(model, ws)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
-            got, want = metrics(p, t), oracles.metrics_unstacked(p, t)
-            assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_transfer_matrix_matches_per_model_loop(self, monkeypatch):
         # 3 ridge models stacked at H = 24: 1000 // 72 = 13 rows per block
@@ -864,7 +827,7 @@ class TestStackedScoring:
         transfer_matrix([target, target], ridge_trainer(48, 24, count=64), 48, 24)
         harmonics_sweep([("t", target)], h_values=(1, 2), L=48, H=24, count_train=64,
                         n=512, d=1)
-        size_variates_sweep((32, 64), (1,), target, L=48, H=24, n=512)
+        size_variates_sweep((32, 64), (1,), target)
         assert seen == [1, 2, 2, 2, 2]
 
     def test_harmonics_sweep_matches_per_model_loop_with_repeated_h(self):
@@ -885,7 +848,7 @@ class TestStackedScoring:
 
     def test_size_variates_sweep_matches_per_model_loop_with_repeated_size(self):
         target = sine_dataset(1 / 24, n=2048, d=2, seed=15)
-        kw = dict(seed=2, L=48, H=24, n=2048)
+        kw = dict(seed=2)
         got = size_variates_sweep((64, 128, 64), (2, 1), target, **kw)
         want = oracles.size_variates_sweep_per_model((64, 128, 64), (2, 1), target, **kw)
         assert got.shape == (3, 2)

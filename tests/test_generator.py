@@ -10,7 +10,6 @@ from freqsynth import (
     SineSpec,
     aggregate_periodogram,
     build_datasets,
-    build_mix_pool,
     build_pool,
     estimate_fundamental,
     freq_synth,
@@ -23,11 +22,14 @@ from freqsynth import (
     standardize_by_train,
     synthesize,
 )
+from freqsynth import generator
 from freqsynth.dataset import Dataset
 from freqsynth.errors import (
     DegenerateChannel,
+    FreqSynthError,
     InsufficientData,
     InvalidAmplitudeScale,
+    TooManyPoints,
     WindowTooLong,
 )
 from freqsynth.generator import _draw_pool, _render_channels
@@ -85,8 +87,20 @@ class TestConfig:
             GeneratorConfig(omega_bar=0.1, A_prime=float("nan"))
         with pytest.raises(ValueError, match="omega_bar"):
             GeneratorConfig(omega_bar=float("nan"))
-        with pytest.raises(InvalidAmplitudeScale, match="A_prime"):
-            build_mix_pool(10, float("nan"), np.random.default_rng(0))
+
+    def test_point_budget(self):
+        # construction only: no config here is ever synthesized
+        with pytest.raises(TooManyPoints) as exc:
+            GeneratorConfig(omega_bar=0.1, n=10**9, d=10**6)
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, FreqSynthError)
+        assert str(exc.value) == (
+            "n * d = 1000000000 * 1000000 = 1000000000000000 points exceeds "
+            "the limit of 1000000000 points"
+        )
+        assert GeneratorConfig(omega_bar=0.1, n=10**9, d=1).n == 10**9
+        with pytest.raises(TooManyPoints, match=r"^n \* d = 1000000001 \* 1 "):
+            GeneratorConfig(omega_bar=0.1, n=10**9 + 1, d=1)
 
     @pytest.mark.parametrize("field", ["m", "h", "l", "n", "d"])
     @pytest.mark.parametrize("value", [1.5, True, float("nan"), float("inf"), "5", None])
@@ -143,7 +157,7 @@ class TestSineSpec:
         spec = SineSpec(amplitude=2.5, frequency=0.1, phase=1.0)
         t = np.arange(50)
         expected = 2.5 * np.sin(2 * np.pi * 0.1 * t + 1.0)
-        assert np.array_equal(spec.render(50), expected)
+        assert np.array_equal(oracles.render_spec(spec, 50), expected)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -196,7 +210,7 @@ class TestSynthesize:
         cfg = GeneratorConfig(omega_bar=0.1, l=1, n=200, d=3, seed=0)
         spec = SineSpec(amplitude=1.7, frequency=0.1, phase=0.3)
         ds = synthesize(cfg, pool=[spec])
-        expected = spec.render(200)
+        expected = oracles.render_spec(spec, 200)
         for row in ds.values:
             assert np.array_equal(row, expected)
 
@@ -204,7 +218,7 @@ class TestSynthesize:
         cfg = GeneratorConfig(omega_bar=0.1, l=10, n=500, d=5, seed=1)
         pool = [SineSpec(amplitude=1.3, frequency=1 / 24, phase=0.5)] * 4
         ds = synthesize(cfg, pool=pool)
-        base = 10.0 * pool[0].render(500)
+        base = 10.0 * oracles.render_spec(pool[0], 500)
         for row in ds.values:
             assert np.allclose(row, base, rtol=1e-12, atol=0)
         pcc = np.corrcoef(ds.values)
@@ -302,7 +316,7 @@ class TestBasisRender:
         master = np.random.default_rng(seed)
         for ds in got:
             rng = np.random.default_rng(int(master.integers(0, 2**63 - 1)))
-            pool = build_mix_pool(100, 5.0, rng)
+            pool = oracles.build_mix_pool(100, 5.0, rng)
             values = render_channels_direct(*_pool_arrays(pool), n, d, 10, rng)
             want = standardize(Dataset(values=values, channel_names=ds.channel_names))
             assert np.array_equal(ds.values, want.values)
@@ -463,9 +477,7 @@ class TestMixVariant:
     def test_pool_frequency_range(self):
         lo, hi = MIX_FREQ_RANGE
         for seed in range(5):
-            rng = np.random.default_rng(seed)
-            pool = build_mix_pool(100, 5.0, rng)
-            freqs = np.array([s.frequency for s in pool])
+            _, freqs, _ = _draw_pool("mix", 100, 5.0, np.random.default_rng(seed))
             assert np.all(freqs > lo)
             assert np.all(freqs < hi)
 
@@ -482,10 +494,19 @@ class TestMixVariant:
         assert np.array_equal(a.lookbacks, b.lookbacks)
 
     @pytest.mark.parametrize(
-        "sizes", [{"m": 0}, {"m": 2.5}, {"d": 0}, {"n": 1}, {"l": 0}, {"n": "64"}]
+        "sizes",
+        [{"n": 10**9, "d": 10**6}, {"d": 2.5}, {"d": 0}, {"n": 1},
+         {"n": 10**9 // 5 + 1}, {"n": "64"}],
     )
     @pytest.mark.parametrize("law", ["mix", (1 / 24, 2)])
-    def test_sizes_checked_as_generator_config_checks_them(self, sizes, law):
+    def test_sizes_checked_as_generator_config_checks_them(self, sizes, law, monkeypatch):
+        # checked before anything is drawn, so nothing is ever rendered;
+        # n * d over the point budget (the default d is 5) included
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dataset was rendered")
+
+        monkeypatch.setattr(generator, "_render_channels", refuse)
+        monkeypatch.setattr(generator, "synthesize", refuse)
         with pytest.raises(ValueError) as want:
             GeneratorConfig(omega_bar=0.1, **sizes)
         with pytest.raises(ValueError) as got:
@@ -539,8 +560,8 @@ def assert_same_windows(got, want):
 
 SIZES = [
     dict(n=600, d=2),
-    dict(m=37, A_prime=2.5, l=4, n=513, d=3),
-    dict(m=8, A_prime=0.02, l=1, n=300, d=1),
+    dict(n=513, d=3),
+    dict(n=300, d=1),
 ]
 
 
@@ -611,8 +632,10 @@ class TestBitForBit:
             want = oracles._draw_pool_arrays(cfg, np.random.default_rng(seed))
             for k, spec_field in enumerate(("amplitude", "frequency", "phase")):
                 assert_bitwise([getattr(s, spec_field) for s in build_pool(cfg)], want[k])
-            got = build_mix_pool(41, 3.0, np.random.default_rng(seed))
-            assert got == oracles.build_mix_pool(41, 3.0, np.random.default_rng(seed))
+            got = _draw_pool("mix", 41, 3.0, np.random.default_rng(seed))
+            want = oracles.build_mix_pool(41, 3.0, np.random.default_rng(seed))
+            for g, w in zip(got, _pool_arrays(want), strict=True):
+                assert_bitwise(g, w)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_synthesize(self, seed):

@@ -1,9 +1,9 @@
 """Fourier analysis tests.
 
 The reference oracle is a direct per-bin summation written here with
-plain Python complex arithmetic, independent of the package's own
-naive path, so both package transforms are checked against a third
-implementation.
+plain Python complex arithmetic, independent of the naive path in
+tests/oracles.py, so the package transform and that reference are both
+checked against a third implementation.
 """
 
 import numpy as np
@@ -17,7 +17,6 @@ from freqsynth import (
     aggregate_periodogram,
     default_window_len,
     dft,
-    dft_naive,
     find_peaks,
     periodogram_pcc,
     scaled_periodogram,
@@ -29,6 +28,7 @@ from freqsynth.errors import (
     NoDominantFrequency,
     WindowTooLong,
 )
+from oracles import dft_naive
 
 
 def oracle_dft(x):
