@@ -251,12 +251,12 @@ def save_reports_csv(reports: list[EvalReport], path: str) -> None:
 
 
 def save_matrix_csv(tm: TransferMatrix, path: str, kind: str = "scaled") -> None:
-    """Transfer matrix with train ids as row labels, test ids as columns."""
+    """Transfer matrix with its ids as row (train) and column (test) labels."""
     if kind not in ("scaled", "raw"):
         raise ValueError(f"kind must be 'scaled' or 'raw', got {kind!r}")
     mat = tm.scaled if kind == "scaled" else tm.raw
-    rows = [(label, *row) for label, row in zip(tm.train_ids, mat)]
-    save_table_csv(rows, ["train\\test", *tm.test_ids], path)
+    rows = [(label, *row) for label, row in zip(tm.ids, mat)]
+    save_table_csv(rows, ["train\\test", *tm.ids], path)
 
 
 def save_table_csv(rows: list[tuple], header: list[str], path: str) -> None:

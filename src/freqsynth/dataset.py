@@ -1,10 +1,9 @@
 """Core containers for multichannel series and forecasting windows.
 
 A :class:`Dataset` is a d-channel real-valued series stored as a (d, n)
-float64 matrix together with channel names, an optional sampling-rate tag,
-and a free-text provenance string.  A :class:`WindowSet` is a batch of
-(lookback, horizon) training pairs cut from one or more datasets.  It
-holds no window tensor: it keeps one flat series and the start offset of
+float64 matrix together with channel names and a free-text provenance
+string.  A :class:`WindowSet` is a batch of (lookback, horizon) training
+pairs cut from one or more datasets.  It holds no window tensor: it keeps one flat series and the start offset of
 each window in it, and gathers blocks of windows on demand.
 
 Both containers are frozen: the arrays they hold are marked read-only so
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidSeries, InvalidWindow, ShapeMismatch
 
-# Tolerance for the standardized-flag contract: per-channel mean within
+# Tolerance of standardization's contract: per-channel mean within
 # STANDARDIZED_ATOL of 0 and population std within STANDARDIZED_ATOL of 1.
 STANDARDIZED_ATOL = 1e-6
 
@@ -67,16 +66,12 @@ class Dataset:
     ------
     values : (d, n) float64, read-only
     channel_names : tuple of d strings
-    rate : optional sampling-rate token (e.g. ``"1h"``), or None
     provenance : free text (generator config digest or source path)
-    standardized : True once per-channel standardization has been applied
     """
 
     values: np.ndarray
     channel_names: tuple[str, ...]
-    rate: str | None = None
     provenance: str = ""
-    standardized: bool = False
 
     def __post_init__(self):
         vals = _freeze(self.values)
@@ -89,17 +84,6 @@ class Dataset:
             raise ShapeMismatch(
                 f"{len(names)} channel names for {vals.shape[0]} channels"
             )
-        if self.standardized and vals.size:
-            mean = vals.mean(axis=1)
-            std = vals.std(axis=1)
-            if np.max(np.abs(mean)) > STANDARDIZED_ATOL or np.max(
-                np.abs(std - 1.0)
-            ) > STANDARDIZED_ATOL:
-                raise InvalidSeries(
-                    "marked standardized but channel moments are off: "
-                    f"max|mean|={np.max(np.abs(mean)):.3g}, "
-                    f"max|std-1|={np.max(np.abs(std - 1.0)):.3g}"
-                )
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "channel_names", names)
 
@@ -114,12 +98,8 @@ class Dataset:
         return self.values.shape[1]
 
     def slice_time(self, start: int, stop: int) -> "Dataset":
-        """Return the [start, stop) time slice as a new dataset.
-
-        The slice keeps channel names, rate and provenance; the
-        standardized flag is dropped because moments are no longer
-        guaranteed on a sub-range.
-        """
+        """Return the [start, stop) time slice as a new dataset with the
+        same channel names and provenance."""
         if not 0 <= start < stop <= self.n:
             raise InvalidSeries(
                 f"bad time slice [{start}, {stop}) for length {self.n}"
@@ -127,7 +107,6 @@ class Dataset:
         return Dataset(
             values=self.values[:, start:stop],
             channel_names=self.channel_names,
-            rate=self.rate,
             provenance=self.provenance,
         )
 
@@ -144,9 +123,6 @@ class WindowSet:
     Attributes
     ----------
     count, L, H : window count, lookback length and horizon length
-    origins : (N, 3) int64 of (dataset index, channel, start), recording
-        where ``sample_windows`` cut each window; None for other sets;
-        purely informational
     lookbacks : (N, L) float64, read-only, gathered on each access
     horizons : (N, H) float64, read-only, gathered on each access
 
@@ -172,34 +148,31 @@ class WindowSet:
             raise InvalidSeries("window values must be finite")
         L, H = lb.shape[1], hz.shape[1]
         series = np.concatenate([lb, hz], axis=1).ravel()
-        self._build(series, np.arange(lb.shape[0]) * (L + H), L, H, None)
+        self._build(series, np.arange(lb.shape[0]) * (L + H), L, H)
 
     @classmethod
-    def _over(cls, series, starts, L: int, H: int, origins=None) -> "WindowSet":
+    def _over(cls, series, starts, L: int, H: int) -> "WindowSet":
         """A set over a 1-D ``series`` by window ``starts``; no window
         values are checked or copied."""
         ws = object.__new__(cls)
-        ws._build(series, starts, L, H, origins)
+        ws._build(series, starts, L, H)
         return ws
 
     @classmethod
     def _concat(cls, sets: list["WindowSet"]) -> "WindowSet":
         """The windows of ``sets`` in order, over their series laid end to
-        end; origins are dropped."""
+        end."""
         shifts = np.cumsum([0] + [ws._series.size for ws in sets[:-1]])
         starts = [ws._starts + shift for ws, shift in zip(sets, shifts)]
         series = np.concatenate([ws._series for ws in sets])
         return cls._over(series, np.concatenate(starts), sets[0].L, sets[0].H)
 
-    def _build(self, series, starts, L, H, origins) -> None:
+    def _build(self, series, starts, L, H) -> None:
         series.setflags(write=False)
         starts = np.array(starts, dtype=np.int64, copy=True)
         starts.setflags(write=False)
-        if origins is not None:
-            origins = np.array(origins, dtype=np.int64, copy=True)
-            origins.setflags(write=False)
         for name, value in (("_series", series), ("_starts", starts), ("L", L),
-                            ("H", H), ("origins", origins)):
+                            ("H", H)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

@@ -2,7 +2,8 @@
 
 Provides the chronological split, window-set metrics, stride-1
 zero-shot evaluation over a test segment, cross-dataset transfer
-matrices with per-column min-max scaling, and the synthetic experiment
+matrices with per-column min-max scaling (each column's in-domain cell
+left out of its range), and the synthetic experiment
 drivers: frequency confusion, frequency generalization, and the
 harmonics / size-and-variates sweeps.
 
@@ -97,33 +98,40 @@ class EvalReport:
 class TransferMatrix:
     """Cross-dataset raw MSEs and per-column min-max scaled values.
 
-    Rows index the training dataset, columns the test dataset.  When a
-    row and column refer to the same dataset that diagonal cell is
-    excluded from the column's min-max range (the matrix is about
-    cross-domain transfer) and its scaled value is clipped into [0, 1].
+    Row i is the model trained on dataset ``ids[i]``, column j the test
+    dataset ``ids[j]``, so cell (j, j) is in-domain: it is excluded from
+    column j's min-max range (the matrix is about cross-domain transfer)
+    and its scaled value is clipped into [0, 1].  ``raw`` must be finite
+    and >= 0, ``scaled`` finite and in [0, 1].
     """
 
-    train_ids: tuple[str, ...]
-    test_ids: tuple[str, ...]
+    ids: tuple[str, ...]
     raw: np.ndarray
     scaled: np.ndarray
 
     def __post_init__(self):
+        ids = tuple(self.ids)
         raw = np.array(self.raw, dtype=np.float64, copy=True)
         scaled = np.array(self.scaled, dtype=np.float64, copy=True)
-        shape = (len(self.train_ids), len(self.test_ids))
+        shape = (len(ids), len(ids))
         if raw.shape != shape or scaled.shape != shape:
             raise ShapeMismatch(
                 f"matrix shapes {raw.shape}/{scaled.shape}, expected {shape}"
             )
-        if np.any(scaled < 0) or np.any(scaled > 1):
-            raise ValueError("scaled values must lie in [0, 1]")
+        for name, values, ok, rule in (
+            ("raw", raw, np.isfinite(raw) & (raw >= 0), "finite and >= 0"),
+            ("scaled", scaled, (scaled >= 0) & (scaled <= 1), "finite and in [0, 1]"),
+        ):
+            if not ok.all():
+                i, j = np.argwhere(~ok)[0]
+                raise ValueError(
+                    f"{name}[{i}, {j}] must be {rule}, got {values[i, j]}"
+                )
         raw.setflags(write=False)
         scaled.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "scaled", scaled)
-        object.__setattr__(self, "train_ids", tuple(self.train_ids))
-        object.__setattr__(self, "test_ids", tuple(self.test_ids))
 
 
 def split(
@@ -394,24 +402,23 @@ def evaluate_zero_shot(
     return _zero_shot([model], test_ds, L, horizons, dataset_id, seed)[0]
 
 
-def minmax_scale_columns(raw: np.ndarray, exclude_diagonal: bool = False) -> np.ndarray:
-    """Per-column (v - min) / (max - min); constant columns scale to 0.
+def minmax_scale_columns(raw: np.ndarray) -> np.ndarray:
+    """Per-column (v - min) / (max - min), clipped into [0, 1].
 
-    With ``exclude_diagonal`` the cell raw[j, j] is left out of column
-    j's min/max range and the resulting value is clipped into [0, 1].
+    Cell raw[j, j] is left out of column j's min/max range (for j below
+    the row count); a column whose remaining cells are constant, or
+    that has none, scales to 0.
     """
     raw = np.asarray(raw, dtype=np.float64)
     rows, cols = raw.shape
     scaled = np.zeros_like(raw)
     for j in range(cols):
         col = raw[:, j]
-        mask = np.ones(rows, dtype=bool)
-        if exclude_diagonal and j < rows:
-            mask[j] = False
-        pool = col[mask]
-        lo, hi = float(pool.min()), float(pool.max())
-        if hi > lo:
-            scaled[:, j] = np.clip((col - lo) / (hi - lo), 0.0, 1.0)
+        pool = np.delete(col, j) if j < rows else col
+        if pool.size:
+            lo, hi = float(pool.min()), float(pool.max())
+            if hi > lo:
+                scaled[:, j] = np.clip((col - lo) / (hi - lo), 0.0, 1.0)
     return scaled
 
 
@@ -461,10 +468,7 @@ def transfer_matrix(
     raw = np.column_stack(
         [[r[0].mse for r in _zero_shot(models, ds, L, (H,))] for ds in datasets]
     )
-    scaled = minmax_scale_columns(raw, exclude_diagonal=True)
-    return TransferMatrix(
-        train_ids=tuple(ids), test_ids=tuple(ids), raw=raw, scaled=scaled
-    )
+    return TransferMatrix(ids=tuple(ids), raw=raw, scaled=minmax_scale_columns(raw))
 
 
 def _pure_dataset(omega: float, seed: int, n: int) -> Dataset:

@@ -26,7 +26,8 @@ natural variant the same over a fixed set of everyday fundamentals), or
 ``"mix"``, frequencies uniform with no harmonic structure at all.  The
 pool hyperparameters m, A' and l are GeneratorConfig's fields;
 ``build_datasets`` and the freq_synth variants use their defaults.  All
-outputs are pure functions of (config, seed).
+outputs are pure functions of (config, seed).  ``standardize_by_train``
+is the one standardization routine.
 """
 
 from __future__ import annotations
@@ -251,10 +252,10 @@ def standardize_by_train(train: Dataset, *others: Dataset):
     """Standardize splits with the TRAIN split's per-channel statistics.
 
     Each split becomes (x - mean) / std with the train split's mean and
-    population std.  The train split comes back marked standardized; the
-    other splits keep the flag off because their own moments are not
-    exactly 0/1.  Raises DegenerateChannel when a train channel is
-    constant, or constant to float resolution (see
+    population std, so the train split's channels have mean 0 and std 1
+    to within ``dataset.STANDARDIZED_ATOL``; the other splits' own
+    moments are not exactly 0/1.  Raises DegenerateChannel when a train
+    channel is constant, or constant to float resolution (see
     ``dataset.DEGENERATE_RTOL``).
     """
     mean = train.values.mean(axis=1, keepdims=True)
@@ -268,11 +269,9 @@ def standardize_by_train(train: Dataset, *others: Dataset):
         Dataset(
             values=(ds.values - mean) / std,
             channel_names=ds.channel_names,
-            rate=ds.rate,
             provenance=ds.provenance,
-            standardized=i == 0,
         )
-        for i, ds in enumerate((train, *others))
+        for ds in (train, *others)
     )
 
 
@@ -297,6 +296,7 @@ def sample_windows(
     without replacement, the first count_train forming the train set.
     Both sets gather from one shared copy of the datasets' channels laid
     end to end, so they do not keep the datasets alive; no window is copied.
+    A window's start in that copy identifies its triple one to one.
     """
     L = _whole_number("lookback L", L)
     H = _whole_number("horizon H", H)
@@ -329,13 +329,12 @@ def sample_windows(
     chan = local // starts_arr[ds_idx]
     start = local % starts_arr[ds_idx]
 
-    origins = np.column_stack([ds_idx, chan, start]).astype(np.int64)
     series = np.concatenate([ds.values.ravel() for ds in datasets])
     base = np.concatenate([[0], np.cumsum([ds.values.size for ds in datasets])])
     lengths = np.array([ds.n for ds in datasets])
     flat_starts = base[ds_idx] + chan * lengths[ds_idx] + start
     return tuple(
-        WindowSet._over(series, flat_starts[rows], L, H, origins[rows])
+        WindowSet._over(series, flat_starts[rows], L, H)
         for rows in (slice(0, count_train), slice(count_train, need))
     )
 

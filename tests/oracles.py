@@ -264,7 +264,6 @@ def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Data
     return Dataset(
         values=values,
         channel_names=names,
-        rate=None,
         provenance=f"freq-synth:{cfg.digest()}",
     )
 
@@ -285,9 +284,7 @@ def standardize(ds: Dataset) -> Dataset:
     return Dataset(
         values=(ds.values - mean) / std,
         channel_names=ds.channel_names,
-        rate=ds.rate,
         provenance=ds.provenance,
-        standardized=True,
     )
 
 
@@ -298,9 +295,8 @@ def _child_seed(rng: np.random.Generator) -> int:
 def standardize_by_train(train: Dataset, *others: Dataset):
     """Standardize splits with the TRAIN split's per-channel statistics.
 
-    The train split comes back marked standardized; the other splits
-    are scaled by the same statistics but keep the flag off because
-    their own moments are not exactly 0/1.  Raises DegenerateChannel
+    The other splits are scaled by the same statistics, so their own
+    moments are not exactly 0/1.  Raises DegenerateChannel
     when a train channel is constant, or constant to float resolution
     (see ``dataset.DEGENERATE_RTOL``).
     """
@@ -312,16 +308,14 @@ def standardize_by_train(train: Dataset, *others: Dataset):
             f"train channel(s) {flat} are constant to float resolution"
         )
 
-    def _apply(ds: Dataset, flag: bool) -> Dataset:
+    def _apply(ds: Dataset) -> Dataset:
         return Dataset(
             values=(ds.values - mean) / std,
             channel_names=ds.channel_names,
-            rate=ds.rate,
             provenance=ds.provenance,
-            standardized=flag,
         )
 
-    out = [_apply(train, True)] + [_apply(o, False) for o in others]
+    out = [_apply(train)] + [_apply(o) for o in others]
     return tuple(out)
 
 
@@ -464,7 +458,6 @@ def build_mix_datasets(
         ds = Dataset(
             values=values,
             channel_names=names,
-            rate=None,
             provenance=f"freq-synth-mix:seed={seed}:copy={i}",
         )
         out.append(standardize(ds))
@@ -607,13 +600,12 @@ def sample_windows_eager(datasets, count_train, count_val, L, H, seed):
             ds.values, length, axis=1
         )
         out[rows] = views[chan[rows], start[rows]]
-    origins = np.column_stack([ds_idx, chan, start]).astype(np.int64)
 
     def _cut(rows: slice) -> WindowSet:
-        # the set WindowSet(lookbacks, horizons) builds, with origins
+        # the set WindowSet(lookbacks, horizons) builds
         windows = out[rows]
         starts = np.arange(windows.shape[0]) * length
-        return WindowSet._over(windows.ravel(), starts, L, H, origins[rows])
+        return WindowSet._over(windows.ravel(), starts, L, H)
 
     return _cut(slice(0, count_train)), _cut(slice(count_train, need))
 
@@ -915,10 +907,8 @@ def transfer_matrix_per_model(
                 model, test_ds, L, (H,), dataset_id=ids[j], seed=seed
             )[0]
             raw[i, j] = report.mse
-    scaled = minmax_scale_columns(raw, exclude_diagonal=True)
-    return TransferMatrix(
-        train_ids=tuple(ids), test_ids=tuple(ids), raw=raw, scaled=scaled
-    )
+    scaled = minmax_scale_columns(raw)
+    return TransferMatrix(ids=tuple(ids), raw=raw, scaled=scaled)
 
 
 def harmonics_sweep_per_model(
@@ -1018,7 +1008,7 @@ def save_matrix_csv_direct(tm: TransferMatrix, path: str, kind: str = "scaled") 
     mat = tm.scaled if kind == "scaled" else tm.raw
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["train\\test", *tm.test_ids])
-    for label, row in zip(tm.train_ids, mat):
+    writer.writerow(["train\\test", *tm.ids])
+    for label, row in zip(tm.ids, mat):
         writer.writerow([label, *(repr(float(v)) for v in row)])
     _atomic_write(path, buf.getvalue())

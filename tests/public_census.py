@@ -9,7 +9,9 @@ files with ``ast`` and prints one line per
 * public parameter that no caller sets: a parameter of a function or
   class in ``freqsynth.__all__``, or of a public method of such a class;
 * public name that no caller uses: a public module-level name of a
-  ``freqsynth`` module, or a public method or property of a public class.
+  ``freqsynth`` module, or a public method or property of a public class;
+* public field that no caller reads: a field of a public dataclass, or a
+  public name that a public class's methods set on ``self``.
 
 A finding kept on purpose is printed with its reason (``KEPT``).  The
 script exits 1 when any finding has no recorded reason, e.g.
@@ -32,6 +34,17 @@ What counts as setting a parameter:
   caller's own parameter is set (a pass-through of a default is not a
   setting).
 
+What counts as reading a field ``f``: a load ``x.f`` or a
+``getattr(x, "f")``, also with ``"f"`` taken from a loop or comprehension
+over constant names, except
+
+* a load that is the value of a keyword ``f=`` (a copy into a field of
+  the same name, as ``rate=ds.rate``);
+* a load inside the body of the class that defines ``f``;
+* a load on a variable that the same function also reads an attribute
+  from that the class does not have (``args.rate`` next to
+  ``args.omega`` reads a command-line namespace, not a Dataset).
+
 Calls are resolved through imports and module attributes, through
 perfbench's ``ops(fn, *args)`` wrapper, through ``getattr(module, name)``
 inside a loop over constant names, and through a subscript of a dict
@@ -42,11 +55,13 @@ literal of functions (the CLI's variant table).  A method call
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
 import re
 import sys
+import textwrap
 
 import freqsynth
 
@@ -57,6 +72,12 @@ KEPT = {
     "parameter freqsynth.generator.synthesize(pool)": (
         "perfbench/tracing.py's _synthesize counter binds the argument "
         "'pool', so the traced benchmark runs need the parameter"
+    ),
+    "field freqsynth.evaluation.SplitSpec.test_frac": (
+        "the three fractions are the split's specification: __post_init__ "
+        "checks that they sum to 1, split gives the test segment the "
+        "remaining n - n_train - n_val steps, and the CLI's --split passes "
+        "all three"
     ),
 }
 
@@ -119,16 +140,115 @@ def public_members(cls) -> dict[str, object]:
             and (inspect.isfunction(obj) or isinstance(obj, property))}
 
 
-class Scan(ast.NodeVisitor):
+def instance_fields(cls) -> list[str]:
+    """Public fields of a dataclass, or the public names that a class's
+    methods set on ``self``."""
+    if dataclasses.is_dataclass(cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+    else:
+        finder = SelfStores()
+        finder.visit(ast.parse(textwrap.dedent(inspect.getsource(cls))))
+        names = list(dict.fromkeys(finder.names))
+    return [n for n in names if not n.startswith("_")]
+
+
+def _loop_constants(loop, var: str) -> list[str] | None:
+    """Constant strings ``var`` takes in a for loop or comprehension
+    generator over a literal tuple or list (unpacking included), or None
+    when ``loop`` does not bind ``var``."""
+    target, it = loop.target, loop.iter
+    if not any(isinstance(n, ast.Name) and n.id == var for n in ast.walk(target)):
+        return None
+    if isinstance(it, ast.Call) and getattr(it.func, "id", "") == "enumerate" and it.args:
+        if isinstance(target, ast.Tuple) and len(target.elts) == 2:
+            target = target.elts[1]
+        it = it.args[0]
+    items = it.elts if isinstance(it, (ast.Tuple, ast.List)) else []
+    hits = [_unpacked(target, item, var) for item in items]
+    return [h.value for h in hits
+            if isinstance(h, ast.Constant) and isinstance(h.value, str)]
+
+
+def _unpacked(target, value, var: str):
+    """The part of ``value`` that assigning it to ``target`` binds to ``var``."""
+    if isinstance(target, ast.Name):
+        return value if target.id == var else None
+    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) \
+            and len(target.elts) == len(value.elts):
+        for t, v in zip(target.elts, value.elts):
+            hit = _unpacked(t, v, var)
+            if hit is not None:
+                return hit
+    return None
+
+
+class Looping(ast.NodeVisitor):
+    """Keeps the for loops and comprehension generators around a node."""
+
+    def __init__(self):
+        self.loops: list[ast.AST] = []
+
+    def _looped(self, node, loops):
+        self.loops.extend(loops)
+        self.generic_visit(node)
+        del self.loops[len(self.loops) - len(loops):]
+
+    def visit_For(self, node):
+        self._looped(node, [node])
+
+    def _comprehension(self, node):
+        self._looped(node, node.generators)
+
+    visit_ListComp = visit_SetComp = visit_DictComp = _comprehension
+    visit_GeneratorExp = _comprehension
+
+    def _loop_constants(self, node) -> list[str]:
+        """Constant strings a loop variable runs over, innermost loop first."""
+        if not isinstance(node, ast.Name):
+            return []
+        for loop in reversed(self.loops):
+            found = _loop_constants(loop, node.id)
+            if found is not None:
+                return found
+        return []
+
+
+class SelfStores(Looping):
+    """Names a class body sets on ``self``: ``self.f = ...``, and
+    ``setattr(self, name, ...)`` or ``object.__setattr__(self, name, ...)``
+    with a constant name or one from a loop over constants."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: list[str] = []
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Store) and getattr(node.value, "id", "") == "self":
+            self.names.append(node.attr)
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func, args = node.func, node.args
+        if (getattr(func, "id", getattr(func, "attr", "")) in ("setattr", "__setattr__")
+                and len(args) == 3 and getattr(args[0], "id", "") == "self"):
+            if isinstance(args[1], ast.Constant):
+                self.names.append(args[1].value)
+            else:
+                self.names.extend(self._loop_constants(args[1]))
+        self.generic_visit(node)
+
+
+class Scan(Looping):
     """Call bindings and used identifiers of one caller file."""
 
     def __init__(self, census: "Census", module: str | None):
+        super().__init__()
         self.census = census
         self.module = importlib.import_module(module) if module else None
         self.aliases: dict[str, object] = {}  # local name -> module or object
         self.origins: dict[str, str] = {}  # local name -> imported name
         self.scopes: list[ast.AST] = []
-        self.loops: list[ast.For] = []
+        self.copies: set[int] = set()  # ids of the loads x.f passed as f=
 
     # -- imports and scopes --------------------------------------------
 
@@ -162,11 +282,6 @@ class Scan(ast.NodeVisitor):
     visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _scoped
     visit_Lambda = _scoped
 
-    def visit_For(self, node):
-        self.loops.append(node)
-        self.generic_visit(node)
-        self.loops.pop()
-
     # -- uses ----------------------------------------------------------
 
     def visit_Name(self, node):
@@ -177,7 +292,20 @@ class Scan(ast.NodeVisitor):
         if isinstance(node.ctx, ast.Load):
             self.census.used_attrs.add(node.attr)
             self._use(node.attr, self.lookup(node))
+            if id(node) not in self.copies:
+                self._read(node.value, node.attr)
         self.generic_visit(node)
+
+    def _read(self, receiver, attr: str) -> None:
+        """A read of ``attr`` on ``receiver``, keyed by the variable it is
+        read from, with the library classes whose body it sits in."""
+        if isinstance(receiver, ast.Name):
+            key = (id(self._function() or self.census.trees[-1]), receiver.id)
+        else:
+            key = id(receiver)
+        owners = {getattr(self.module, s.name, None) for s in self.scopes
+                  if isinstance(s, ast.ClassDef)} if self.module else set()
+        self.census.reads.append((key, attr, owners))
 
     def _use(self, name: str, obj) -> None:
         """A library name is used where a load resolves to its object."""
@@ -188,6 +316,13 @@ class Scan(ast.NodeVisitor):
 
     def visit_Call(self, node):
         func, args = node.func, list(node.args)
+        self.copies.update(id(k.value) for k in node.keywords
+                           if isinstance(k.value, ast.Attribute) and k.value.attr == k.arg)
+        if getattr(func, "id", "") == "getattr" and len(args) >= 2:
+            name = args[1]
+            for attr in ([name.value] if isinstance(name, ast.Constant)
+                         else self._loop_constants(name)):
+                self._read(args[0], attr)
         if isinstance(func, ast.Name) and func.id == "ops" and args:
             func, args = args[0], args[1:]  # perfbench's ops(fn, *args)
         for target in self.resolve(func):
@@ -236,20 +371,6 @@ class Scan(ast.NodeVisitor):
         if (inspect.isfunction(obj) or inspect.isclass(obj)) and \
                 getattr(obj, "__module__", "").startswith("freqsynth"):
             return [obj]
-        return []
-
-    def _loop_constants(self, node) -> list[str]:
-        """Constant strings a loop variable runs over, innermost loop first."""
-        if not isinstance(node, ast.Name):
-            return []
-        for loop in reversed(self.loops):
-            bound = [n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)]
-            if node.id in bound:
-                it = loop.iter
-                if isinstance(it, ast.Call) and getattr(it.func, "id", "") == "enumerate":
-                    it = it.args[0]
-                if isinstance(it, (ast.Tuple, ast.List)):
-                    return [e.value for e in it.elts if isinstance(e, ast.Constant)]
         return []
 
     def _function(self):
@@ -369,6 +490,7 @@ class Census:
         self.forwards: set[tuple[str, str]] = set()  # (callee, forwarding caller)
         self.used: set[tuple[str, int]] = set()  # (name, id of its object)
         self.used_attrs: set[str] = set()
+        self.reads: list[tuple] = []  # (receiver key, attribute, owner classes)
         self.trees: list[ast.AST] = []
 
     def add(self, key: str, name: str, dependency) -> None:
@@ -440,12 +562,26 @@ class Census:
                     out.append(f"name {cls.__module__}.{cls.__qualname__}.{name}")
         return out
 
+    def unread_fields(self) -> list[str]:
+        attrs: dict = {}  # receiver key -> attributes read from it
+        for key, attr, _ in self.reads:
+            attrs.setdefault(key, set()).add(attr)
+        out = []
+        for cls in self.classes:
+            fields = instance_fields(cls)
+            known = set(dir(cls)) | set(fields)
+            for field in fields:
+                if not any(attr == field and cls not in owners and attrs[key] <= known
+                           for key, attr, owners in self.reads):
+                    out.append(f"field {_key(cls)}.{field}")
+        return out
+
 
 def main() -> int:
     census = Census()
     census.scan()
     unused = census.unused_names()
-    findings = census.unset_parameters(unused) + unused
+    findings = census.unset_parameters(unused) + unused + census.unread_fields()
     unexplained = 0
     for line in findings:
         reason = KEPT.get(line)

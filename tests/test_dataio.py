@@ -265,8 +265,8 @@ class TestStreamedCsv:
         new, old = load_csv(path), load_csv_per_cell(path)
         assert same_bits(new.values, old.values)
         assert same_bits(new.values, ds.values)
-        assert (new.channel_names, new.rate, new.provenance) == (
-            old.channel_names, old.rate, old.provenance,
+        assert (new.channel_names, new.provenance) == (
+            old.channel_names, old.provenance,
         )
 
     def test_crlf_spaces_quotes_and_underscores(self, tmp_path, monkeypatch):
@@ -621,8 +621,7 @@ class TestReportAndTableWriters:
 
     def test_matrix_csv(self, tmp_path):
         tm = TransferMatrix(
-            train_ids=("a", "b"),
-            test_ids=("a", "b"),
+            ids=("a", "b"),
             raw=np.array([[0.1, 0.2], [0.3, 0.4]]),
             scaled=np.array([[0.0, 1.0], [1.0, 0.0]]),
         )
@@ -662,8 +661,8 @@ class TestReportAndTableWriters:
         k = len(self.QUOTED)
         raw = np.random.default_rng(4).lognormal(size=(k, k))
         raw[0, 1], raw[1, 0] = 5e-324, 1e300
-        tm = TransferMatrix(train_ids=self.QUOTED, test_ids=self.QUOTED[::-1],
-                            raw=raw, scaled=np.linspace(0, 1, k * k).reshape(k, k))
+        tm = TransferMatrix(ids=self.QUOTED, raw=raw,
+                            scaled=np.linspace(0, 1, k * k).reshape(k, k))
         for kind in ("scaled", "raw"):
             save_matrix_csv(tm, str(tmp_path / "got.csv"), kind=kind)
             save_matrix_csv_direct(tm, str(tmp_path / "want.csv"), kind=kind)

@@ -45,23 +45,6 @@ class TestDataset:
         assert np.array_equal(sub.values, ds.values[:, 3:8])
         assert sub.channel_names == ds.channel_names
 
-    def test_slice_drops_standardized_flag(self):
-        vals = np.random.default_rng(1).normal(size=(1, 1000))
-        vals = (vals - vals.mean()) / vals.std()
-        ds = Dataset(values=vals, channel_names=("a",), standardized=True)
-        assert not ds.slice_time(0, 500).standardized
-
-    def test_standardized_flag_checked(self):
-        vals = np.full((1, 8), 7.0)
-        with pytest.raises(InvalidSeries):
-            Dataset(values=vals, channel_names=("a",), standardized=True)
-
-    def test_standardized_flag_accepts_true_moments(self):
-        x = np.random.default_rng(2).normal(size=(2, 256))
-        x = (x - x.mean(axis=1, keepdims=True)) / x.std(axis=1, keepdims=True)
-        ds = Dataset(values=x, channel_names=("a", "b"), standardized=True)
-        assert ds.standardized
-
 
 class TestWindowSet:
     def test_basic(self):

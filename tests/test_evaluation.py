@@ -34,6 +34,7 @@ from freqsynth import (
     windowset_metrics,
 )
 from freqsynth import evaluation, forecast
+from freqsynth.dataset import STANDARDIZED_ATOL
 from freqsynth.evaluation import DEFAULT_HORIZONS
 from freqsynth.errors import (
     DegenerateChannel,
@@ -45,6 +46,12 @@ from freqsynth.errors import (
 )
 import oracles
 from oracles import ETT_SPLIT, STANDARD_SPLIT, evaluate_zero_shot_per_horizon
+
+
+def assert_standardized(ds):
+    """Every channel has mean 0 and population std 1 to STANDARDIZED_ATOL."""
+    assert np.max(np.abs(ds.values.mean(axis=1))) <= STANDARDIZED_ATOL
+    assert np.max(np.abs(ds.values.std(axis=1) - 1.0)) <= STANDARDIZED_ATOL
 
 
 def sine_dataset(omega, n, d=2, seed=0, standardized=True):
@@ -109,7 +116,7 @@ class TestStandardizeByTrain:
         )
         train, val, test = split(ds, ETT_SPLIT)
         tr, va, te = standardize_by_train(train, val, test)
-        assert tr.standardized
+        assert_standardized(tr)
         mu = train.values.mean(axis=1, keepdims=True)
         sd = train.values.std(axis=1, keepdims=True)
         assert np.allclose(va.values, (val.values - mu) / sd, atol=1e-12)
@@ -144,7 +151,7 @@ class TestEvaluateZeroShot:
         cell = np.random.default_rng(5).normal(size=24)
         vals = np.tile(cell, 50)[None, :]
         vals = (vals - vals.mean()) / vals.std()
-        ds = Dataset(values=vals, channel_names=("x",), standardized=True)
+        ds = Dataset(values=vals, channel_names=("x",))
         reports = evaluate_zero_shot(SeasonalNaiveForecaster(24), ds, L=96)
         assert [r.horizon for r in reports] == [96, 192, 336, 720]
         for r in reports:
@@ -422,8 +429,14 @@ class TestEvaluateValidation:
 
 class TestMinmaxScaling:
     def test_hand_column(self):
+        # cell (0, 0) is left out of the range [4, 6], then clipped
         out = minmax_scale_columns(np.array([[2.0], [4.0], [6.0]]))
-        assert np.allclose(out[:, 0], [0.0, 0.5, 1.0])
+        assert np.array_equal(out[:, 0], [0.0, 0.0, 1.0])
+        out = minmax_scale_columns(np.array([[7.0, 2.0], [4.0, 9.0], [8.0, 4.0]]))
+        assert np.array_equal(out, [[0.75, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+    def test_one_row_scales_to_zero(self):
+        assert np.array_equal(minmax_scale_columns(np.array([[3.0, 1.0]])), [[0.0, 0.0]])
 
     def test_constant_column_is_zero(self):
         out = minmax_scale_columns(np.full((3, 2), 5.0))
@@ -431,7 +444,7 @@ class TestMinmaxScaling:
 
     def test_exclude_diagonal(self):
         raw = np.array([[9.0, 1.0], [3.0, 9.0]])
-        out = minmax_scale_columns(raw, exclude_diagonal=True)
+        out = minmax_scale_columns(raw)
         # each column's off-diagonal pool is a single value -> constant
         assert np.all(out == 0.0)
 
@@ -454,18 +467,37 @@ class TestMinmaxScaling:
     def test_matrix_type_validation(self):
         with pytest.raises(ValueError):
             TransferMatrix(
-                train_ids=("a",),
-                test_ids=("b",),
+                ids=("a",),
                 raw=np.array([[1.0]]),
                 scaled=np.array([[1.5]]),
             )
         with pytest.raises(ShapeMismatch):
             TransferMatrix(
-                train_ids=("a", "b"),
-                test_ids=("a", "b"),
+                ids=("a", "b"),
                 raw=np.ones((2, 2)),
                 scaled=np.ones((3, 2)),
             )
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("raw", np.nan, "finite and >= 0"),
+        ("raw", np.inf, "finite and >= 0"),
+        ("raw", -np.inf, "finite and >= 0"),
+        ("raw", -3.0, "finite and >= 0"),
+        ("scaled", np.nan, r"finite and in \[0, 1\]"),
+        ("scaled", np.inf, r"finite and in \[0, 1\]"),
+        ("scaled", -0.5, r"finite and in \[0, 1\]"),
+    ])
+    def test_matrix_rejects_bad_cells(self, field, value, rule):
+        cells = {"raw": np.ones((2, 2)), "scaled": np.full((2, 2), 0.5)}
+        cells[field][1, 0] = value
+        with pytest.raises(ValueError, match=rf"^{field}\[1, 0\] must be {rule}, got"):
+            TransferMatrix(ids=("a", "b"), **cells)
+
+    def test_matrix_accepts_the_bounds(self):
+        tm = TransferMatrix(ids=("a", "b"), raw=[[0.0, 5e-324], [1e300, 2.0]],
+                            scaled=[[0.0, 1.0], [1.0, 0.0]])
+        assert tm.ids == ("a", "b")
+        assert not (tm.raw.flags.writeable or tm.scaled.flags.writeable)
 
 
 class TestTransferMatrix:
@@ -598,7 +630,7 @@ class TestSyntheticRegistry:
             assert na == nb
             assert np.array_equal(da.values, db.values)
         for _, ds in reg:
-            assert ds.standardized
+            assert_standardized(ds)
 
     @pytest.mark.parametrize("seed, n, d", [(0, 8192, 4), (1, 2048, 2), (7, 300, 1)])
     def test_matches_the_child_seed_loop(self, seed, n, d):
@@ -609,7 +641,7 @@ class TestSyntheticRegistry:
             assert a.values.tobytes() == b.values.tobytes()
             assert a.provenance == b.provenance
             assert a.channel_names == b.channel_names
-            assert a.standardized and b.standardized
+            assert_standardized(a)
 
 
 class TestWindowsetMetrics:
@@ -745,7 +777,7 @@ class TestStackedScoring:
         )
         assert [(id(d), s) for d, s in calls] == [(id(d), s) for d, s in oracle_calls]
         assert [d for d, _ in calls] == datasets
-        assert (got.train_ids, got.test_ids) == (want.train_ids, want.test_ids)
+        assert got.ids == want.ids == tuple(ids)
         assert_close(got.raw, want.raw)
         np.testing.assert_allclose(got.scaled, want.scaled, rtol=0, atol=1e-9)
 
