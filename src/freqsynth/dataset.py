@@ -209,6 +209,3 @@ class WindowSet:
     @property
     def count(self) -> int:
         return self._starts.size
-
-    def __len__(self) -> int:
-        return self.count

@@ -298,16 +298,19 @@ def _zero_shot(
 ) -> list[list[EvalReport]]:
     """evaluate_zero_shot's reports for each model in turn; none for no model.
 
-    Models that are exactly LinearForecaster with lookback L and a
-    horizon of at least max(horizons) are scored together: in each band
-    their first hb weight rows are stacked into one forecaster, so each
-    block of windows gets one design matrix and one matmul, and
-    _block_sums scores every model against the same targets.  A lone
-    ridge model is a stack of one.  A model that is exactly
-    SeasonalNaiveForecaster is scored by _lag_sums, with no forecast
-    call; its sums differ from the block kernel's in summation order
-    only.  Every other model is scored alone.  A seasonal period longer
-    than L raises PeriodTooLong before any model is scored.
+    Every model is scored over the same bands: each window is forecast
+    once, at the largest requested horizon that fits it, and shorter
+    horizons are read from the prefix of that forecast.  Models that are
+    exactly LinearForecaster with lookback L and a horizon of at least
+    max(horizons) are scored together: in each band their first hb
+    weight rows are stacked into one forecaster, so each block of
+    windows gets one design matrix and one matmul, and _block_sums
+    scores every model against the same targets.  A lone ridge model is
+    a stack of one.  A model that is exactly SeasonalNaiveForecaster is
+    scored by _lag_sums, with no forecast call; its sums differ from the
+    block kernel's in summation order only.  Every other model, naive
+    included, is scored alone.  A seasonal period longer than L raises
+    PeriodTooLong before any model is scored.
     """
     if not models:
         return []
@@ -319,14 +322,8 @@ def _zero_shot(
     # reads[h] lists the bands whose first h columns horizon h sums.
     desc = sorted(count, reverse=True)
     bounds = [0] + [count[h] for h in desc]
-    prefix = (
-        [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)],
-        {h: range(i + 1) for i, h in enumerate(desc)},
-    )
-    per_horizon = (
-        [(0, count[h], h) for h in desc],
-        {h: [i] for i, h in enumerate(desc)},
-    )
+    bands = [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)]
+    reads = {h: range(i + 1) for i, h in enumerate(desc)}
     stack = [
         i for i, m in enumerate(models)
         if type(m) is LinearForecaster and m.L == L and m.H >= desc[0]
@@ -334,15 +331,12 @@ def _zero_shot(
     for m in models:
         if type(m) is SeasonalNaiveForecaster and m.period > L:
             raise PeriodTooLong(f"period {m.period} exceeds lookback length {L}")
-    groups = [(stack, prefix)] if stack else []
-    groups += [
-        ([i], prefix if getattr(m, "prefix_consistent", False) else per_horizon)
-        for i, m in enumerate(models) if i not in stack
-    ]
+    groups = [stack] if stack else []
+    groups += [[i] for i in range(len(models)) if i not in stack]
 
     windows = np.lib.stride_tricks.sliding_window_view
     reports = [None] * len(models)
-    for members, (bands, reads) in groups:
+    for members in groups:
         k = len(members)
         sums = []
         for lo, hi, hb in bands:
@@ -392,12 +386,11 @@ def evaluate_zero_shot(
     """Stride-1 evaluation over the test segment, one report per horizon.
 
     Reports follow the requested order, duplicates included.  The model
-    must accept ``forecast(X, h)`` for every requested h.  A model whose
-    class sets ``prefix_consistent = True`` promises that
-    ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)`` for h <= H; each
-    window is then forecast once, at the largest requested horizon that
-    fits it, and shorter horizons are scored from the prefix.  Other
-    models are forecast once per distinct horizon.
+    must accept ``forecast(X, h)`` for every requested h and be
+    prefix-consistent: ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)``
+    for h <= H, up to rounding.  Each window is forecast once, at the
+    largest requested horizon that fits it, and shorter horizons are
+    scored from the prefix.
     """
     return _zero_shot([model], test_ds, L, horizons, dataset_id, seed)[0]
 

@@ -37,7 +37,7 @@ RATE_TABLE: dict[str, int] = {
 # Harmonic multiples searched for a partner peak.
 HARMONIC_RANGE = range(2, 6)
 
-ESTIMATE_SOURCES = ("table", "periodogram", "prior")
+ESTIMATE_SOURCES = ("table", "periodogram")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """sha256 of every file the CLI writes for one or more seeds.
 
 Runs the freqsynth subcommands below with ``--seed SEED`` in a fresh
-directory and prints one ``<sha256>  <file>`` line per output file, 21
+directory and prints one ``<sha256>  <file>`` line per output file, 22
 per seed: every --out, --raw-out and --plot.  Two checkouts are
 bit-for-bit equal on these outputs when their printouts are, e.g.
 
@@ -83,6 +83,9 @@ def invocations(seed: int) -> list[list[str]]:
          "--out", "evaluate_ridge.json"],
         ["evaluate", "--model", "seasonal:24", "--input", "gen_rate.csv",
          "--split", "0.7,0.1,0.2", *s, "--out", "evaluate_seasonal.csv"],
+        ["evaluate", "--model", "naive", "--input", "gen_rate.csv",
+         "--split", "0.7,0.1,0.2", "--horizons", "96,24,48,24",
+         "--out", "evaluate_naive.csv"],
         ["confusion", *s, "--out", "confusion.csv", "--plot", "confusion.svg"],
         ["generalization", *s, "--out", "generalization.json"],
         ["transfer", *s, "--out", "transfer.csv", "--raw-out", "transfer_raw.csv"],

@@ -809,12 +809,10 @@ def evaluate_zero_shot_unstacked(
     count, kept to pin single-model scores bit for bit.
 
     Reports follow the requested order, duplicates included.  The model
-    must accept ``forecast(X, h)`` for every requested h.  A model whose
-    class sets ``prefix_consistent = True`` promises that
-    ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)`` for h <= H; each
-    window is then forecast once, at the largest requested horizon that
-    fits it, and shorter horizons are scored from the prefix.  Other
-    models are forecast once per distinct horizon.
+    must accept ``forecast(X, h)`` for every requested h and be
+    prefix-consistent; each window is forecast once, at the largest
+    requested horizon that fits it, and shorter horizons are scored from
+    the prefix.
     """
     L = _whole_number("lookback L", L)
     horizons = tuple(_whole_number("horizon", h) for h in horizons)
@@ -835,13 +833,9 @@ def evaluate_zero_shot_unstacked(
     # A band (lo, hi, hb) forecasts windows [lo, hi) at horizon hb;
     # reads[h] lists the bands whose first h columns horizon h sums.
     desc = sorted(set(horizons), reverse=True)
-    if getattr(model, "prefix_consistent", False):
-        bounds = [0] + [count(h) for h in desc]
-        bands = [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)]
-        reads = {h: range(i + 1) for i, h in enumerate(desc)}
-    else:
-        bands = [(0, count(h), h) for h in desc]
-        reads = {h: [i] for i, h in enumerate(desc)}
+    bounds = [0] + [count(h) for h in desc]
+    bands = [(bounds[i], bounds[i + 1], h) for i, h in enumerate(desc)]
+    reads = {h: range(i + 1) for i, h in enumerate(desc)}
     windows = np.lib.stride_tricks.sliding_window_view
     sums = [
         block_sums_unstacked(

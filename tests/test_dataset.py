@@ -52,7 +52,6 @@ class TestWindowSet:
         hz = np.zeros((4, 3))
         ws = WindowSet(lookbacks=lb, horizons=hz)
         assert ws.count == 4
-        assert len(ws) == 4
         assert ws.L == 8
         assert ws.H == 3
 

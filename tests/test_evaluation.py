@@ -205,7 +205,10 @@ def noisy_dataset(n, d=3, seed=0):
 
 
 class HorizonScaledNaive:
-    """Duck-typed model whose h-step forecast depends on h as a whole."""
+    """Duck-typed model whose h-step forecast depends on h as a whole.
+
+    It is not prefix-consistent, so it is only scored at one horizon.
+    """
 
     model_id = "scaled-naive"
 
@@ -215,6 +218,7 @@ class HorizonScaledNaive:
 
 class CountingNaive(NaiveForecaster):
     def __init__(self):
+        super().__init__()
         self.rows = 0
 
     def forecast(self, X, H):
@@ -238,6 +242,7 @@ class BufferSpy(NaiveForecaster):
     """Naive forecaster that records each buffer it is asked to fill."""
 
     def __init__(self):
+        super().__init__()
         self.buffers = []
 
     def forecast(self, X, H, out=None):
@@ -299,23 +304,17 @@ class TestOnePassKernel:
         monkeypatch.setattr(evaluation, "_BLOCK", 100)
         ds = noisy_dataset(700, d=2)
         assert_matches_oracle(ridge_model, ds, 48, (16, 7, 64))
-        assert_matches_oracle(HorizonScaledNaive(), ds, 48, (16, 7, 64))
+        assert_matches_oracle(NaiveForecaster(), ds, 48, (16, 7, 64))
 
-    def test_model_that_is_not_prefix_consistent(self):
-        model = HorizonScaledNaive()
-        assert not hasattr(model, "prefix_consistent")
-        assert_matches_oracle(model, noisy_dataset(400), 32, (24, 8, 24, 16))
-
-    def test_prefix_consistent_models_forecast_each_window_once(self):
+    def test_every_model_forecasts_each_window_once(self):
         ds = noisy_dataset(400, d=2)
         model = CountingNaive()
         evaluate_zero_shot(model, ds, 32, (8, 24, 16))
         assert model.rows == 2 * (400 - 32 - 8 + 1)
 
-    def test_forecasters_declare_prefix_consistency(self, ridge_model):
+    def test_short_forecasts_are_prefixes_of_long_ones(self, ridge_model):
         X = noisy_dataset(200).values[:, :48]
         for model in (ridge_model, NaiveForecaster(), SeasonalNaiveForecaster(24)):
-            assert model.prefix_consistent
             np.testing.assert_allclose(
                 model.forecast(X, 64)[:, :10], model.forecast(X, 10),
                 rtol=1e-13, atol=1e-13,
@@ -358,8 +357,6 @@ class TestReusedBuffers:
         }[name]
 
         class WithoutOut:
-            prefix_consistent = True
-
             def forecast(self, X, h):
                 return model.forecast(X, h)
 
@@ -739,8 +736,7 @@ class TestStackedScoring:
         ds = noisy_dataset(700, d=2)
         win = np.lib.stride_tricks.sliding_window_view(ds.values[1], 48 + 64)
         ws = WindowSet(lookbacks=win[:, :48], horizons=win[:, 48:])
-        models = [ridge_model, NaiveForecaster(), SeasonalNaiveForecaster(24),
-                  HorizonScaledNaive()]
+        models = [ridge_model, NaiveForecaster(), SeasonalNaiveForecaster(24)]
         for block in (evaluation._BLOCK, 100):
             monkeypatch.setattr(evaluation, "_BLOCK", block)
             monkeypatch.setattr(oracles, "_BLOCK", block)
@@ -757,7 +753,7 @@ class TestStackedScoring:
                     (r.mse.hex(), r.mae.hex()) for r in want
                 ]
                 assert got == want
-            for model in models[:3]:
+            for model in models:
                 got = windowset_metrics(model, ws)
                 want = oracles.windowset_metrics_unstacked(model, ws)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
@@ -820,8 +816,7 @@ class TestStackedScoring:
 
         extra = ridge(64, 11)
         offset = OffsetRidge(weights=extra.weights, L=48, H=64, lam=0.0)
-        models = [ridge_model, NaiveForecaster(), extra, HorizonScaledNaive(),
-                  ridge(80, 12), offset]
+        models = [ridge_model, NaiveForecaster(), extra, ridge(80, 12), offset]
         horizons = (16, 7, 64, 16)
         got = evaluation._zero_shot(models, ds, 48, horizons, dataset_id="t", seed=1)
         assert len(got) == len(models)
@@ -834,12 +829,12 @@ class TestStackedScoring:
             ]
             assert_close([(r.mse, r.mae) for r in reports], [(r.mse, r.mae) for r in want])
         # the offset subclass is scored alone, not from its weights
-        assert got[5][0].mse != got[2][0].mse
+        assert got[4][0].mse != got[2][0].mse
 
         built = []
         design = forecast._design
         monkeypatch.setattr(forecast, "_design", lambda X: built.append(len(X)) or design(X))
-        evaluation._zero_shot([ridge_model, extra, models[4]], ds, 48, horizons)
+        evaluation._zero_shot([ridge_model, extra, models[3]], ds, 48, horizons)
         count = {h: 503 - 48 - h + 1 for h in (64, 16, 7)}
         bands = [(0, count[64], 64), (count[64], count[16], 16), (count[16], count[7], 7)]
         step = {hb: 1000 // (3 * hb) for _, _, hb in bands}
@@ -908,8 +903,6 @@ class TestStackedScoring:
 
 class DuckSeasonal:
     """Duck-typed seasonal naive: the library's forecasts, another class."""
-
-    prefix_consistent = True
 
     def __init__(self, period):
         self.inner = SeasonalNaiveForecaster(period)

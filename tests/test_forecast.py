@@ -208,9 +208,9 @@ class TestFitRidge:
         phi, y = normalize_windows(ws)
         resid = phi @ model.weights.T - y
         assert np.max(np.abs(resid)) < 1e-6
-        preds = model.forecast(raw)
+        preds = model.forecast(raw, model.H)
         assert np.max(np.abs(preds - horizons)) < 1e-6
-        one = model.forecast(raw[0][None])[0]
+        one = model.forecast(raw[0][None], model.H)[0]
         assert np.max(np.abs(one - preds[0])) < 1e-9
 
     def test_rank_deficient_exact_fit_is_minimum_norm(self):
@@ -231,14 +231,14 @@ class TestFitRidge:
         model = fit_ridge(ws, 1e9)
         assert np.max(np.abs(model.weights)) < 1e-3
         x = np.arange(1.0, 9.0)
-        out = model.forecast(x[None])[0]
+        out = model.forecast(x[None], model.H)[0]
         assert np.max(np.abs(out - x.mean())) < 1e-2
 
     def test_pure_sine_heldout(self):
         train = sine_windows(1 / 24, 400, 96, 96, seed=5)
         test = sine_windows(1 / 24, 100, 96, 96, seed=6)
         model = fit_ridge(train)
-        preds = model.forecast(test.lookbacks)
+        preds = model.forecast(test.lookbacks, model.H)
         assert np.mean((preds - test.horizons) ** 2) < 1e-3
 
     def test_empty_training_set(self):
@@ -266,19 +266,19 @@ class TestFitRidge:
 class TestPredict:
     def test_zero_weights_give_mean(self):
         model = LinearForecaster(weights=np.zeros((3, 5)), L=4, H=3, lam=0.0)
-        out = model.forecast(np.array([2.0, 4.0, 6.0, 8.0])[None])[0]
+        out = model.forecast(np.array([2.0, 4.0, 6.0, 8.0])[None], 3)[0]
         assert np.allclose(out, 5.0, atol=1e-12)
 
     def test_length_mismatch(self):
         model = LinearForecaster(weights=np.zeros((3, 5)), L=4, H=3, lam=0.0)
         with pytest.raises(InvalidWindow):
-            model.forecast(np.array([1.0, 2.0, 3.0])[None])[0]
+            model.forecast(np.array([1.0, 2.0, 3.0])[None], 3)[0]
 
     def test_horizon_truncation(self):
         ws = random_windows(40, 8, 6, seed=8)
         model = fit_ridge(ws, 0.1)
         X = np.random.default_rng(9).normal(size=(5, 8))
-        full = model.forecast(X)
+        full = model.forecast(X, 6)
         assert np.array_equal(model.forecast(X, 4), full[:, :4])
         with pytest.raises(InvalidWindow):
             model.forecast(X, 7)
@@ -295,8 +295,8 @@ class TestPredict:
         ws = random_windows(30, 8, 4, seed=10)
         model = fit_ridge(ws, 0.2)
         x = np.random.default_rng(seed).normal(size=8)
-        lhs = model.forecast((a * x + b)[None])[0]
-        rhs = a * model.forecast(x[None])[0] + b
+        lhs = model.forecast((a * x + b)[None], 4)[0]
+        rhs = a * model.forecast(x[None], 4)[0] + b
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
 
@@ -322,8 +322,8 @@ class TestFinetune:
         test = sine_windows(1 / 30, 200, 96, 96, seed=16)
         src = fit_ridge(train)
         tuned = finetune(src, few, anchor=1.0)
-        mse_zero = np.mean((src.forecast(test.lookbacks) - test.horizons) ** 2)
-        mse_tuned = np.mean((tuned.forecast(test.lookbacks) - test.horizons) ** 2)
+        mse_zero = np.mean((src.forecast(test.lookbacks, 96) - test.horizons) ** 2)
+        mse_tuned = np.mean((tuned.forecast(test.lookbacks, 96) - test.horizons) ** 2)
         assert mse_tuned < mse_zero
 
     def test_shape_guard(self):

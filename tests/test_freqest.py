@@ -5,6 +5,7 @@ import pytest
 
 from freqsynth import (
     Dataset,
+    FundamentalEstimate,
     GeneratorConfig,
     aggregate_periodogram,
     default_window_len,
@@ -65,6 +66,20 @@ class TestRateTable:
 
     def test_purity(self):
         assert parse_sampling_rate("1h") == parse_sampling_rate("1h")
+
+
+class TestFundamentalEstimate:
+    def test_sources_are_the_ones_the_estimators_build(self):
+        table = freq_from_sampling_rate("1h")
+        found = estimate_fundamental(sine_ds([1 / 24], [1.0]))
+        assert (table.source, found.source) == ("table", "periodogram")
+        for source in ("table", "periodogram"):
+            assert FundamentalEstimate(0.1, source, 1.0).source == source
+
+    @pytest.mark.parametrize("source", ["prior", "", "Table"])
+    def test_unknown_source_rejected(self, source):
+        with pytest.raises(ValueError, match=f"unknown source {source!r}"):
+            FundamentalEstimate(0.1, source, 1.0)
 
 
 def sine_ds(freqs, amps, n=4096, d=1, seed=0):
