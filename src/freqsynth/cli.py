@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dataio
 from .dataset import Dataset
-from .errors import FreqSynthError, InvalidPeriod
+from .errors import InvalidModel, InvalidPeriod
 from .evaluation import (
     SplitSpec,
     confusion_experiment,
@@ -229,12 +229,15 @@ def _resolve_model(token: str):
     if token.startswith("seasonal:"):
         try:
             return SeasonalNaiveForecaster(int(token.split(":", 1)[1]))
-        except (ValueError, InvalidPeriod):
+        except ValueError:
             raise InvalidPeriod(
                 f"--model {token}: the period must be an integer >= 1"
             ) from None
-    with open(token, "r", encoding="utf-8") as f:
-        return model_from_json(f.read())
+    try:  # read whole, so a decode error's position is the file's own
+        with open(token, "r", encoding="utf-8") as f:
+            return model_from_json(f.read())
+    except ValueError as exc:  # not UTF-8, not JSON, or not a model
+        raise InvalidModel(f"{token}: {exc}") from None
 
 
 def cmd_evaluate(args, parser) -> int:
@@ -491,7 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (FreqSynthError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"freqsynth: error: {exc}", file=sys.stderr)
         return 2
 

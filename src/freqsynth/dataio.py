@@ -49,6 +49,7 @@ from .dataset import Dataset
 from .errors import (
     EmptyDataset,
     InvalidConfig,
+    InvalidEncoding,
     MalformedRow,
     MissingHeader,
     NonNumericCell,
@@ -73,20 +74,24 @@ def _atomic_write(path: str, text: str | Iterable[str]) -> None:
 
     The temp file is created exclusively with mode 0o666, as ``open()``
     creates files, so the umask sets the published file's permissions.
+    An OSError is raised again, of the same class, naming ``path``.
     """
     chunks = (text,) if isinstance(text, str) else text
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:  # it would name the temp file, not the target
+        raise type(exc)(f"{path}: {exc.strerror or exc}") from None
 
 
 def save_csv(ds: Dataset, path: str) -> None:
@@ -114,40 +119,43 @@ def _csv_chunks(ds: Dataset) -> Iterator[str]:
 def load_csv(path: str) -> Dataset:
     """Read an LTSF-layout CSV; channels are the columns after the first."""
     blocks = []
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        try:
-            header = next(csv.reader(f))
-        except StopIteration:
-            raise MissingHeader(f"{path}: file is empty") from None
-        except csv.Error as exc:
-            raise MalformedRow(path, 0, str(exc)) from None
-        if len(header) < 2:
-            raise MissingHeader(
-                f"{path}: header needs a date column plus at least one channel"
-            )
-        if all(_is_number(cell) for cell in header):
-            raise MissingHeader(f"{path}: first row looks like data, not a header")
-        width = len(header)
-        first = 1
-        while lines := list(islice(f, _ROWS)):
-            values = _loadtxt_block(lines, width)
-            if values is None:
-                break
-            blocks.append(values)
-            first += len(lines)
-        reader = csv.reader(chain(lines, f))
-        while True:
-            rows = []
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as f:
             try:
-                # extend keeps the rows read before a failing one
-                rows.extend(islice(reader, _ROWS))
+                header = next(csv.reader(f))
+            except StopIteration:
+                raise MissingHeader(f"{path}: file is empty") from None
             except csv.Error as exc:
-                _parse_rows(rows, width, first)  # an earlier bad row wins
-                raise MalformedRow(path, first + len(rows), str(exc)) from None
-            if not rows:
-                break
-            blocks.append(_parse_rows(rows, width, first))
-            first += len(rows)
+                raise MalformedRow(path, 0, str(exc)) from None
+            if len(header) < 2:
+                raise MissingHeader(
+                    f"{path}: header needs a date column plus at least one channel"
+                )
+            if all(_is_number(cell) for cell in header):
+                raise MissingHeader(f"{path}: first row looks like data, not a header")
+            width = len(header)
+            first = 1
+            while lines := list(islice(f, _ROWS)):
+                values = _loadtxt_block(lines, width)
+                if values is None:
+                    break
+                blocks.append(values)
+                first += len(lines)
+            reader = csv.reader(chain(lines, f))
+            while True:
+                rows = []
+                try:
+                    # extend keeps the rows read before a failing one
+                    rows.extend(islice(reader, _ROWS))
+                except csv.Error as exc:
+                    _parse_rows(rows, width, first)  # an earlier bad row wins
+                    raise MalformedRow(path, first + len(rows), str(exc)) from None
+                if not rows:
+                    break
+                blocks.append(_parse_rows(rows, width, first))
+                first += len(rows)
+    except UnicodeDecodeError as exc:  # its position is within a buffered chunk
+        raise InvalidEncoding(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not blocks:
         raise EmptyDataset(f"{path}: no data rows")
     values = np.concatenate(blocks)
@@ -215,8 +223,11 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
     The file may set any subset of the config fields; unknown keys are
     rejected.  Overrides with value None are ignored.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        doc = json.load(f)
+    try:  # read whole, so a decode error's position is the file's own
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise InvalidConfig(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{path}: config must be a JSON object")
     fields = set(GeneratorConfig.__dataclass_fields__)

@@ -18,23 +18,6 @@ import numpy as np
 
 from .errors import InvalidSeries, InvalidWindow, ShapeMismatch
 
-# Tolerance of standardization's contract: per-channel mean within
-# STANDARDIZED_ATOL of 0 and population std within STANDARDIZED_ATOL of 1.
-STANDARDIZED_ATOL = 1e-6
-
-# A computed channel mean is off by up to about 2 * eps * |mean| (worst
-# measured 1.7 over n = 100 .. 10^6), and centring by it leaves that error
-# divided by the std as a mean offset in standardized units.  A channel
-# whose std is at most this multiple of |mean| (about 9e-10) may not meet
-# STANDARDIZED_ATOL, so standardization treats it as constant.
-DEGENERATE_RTOL = 4 * np.finfo(np.float64).eps / STANDARDIZED_ATOL
-
-
-def degenerate_channels(mean: np.ndarray, std: np.ndarray) -> list[int]:
-    """Indices of channels, by their moments, that cannot be standardized:
-    a zero std, or one within DEGENERATE_RTOL of the mean's magnitude."""
-    return np.flatnonzero(std <= DEGENERATE_RTOL * np.abs(mean)).tolist()
-
 
 def _whole_number(name: str, value, lo: int = 1, error=InvalidWindow) -> int:
     """``value`` as an int >= ``lo``; ``error`` naming it otherwise.
@@ -51,11 +34,28 @@ def _whole_number(name: str, value, lo: int = 1, error=InvalidWindow) -> int:
     return whole
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    """Return a float64 C-contiguous copy of ``a`` with the write flag off."""
-    out = np.array(a, dtype=np.float64, order="C", copy=True)
+def _freeze(a, name: str, ndim: int, dtype=np.float64) -> np.ndarray:
+    """A read-only C-contiguous ``dtype`` copy of ``a`` for the field
+    ``name``; InvalidSeries naming it unless ``ndim``-d and finite."""
+    out = np.array(a, dtype=dtype, order="C", copy=True)
+    if out.ndim != ndim:
+        raise InvalidSeries(f"{name} must be {ndim}-d, got ndim={out.ndim}")
+    if not np.all(np.isfinite(out)):
+        raise InvalidSeries(f"{name} must be finite")
     out.setflags(write=False)
     return out
+
+
+def _frequency(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is in (0, 0.5) cycles/step."""
+    if not 0.0 < value < 0.5:
+        raise ValueError(f"{name} must be in (0, 0.5), got {value}")
+
+
+def _nonnegative(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,7 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        vals = _freeze(self.values)
-        if vals.ndim != 2:
-            raise InvalidSeries(f"values must be 2-d (d, n), got ndim={vals.ndim}")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidSeries("values must be finite")
+        vals = _freeze(self.values, "values", 2)
         names = tuple(str(c) for c in self.channel_names)
         if len(names) != vals.shape[0]:
             raise ShapeMismatch(
@@ -134,18 +130,14 @@ class WindowSet:
     """
 
     def __init__(self, lookbacks, horizons):
-        lb = np.asarray(lookbacks, dtype=np.float64)
-        hz = np.asarray(horizons, dtype=np.float64)
-        if lb.ndim != 2 or hz.ndim != 2:
-            raise InvalidSeries("lookbacks and horizons must be 2-d (N, len)")
+        lb = _freeze(lookbacks, "lookbacks", 2)
+        hz = _freeze(horizons, "horizons", 2)
         if lb.shape[0] != hz.shape[0]:
             raise ShapeMismatch(
                 f"{lb.shape[0]} lookbacks vs {hz.shape[0]} horizons"
             )
         if lb.shape[1] < 1 or hz.shape[1] < 1:
             raise InvalidSeries("lookback and horizon lengths must be >= 1")
-        if not (np.all(np.isfinite(lb)) and np.all(np.isfinite(hz))):
-            raise InvalidSeries("window values must be finite")
         L, H = lb.shape[1], hz.shape[1]
         series = np.concatenate([lb, hz], axis=1).ravel()
         self._build(series, np.arange(lb.shape[0]) * (L + H), L, H)

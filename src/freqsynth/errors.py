@@ -1,12 +1,14 @@
 """Exception hierarchy.
 
-Every contract violation raises a subclass of :class:`FreqSynthError`, so
-callers can catch one base type at a pipeline boundary while tests pin the
-specific failure mode.
+Every contract violation raises a subclass of :class:`FreqSynthError`, a
+``ValueError``, so callers can catch one base type at a pipeline boundary
+while tests pin the specific failure mode.  Range and shape checks of an
+argument, such as a frequency, a coefficient or a periodogram's grid, still
+raise a bare ``ValueError`` naming what failed.
 """
 
 
-class FreqSynthError(Exception):
+class FreqSynthError(ValueError):
     """Base class for all library errors."""
 
 
@@ -52,8 +54,8 @@ class InsufficientData(FreqSynthError):
     """Requested more windows than distinct start positions exist."""
 
 
-class TooManyPoints(FreqSynthError, ValueError):
-    """A synthesized dataset's n * d exceeds the generator's point budget."""
+class TooManyPoints(FreqSynthError):
+    """An array that synthesis would hold exceeds the generator's point budget."""
 
 
 # -- forecasting ------------------------------------------------------------
@@ -71,7 +73,8 @@ class EmptyTrainingSet(FreqSynthError):
 
 
 class InvalidModel(FreqSynthError):
-    """A serialized model lacks a field or holds a bad value in one."""
+    """A serialized model is not a JSON object, lacks a field or holds a bad
+    value in one; the CLI also raises it for a model file it cannot read."""
 
 
 # -- evaluation -------------------------------------------------------------
@@ -127,9 +130,14 @@ class MalformedRow(FreqSynthError):
         super().__init__(f"{path}: row {row}: {reason}")
 
 
+class InvalidEncoding(FreqSynthError):
+    """A file that should hold UTF-8 text does not."""
+
+
 class EmptyDataset(FreqSynthError):
     """Dataset has no channels or no samples."""
 
 
-class InvalidConfig(FreqSynthError, ValueError):
-    """A generator config file is not a JSON object or sets unknown keys."""
+class InvalidConfig(FreqSynthError):
+    """A generator config file is not UTF-8 JSON, not a JSON object, or sets
+    unknown keys."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet, _whole_number
+from .dataset import Dataset, WindowSet, _freeze, _nonnegative, _whole_number
 from .errors import (
     InvalidWindow,
     PeriodTooLong,
@@ -89,9 +89,7 @@ class EvalReport:
 
     def __post_init__(self):
         for name in ("mse", "mae"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            _nonnegative(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,8 @@ class TransferMatrix:
 
     def __post_init__(self):
         ids = tuple(self.ids)
-        raw = np.array(self.raw, dtype=np.float64, copy=True)
-        scaled = np.array(self.scaled, dtype=np.float64, copy=True)
+        raw = np.asarray(self.raw, dtype=np.float64)
+        scaled = np.asarray(self.scaled, dtype=np.float64)
         shape = (len(ids), len(ids))
         if raw.shape != shape or scaled.shape != shape:
             raise ShapeMismatch(
@@ -127,11 +125,9 @@ class TransferMatrix:
                 raise ValueError(
                     f"{name}[{i}, {j}] must be {rule}, got {values[i, j]}"
                 )
-        raw.setflags(write=False)
-        scaled.setflags(write=False)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "scaled", scaled)
+        object.__setattr__(self, "raw", _freeze(raw, "raw", 2))
+        object.__setattr__(self, "scaled", _freeze(scaled, "scaled", 2))
 
 
 def split(

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import WindowSet, _whole_number
+from .dataset import WindowSet, _freeze, _nonnegative, _whole_number
 from .errors import (
     EmptyTrainingSet,
     InvalidModel,
@@ -92,12 +92,6 @@ def _design(
     return phi, mu, sd
 
 
-def _check_coefficient(name: str, value: float) -> None:
-    """Ridge and anchor coefficients must be finite and >= 0 (NaN fails)."""
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
 class SeasonalNaiveForecaster:
     """Repeat the last full period of the lookback."""
 
@@ -158,15 +152,12 @@ class LinearForecaster:
     model_id: str = "ridge"
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=np.float64, copy=True)
+        w = _freeze(self.weights, "weights", 2)
         if w.shape != (self.H, self.L + 1):
             raise ShapeMismatch(
                 f"weights shape {w.shape}, expected ({self.H}, {self.L + 1})"
             )
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        _check_coefficient("lam", self.lam)
-        w.setflags(write=False)
+        _nonnegative("lam", self.lam)
         object.__setattr__(self, "weights", w)
 
     def forecast(self, X, H: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -268,7 +259,7 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
     phi, mu, sd = _design_blocks(train)
     if lam is None:
         lam = default_lambda(phi)
-    _check_coefficient("lam", lam)
+    _nonnegative("lam", lam)
     if lam == 0.0:
         w = _min_norm(train, phi, mu, sd)
     else:
@@ -294,7 +285,7 @@ def finetune(
             f"few-shot windows are L={fewshot.L}, H={fewshot.H}; "
             f"model expects L={model.L}, H={model.H}"
         )
-    _check_coefficient("anchor", anchor)
+    _nonnegative("anchor", anchor)
     lam = model.lam
     model_id = f"{model.model_id}-finetuned"
     if anchor == 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _whole_number
+from .dataset import Dataset, _frequency, _whole_number
 from .errors import InsufficientData, InvalidPeriod, UnknownSamplingRate
 from .spectral import aggregate_periodogram, default_window_len, find_peaks
 
@@ -49,10 +49,7 @@ class FundamentalEstimate:
     confidence: float
 
     def __post_init__(self):
-        if not 0.0 < self.omega_bar < 0.5:
-            raise ValueError(
-                f"omega_bar must be in (0, 0.5), got {self.omega_bar}"
-            )
+        _frequency("omega_bar", self.omega_bar)
         if self.source not in ESTIMATE_SOURCES:
             raise ValueError(f"unknown source {self.source!r}")
         if not 0.0 <= self.confidence <= 1.0:

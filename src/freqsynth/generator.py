@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet, _whole_number, degenerate_channels
+from .dataset import Dataset, WindowSet, _frequency, _whole_number
 from .errors import (
     DegenerateChannel,
     InsufficientData,
@@ -57,6 +57,17 @@ MIX_FREQ_RANGE = (1 / 500, 0.5)
 
 _SEED_CEILING = 2**63 - 1
 
+# Tolerance of standardization's contract: per-channel mean within
+# STANDARDIZED_ATOL of 0 and population std within STANDARDIZED_ATOL of 1.
+STANDARDIZED_ATOL = 1e-6
+
+# A computed channel mean is off by up to about 2 * eps * |mean| (worst
+# measured 1.7 over n = 100 .. 10^6), and centring by it leaves that error
+# divided by the std as a mean offset in standardized units.  A channel
+# whose std is at most this multiple of |mean| (about 9e-10) may not meet
+# STANDARDIZED_ATOL, so standardization treats it as constant.
+DEGENERATE_RTOL = 4 * np.finfo(np.float64).eps / STANDARDIZED_ATOL
+
 
 @dataclass(frozen=True)
 class SineSpec:
@@ -69,10 +80,7 @@ class SineSpec:
     def __post_init__(self):
         if not self.amplitude > 0.0:
             raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        if not 0.0 < self.frequency < 0.5:
-            raise ValueError(
-                f"frequency must be in (0, 0.5), got {self.frequency}"
-            )
+        _frequency("frequency", self.frequency)
         if not 0.0 <= self.phase < 2.0 * np.pi:
             raise ValueError(f"phase must be in [0, 2*pi), got {self.phase}")
 
@@ -80,16 +88,16 @@ class SineSpec:
 # Smallest accepted value of each integer size of a synthesized dataset.
 _SIZE_MINIMUM = {"m": 1, "h": 1, "l": 1, "n": 2, "d": 1}
 
-# Largest accepted n * d of a synthesized dataset: 8 GB of float64.
+# Largest accepted size of any array synthesis holds: 8 GB of float64.
 _MAX_POINTS = 10**9
 
 
-def _check_points(n: int, d: int) -> None:
-    """Reject a (d, n) dataset of more than _MAX_POINTS points."""
-    if n * d > _MAX_POINTS:
+def _check_points(names: str, rows: int, cols: int) -> None:
+    """Reject a (rows, cols) array, sizes ``names``, over _MAX_POINTS."""
+    if rows * cols > _MAX_POINTS:
         raise TooManyPoints(
-            f"n * d = {n} * {d} = {n * d} points exceeds the limit of "
-            f"{_MAX_POINTS} points"
+            f"{names} = {rows} * {cols} = {rows * cols} points exceeds the "
+            f"limit of {_MAX_POINTS} points"
         )
 
 
@@ -102,8 +110,11 @@ class GeneratorConfig:
     A_prime: expected sine amplitude; l: sines summed per channel
     n: series length; d: channel count; seed: RNG seed
 
-    n * d may not exceed _MAX_POINTS (10**9 points, 8 GB of float64);
-    a larger config raises TooManyPoints, before anything is allocated.
+    No array synthesize holds may exceed _MAX_POINTS (10**9 points, 8 GB
+    of float64): the (d, n) dataset, d * l draws, (d, m) counts, the (m,
+    K) one-hot for K = len(harmonic_set(omega_bar, h)) and min(m, 2K)
+    rendered rows of n.  Else TooManyPoints names the product, before
+    anything is allocated.
     """
 
     omega_bar: float
@@ -124,10 +135,7 @@ class GeneratorConfig:
                 object.__setattr__(self, name, float(value))
             except OverflowError:
                 raise ValueError(f"{name} is out of range, got {value!r}") from None
-        if not 0.0 < self.omega_bar < 0.5:
-            raise ValueError(
-                f"omega_bar must be in (0, 0.5), got {self.omega_bar}"
-            )
+        _frequency("omega_bar", self.omega_bar)
         if not self.A_prime > 0.01:
             raise InvalidAmplitudeScale(
                 f"A_prime must exceed 0.01, got {self.A_prime}"
@@ -135,7 +143,11 @@ class GeneratorConfig:
         for name, lo in (*_SIZE_MINIMUM.items(), ("seed", 0)):
             value = _whole_number(name, getattr(self, name), lo, ValueError)
             object.__setattr__(self, name, value)
-        _check_points(self.n, self.d)
+        m, n, d, l = self.m, self.n, self.d, self.l
+        K = _harmonic_count(self.omega_bar, self.h)
+        for names, rows, cols in (("n * d", n, d), ("d * l", d, l), ("d * m", d, m),
+                                  ("m * K", m, K), ("min(m, 2K) * n", min(m, 2 * K), n)):
+            _check_points(names, rows, cols)
 
     def digest(self) -> str:
         """Short stable hash of all fields, used as provenance."""
@@ -145,10 +157,19 @@ class GeneratorConfig:
 
 def harmonic_set(omega_bar: float, h: int) -> list[float]:
     """Ascending multiples k*omega_bar for k = 1..h that stay below 0.5."""
-    if not 0.0 < omega_bar < 0.5:
-        raise ValueError(f"omega_bar must be in (0, 0.5), got {omega_bar}")
+    _frequency("omega_bar", omega_bar)
     h = _whole_number("h", h, 1, ValueError)
-    return [omega_bar * k for k in range(1, h + 1) if omega_bar * k < 0.5]
+    return [omega_bar * k for k in range(1, _harmonic_count(omega_bar, h) + 1)]
+
+
+def _harmonic_count(omega_bar: float, h: int) -> int:
+    """len(harmonic_set(omega_bar, h)), by bisection: the rounded products
+    k*omega_bar rise with k, k = 1 passes and no k > 1/omega_bar does."""
+    lo, hi = 1, int(min(h, 1 / omega_bar))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if omega_bar * mid < 0.5 else (lo, mid - 1)
+    return lo
 
 
 def _draw_pool(law, m: int, A_prime: float, rng: np.random.Generator):
@@ -253,14 +274,14 @@ def standardize_by_train(train: Dataset, *others: Dataset):
 
     Each split becomes (x - mean) / std with the train split's mean and
     population std, so the train split's channels have mean 0 and std 1
-    to within ``dataset.STANDARDIZED_ATOL``; the other splits' own
-    moments are not exactly 0/1.  Raises DegenerateChannel when a train
-    channel is constant, or constant to float resolution (see
-    ``dataset.DEGENERATE_RTOL``).
+    to within STANDARDIZED_ATOL; the other splits' own moments are not
+    exactly 0/1.  Raises DegenerateChannel when a train channel is
+    constant, or constant to float resolution: its std is at most
+    DEGENERATE_RTOL times its mean's magnitude.
     """
     mean = train.values.mean(axis=1, keepdims=True)
     std = train.values.std(axis=1, keepdims=True)
-    flat = degenerate_channels(mean, std)
+    flat = np.flatnonzero(std <= DEGENERATE_RTOL * np.abs(mean)).tolist()
     if flat:
         raise DegenerateChannel(
             f"channel(s) {flat} are constant to float resolution"
@@ -357,7 +378,7 @@ def build_datasets(
     frequencies uniform over MIX_FREQ_RANGE.  Pools take GeneratorConfig's
     default m, A' and l.  Dataset i is built from the i-th child seed of
     ``seed``.  Before anything is drawn, n and d are checked as
-    GeneratorConfig checks them, point budget included, and each law must
+    GeneratorConfig checks them, n * d budget included, and each law must
     be ``"mix"`` or a pair.
     """
     laws = list(laws)
@@ -371,7 +392,7 @@ def build_datasets(
         _whole_number(name, v, _SIZE_MINIMUM[name], ValueError)
         for name, v in zip("nd", (n, d))
     )
-    _check_points(n, d)
+    _check_points("n * d", n, d)
     master = np.random.default_rng(seed)
     out = []
     for i, law in enumerate(laws):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _whole_number
+from .dataset import Dataset, _freeze, _whole_number
 from .errors import (
     DegenerateSpectrum,
     InvalidSeries,
@@ -36,14 +36,10 @@ DEFAULT_WINDOW_CAP = 1024
 
 
 def _as_series(x) -> np.ndarray:
-    """Validate and return ``x`` as a finite 1-d float64 array, n >= 2."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise InvalidSeries(f"series must be 1-d, got ndim={arr.ndim}")
+    """Validate and return ``x`` as a finite 1-d float64 copy, n >= 2."""
+    arr = _freeze(x, "series", 1)
     if arr.size < 2:
         raise InvalidSeries(f"series needs at least 2 samples, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidSeries("series values must be finite")
     return arr
 
 
@@ -55,14 +51,9 @@ class Spectrum:
     n: int
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=np.complex128, copy=True)
-        if c.ndim != 1 or c.size != self.n:
-            raise ValueError(
-                f"expected {self.n} coefficients, got shape {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        c.setflags(write=False)
+        c = _freeze(self.coeffs, "coeffs", 1, np.complex128)
+        if c.size != self.n:
+            raise ValueError(f"expected {self.n} coefficients, got {c.size}")
         object.__setattr__(self, "coeffs", c)
 
 
@@ -74,21 +65,18 @@ class Periodogram:
     powers: np.ndarray
 
     def __post_init__(self):
-        f = np.array(self.freqs, dtype=np.float64, copy=True)
-        p = np.array(self.powers, dtype=np.float64, copy=True)
-        if f.ndim != 1 or p.ndim != 1 or f.size != p.size:
+        f = _freeze(self.freqs, "freqs", 1)
+        p = _freeze(self.powers, "powers", 1)
+        if f.size != p.size:
             raise ValueError(
-                f"freqs and powers must be equal-length 1-d, got {f.shape} vs {p.shape}"
+                f"freqs and powers must be equal-length, got {f.size} vs {p.size}"
             )
-        if f.size:
-            if not (np.all(f > 0.0) and np.all(f < 0.5)):
-                raise ValueError("frequencies must lie strictly inside (0, 0.5)")
-            if not np.all(np.diff(f) > 0.0):
-                raise ValueError("frequencies must be strictly increasing")
-            if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-                raise ValueError("powers must be finite and nonnegative")
-        f.setflags(write=False)
-        p.setflags(write=False)
+        if not (np.all(f > 0.0) and np.all(f < 0.5)):
+            raise ValueError("frequencies must lie strictly inside (0, 0.5)")
+        if not np.all(np.diff(f) > 0.0):
+            raise ValueError("frequencies must be strictly increasing")
+        if np.any(p < 0.0):
+            raise ValueError("powers must be nonnegative")
         object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "powers", p)
 

@@ -6,7 +6,7 @@ import io
 import numpy as np
 
 from freqsynth.dataio import _atomic_write, _is_number
-from freqsynth.dataset import Dataset, WindowSet, degenerate_channels
+from freqsynth.dataset import Dataset, WindowSet, _nonnegative
 from freqsynth.dataset import _whole_number as whole_number
 from freqsynth.evaluation import (
     DEFAULT_HORIZONS,
@@ -20,7 +20,6 @@ from freqsynth.forecast import (
     DEFAULT_ANCHOR,
     STD_FLOOR,
     LinearForecaster,
-    _check_coefficient,
     _design,
     default_lambda,
 )
@@ -41,6 +40,7 @@ from freqsynth.errors import (
 )
 from freqsynth.freqest import estimate_fundamental
 from freqsynth.generator import (
+    DEGENERATE_RTOL,
     MIX_FREQ_RANGE,
     NATURAL_FREQUENCIES,
     GeneratorConfig,
@@ -272,11 +272,11 @@ def standardize(ds: Dataset) -> Dataset:
     """Per-channel (x - mean) / std with population std.
 
     Raises DegenerateChannel when any channel is constant, or constant
-    to float resolution (see ``dataset.DEGENERATE_RTOL``).
+    to float resolution (see ``generator.DEGENERATE_RTOL``).
     """
     mean = ds.values.mean(axis=1, keepdims=True)
     std = ds.values.std(axis=1, keepdims=True)
-    flat = degenerate_channels(mean, std)
+    flat = np.flatnonzero(std <= DEGENERATE_RTOL * np.abs(mean)).tolist()
     if flat:
         raise DegenerateChannel(
             f"channel(s) {flat} have zero variance to float resolution"
@@ -298,11 +298,11 @@ def standardize_by_train(train: Dataset, *others: Dataset):
     The other splits are scaled by the same statistics, so their own
     moments are not exactly 0/1.  Raises DegenerateChannel
     when a train channel is constant, or constant to float resolution
-    (see ``dataset.DEGENERATE_RTOL``).
+    (see ``generator.DEGENERATE_RTOL``).
     """
     mean = train.values.mean(axis=1, keepdims=True)
     std = train.values.std(axis=1, keepdims=True)
-    flat = degenerate_channels(mean, std)
+    flat = np.flatnonzero(std <= DEGENERATE_RTOL * np.abs(mean)).tolist()
     if flat:
         raise DegenerateChannel(
             f"train channel(s) {flat} are constant to float resolution"
@@ -632,7 +632,7 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
     phi, y = _features(train)
     if lam is None:
         lam = default_lambda(phi)
-    _check_coefficient("lam", lam)
+    _nonnegative("lam", lam)
     if lam == 0.0:
         wt, *_ = np.linalg.lstsq(phi, y, rcond=None)
     else:
@@ -661,10 +661,10 @@ def finetune(
             f"few-shot windows are L={fewshot.L}, H={fewshot.H}; "
             f"model expects L={model.L}, H={model.H}"
         )
-    _check_coefficient("anchor", anchor)
+    _nonnegative("anchor", anchor)
     if lam is None:
         lam = model.lam
-    _check_coefficient("lam", lam)
+    _nonnegative("lam", lam)
     if anchor == 0.0:
         fitted = fit_ridge(fewshot, lam)
         return LinearForecaster(

@@ -512,3 +512,40 @@ class TestBenchGen:
         main(["bench-gen", "--channels", "4", "--length", "512", "--out", o1])
         main(["bench-gen", "--channels", "4", "--length", "512", "--out", o2])
         assert read_bytes(o1) == read_bytes(o2)
+
+
+# Each case: the bad file's bytes (None: no file) and the command that
+# reads or writes it.  Every error message starts with that file's path.
+FILE_ERRORS = {
+    "csv not utf-8": (b"date,a\n0,1.5\n1,2\xff\n",
+                      lambda ok, bad, out: ["similarity", "--inputs", ok, bad, "--out", out]),
+    "out in a missing directory": (None, lambda ok, bad, out: [
+        "generate", "--omega", "0.1", "--out", bad]),
+    "model not json": (b"{not json", lambda ok, bad, out: [
+        "evaluate", "--model", bad, "--input", ok, "--lookback", "4", "--out", out]),
+    "model not an object": (b"[1, 2]", lambda ok, bad, out: [
+        "evaluate", "--model", bad, "--input", ok, "--lookback", "4", "--out", out]),
+    "model not utf-8": (b'{"L": \xff}', lambda ok, bad, out: [
+        "evaluate", "--model", bad, "--input", ok, "--lookback", "4", "--out", out]),
+    "config not json": (b"omega_bar = 0.1", lambda ok, bad, out: [
+        "generate", "--config", bad, "--out", out]),
+    "config not utf-8": (b'{"omega_bar": \xff}', lambda ok, bad, out: [
+        "generate", "--config", bad, "--out", out]),
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS)
+def test_file_errors_name_the_file(tmp_path, capsys, case):
+    payload, argv = FILE_ERRORS[case]
+    ok = gen_csv(tmp_path, "ok", n=256, d=1)
+    bad = str(tmp_path / "missing" / "bad") if payload is None else str(tmp_path / "bad")
+    if payload is not None:
+        with open(bad, "wb") as f:
+            f.write(payload)
+    out = str(tmp_path / "out.csv")
+    capsys.readouterr()
+    assert main(argv(ok, bad, out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"freqsynth: error: {bad}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(out)

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from freqsynth import Dataset, WindowSet
+from freqsynth import (
+    Dataset,
+    LinearForecaster,
+    Periodogram,
+    Spectrum,
+    TransferMatrix,
+    WindowSet,
+)
 from freqsynth.errors import InvalidSeries, ShapeMismatch
 
 
@@ -69,3 +76,61 @@ class TestWindowSet:
         ws = WindowSet(lookbacks=np.ones((2, 4)), horizons=np.ones((2, 2)))
         with pytest.raises(ValueError):
             ws.lookbacks[0, 0] = 5.0
+
+
+
+def _fields():
+    """(field, build, stored, good) per array field of the six value
+    types: ``build`` makes the value with the given array in that field,
+    ``stored`` reads the array the value keeps for it, and ``good`` is an
+    array the field accepts."""
+    lb, hz = np.ones((2, 4)), np.ones((2, 3))
+    pg = {"freqs": np.array([0.1, 0.2, 0.3]), "powers": np.ones(3)}
+    tm = {"raw": np.ones((2, 2)), "scaled": np.full((2, 2), 0.5)}
+    return [
+        ("values", lambda a: Dataset(values=a, channel_names=("a", "b")),
+         lambda v: v.values, np.ones((2, 5))),
+        ("lookbacks", lambda a: WindowSet(lookbacks=a, horizons=hz),
+         lambda v: v._series, lb),
+        ("horizons", lambda a: WindowSet(lookbacks=lb, horizons=a),
+         lambda v: v._series, hz),
+        ("weights", lambda a: LinearForecaster(weights=a, L=3, H=2, lam=0.0),
+         lambda v: v.weights, np.ones((2, 4))),
+        ("coeffs", lambda a: Spectrum(coeffs=a, n=a.size),
+         lambda v: v.coeffs, np.array([1.0, 2j, 3.0])),
+        *((name, lambda a, name=name: Periodogram(**{**pg, name: a}),
+           lambda v, name=name: getattr(v, name), pg[name]) for name in pg),
+        *((name, lambda a, name=name: TransferMatrix(ids=("a", "b"), **{**tm, name: a}),
+           lambda v, name=name: getattr(v, name), tm[name]) for name in tm),
+    ]
+
+
+FIELDS = _fields()
+# TransferMatrix checks its shape and then each cell before it freezes
+CHECKED_BY_FREEZE = [f for f in FIELDS if f[0] not in ("raw", "scaled")]
+
+
+@pytest.mark.parametrize("name, build, stored, good", FIELDS,
+                         ids=[f[0] for f in FIELDS])
+def test_stored_array_is_a_read_only_copy(name, build, stored, good):
+    given = good.copy()
+    kept = stored(build(given))
+    assert not kept.flags.writeable
+    assert not np.shares_memory(kept, given)
+    before = kept.copy()
+    given.flat[0] += 1.0
+    assert np.array_equal(kept, before)
+
+
+@pytest.mark.parametrize("name, build, stored, good", CHECKED_BY_FREEZE,
+                         ids=[f[0] for f in CHECKED_BY_FREEZE])
+def test_nan_and_wrong_ndim_raise_invalid_series_naming_the_field(
+    name, build, stored, good
+):
+    bad = good.copy()
+    bad.flat[-1] = np.nan
+    with pytest.raises(InvalidSeries, match=f"^{name} must be finite$"):
+        build(bad)
+    deep = good.reshape((1,) * (3 - good.ndim) + good.shape)
+    with pytest.raises(InvalidSeries, match=f"^{name} must be {good.ndim}-d, got ndim=3$"):
+        build(deep)

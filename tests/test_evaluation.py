@@ -34,7 +34,7 @@ from freqsynth import (
     windowset_metrics,
 )
 from freqsynth import evaluation, forecast
-from freqsynth.dataset import STANDARDIZED_ATOL
+from freqsynth.generator import STANDARDIZED_ATOL
 from freqsynth.evaluation import DEFAULT_HORIZONS
 from freqsynth.errors import (
     DegenerateChannel,

@@ -1,5 +1,7 @@
 """Sine-pool synthesis tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from freqsynth import (
     synthesize,
 )
 from freqsynth import generator
-from freqsynth.dataset import STANDARDIZED_ATOL, Dataset
+from freqsynth.dataset import Dataset
 from freqsynth.errors import (
     DegenerateChannel,
     FreqSynthError,
@@ -32,7 +34,7 @@ from freqsynth.errors import (
     TooManyPoints,
     WindowTooLong,
 )
-from freqsynth.generator import _draw_pool, _render_channels
+from freqsynth.generator import STANDARDIZED_ATOL, _draw_pool, _render_channels
 
 import oracles
 from oracles import render_channels_direct
@@ -63,6 +65,23 @@ class TestHarmonicSet:
                 assert om
                 assert om == sorted(om)
                 assert all(0 < f < 0.5 for f in om)
+
+    def test_bitwise_the_plain_filter(self):
+        # the set's size is found by bisection; it must hold exactly the
+        # floats of the plain filter over every k = 1..h
+        rng = np.random.default_rng(18)
+        omegas = [*rng.uniform(1e-4, 0.5, 300), *(0.5 / rng.integers(1, 10**4, 300)),
+                  *(1 / rng.integers(3, 10**4, 300)), 0.25, 0.5 / 3, np.nextafter(0.5, 0)]
+        for omega in map(float, omegas):
+            h = int(rng.integers(1, 10**4 + 1))
+            want = [omega * k for k in range(1, h + 1) if omega * k < 0.5]
+            got = harmonic_set(omega, h)
+            assert [f.hex() for f in got] == [f.hex() for f in want], (omega, h)
+            assert generator._harmonic_count(omega, h) == len(want)
+
+    def test_huge_h_returns_at_once(self):
+        assert harmonic_set(0.1, 10**12) == [0.1 * k for k in range(1, 5)]
+        assert harmonic_set(1e-310, 3) == [1e-310, 2e-310, 3e-310]
 
 
 class TestConfig:
@@ -104,9 +123,32 @@ class TestConfig:
             "n * d = 1000000000 * 1000000 = 1000000000000000 points exceeds "
             "the limit of 1000000000 points"
         )
-        assert GeneratorConfig(omega_bar=0.1, n=10**9, d=1).n == 10**9
+        assert GeneratorConfig(omega_bar=0.1, m=1, n=10**9, d=1).n == 10**9
         with pytest.raises(TooManyPoints, match=r"^n \* d = 1000000001 \* 1 "):
             GeneratorConfig(omega_bar=0.1, n=10**9 + 1, d=1)
+
+    @pytest.mark.parametrize("sizes, product", [
+        # omega_bar = 0.1 and h = 3 give K = 3 harmonics
+        ({"m": 10**12, "l": 10**12, "n": 2}, "d * l = 1 * 1000000000000 "),
+        ({"l": 10**9 + 1, "n": 2}, "d * l = 1 * 1000000001 "),
+        ({"m": 10**9 + 1, "h": 1, "n": 2}, "d * m = 1 * 1000000001 "),
+        ({"m": 10**9 // 2 + 1, "h": 1, "n": 2, "d": 2}, "d * m = 2 * 500000001 "),
+        ({"m": 4 * 10**8, "n": 2}, "m * K = 400000000 * 3 "),
+        ({"n": 10**9 // 6 + 1}, "min(m, 2K) * n = 6 * 166666667 "),
+        ({"m": 1, "n": 10**9 + 1}, "n * d = 1000000001 * 1 "),
+        ({"omega_bar": 1e-9, "h": 10**12}, "m * K = 100 * 499999999 "),
+    ])
+    def test_point_budget_covers_every_render_array(self, sizes, product):
+        # construction only: no config here is ever synthesized
+        with pytest.raises(TooManyPoints, match="^" + re.escape(product)):
+            GeneratorConfig(**{"omega_bar": 0.1, "d": 1, **sizes})
+
+    @pytest.mark.parametrize("sizes", [
+        {"l": 10**9, "n": 2}, {"m": 10**9, "h": 1, "n": 2},
+        {"m": 3 * 10**8, "n": 2}, {"n": 10**9 // 6}, {"m": 1, "n": 10**9},
+    ])
+    def test_point_budget_bounds_are_inclusive(self, sizes):
+        assert GeneratorConfig(**{"omega_bar": 0.1, "d": 1, **sizes}).n == sizes["n"]
 
     @pytest.mark.parametrize("field", ["m", "h", "l", "n", "d"])
     @pytest.mark.parametrize("value", [1.5, True, float("nan"), float("inf"), "5", None])

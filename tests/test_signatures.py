@@ -14,11 +14,14 @@ them.  The forecasters share one ``forecast`` contract, pinned here too.
 import contextlib
 import inspect
 import io
+import os
 
 import pytest
 
 import freqsynth
+import mutants
 import public_census
+from freqsynth import errors
 from freqsynth import (
     Dataset,
     LinearForecaster,
@@ -126,3 +129,26 @@ def test_census_finds_nothing_unexplained():
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         status = public_census.main()
     assert status == 0, out.getvalue()
+
+
+def test_every_mutant_applies_once():
+    """``tests/mutants.py`` can apply each registered mutant: its old text
+    occurs exactly once in its file, and its test files exist."""
+    stale = [f"{m.file}: {m.reason}" for m in mutants.MUTANTS
+             if mutants.occurrences(m) != 1]
+    assert not stale
+    tests = {name for m in mutants.MUTANTS for name in m.tests}
+    assert all(os.path.isfile(os.path.join(mutants.ROOT, "tests", t)) for t in tests)
+
+
+def test_one_error_family_that_is_a_value_error():
+    """Every library error is a FreqSynthError, which is a ValueError, so
+    ``except ValueError`` catches them all; no other class in errors.py
+    names ValueError as a base."""
+    classes = [obj for obj in vars(errors).values()
+               if inspect.isclass(obj) and obj.__module__ == errors.__name__]
+    assert errors.FreqSynthError.__bases__ == (ValueError,)
+    for cls in classes:
+        assert issubclass(cls, errors.FreqSynthError), cls
+        if cls is not errors.FreqSynthError:
+            assert ValueError not in cls.__bases__, cls
