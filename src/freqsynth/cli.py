@@ -10,7 +10,8 @@ byte-identical across repeat runs.  bench-gen's wall-clock timing goes
 to stdout only; its --out summary carries a checksum instead of times
 so the file stays reproducible.  Results are computed fully before any
 file is written, and writes are atomic, so a failing run leaves no
-partial outputs.
+partial outputs.  An error raised while an input file's data is loaded
+or analysed starts with that file's path.
 
 BLAS thread pools follow the standard environment variables, read when
 numpy is first imported: set OMP_NUM_THREADS or OPENBLAS_NUM_THREADS
@@ -24,13 +25,14 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from . import dataio
 from .dataset import Dataset
-from .errors import InvalidModel, InvalidPeriod
+from .errors import FreqSynthError, InvalidModel, InvalidPeriod
 from .evaluation import (
     SplitSpec,
     confusion_experiment,
@@ -124,6 +126,18 @@ def _svg_line_plot(path, xs, ys, title, xlabel, ylabel):
     dataio._atomic_write(path, "\n".join(parts) + "\n")
 
 
+@contextmanager
+def _naming(path: str):
+    """Start the message of a FreqSynthError raised in the block with
+    ``path: ``, unless it already does."""
+    try:
+        yield
+    except FreqSynthError as exc:
+        if not str(exc).startswith(f"{path}: "):
+            exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _resolve_omega(args, parser) -> float:
     if getattr(args, "omega", None) is not None:
         return args.omega
@@ -135,7 +149,8 @@ def _resolve_omega(args, parser) -> float:
 def _load_target(args) -> tuple[str, Dataset]:
     """Target dataset for sweeps: a file, or a synthetic 3-harmonic truth."""
     if args.input is not None:
-        return args.input, standardize(dataio.load_csv(args.input))
+        with _naming(args.input):
+            return args.input, standardize(dataio.load_csv(args.input))
     cfg = GeneratorConfig(
         omega_bar=args.omega, h=3, n=16384, d=5, seed=args.seed + 1
     )
@@ -158,8 +173,9 @@ def cmd_generate(args, parser) -> int:
 
 
 def cmd_periodogram(args, parser) -> int:
-    ds = dataio.load_csv(args.input)
-    window = args.window if args.window is not None else default_window_len(ds.n)
+    with _naming(args.input):
+        ds = dataio.load_csv(args.input)
+        window = args.window if args.window is not None else default_window_len(ds.n)
     p = aggregate_periodogram(ds, window)
     dataio.save_periodogram_csv(p, args.out)
     if args.plot:
@@ -177,8 +193,9 @@ def cmd_estimate(args, parser) -> int:
     if args.rate is not None:
         est = freq_from_sampling_rate(args.rate)
     else:
-        ds = dataio.load_csv(args.input)
-        est = estimate_fundamental(ds, args.rel_threshold, args.bin_tol)
+        with _naming(args.input):
+            ds = dataio.load_csv(args.input)
+            est = estimate_fundamental(ds, args.rel_threshold, args.bin_tol)
     doc = {
         "omega_bar": est.omega_bar,
         "source": est.source,
@@ -197,8 +214,9 @@ def cmd_similarity(args, parser) -> int:
         parser.error("similarity needs at least two --inputs")
     pgrams = []
     for path in args.inputs:
-        ds = dataio.load_csv(path)
-        pgrams.append(aggregate_periodogram(ds, default_window_len(ds.n)))
+        with _naming(path):
+            ds = dataio.load_csv(path)
+            pgrams.append(aggregate_periodogram(ds, default_window_len(ds.n)))
     k = len(pgrams)
     rows = []
     for i in range(k):
@@ -242,18 +260,16 @@ def _resolve_model(token: str):
 
 def cmd_evaluate(args, parser) -> int:
     model = _resolve_model(args.model)
-    ds = dataio.load_csv(args.input)
-    max_h = max(args.horizons)
+    with _naming(args.input):
+        target = dataio.load_csv(args.input)
     if args.split is not None:
         fracs = args.split
         if len(fracs) != 3:
             parser.error("--split needs three comma-separated fractions")
         spec = SplitSpec(*fracs)
-        train, _, test = split(ds, spec, min_len=args.lookback + max_h)
-        _, test = standardize_by_train(train, test)
-        target = test
-    else:
-        target = ds
+        with _naming(args.input):
+            train, _, test = split(target, spec, min_len=args.lookback + max(args.horizons))
+            _, target = standardize_by_train(train, test)
     reports = evaluate_zero_shot(
         model, target, args.lookback, args.horizons, dataset_id=args.input,
         seed=args.seed,
@@ -296,7 +312,10 @@ def cmd_transfer(args, parser) -> int:
     if args.inputs:
         if len(args.inputs) < 2:
             parser.error("transfer needs at least two --inputs")
-        named = [(p, standardize(dataio.load_csv(p))) for p in args.inputs]
+        named = []
+        for path in args.inputs:
+            with _naming(path):
+                named.append((path, standardize(dataio.load_csv(path))))
     else:
         named = synthetic_registry(args.seed)
     ids = [name for name, _ in named]

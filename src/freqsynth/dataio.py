@@ -148,11 +148,11 @@ def load_csv(path: str) -> Dataset:
                     # extend keeps the rows read before a failing one
                     rows.extend(islice(reader, _ROWS))
                 except csv.Error as exc:
-                    _parse_rows(rows, width, first)  # an earlier bad row wins
+                    _parse_rows(rows, width, first, path)  # an earlier bad row wins
                     raise MalformedRow(path, first + len(rows), str(exc)) from None
                 if not rows:
                     break
-                blocks.append(_parse_rows(rows, width, first))
+                blocks.append(_parse_rows(rows, width, first, path))
                 first += len(rows)
     except UnicodeDecodeError as exc:  # its position is within a buffered chunk
         raise InvalidEncoding(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -161,7 +161,7 @@ def load_csv(path: str) -> Dataset:
     values = np.concatenate(blocks)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
-        raise NonNumericCell(int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
+        raise NonNumericCell(path, int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
     return Dataset(values=values.T, channel_names=tuple(header[1:]), provenance=path)
 
 
@@ -185,12 +185,12 @@ def _loadtxt_block(lines: list[str], width: int) -> np.ndarray | None:
     return values if len(values) == len(lines) else None
 
 
-def _parse_rows(rows: list[list[str]], width: int, first: int) -> np.ndarray:
+def _parse_rows(rows: list[list[str]], width: int, first: int, path: str) -> np.ndarray:
     """(len(rows), width - 1) values of rows numbered from ``first``.
 
     Every value cell goes through the builtin float in one pass.  If a
     row is ragged or a cell does not parse, the rows are walked cell by
-    cell to raise the first error at its coordinates.
+    cell to raise the first error at its coordinates in ``path``.
     """
     try:
         if any(len(row) != width for row in rows):
@@ -200,12 +200,12 @@ def _parse_rows(rows: list[list[str]], width: int, first: int) -> np.ndarray:
     except ValueError:
         for r, row in enumerate(rows, start=first):
             if len(row) != width:
-                raise RaggedRows(r, width, len(row)) from None
+                raise RaggedRows(path, r, width, len(row)) from None
             for c, cell in enumerate(row[1:], start=2):
                 try:
                     float(cell)
                 except ValueError:
-                    raise NonNumericCell(r, c) from None
+                    raise NonNumericCell(path, r, c) from None
         raise
 
 

@@ -96,26 +96,28 @@ class MissingHeader(FreqSynthError):
 class RaggedRows(FreqSynthError):
     """CSV row has a different number of cells than the header.
 
-    Carries the 1-based ``row`` index (data rows, header excluded).
+    The message starts with the file's path; carries the 1-based ``row``
+    index (data rows, header excluded).
     """
 
-    def __init__(self, row: int, expected: int, got: int):
+    def __init__(self, path: str, row: int, expected: int, got: int):
         self.row = row
-        super().__init__(f"row {row} has {got} cells, expected {expected}")
+        super().__init__(f"{path}: row {row} has {got} cells, expected {expected}")
 
 
 class NonNumericCell(FreqSynthError):
     """CSV value cell failed to parse as a number, or parsed to NaN or an
     infinity (``kind="non-finite"``).
 
-    Carries 1-based ``row`` (data rows, header excluded) and 1-based
-    ``col`` (absolute, date column included).
+    The message starts with the file's path; carries 1-based ``row``
+    (data rows, header excluded) and 1-based ``col`` (absolute, date
+    column included).
     """
 
-    def __init__(self, row: int, col: int, kind: str = "non-numeric"):
+    def __init__(self, path: str, row: int, col: int, kind: str = "non-numeric"):
         self.row = row
         self.col = col
-        super().__init__(f"{kind} cell at row {row}, col {col}")
+        super().__init__(f"{path}: {kind} cell at row {row}, col {col}")
 
 
 class MalformedRow(FreqSynthError):

@@ -17,7 +17,7 @@ without a forecast.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,40 +94,32 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Cross-dataset raw MSEs and per-column min-max scaled values.
+    """Cross-dataset raw MSEs and their per-column min-max scaling.
 
     Row i is the model trained on dataset ``ids[i]``, column j the test
     dataset ``ids[j]``, so cell (j, j) is in-domain: it is excluded from
     column j's min-max range (the matrix is about cross-domain transfer)
     and its scaled value is clipped into [0, 1].  ``raw`` must be finite
-    and >= 0, ``scaled`` finite and in [0, 1].
+    and >= 0; ``scaled`` is minmax_scale_columns(raw).
     """
 
     ids: tuple[str, ...]
     raw: np.ndarray
-    scaled: np.ndarray
+    scaled: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ids = tuple(self.ids)
         raw = np.asarray(self.raw, dtype=np.float64)
-        scaled = np.asarray(self.scaled, dtype=np.float64)
         shape = (len(ids), len(ids))
-        if raw.shape != shape or scaled.shape != shape:
-            raise ShapeMismatch(
-                f"matrix shapes {raw.shape}/{scaled.shape}, expected {shape}"
-            )
-        for name, values, ok, rule in (
-            ("raw", raw, np.isfinite(raw) & (raw >= 0), "finite and >= 0"),
-            ("scaled", scaled, (scaled >= 0) & (scaled <= 1), "finite and in [0, 1]"),
-        ):
-            if not ok.all():
-                i, j = np.argwhere(~ok)[0]
-                raise ValueError(
-                    f"{name}[{i}, {j}] must be {rule}, got {values[i, j]}"
-                )
+        if raw.shape != shape:
+            raise ShapeMismatch(f"matrix shape {raw.shape}, expected {shape}")
+        ok = np.isfinite(raw) & (raw >= 0)
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
+            raise ValueError(f"raw[{i}, {j}] must be finite and >= 0, got {raw[i, j]}")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "raw", _freeze(raw, "raw", 2))
-        object.__setattr__(self, "scaled", _freeze(scaled, "scaled", 2))
+        object.__setattr__(self, "scaled", _freeze(minmax_scale_columns(raw), "scaled", 2))
 
 
 def split(
@@ -339,8 +331,7 @@ def _zero_shot(
             model = models[members[0]]
             if members is stack:
                 model = LinearForecaster(
-                    weights=np.vstack([models[i].weights[:hb] for i in stack]),
-                    L=L, H=k * hb, lam=0.0,
+                    weights=np.vstack([models[i].weights[:hb] for i in stack]), lam=0.0
                 )
             if type(model) is SeasonalNaiveForecaster:
                 sums.append(_lag_sums(test_ds.values, L, model.period, lo, hi, hb))
@@ -457,7 +448,7 @@ def transfer_matrix(
     raw = np.column_stack(
         [[r[0].mse for r in _zero_shot(models, ds, L, (H,))] for ds in datasets]
     )
-    return TransferMatrix(ids=tuple(ids), raw=raw, scaled=minmax_scale_columns(raw))
+    return TransferMatrix(ids=tuple(ids), raw=raw)
 
 
 def _pure_dataset(omega: float, seed: int, n: int) -> Dataset:

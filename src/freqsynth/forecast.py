@@ -21,7 +21,7 @@ information leaks into the features.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -140,25 +140,25 @@ class NaiveForecaster(SeasonalNaiveForecaster):
 class LinearForecaster:
     """Affine map from normalized lookback to horizon.
 
-    ``weights`` is H x (L + 1); the last column multiplies the constant
-    bias feature.  ``lam`` records the ridge coefficient used at fit
-    time (informational after construction).
+    ``weights`` is H x (L + 1), and L and H are read from its shape; the
+    last column multiplies the constant bias feature.  ``lam`` records
+    the ridge coefficient used at fit time (informational after
+    construction).
     """
 
     weights: np.ndarray
-    L: int
-    H: int
     lam: float
     model_id: str = "ridge"
+    L: int = field(init=False)
+    H: int = field(init=False)
 
     def __post_init__(self):
         w = _freeze(self.weights, "weights", 2)
-        if w.shape != (self.H, self.L + 1):
-            raise ShapeMismatch(
-                f"weights shape {w.shape}, expected ({self.H}, {self.L + 1})"
-            )
+        if w.shape[0] < 1 or w.shape[1] < 2:
+            raise ShapeMismatch(f"weights shape {w.shape}, expected (H >= 1, L + 1 >= 2)")
         _nonnegative("lam", self.lam)
-        object.__setattr__(self, "weights", w)
+        for name, value in (("weights", w), ("H", w.shape[0]), ("L", w.shape[1] - 1)):
+            object.__setattr__(self, name, value)
 
     def forecast(self, X, H: int, out: np.ndarray | None = None) -> np.ndarray:
         """Predict ``H`` steps for each lookback row.
@@ -264,7 +264,7 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
         w = _min_norm(train, phi, mu, sd)
     else:
         w = _solve(phi, lam, _target_products(train, phi, mu, sd))
-    return LinearForecaster(weights=w, L=train.L, H=train.H, lam=float(lam))
+    return LinearForecaster(weights=w, lam=float(lam))
 
 
 def finetune(
@@ -293,9 +293,7 @@ def finetune(
     phi, mu, sd = _design_blocks(fewshot)
     rhs = _target_products(fewshot, phi, mu, sd) + anchor * model.weights.T
     w = _solve(phi, lam + anchor, rhs)
-    return LinearForecaster(
-        weights=w, L=model.L, H=model.H, lam=float(lam), model_id=model_id
-    )
+    return LinearForecaster(weights=w, lam=float(lam), model_id=model_id)
 
 
 def model_to_json(model: LinearForecaster) -> str:
@@ -339,4 +337,4 @@ def model_from_json(text: str) -> LinearForecaster:
     if not all(_is_number(v) and np.isfinite(v) for v in weights):
         raise InvalidModel("model field 'weights' must hold finite numbers")
     w = np.array(weights, dtype=np.float64).reshape(H, L + 1)
-    return LinearForecaster(weights=w, L=L, H=H, lam=float(lam))
+    return LinearForecaster(weights=w, lam=float(lam))

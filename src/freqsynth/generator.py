@@ -92,13 +92,17 @@ _SIZE_MINIMUM = {"m": 1, "h": 1, "l": 1, "n": 2, "d": 1}
 _MAX_POINTS = 10**9
 
 
-def _check_points(names: str, rows: int, cols: int) -> None:
-    """Reject a (rows, cols) array, sizes ``names``, over _MAX_POINTS."""
-    if rows * cols > _MAX_POINTS:
-        raise TooManyPoints(
-            f"{names} = {rows} * {cols} = {rows * cols} points exceeds the "
-            f"limit of {_MAX_POINTS} points"
-        )
+def _check_render(m: int, K: int, l: int, n: int, d: int) -> None:
+    """TooManyPoints, naming the product, when rendering d channels of n
+    steps, each the sum of l draws from an m-member pool of K distinct
+    frequencies, would hold an array over _MAX_POINTS."""
+    for names, rows, cols in (("n * d", n, d), ("d * l", d, l), ("d * m", d, m),
+                              ("m * K", m, K), ("min(m, 2K) * n", min(m, 2 * K), n)):
+        if rows * cols > _MAX_POINTS:
+            raise TooManyPoints(
+                f"{names} = {rows} * {cols} = {rows * cols} points exceeds the "
+                f"limit of {_MAX_POINTS} points"
+            )
 
 
 @dataclass(frozen=True)
@@ -143,11 +147,8 @@ class GeneratorConfig:
         for name, lo in (*_SIZE_MINIMUM.items(), ("seed", 0)):
             value = _whole_number(name, getattr(self, name), lo, ValueError)
             object.__setattr__(self, name, value)
-        m, n, d, l = self.m, self.n, self.d, self.l
         K = _harmonic_count(self.omega_bar, self.h)
-        for names, rows, cols in (("n * d", n, d), ("d * l", d, l), ("d * m", d, m),
-                                  ("m * K", m, K), ("min(m, 2K) * n", min(m, 2 * K), n)):
-            _check_points(names, rows, cols)
+        _check_render(self.m, K, self.l, self.n, self.d)
 
     def digest(self) -> str:
         """Short stable hash of all fields, used as provenance."""
@@ -377,36 +378,38 @@ def build_datasets(
     synthesize's dataset for that config, or ``"mix"``, a pool with
     frequencies uniform over MIX_FREQ_RANGE.  Pools take GeneratorConfig's
     default m, A' and l.  Dataset i is built from the i-th child seed of
-    ``seed``.  Before anything is drawn, n and d are checked as
-    GeneratorConfig checks them, n * d budget included, and each law must
-    be ``"mix"`` or a pair.
+    ``seed``.  Before anything is rendered, every law is checked as
+    GeneratorConfig checks it, point budget included; a mix pool renders
+    all of its m members, so it counts K = m frequencies.
     """
-    laws = list(laws)
-    for law in laws:
-        if law != "mix" and not (isinstance(law, (tuple, list)) and len(law) == 2):
-            raise ValueError(
-                f"unknown frequency law {law!r}: expected 'mix' or an "
-                "(omega_bar, h) pair"
-            )
     n, d = (
         _whole_number(name, v, _SIZE_MINIMUM[name], ValueError)
         for name, v in zip("nd", (n, d))
     )
-    _check_points("n * d", n, d)
+    m, l = GeneratorConfig.m, GeneratorConfig.l
     master = np.random.default_rng(seed)
-    out = []
-    for i, law in enumerate(laws):
+    jobs = []  # a mix law's child seed, or a harmonic law's config
+    for law in laws:
         child = _child_seed(master)
         if law == "mix":
-            rng = np.random.default_rng(child)
-            pool = _draw_pool(law, GeneratorConfig.m, GeneratorConfig.A_prime, rng)
-            values = _render_channels(*pool, n, d, GeneratorConfig.l, rng)
-            ds = _named(values, f"freq-synth-mix:seed={seed}:copy={i}")
+            _check_render(m, m, l, n, d)
+            jobs.append(child)
+        elif isinstance(law, (tuple, list)) and len(law) == 2:
+            jobs.append(GeneratorConfig(omega_bar=law[0], h=law[1], n=n, d=d, seed=child))
         else:
-            omega_bar, h = law
-            ds = synthesize(
-                GeneratorConfig(omega_bar=omega_bar, h=h, n=n, d=d, seed=child)
+            raise ValueError(
+                f"unknown frequency law {law!r}: expected 'mix' or an "
+                "(omega_bar, h) pair"
             )
+    out = []
+    for i, job in enumerate(jobs):
+        if isinstance(job, GeneratorConfig):
+            ds = synthesize(job)
+        else:
+            rng = np.random.default_rng(job)
+            pool = _draw_pool("mix", m, GeneratorConfig.A_prime, rng)
+            values = _render_channels(*pool, n, d, l, rng)
+            ds = _named(values, f"freq-synth-mix:seed={seed}:copy={i}")
         out.append(standardize(ds))
     return out
 

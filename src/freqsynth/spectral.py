@@ -15,7 +15,7 @@ Nyquist bin is dropped too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,16 +45,15 @@ def _as_series(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Complex DFT coefficients d(w_j) for j = 0 .. n-1."""
+    """Complex DFT coefficients d(w_j) for j = 0 .. n-1; n is their count."""
 
     coeffs: np.ndarray
-    n: int
+    n: int = field(init=False)
 
     def __post_init__(self):
         c = _freeze(self.coeffs, "coeffs", 1, np.complex128)
-        if c.size != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {c.size}")
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "n", c.size)
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,7 @@ def dft(x) -> Spectrum:
     j = np.arange(n)
     twist = np.exp((-2j * np.pi / n) * j)
     coeffs = twist * np.fft.fft(arr) / np.sqrt(n)
-    return Spectrum(coeffs=coeffs, n=n)
+    return Spectrum(coeffs=coeffs)
 
 
 def _rfft_power(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

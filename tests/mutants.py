@@ -1,10 +1,12 @@
 """A committed registry of mutants, and a script that checks each is caught.
 
-A mutant is one small edit that breaks the library on purpose: the file
-under ``src/freqsynth``, the exact old text, the new text, a one-line
-reason, and the test files that must catch it.  The script copies
-``src/`` to a temporary directory and, one mutant at a time, applies the
-edit there and runs that mutant's test files with ``-x -q`` against the
+A mutant is one small edit that breaks the library, or a check the tests
+run, on purpose: the file (relative to the repository root), the exact
+old text, the new text, a one-line reason, and the test files that must
+catch it.  The script copies the library, its tests and the census's
+callers (``src/``, ``tests/``, ``perfbench/``, ``demos/``, README and
+pyproject) to a temporary directory and, one mutant at a time, applies
+the edit there and runs that mutant's test files with ``-x -q`` in the
 copy.  It prints one line per mutant:
 
 * ``killed``: a test failed, as it should;
@@ -35,11 +37,13 @@ import tempfile
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
+
+# What the copy holds: the library, the tests and every caller the census reads.
+COPIED = ("src", "tests", "perfbench", "demos", "README.md", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
-    file: str  # relative to src/freqsynth
+    file: str  # relative to the repository root
     old: str
     new: str
     reason: str
@@ -47,108 +51,145 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
+    # value types that take each fact once
+    Mutant("src/freqsynth/forecast.py", '("L", w.shape[1] - 1)', '("L", w.shape[1])',
+           "LinearForecaster reads L as the weights' column count",
+           ("test_forecast.py",)),
+    Mutant("src/freqsynth/forecast.py", "        if w.shape[0] < 1 or w.shape[1] < 2:",
+           "        if False:", "LinearForecaster accepts weights with no row or no "
+           "lookback column", ("test_forecast.py",)),
+    Mutant("src/freqsynth/evaluation.py", '_freeze(minmax_scale_columns(raw), "scaled", 2)',
+           '_freeze(raw, "scaled", 2)', "TransferMatrix.scaled is the raw matrix",
+           ("test_evaluation.py",)),
+    # errors that name the input file
+    Mutant("src/freqsynth/errors.py", 'f"{path}: row {row} has', 'f"row {row} has',
+           "RaggedRows does not name the file", ("test_dataio.py",)),
+    Mutant("src/freqsynth/errors.py", 'f"{path}: {kind} cell at', 'f"{kind} cell at',
+           "NonNumericCell does not name the file", ("test_dataio.py",)),
+    Mutant("src/freqsynth/cli.py", '            exc.args = (f"{path}: {exc}",)',
+           "            pass", "an error from a short CSV's analysis does not name "
+           "the file", ("test_cli.py",)),
+    # the render budget of every law, checked before any render
+    Mutant("src/freqsynth/generator.py", "_check_render(m, m, l, n, d)",
+           "_check_render(m, 1, l, n, d)", "a mix law's budget counts one frequency",
+           ("test_generator.py",)),
+    # the census of public names
+    Mutant("tests/public_census.py", "    return 1 if unexplained or stale else 0",
+           "    return 1 if unexplained else 0", "the census passes a stale KEPT entry",
+           ("test_signatures.py",)),
     # the value types' one freezing routine and the shared scalar checks
-    Mutant("dataset.py", "    out.setflags(write=False)\n    return out",
+    Mutant("src/freqsynth/dataset.py", "    out.setflags(write=False)\n    return out",
            "    return out", "_freeze leaves the stored copy writable",
            ("test_dataset.py",)),
-    Mutant("dataset.py", "    if out.ndim != ndim:", "    if False:",
+    Mutant("src/freqsynth/dataset.py", "    if out.ndim != ndim:", "    if False:",
            "_freeze without its ndim check", ("test_dataset.py",)),
-    Mutant("dataset.py", "    if not np.all(np.isfinite(out)):", "    if False:",
+    Mutant("src/freqsynth/dataset.py", "    if not np.all(np.isfinite(out)):", "    if False:",
            "_freeze without its finite check", ("test_dataset.py",)),
-    Mutant("dataset.py", "    if not 0.0 < value < 0.5:", "    if not 0.0 < value <= 0.5:",
+    Mutant("src/freqsynth/dataset.py",
+           "    if not 0.0 < value < 0.5:", "    if not 0.0 < value <= 0.5:",
            "_frequency accepts 0.5", ("test_generator.py", "test_freqest.py")),
-    Mutant("dataset.py", "    if not 0.0 <= value < np.inf:", "    if not 0.0 <= value:",
+    Mutant("src/freqsynth/dataset.py",
+           "    if not 0.0 <= value < np.inf:", "    if not 0.0 <= value:",
            "_nonnegative accepts infinity", ("test_forecast.py", "test_evaluation.py")),
     # the harmonic set and the render's point budget
-    Mutant("generator.py", "    lo, hi = 1, int(min(h, 1 / omega_bar))",
+    Mutant("src/freqsynth/generator.py", "    lo, hi = 1, int(min(h, 1 / omega_bar))",
            "    lo, hi = 1, int(min(h - 1, 1 / omega_bar))",
            "harmonic_set stops one short of h", ("test_generator.py",)),
-    Mutant("generator.py", '("d * l", d, l), ', "",
+    Mutant("src/freqsynth/generator.py", '("d * l", d, l), ', "",
            "the point budget without its d * l term", ("test_generator.py",)),
     # file errors that name the file
-    Mutant("dataio.py", "    except UnicodeDecodeError as exc:  # its position",
+    Mutant("src/freqsynth/dataio.py", "    except UnicodeDecodeError as exc:  # its position",
            "    except KeyError as exc:  # its position",
            "load_csv's decode error does not name the file", ("test_cli.py",)),
-    Mutant("dataio.py", '        raise type(exc)(f"{path}: {exc.strerror or exc}") from None',
+    Mutant("src/freqsynth/dataio.py",
+           '        raise type(exc)(f"{path}: {exc.strerror or exc}") from None',
            "        raise", "_atomic_write's OSError names the temp file",
            ("test_cli.py",)),
-    Mutant("dataio.py", '        raise InvalidConfig(f"{path}: {exc}") from None',
+    Mutant("src/freqsynth/dataio.py", '        raise InvalidConfig(f"{path}: {exc}") from None',
            "        raise", "a config that is not UTF-8 JSON does not name the file",
            ("test_cli.py",)),
-    Mutant("cli.py", '        raise InvalidModel(f"{token}: {exc}") from None',
+    Mutant("src/freqsynth/cli.py", '        raise InvalidModel(f"{token}: {exc}") from None',
            "        raise", "a bad model file is not named", ("test_cli.py",)),
     # checks described by earlier changes
-    Mutant("generator.py", "    std = train.values.std(axis=1, keepdims=True)",
+    Mutant("src/freqsynth/generator.py", "    std = train.values.std(axis=1, keepdims=True)",
            "    std = train.values.std(axis=1, ddof=1, keepdims=True)",
            "standardization with the sample std (ddof=1)", ("test_generator.py",)),
-    Mutant("generator.py", "    if 2 * uniq.size >= m:", "    if 2 * uniq.size > m:",
+    Mutant("src/freqsynth/generator.py", "    if 2 * uniq.size >= m:", "    if 2 * uniq.size > m:",
            "basis render threshold >= turned into >", ("test_generator.py",)),
-    Mutant("generator.py", "[(weights * np.cos(phases)) @ onehot, "
+    Mutant("src/freqsynth/generator.py", "[(weights * np.cos(phases)) @ onehot, "
            "(weights * np.sin(phases)) @ onehot]",
            "[(weights * np.sin(phases)) @ onehot, (weights * np.cos(phases)) @ onehot]",
            "basis coefficients with cos and sin swapped", ("test_generator.py",)),
-    Mutant("dataio.py", "map(repr, ch)", 'map("%.17g".__mod__, ch)',
+    Mutant("src/freqsynth/dataio.py", "map(repr, ch)", 'map("%.17g".__mod__, ch)',
            "CSV cells formatted with %.17g, not repr", ("test_dataio.py",)),
-    Mutant("dataio.py", "os.O_EXCL, 0o666)", "os.O_EXCL, 0o600)",
+    Mutant("src/freqsynth/dataio.py", "os.O_EXCL, 0o666)", "os.O_EXCL, 0o600)",
            "written files get mode 0o600, ignoring the umask", ("test_dataio.py",)),
-    Mutant("dataio.py", '        and text.count(",") == (width - 1) * len(lines)\n', "",
+    Mutant("src/freqsynth/dataio.py",
+           '        and text.count(",") == (width - 1) * len(lines)\n', "",
            "the loadtxt fast path without its comma-count guard", ("test_dataio.py",)),
-    Mutant("dataio.py", "raise MalformedRow(path, first + len(rows), str(exc))",
+    Mutant("src/freqsynth/dataio.py", "raise MalformedRow(path, first + len(rows), str(exc))",
            "raise MalformedRow(path, first, str(exc))",
            "MalformedRow reports the block's first row", ("test_dataio.py",)),
-    Mutant("evaluation.py", "_window_sums(np.abs(d, out=d), m, w, False)",
+    Mutant("src/freqsynth/evaluation.py", "_window_sums(np.abs(d, out=d), m, w, False)",
            "_window_sums(d, m, w, False)", "_lag_sums without its abs pass",
            ("test_evaluation.py",)),
-    Mutant("evaluation.py", "SeasonalNaiveForecaster and m.period > L:",
+    Mutant("src/freqsynth/evaluation.py", "SeasonalNaiveForecaster and m.period > L:",
            "SeasonalNaiveForecaster and m.period >= L:",
            "PeriodTooLong raised at period = L", ("test_evaluation.py",)),
-    Mutant("forecast.py", "    sd /= X.shape[1]\n", "    sd /= X.shape[1] - 1\n",
+    Mutant("src/freqsynth/forecast.py", "    sd /= X.shape[1]\n", "    sd /= X.shape[1] - 1\n",
            "instance std with the wrong divisor", ("test_forecast.py",)),
-    Mutant("forecast.py", "    w = _solve(phi, lam + anchor, rhs)",
+    Mutant("src/freqsynth/forecast.py", "    w = _solve(phi, lam + anchor, rhs)",
            "    w = _solve(phi, lam, rhs)", "finetune without the anchor on the diagonal",
            ("test_forecast.py",)),
-    Mutant("dataset.py", " and whole == value and ", " and ",
+    Mutant("src/freqsynth/dataset.py", " and whole == value and ", " and ",
            "_whole_number accepts non-integral values", ("test_whole_numbers.py",)),
-    Mutant("dataset.py", "isinstance(value, (bool, np.bool_))", "isinstance(value, bool)",
+    Mutant("src/freqsynth/dataset.py",
+           "isinstance(value, (bool, np.bool_))", "isinstance(value, bool)",
            "_whole_number accepts numpy bools", ("test_whole_numbers.py",)),
-    Mutant("dataset.py", "[ws._starts + shift for ws, shift in",
+    Mutant("src/freqsynth/dataset.py", "[ws._starts + shift for ws, shift in",
            "[ws._starts for ws, shift in", "WindowSet._concat without its shifts",
            ("test_window_gather.py",)),
-    Mutant("cli.py", "    model = _resolve_model(args.model)\n"
-           "    ds = dataio.load_csv(args.input)\n",
-           "    ds = dataio.load_csv(args.input)\n"
+    Mutant("src/freqsynth/cli.py", "    model = _resolve_model(args.model)\n"
+           "    with _naming(args.input):\n        target = dataio.load_csv(args.input)\n",
+           "    with _naming(args.input):\n        target = dataio.load_csv(args.input)\n"
            "    model = _resolve_model(args.model)\n",
            "evaluate loads its input before its model", ("test_cli.py",)),
-    Mutant("cli.py", "    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)\n",
+    Mutant("src/freqsynth/cli.py",
+           "    title, xlabel, ylabel = escape(title), escape(xlabel), escape(ylabel)\n",
            "", "SVG plot text left unescaped", ("test_cli.py",)),
-    Mutant("spectral.py", "    half = (n - 1) // 2", "    half = n // 2",
+    Mutant("src/freqsynth/spectral.py", "    half = (n - 1) // 2", "    half = n // 2",
            "the periodogram keeps the Nyquist bin of even n", ("test_spectral.py",)),
 ]
 
 
-def _path(mutant: Mutant, src: str = SRC) -> str:
-    return os.path.join(src, "freqsynth", mutant.file)
+def _path(mutant: Mutant, root: str = ROOT) -> str:
+    return os.path.join(root, mutant.file)
 
 
-def occurrences(mutant: Mutant, src: str = SRC) -> int:
+def occurrences(mutant: Mutant, root: str = ROOT) -> int:
     """How many times the mutant's old text occurs in its file."""
-    with open(_path(mutant, src), encoding="utf-8") as f:
+    with open(_path(mutant, root), encoding="utf-8") as f:
         return f.read().count(mutant.old)
 
 
-def _pytest(tests, env) -> int:
+def _pytest(tests, root, env) -> int:
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
             *(os.path.join("tests", t) for t in tests)]
-    done = subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+    done = subprocess.run(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, timeout=900)
     return done.returncode
 
 
 def main() -> int:
     bad = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        src = os.path.join(tmp, "src")
-        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    with tempfile.TemporaryDirectory() as root:
+        for name in COPIED:
+            if os.path.isdir(os.path.join(ROOT, name)):
+                shutil.copytree(os.path.join(ROOT, name), os.path.join(root, name),
+                                ignore=shutil.ignore_patterns("__pycache__", "out"))
+            else:
+                shutil.copy(os.path.join(ROOT, name), root)
+        src = os.path.join(root, "src")
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         where = subprocess.run(
@@ -159,18 +200,18 @@ def main() -> int:
             sys.exit(f"freqsynth imports from {where.strip()}, not the copy in {src}")
         for mutant in MUTANTS:
             label = f"{mutant.file}: {mutant.reason}"
-            count = occurrences(mutant, src)
+            count = occurrences(mutant, root)
             if count != 1:
                 print(f"STALE     {label} (old text found {count} times)", flush=True)
                 bad += 1
                 continue
-            path = _path(mutant, src)
+            path = _path(mutant, root)
             with open(path, encoding="utf-8") as f:
                 original = f.read()
             with open(path, "w", encoding="utf-8") as f:
                 f.write(original.replace(mutant.old, mutant.new))
             try:
-                status = _pytest(mutant.tests, env)
+                status = _pytest(mutant.tests, root, env)
             except subprocess.TimeoutExpired:
                 status = "timeout"
             finally:

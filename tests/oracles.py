@@ -2,6 +2,7 @@
 
 import csv
 import io
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,7 +90,7 @@ def dft_naive(x) -> Spectrum:
         j = np.arange(start, min(start + chunk, n), dtype=np.float64)
         kernel = np.exp((-2j * np.pi / n) * np.outer(j, t))
         coeffs[start : start + j.size] = kernel @ arr
-    return Spectrum(coeffs=coeffs / np.sqrt(n), n=n)
+    return Spectrum(coeffs=coeffs / np.sqrt(n))
 
 
 def render_channels_direct(amps, freqs, phases, n, d, l, rng):
@@ -200,15 +201,15 @@ def load_csv_per_cell(path):
     values = np.empty((len(rows), width - 1), dtype=np.float64)
     for r, row in enumerate(rows, start=1):
         if len(row) != width:
-            raise RaggedRows(r, width, len(row))
+            raise RaggedRows(path, r, width, len(row))
         for c, cell in enumerate(row[1:], start=2):
             try:
                 values[r - 1, c - 2] = float(cell)
             except ValueError:
-                raise NonNumericCell(r, c) from None
+                raise NonNumericCell(path, r, c) from None
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
-        raise NonNumericCell(int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
+        raise NonNumericCell(path, int(bad[0, 0]) + 1, int(bad[0, 1]) + 2, "non-finite")
     return Dataset(values=values.T, channel_names=tuple(header[1:]), provenance=path)
 
 
@@ -639,7 +640,7 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
         gram = phi.T @ phi
         gram[np.diag_indices_from(gram)] += lam
         wt = np.linalg.solve(gram, phi.T @ y)
-    return LinearForecaster(weights=wt.T, L=train.L, H=train.H, lam=float(lam))
+    return LinearForecaster(weights=wt.T, lam=float(lam))
 
 
 def finetune(
@@ -669,8 +670,6 @@ def finetune(
         fitted = fit_ridge(fewshot, lam)
         return LinearForecaster(
             weights=fitted.weights,
-            L=fitted.L,
-            H=fitted.H,
             lam=fitted.lam,
             model_id=f"{model.model_id}-finetuned",
         )
@@ -681,8 +680,6 @@ def finetune(
     wt = np.linalg.solve(gram, rhs)
     return LinearForecaster(
         weights=wt.T,
-        L=model.L,
-        H=model.H,
         lam=float(lam),
         model_id=f"{model.model_id}-finetuned",
     )
@@ -868,6 +865,15 @@ def evaluate_zero_shot_unstacked(
     return reports
 
 
+class Matrix(NamedTuple):
+    """A transfer matrix's ids, raw MSEs and scaled values, built without
+    TransferMatrix, so its ``scaled`` is the oracle's own."""
+
+    ids: tuple[str, ...]
+    raw: np.ndarray
+    scaled: np.ndarray
+
+
 def transfer_matrix_per_model(
     datasets: list[Dataset],
     trainer,
@@ -875,7 +881,7 @@ def transfer_matrix_per_model(
     H: int,
     ids: list[str] | None = None,
     seed: int = 0,
-) -> TransferMatrix:
+) -> Matrix:
     """Train on each dataset, test on every dataset, min-max per column.
 
     The loop transfer_matrix ran before it fit every row first: each row's
@@ -902,7 +908,7 @@ def transfer_matrix_per_model(
             )[0]
             raw[i, j] = report.mse
     scaled = minmax_scale_columns(raw)
-    return TransferMatrix(ids=tuple(ids), raw=raw, scaled=scaled)
+    return Matrix(ids=tuple(ids), raw=raw, scaled=scaled)
 
 
 def harmonics_sweep_per_model(

@@ -13,8 +13,10 @@ files with ``ast`` and prints one line per
 * public field that no caller reads: a field of a public dataclass, or a
   public name that a public class's methods set on ``self``.
 
-A finding kept on purpose is printed with its reason (``KEPT``).  The
-script exits 1 when any finding has no recorded reason, e.g.
+A finding kept on purpose is printed with its reason (``KEPT``); a
+``KEPT`` entry that matches no finding is printed as ``stale``, since the
+code it explained has gone.  The script exits 1 when any finding has no
+recorded reason or any ``KEPT`` entry is stale, e.g.
 
     PYTHONPATH=src python tests/public_census.py
 
@@ -590,9 +592,12 @@ def main() -> int:
             print(line)
         else:
             print(f"{line}  kept: {reason}")
-    print(f"{len(findings)} findings, {unexplained} without a recorded reason",
-          file=sys.stderr)
-    return 1 if unexplained else 0
+    stale = sorted(set(KEPT) - set(findings))
+    for line in stale:
+        print(f"stale: {line}  (a KEPT entry that matches no finding)")
+    print(f"{len(findings)} findings, {unexplained} without a recorded reason, "
+          f"{len(stale)} stale KEPT entries", file=sys.stderr)
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":

@@ -514,11 +514,14 @@ class TestBenchGen:
         assert read_bytes(o1) == read_bytes(o2)
 
 
+SIMILARITY = lambda ok, bad, out: ["similarity", "--inputs", ok, bad, "--out", out]
+SHORT = b"date,a\n0,1\n1,2\n2,4\n"
+FLAT = b"date,a\n" + b"".join(b"%d,1.5\n" % i for i in range(256))
+
 # Each case: the bad file's bytes (None: no file) and the command that
 # reads or writes it.  Every error message starts with that file's path.
 FILE_ERRORS = {
-    "csv not utf-8": (b"date,a\n0,1.5\n1,2\xff\n",
-                      lambda ok, bad, out: ["similarity", "--inputs", ok, bad, "--out", out]),
+    "csv not utf-8": (b"date,a\n0,1.5\n1,2\xff\n", SIMILARITY),
     "out in a missing directory": (None, lambda ok, bad, out: [
         "generate", "--omega", "0.1", "--out", bad]),
     "model not json": (b"{not json", lambda ok, bad, out: [
@@ -531,6 +534,23 @@ FILE_ERRORS = {
         "generate", "--config", bad, "--out", out]),
     "config not utf-8": (b'{"omega_bar": \xff}', lambda ok, bad, out: [
         "generate", "--config", bad, "--out", out]),
+    # a bad cell names its file among several inputs
+    "ragged row": (b"date,a,b\n0,1,2\n1,3\n", SIMILARITY),
+    "non-numeric cell": (b"date,a,b\n0,1,2\n1,x,4\n", SIMILARITY),
+    "nan cell": (b"date,a,b\n0,1,2\n1,nan,4\n", SIMILARITY),
+    # a valid CSV too short, or too flat, for the command's analysis
+    "short csv to estimate": (SHORT, lambda ok, bad, out: [
+        "estimate", "--input", bad, "--out", out]),
+    "short csv to periodogram": (SHORT, lambda ok, bad, out: [
+        "periodogram", "--input", bad, "--out", out]),
+    "short csv to similarity": (SHORT, SIMILARITY),
+    "short csv to split": (SHORT, lambda ok, bad, out: [
+        "evaluate", "--model", "naive", "--input", bad, "--split", "0.6,0.2,0.2",
+        "--lookback", "4", "--horizons", "4", "--out", out]),
+    "constant sweep target": (FLAT, lambda ok, bad, out: [
+        "sweep-harmonics", "--input", bad, "--out", out]),
+    "constant transfer input": (FLAT, lambda ok, bad, out: [
+        "transfer", "--inputs", ok, bad, "--out", out]),
 }
 
 

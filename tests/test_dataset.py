@@ -81,12 +81,12 @@ class TestWindowSet:
 
 def _fields():
     """(field, build, stored, good) per array field of the six value
-    types: ``build`` makes the value with the given array in that field,
-    ``stored`` reads the array the value keeps for it, and ``good`` is an
-    array the field accepts."""
+    types: ``build`` makes the value with the given array in that field
+    (``scaled`` is derived from the given ``raw``), ``stored`` reads the
+    array the value keeps for it, and ``good`` is an array the field
+    accepts."""
     lb, hz = np.ones((2, 4)), np.ones((2, 3))
     pg = {"freqs": np.array([0.1, 0.2, 0.3]), "powers": np.ones(3)}
-    tm = {"raw": np.ones((2, 2)), "scaled": np.full((2, 2), 0.5)}
     return [
         ("values", lambda a: Dataset(values=a, channel_names=("a", "b")),
          lambda v: v.values, np.ones((2, 5))),
@@ -94,14 +94,15 @@ def _fields():
          lambda v: v._series, lb),
         ("horizons", lambda a: WindowSet(lookbacks=lb, horizons=a),
          lambda v: v._series, hz),
-        ("weights", lambda a: LinearForecaster(weights=a, L=3, H=2, lam=0.0),
+        ("weights", lambda a: LinearForecaster(weights=a, lam=0.0),
          lambda v: v.weights, np.ones((2, 4))),
-        ("coeffs", lambda a: Spectrum(coeffs=a, n=a.size),
+        ("coeffs", lambda a: Spectrum(coeffs=a),
          lambda v: v.coeffs, np.array([1.0, 2j, 3.0])),
         *((name, lambda a, name=name: Periodogram(**{**pg, name: a}),
            lambda v, name=name: getattr(v, name), pg[name]) for name in pg),
-        *((name, lambda a, name=name: TransferMatrix(ids=("a", "b"), **{**tm, name: a}),
-           lambda v, name=name: getattr(v, name), tm[name]) for name in tm),
+        *((name, lambda a: TransferMatrix(ids=("a", "b"), raw=a),
+           lambda v, name=name: getattr(v, name), np.array([[1.0, 2.0], [3.0, 5.0]]))
+          for name in ("raw", "scaled")),
     ]
 
 

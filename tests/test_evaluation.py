@@ -463,38 +463,30 @@ class TestMinmaxScaling:
 
     def test_matrix_type_validation(self):
         with pytest.raises(ValueError):
-            TransferMatrix(
-                ids=("a",),
-                raw=np.array([[1.0]]),
-                scaled=np.array([[1.5]]),
-            )
-        with pytest.raises(ShapeMismatch):
-            TransferMatrix(
-                ids=("a", "b"),
-                raw=np.ones((2, 2)),
-                scaled=np.ones((3, 2)),
-            )
+            TransferMatrix(ids=("a",), raw=np.array([[-1.0]]))
+        with pytest.raises(ShapeMismatch, match=r"^matrix shape \(3, 2\), expected \(2, 2\)$"):
+            TransferMatrix(ids=("a", "b"), raw=np.ones((3, 2)))
 
     @pytest.mark.parametrize("field, value, rule", [
         ("raw", np.nan, "finite and >= 0"),
         ("raw", np.inf, "finite and >= 0"),
         ("raw", -np.inf, "finite and >= 0"),
         ("raw", -3.0, "finite and >= 0"),
-        ("scaled", np.nan, r"finite and in \[0, 1\]"),
-        ("scaled", np.inf, r"finite and in \[0, 1\]"),
-        ("scaled", -0.5, r"finite and in \[0, 1\]"),
     ])
     def test_matrix_rejects_bad_cells(self, field, value, rule):
-        cells = {"raw": np.ones((2, 2)), "scaled": np.full((2, 2), 0.5)}
-        cells[field][1, 0] = value
+        raw = np.ones((2, 2))
+        raw[1, 0] = value
         with pytest.raises(ValueError, match=rf"^{field}\[1, 0\] must be {rule}, got"):
-            TransferMatrix(ids=("a", "b"), **cells)
+            TransferMatrix(ids=("a", "b"), raw=raw)
 
     def test_matrix_accepts_the_bounds(self):
-        tm = TransferMatrix(ids=("a", "b"), raw=[[0.0, 5e-324], [1e300, 2.0]],
-                            scaled=[[0.0, 1.0], [1.0, 0.0]])
+        tm = TransferMatrix(ids=("a", "b"), raw=[[0.0, 5e-324], [1e300, 2.0]])
         assert tm.ids == ("a", "b")
         assert not (tm.raw.flags.writeable or tm.scaled.flags.writeable)
+        # each column's range leaves its in-domain cell out, so it holds
+        # one cell and the column scales to 0
+        assert np.array_equal(tm.scaled, np.zeros((2, 2)))
+        assert np.array_equal(tm.scaled, minmax_scale_columns(tm.raw))
 
 
 class TestTransferMatrix:
@@ -693,7 +685,7 @@ def mixed_trainer(L, H, calls):
 
     def offset(ds, seed):
         m = ridge(ds, seed)
-        return OffsetRidge(weights=m.weights, L=m.L, H=m.H, lam=m.lam)
+        return OffsetRidge(weights=m.weights, lam=m.lam)
 
     kinds = [
         ridge,
@@ -815,7 +807,7 @@ class TestStackedScoring:
             return fit_ridge(evaluation.sample_windows([train], 300, 0, 48, h, seed)[0])
 
         extra = ridge(64, 11)
-        offset = OffsetRidge(weights=extra.weights, L=48, H=64, lam=0.0)
+        offset = OffsetRidge(weights=extra.weights, lam=0.0)
         models = [ridge_model, NaiveForecaster(), extra, ridge(80, 12), offset]
         horizons = (16, 7, 64, 16)
         got = evaluation._zero_shot(models, ds, 48, horizons, dataset_id="t", seed=1)

@@ -255,7 +255,7 @@ class TestFitRidge:
         with pytest.raises(ValueError, match="^lam must be finite"):
             fit_ridge(random_windows(10, 4, 2, seed=0), lam)
         with pytest.raises(ValueError, match="^lam must be finite"):
-            LinearForecaster(weights=np.zeros((2, 5)), L=4, H=2, lam=lam)
+            LinearForecaster(weights=np.zeros((2, 5)), lam=lam)
 
     def test_deterministic(self):
         ws = random_windows(64, 8, 4, seed=7)
@@ -265,12 +265,12 @@ class TestFitRidge:
 
 class TestPredict:
     def test_zero_weights_give_mean(self):
-        model = LinearForecaster(weights=np.zeros((3, 5)), L=4, H=3, lam=0.0)
+        model = LinearForecaster(weights=np.zeros((3, 5)), lam=0.0)
         out = model.forecast(np.array([2.0, 4.0, 6.0, 8.0])[None], 3)[0]
         assert np.allclose(out, 5.0, atol=1e-12)
 
     def test_length_mismatch(self):
-        model = LinearForecaster(weights=np.zeros((3, 5)), L=4, H=3, lam=0.0)
+        model = LinearForecaster(weights=np.zeros((3, 5)), lam=0.0)
         with pytest.raises(InvalidWindow):
             model.forecast(np.array([1.0, 2.0, 3.0])[None], 3)[0]
 
@@ -382,8 +382,14 @@ class TestSerialization:
             model_from_json(json.dumps(doc))
 
     def test_weights_shape_guard(self):
-        with pytest.raises(ShapeMismatch):
-            LinearForecaster(weights=np.zeros((3, 4)), L=4, H=3, lam=0.0)
+        """L and H are read from the weights' shape, so a weight matrix
+        needs a row and a bias column after at least one lookback column."""
+        model = LinearForecaster(weights=np.zeros((3, 5)), lam=0.0)
+        assert (model.L, model.H) == (4, 3)
+        for shape in ((0, 5), (3, 1), (3, 0), (0, 0)):
+            with pytest.raises(ShapeMismatch, match=rf"^weights shape \({shape[0]}, {shape[1]}\)"):
+                LinearForecaster(weights=np.zeros(shape), lam=0.0)
+        assert LinearForecaster(weights=np.zeros((1, 2)), lam=0.0).L == 1
 
 
 def assert_same_fit(got, want, exact):

@@ -566,6 +566,37 @@ class TestMixVariant:
             build_datasets(["mix", law], 0, n=64, d=1)
         assert repr(law) in str(exc.value)
 
+    class Rendered(Exception):
+        """Raised by the patched render: every check before it passed."""
+
+    def _no_render(self, monkeypatch):
+        def render(*args, **kwargs):
+            raise self.Rendered()
+
+        monkeypatch.setattr(generator, "_render_channels", render)
+
+    def test_mix_law_budget_counts_every_member(self, monkeypatch):
+        # construction only: a mix pool renders all m = 100 members as
+        # rows of n, so n = 10**7 is the largest n it accepts at d = 1
+        self._no_render(monkeypatch)
+        with pytest.raises(TooManyPoints, match=r"^min\(m, 2K\) \* n = 100 \* 10000001 "):
+            build_datasets(["mix"], 0, n=10**7 + 1, d=1)
+        with pytest.raises(self.Rendered):
+            build_datasets(["mix"], 0, n=10**7, d=1)
+
+    @pytest.mark.parametrize("laws, n, error, message", [
+        ([(0.1, 1), (0.7, 1)], 64, ValueError, r"^omega_bar must be in \(0, 0.5\), got 0.7$"),
+        ([(0.1, 1), (0.2, 0)], 64, ValueError, r"^h must be an integer >= 1, got 0$"),
+        ([(0.1, 1), "mix"], 10**8, TooManyPoints, r"^min\(m, 2K\) \* n = 100 \* 100000000 "),
+        (["mix", (1e-9, 10**12)], 64, TooManyPoints, r"^m \* K = 100 \* 499999999 "),
+    ], ids=["omega_bar", "h", "mix budget", "harmonic budget"])
+    def test_every_law_checked_before_any_render(self, monkeypatch, laws, n, error, message):
+        # construction only: the law that fails comes after one that
+        # passes, and nothing is rendered before the failure
+        self._no_render(monkeypatch)
+        with pytest.raises(error, match=message):
+            build_datasets(laws, 0, n=n, d=1)
+
 
 class TestCorrelationTrend:
     def test_more_sines_per_channel_raises_mean_pcc(self):

@@ -31,7 +31,7 @@ from freqsynth.errors import InvalidPeriod, InvalidWindow
 
 X = np.arange(48.0).reshape(2, 24)
 DS = Dataset(values=np.sin(np.arange(600.0)).reshape(2, 300), channel_names=("a", "b"))
-RIDGE = LinearForecaster(weights=np.ones((8, 25)), L=24, H=8, lam=0.0)
+RIDGE = LinearForecaster(weights=np.ones((8, 25)), lam=0.0)
 
 
 def never_trained(ds, seed):
