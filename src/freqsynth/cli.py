@@ -5,8 +5,10 @@ One executable, twelve subcommands covering the pipeline: synthesis
 modeling (fit, evaluate), and the experiment drivers (confusion,
 generalization, transfer, sweep-harmonics, sweep-size).
 
-Every subcommand is deterministic given --seed: file outputs are
-byte-identical across repeat runs.  bench-gen's wall-clock timing goes
+Every subcommand is deterministic: file outputs are byte-identical
+across repeat runs with the same arguments, --seed included for the
+subcommands that draw random numbers (all but periodogram, estimate and
+similarity, which take no seed).  bench-gen's wall-clock timing goes
 to stdout only; its --out summary carries a checksum instead of times
 so the file stays reproducible.  Results are computed fully before any
 file is written, and writes are atomic, so a failing run leaves no
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import dataio
 from .dataset import Dataset
-from .errors import FreqSynthError, InvalidModel, InvalidPeriod
+from .errors import FreqSynthError, InvalidModel, InvalidPeriod, SplitTooSmall
 from .evaluation import (
     SplitSpec,
     confusion_experiment,
@@ -127,12 +129,12 @@ def _svg_line_plot(path, xs, ys, title, xlabel, ylabel):
 
 
 @contextmanager
-def _naming(path: str):
-    """Start the message of a FreqSynthError raised in the block with
+def _naming(path: str, kind=FreqSynthError):
+    """Start the message of a ``kind`` error raised in the block with
     ``path: ``, unless it already does."""
     try:
         yield
-    except FreqSynthError as exc:
+    except kind as exc:
         if not str(exc).startswith(f"{path}: "):
             exc.args = (f"{path}: {exc}",)
         raise
@@ -270,10 +272,11 @@ def cmd_evaluate(args, parser) -> int:
         with _naming(args.input):
             train, _, test = split(target, spec, min_len=args.lookback + max(args.horizons))
             _, target = standardize_by_train(train, test)
-    reports = evaluate_zero_shot(
-        model, target, args.lookback, args.horizons, dataset_id=args.input,
-        seed=args.seed,
-    )
+    # the input's length check names it; the flags' checks do not
+    with _naming(args.input, SplitTooSmall):
+        reports = evaluate_zero_shot(
+            model, target, args.lookback, args.horizons, seed=args.seed
+        )
     if args.out.endswith(".json"):
         dataio.save_reports_json(reports, args.out)
     else:
@@ -332,7 +335,8 @@ def cmd_transfer(args, parser) -> int:
 
 def cmd_sweep_harmonics(args, parser) -> int:
     tid, target = _load_target(args)
-    rows = harmonics_sweep([(tid, target)], args.h_values, seed=args.seed)
+    with _naming(tid):  # its typed errors are the target's; --h-values' are bare
+        rows = harmonics_sweep([(tid, target)], args.h_values, seed=args.seed)
     dataio.save_table_csv(rows, ["h", "dataset", "mse"], args.out)
     if args.plot:
         _svg_line_plot(
@@ -392,9 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def new(name, help_text):
+    def new(name, help_text, seeded=True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         return p
 
     p = new("generate", "synthesize a dataset and write LTSF-style CSV")
@@ -406,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "given here overrides the file's field")
     p.set_defaults(func=cmd_generate, seed=None)
 
-    p = new("periodogram", "aggregate periodogram of a CSV dataset")
+    p = new("periodogram", "aggregate periodogram of a CSV dataset", seeded=False)
     p.add_argument("--input", required=True, help="input CSV path")
     p.add_argument("--out", required=True, help="output CSV (frequency,power)")
     p.add_argument("--window", type=int, help="aggregation window (default: auto)")
     p.add_argument("--plot", help="optional SVG plot path")
     p.set_defaults(func=cmd_periodogram)
 
-    p = new("estimate", "fundamental frequency from a rate token or a CSV")
+    p = new("estimate", "fundamental frequency from a rate token or a CSV", seeded=False)
     p.add_argument("--rate", help="sampling-rate token (takes precedence)")
     p.add_argument("--input", help="input CSV to analyze")
     p.add_argument("--rel-threshold", type=float, default=0.1,
@@ -423,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=cmd_estimate)
 
-    p = new("similarity", "pairwise periodogram correlation matrix")
+    p = new("similarity", "pairwise periodogram correlation matrix", seeded=False)
     p.add_argument("--inputs", nargs="+", required=True, help="two or more CSVs")
     p.add_argument("--out", required=True, help="output CSV matrix")
     p.set_defaults(func=cmd_similarity)
@@ -516,7 +521,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"freqsynth: error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -281,9 +281,7 @@ def _checked_window(
     return L, horizons
 
 
-def _zero_shot(
-    models, test_ds: Dataset, L, horizons, dataset_id=None, seed=None
-) -> list[list[EvalReport]]:
+def _zero_shot(models, test_ds: Dataset, L, horizons, seed=None) -> list[list[EvalReport]]:
     """evaluate_zero_shot's reports for each model in turn; none for no model.
 
     Every model is scored over the same bands: each window is forecast
@@ -300,10 +298,7 @@ def _zero_shot(
     included, is scored alone.  A seasonal period longer than L raises
     PeriodTooLong before any model is scored.
     """
-    if not models:
-        return []
     L, horizons = _checked_window(test_ds, L, horizons)
-    ds_id = dataset_id if dataset_id is not None else (test_ds.provenance or "dataset")
     count = {h: test_ds.n - L - h + 1 for h in horizons}
 
     # A band (lo, hi, hb) forecasts windows [lo, hi) at horizon hb;
@@ -350,7 +345,7 @@ def _zero_shot(
                 total = count[h] * test_ds.d * h
                 reports[i].append(
                     EvalReport(
-                        dataset=ds_id,
+                        dataset=test_ds.provenance or "dataset",
                         horizon=h,
                         mse=sse / total,
                         mae=sae / total,
@@ -367,19 +362,18 @@ def evaluate_zero_shot(
     test_ds: Dataset,
     L: int = 96,
     horizons: tuple[int, ...] = DEFAULT_HORIZONS,
-    dataset_id: str | None = None,
     seed: int | None = None,
 ) -> list[EvalReport]:
     """Stride-1 evaluation over the test segment, one report per horizon.
 
-    Reports follow the requested order, duplicates included.  The model
-    must accept ``forecast(X, h)`` for every requested h and be
-    prefix-consistent: ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)``
-    for h <= H, up to rounding.  Each window is forecast once, at the
-    largest requested horizon that fits it, and shorter horizons are
-    scored from the prefix.
+    Reports follow the requested order, duplicates included, and name
+    the test dataset by its provenance.  The model must accept
+    ``forecast(X, h)`` for every requested h and be prefix-consistent:
+    ``forecast(X, H)[:, :h]`` equals ``forecast(X, h)`` for h <= H, up to
+    rounding.  Each window is forecast once, at the largest requested
+    horizon that fits it, and shorter horizons are scored from the prefix.
     """
-    return _zero_shot([model], test_ds, L, horizons, dataset_id, seed)[0]
+    return _zero_shot([model], test_ds, L, horizons, seed)[0]
 
 
 def minmax_scale_columns(raw: np.ndarray) -> np.ndarray:
@@ -417,7 +411,7 @@ def transfer_matrix(
     trainer,
     L: int,
     H: int,
-    ids: list[str] | None = None,
+    ids: list[str],
     seed: int = 0,
 ) -> TransferMatrix:
     """Train on each dataset, test on every dataset, min-max per column.
@@ -431,8 +425,6 @@ def transfer_matrix(
     """
     if len(datasets) < 2:
         raise ValueError("transfer matrix needs at least 2 datasets")
-    if ids is None:
-        ids = [ds.provenance or f"ds{i}" for i, ds in enumerate(datasets)]
     if len(ids) != len(datasets):
         raise ShapeMismatch(f"{len(ids)} ids for {len(datasets)} datasets")
     L = _whole_number("lookback L", L)

@@ -54,8 +54,6 @@ _FIT_COLUMNS = 192
 def _as_batch(X, L: int | None = None) -> np.ndarray:
     """Validate lookbacks as a finite (N, L) float64 batch."""
     arr = np.asarray(X, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] < 1:
         raise InvalidWindow(f"lookbacks must be (N, L), got shape {arr.shape}")
     if L is not None and arr.shape[1] != L:

@@ -1,9 +1,16 @@
 """sha256 of every file the CLI writes for one or more seeds.
 
-Runs the freqsynth subcommands below with ``--seed SEED`` in a fresh
-directory and prints one ``<sha256>  <file>`` line per output file, 22
-per seed: every --out, --raw-out and --plot.  Two checkouts are
-bit-for-bit equal on these outputs when their printouts are, e.g.
+Runs the freqsynth subcommands below with ``--seed SEED`` (where the
+subcommand reads one) in a fresh directory and prints one
+``<sha256>  <file>`` line per output file, 31 per seed: every --out,
+--raw-out and --plot, and ``<command>.stdout`` holding what a command
+that names no output file prints.  The runs take every path of the CLI:
+besides the defaults, ``estimate --rate`` and to stdout, ``transfer
+--inputs``, the sweeps' ``--input``, a one-point plot, ``similarity`` of
+inputs with different periodogram windows, seasonal-naive bands shorter
+than a period, and a short input CSV that ``csv.reader`` must read.  Two
+checkouts are bit-for-bit equal on these outputs when their printouts
+are, e.g.
 
     PYTHONPATH=src python tests/cli_digests.py --seed 0 1 2 > after.txt
 
@@ -62,9 +69,25 @@ from freqsynth.cli import main  # noqa: E402
 CONFIG = {"omega_bar": 0.05, "h": 2, "n": 3000, "d": 3}
 
 
+def crafted_csv() -> str:
+    """A 600-row, two-channel input of whole numbers with a 24-step
+    sawtooth.  One quoted cell and one ``1_0`` cell keep it off the
+    numpy reader, and 600 rows give it a 512-step default periodogram
+    window where the generated files have 1024."""
+    rows = ["date,saw,mix"]
+    for t in range(600):
+        saw = str(t % 24 - 12)
+        if t == 0:
+            saw = f'"{saw}"'
+        elif t == 22:
+            saw = "1_0"  # 10, as float() reads it
+        rows.append(f"{t},{saw},{(t % 7) * (t % 3) - 3}")
+    return "\n".join(rows) + "\n"
+
+
 def invocations(seed: int) -> list[list[str]]:
     """Each subcommand's argv; every output file is named by an --out,
-    --raw-out or --plot."""
+    --raw-out or --plot, except the printout of a command with none."""
     s = ["--seed", str(seed)]
     return [
         ["generate", "--rate", "1h", *s, "--out", "gen_rate.csv"],
@@ -94,6 +117,20 @@ def invocations(seed: int) -> list[list[str]]:
         ["sweep-size", "--sizes", "300,600", "--d-values", "1,3", *s,
          "--out", "sweep_size.csv"],
         ["bench-gen", *s, "--out", "bench_gen.json"],
+        ["estimate", "--rate", "1h", "--out", "estimate_rate.json"],
+        ["estimate", "--input", "crafted.csv"],
+        ["similarity", "--inputs", "gen_rate.csv", "crafted.csv",
+         "--out", "similarity_grids.csv"],
+        ["evaluate", "--model", "seasonal:24", "--input", "gen_rate.csv",
+         "--split", "0.7,0.1,0.2", "--horizons", "96,100", *s,
+         "--out", "evaluate_bands.csv"],
+        ["transfer", "--inputs", "gen_rate.csv", "gen_omega.csv", "gen_config.csv",
+         "--horizon", "24", *s, "--out", "transfer_inputs.csv",
+         "--raw-out", "transfer_inputs_raw.csv"],
+        ["sweep-harmonics", "--input", "crafted.csv", "--h-values", "1", *s,
+         "--out", "sweep_harmonics_input.csv", "--plot", "sweep_harmonics_input.svg"],
+        ["sweep-size", "--input", "crafted.csv", "--sizes", "300", "--d-values", "1",
+         *s, "--out", "sweep_size_input.csv"],
     ]
 
 
@@ -109,14 +146,21 @@ def digests(seed: int, directory: str) -> list[tuple[str, str]]:
     try:
         with open("config.json", "w", encoding="utf-8") as f:
             json.dump(CONFIG, f)
+        with open("crafted.csv", "w", encoding="utf-8") as f:
+            f.write(crafted_csv())
         rows = []
         for argv in invocations(seed):
             # bench-gen prints its timing; keep stdout to the digests
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as printed:
                 code = main(argv)
             if code != 0:
                 raise SystemExit(f"freqsynth {' '.join(argv)} exited {code}")
-            for name in outputs(argv):
+            names = outputs(argv)
+            if not names:  # a command that prints its result
+                names = [f"{argv[0]}.stdout"]
+                with open(names[0], "w", encoding="utf-8") as f:
+                    f.write(printed.getvalue())
+            for name in names:
                 with open(name, "rb") as f:
                     rows.append((hashlib.sha256(f.read()).hexdigest(), name))
         return rows

@@ -159,6 +159,26 @@ MUTANTS = [
            "", "SVG plot text left unescaped", ("test_cli.py",)),
     Mutant("src/freqsynth/spectral.py", "    half = (n - 1) // 2", "    half = n // 2",
            "the periodogram keeps the Nyquist bin of even n", ("test_spectral.py",)),
+    # short inputs named by evaluate and sweep-harmonics; flags left bare
+    Mutant("src/freqsynth/cli.py", "    with _naming(args.input, SplitTooSmall):",
+           "    if True:", "evaluate's length check does not name a short input",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/cli.py", "    with _naming(tid):", "    if True:",
+           "sweep-harmonics does not name a short input", ("test_cli.py",)),
+    Mutant("src/freqsynth/cli.py", "_naming(args.input, SplitTooSmall)",
+           "_naming(args.input)", "evaluate's flag errors name the input",
+           ("test_cli.py",)),
+    # what no caller reaches: --seed where nothing reads it, dataset ids
+    Mutant("src/freqsynth/cli.py", "        if seeded:\n", "        if True:\n",
+           "periodogram, estimate and similarity accept an unread --seed",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/evaluation.py", 'dataset=test_ds.provenance or "dataset",',
+           'dataset="dataset",', "reports do not name the test dataset's provenance",
+           ("test_evaluation.py",)),
+    # the census of reached statements
+    Mutant("tests/reach_census.py", "    return 1 if unexplained or stale else 0",
+           "    return 1 if unexplained else 0",
+           "the reach census passes a stale KEPT entry", ("test_signatures.py",)),
 ]
 
 

@@ -25,6 +25,9 @@ SUBCOMMANDS = (
     "bench-gen",
 )
 
+# The subcommands that draw no random numbers, and so take no --seed.
+UNSEEDED = ("periodogram", "estimate", "similarity")
+
 
 def read_bytes(path):
     with open(path, "rb") as f:
@@ -58,7 +61,15 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main([name, "--help"])
         assert exc.value.code == 0
-        assert "--seed" in capsys.readouterr().out
+        assert ("--seed" in capsys.readouterr().out) == (name not in UNSEEDED)
+
+    @pytest.mark.parametrize("name", UNSEEDED)
+    def test_seed_is_rejected_where_nothing_reads_it(self, name, capsys):
+        argv = ["--inputs", "a.csv", "b.csv"] if name == "similarity" else ["--input", "a.csv"]
+        with pytest.raises(SystemExit) as exc:
+            main([name, *argv, "--out", "o.csv", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -547,6 +558,10 @@ FILE_ERRORS = {
     "short csv to split": (SHORT, lambda ok, bad, out: [
         "evaluate", "--model", "naive", "--input", bad, "--split", "0.6,0.2,0.2",
         "--lookback", "4", "--horizons", "4", "--out", out]),
+    "short csv to evaluate": (SHORT, lambda ok, bad, out: [
+        "evaluate", "--model", "naive", "--input", bad, "--out", out]),
+    "short csv to sweep": (SHORT, lambda ok, bad, out: [
+        "sweep-harmonics", "--input", bad, "--out", out]),
     "constant sweep target": (FLAT, lambda ok, bad, out: [
         "sweep-harmonics", "--input", bad, "--out", out]),
     "constant transfer input": (FLAT, lambda ok, bad, out: [
@@ -569,3 +584,25 @@ def test_file_errors_name_the_file(tmp_path, capsys, case):
     assert err.startswith(f"freqsynth: error: {bad}: "), err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+# A flag's own error does not name the input file, even a short one.
+FLAG_ERRORS = {
+    "evaluate --horizons 0": (SHORT, ["evaluate", "--model", "naive", "--horizons", "0"],
+                              "horizon must be an integer >= 1, got 0"),
+    "sweep-harmonics --h-values 0": (None, ["sweep-harmonics", "--h-values", "0"],
+                                     "h must be an integer >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", FLAG_ERRORS)
+def test_flag_errors_do_not_name_the_input(tmp_path, capsys, case):
+    payload, argv, message = FLAG_ERRORS[case]
+    path = gen_csv(tmp_path, "ok", n=256, d=1)
+    if payload is not None:
+        path = str(tmp_path / "short.csv")
+        with open(path, "wb") as f:
+            f.write(payload)
+    capsys.readouterr()
+    assert main([*argv, "--input", path, "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err == f"freqsynth: error: {message}\n"

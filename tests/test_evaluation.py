@@ -1,5 +1,7 @@
 """Evaluation-protocol and experiment-driver tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -259,7 +261,8 @@ def ridge_model():
 
 
 def assert_matches_oracle(model, ds, L, horizons):
-    got = evaluate_zero_shot(model, ds, L, horizons, dataset_id="t", seed=5)
+    ds = replace(ds, provenance="t")
+    got = evaluate_zero_shot(model, ds, L, horizons, seed=5)
     want = evaluate_zero_shot_per_horizon(model, ds, L, horizons, dataset_id="t", seed=5)
     assert len(got) == len(want) == len(horizons)
     for g, w in zip(got, want):
@@ -533,7 +536,7 @@ class TestTransferMatrix:
     def test_needs_two_datasets(self):
         ds = sine_dataset(1 / 24, n=512, d=1, seed=13)
         with pytest.raises(ValueError):
-            transfer_matrix([ds], ridge_trainer(32, 8, count=16), L=32, H=8)
+            transfer_matrix([ds], ridge_trainer(32, 8, count=16), L=32, H=8, ids=["a"])
 
 
 class TestConfusion:
@@ -787,7 +790,7 @@ class TestStackedScoring:
             return sum(ds.d * -(-(ds.n - L - H + 1) // step) for ds in datasets)
 
         trainer = ridge_trainer(L, H, count=count)
-        transfer_matrix(datasets, trainer, L, H, seed=1)
+        transfer_matrix(datasets, trainer, L, H, ids=[str(i) for i in range(k)], seed=1)
         assert built[:k] == [count] * k  # one design per fit
         assert len(built) == k + blocks(5000 // (k * H))
         # the per-model loop builds one design per block per model
@@ -810,7 +813,8 @@ class TestStackedScoring:
         offset = OffsetRidge(weights=extra.weights, lam=0.0)
         models = [ridge_model, NaiveForecaster(), extra, ridge(80, 12), offset]
         horizons = (16, 7, 64, 16)
-        got = evaluation._zero_shot(models, ds, 48, horizons, dataset_id="t", seed=1)
+        ds = replace(ds, provenance="t")
+        got = evaluation._zero_shot(models, ds, 48, horizons, seed=1)
         assert len(got) == len(models)
         for model, reports in zip(models, got):
             want = oracles.evaluate_zero_shot_unstacked(
@@ -843,7 +847,8 @@ class TestStackedScoring:
         monkeypatch.setattr(evaluation, "_zero_shot", spy)
         target = sine_dataset(1 / 24, n=400, d=1, seed=15)
         evaluate_zero_shot(NaiveForecaster(), target, 48, (24,))
-        transfer_matrix([target, target], ridge_trainer(48, 24, count=64), 48, 24)
+        transfer_matrix([target, target], ridge_trainer(48, 24, count=64), 48, 24,
+                        ids=["a", "b"])
         harmonics_sweep([("t", target)], h_values=(1, 2), L=48, H=24, count_train=64,
                         n=512, d=1)
         size_variates_sweep((32, 64), (1,), target)
@@ -875,9 +880,14 @@ class TestStackedScoring:
         assert np.all(got[0] != got[2])
 
     def test_empty_sweeps_score_nothing(self):
-        target = sine_dataset(1 / 24, n=100, d=1, seed=15)  # below L + H
+        target = sine_dataset(1 / 24, n=400, d=1, seed=15)
         assert harmonics_sweep([("t", target)], h_values=()) == []
         assert size_variates_sweep((), (1, 2), target).shape == (0, 2)
+
+    def test_empty_sweeps_still_check_the_target(self):
+        target = sine_dataset(1 / 24, n=100, d=1, seed=15)  # below L + H
+        with pytest.raises(SplitTooSmall, match=r"length 100 .* L \+ H = 192"):
+            harmonics_sweep([("t", target)], h_values=())
 
     def test_short_dataset_is_named_before_any_training(self):
         calls = []
@@ -912,12 +922,13 @@ def refuse_forecast(self, X, H, out=None):
 def lag_scored(model, ds, L, horizons):
     """evaluate_zero_shot of a SeasonalNaiveForecaster with forecast refused,
     checked against the one-model kernel at 1e-12."""
+    ds = replace(ds, provenance="t")
     want = oracles.evaluate_zero_shot_unstacked(
         model, ds, L, horizons, dataset_id="t", seed=4
     )
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SeasonalNaiveForecaster, "forecast", refuse_forecast)
-        got = evaluate_zero_shot(model, ds, L, horizons, dataset_id="t", seed=4)
+        got = evaluate_zero_shot(model, ds, L, horizons, seed=4)
     assert_reports_close(got, want)
     return got
 

@@ -76,14 +76,14 @@ def sine_windows(omega, n_windows, L, H, seed=0, amp=1.0):
 
 class TestNaive:
     def test_last_value_repeated(self):
-        assert np.array_equal(NaiveForecaster().forecast([1.0, 2.0, 7.0], 3)[0], [7, 7, 7])
+        assert np.array_equal(NaiveForecaster().forecast([[1.0, 2.0, 7.0]], 3)[0], [7, 7, 7])
 
     def test_tiny(self):
-        assert np.array_equal(NaiveForecaster().forecast([1.0, 2.0], 1)[0], [2.0])
+        assert np.array_equal(NaiveForecaster().forecast([[1.0, 2.0]], 1)[0], [2.0])
 
     def test_constant_series_zero_mse(self):
         x = np.full(20, 3.3)
-        out = NaiveForecaster().forecast(x[:10], 10)[0]
+        out = NaiveForecaster().forecast(x[None, :10], 10)[0]
         assert np.max(np.abs(out - x[10:])) == 0.0
 
     def test_batch_shape(self):
@@ -92,34 +92,40 @@ class TestNaive:
 
     def test_empty_lookback(self):
         with pytest.raises(InvalidWindow):
-            NaiveForecaster().forecast(np.empty((0,)), 3)[0]
+            NaiveForecaster().forecast(np.empty((1, 0)), 3)[0]
+
+    @pytest.mark.parametrize("cls", [NaiveForecaster, LinearForecaster])
+    def test_one_dimensional_lookback_is_rejected(self, cls):
+        model = cls() if cls is NaiveForecaster else cls(np.ones((2, 4)), 0.0)
+        with pytest.raises(InvalidWindow, match=r"must be \(N, L\), got shape \(3,\)"):
+            model.forecast([1.0, 2.0, 3.0], 2)
 
     def test_bad_horizon(self):
         with pytest.raises(InvalidWindow):
-            NaiveForecaster().forecast([1.0, 2.0], 0)[0]
+            NaiveForecaster().forecast([[1.0, 2.0]], 0)[0]
 
 
 class TestSeasonalNaive:
     def test_hand_example(self):
-        out = SeasonalNaiveForecaster(2).forecast([1.0, 2.0, 3.0, 4.0], 4)[0]
+        out = SeasonalNaiveForecaster(2).forecast([[1.0, 2.0, 3.0, 4.0]], 4)[0]
         assert np.array_equal(out, [3, 4, 3, 4])
 
     def test_period_one_is_naive(self):
         x = np.random.default_rng(0).normal(size=12)
         assert np.array_equal(
-            SeasonalNaiveForecaster(1).forecast(x, 7)[0],
-            NaiveForecaster().forecast(x, 7)[0],
+            SeasonalNaiveForecaster(1).forecast(x[None], 7)[0],
+            NaiveForecaster().forecast(x[None], 7)[0],
         )
 
     def test_exact_sine_period_24(self):
         t = np.arange(192)
         x = np.sin(2 * np.pi * t / 24)
-        out = SeasonalNaiveForecaster(24).forecast(x[:96], 96)[0]
+        out = SeasonalNaiveForecaster(24).forecast(x[None, :96], 96)[0]
         assert np.mean((out - x[96:]) ** 2) <= 1e-12
 
     def test_period_too_long(self):
         with pytest.raises(PeriodTooLong):
-            SeasonalNaiveForecaster(4).forecast([1.0, 2.0, 3.0], 2)[0]
+            SeasonalNaiveForecaster(4).forecast([[1.0, 2.0, 3.0]], 2)[0]
 
     def test_bad_period(self):
         with pytest.raises(InvalidPeriod):
@@ -136,7 +142,7 @@ class TestSeasonalNaive:
         cell = np.random.default_rng(seed).normal(size=p)
         x = np.tile(cell, reps + (H + p - 1) // p + 1)
         L = p * reps
-        out = SeasonalNaiveForecaster(p).forecast(x[:L], H)[0]
+        out = SeasonalNaiveForecaster(p).forecast(x[None, :L], H)[0]
         assert np.max(np.abs(out - x[L : L + H])) == 0.0
 
     @pytest.mark.parametrize(

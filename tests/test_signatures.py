@@ -9,18 +9,23 @@ what no non-test caller sets, uses or reads, and the last test here fails
 while it lists anything without a recorded reason.  Adding a parameter, a
 public name or a field back is a deliberate API change, so these tests pin
 them.  The forecasters share one ``forecast`` contract, pinned here too.
+``tests/reach_census.py`` lists the statements that no non-test caller
+reaches; its run is a script, and the tests here check its report and
+its recorded reasons.
 """
 
 import contextlib
 import inspect
 import io
 import os
+from collections import Counter
 
 import pytest
 
 import freqsynth
 import mutants
 import public_census
+import reach_census
 from freqsynth import errors
 from freqsynth import (
     Dataset,
@@ -143,6 +148,47 @@ def test_census_reports_a_stale_kept_entry(monkeypatch):
         status = public_census.main()
     assert status == 1
     assert f"stale: {key}" in out.getvalue()
+
+
+def _reach_report(missed):
+    """reach_census.report's status and printout for these unreached keys."""
+    known = set(reach_census.every_key(reach_census.statements()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        status = reach_census.report(missed, known)
+    return status, out.getvalue()
+
+
+def test_every_kept_reach_entry_names_one_statement():
+    """Each KEPT key of ``tests/reach_census.py`` names exactly one counted
+    statement of ``src/freqsynth``."""
+    keys = Counter(reach_census.every_key(reach_census.statements()))
+    assert {key: keys[key] for key in reach_census.KEPT} == dict.fromkeys(
+        reach_census.KEPT, 1)
+
+
+def test_reach_census_passes_the_kept_statements():
+    assert _reach_report(list(reach_census.KEPT))[0] == 0
+
+
+def test_reach_census_reports_an_unexplained_statement(monkeypatch):
+    missed = list(reach_census.KEPT)
+    monkeypatch.delitem(reach_census.KEPT, missed[0])
+    status, out = _reach_report(missed)
+    assert status == 1
+    assert out.startswith(f"{missed[0]}\n")
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["no statement", "reached"])
+def test_reach_census_reports_a_stale_kept_entry(monkeypatch, named):
+    """A KEPT reason for a statement that has gone, or that a caller
+    reaches now, fails the census too."""
+    key = next(iter(reach_census.KEPT)) if named else "cli.py: no_such_statement()"
+    monkeypatch.setitem(reach_census.KEPT, key, "kept for a statement no census lists")
+    status, out = _reach_report([k for k in reach_census.KEPT if k != key])
+    assert status == 1
+    why = "a statement that is not listed" if named else "no statement"
+    assert f"stale: {key}  (a KEPT entry that names {why})" in out
 
 
 def test_every_mutant_applies_once():

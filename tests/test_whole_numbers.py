@@ -74,7 +74,7 @@ CASES = [
     ("evaluate lookback bool", lambda: evaluate_zero_shot(NaiveForecaster(), DS, True, (8,)),
      InvalidWindow, "lookback L", "True"),
     ("transfer horizon bool",
-     lambda: transfer_matrix([DS, DS], never_trained, 24, True),
+     lambda: transfer_matrix([DS, DS], never_trained, 24, True, ids=["a", "b"]),
      InvalidWindow, "horizon", "True"),
     ("config numpy bool", lambda: GeneratorConfig(omega_bar=0.1, d=np.True_),
      ValueError, "d", repr(np.True_)),
