@@ -44,7 +44,7 @@ for f, a in [(f1, a1), (f2, a2)]:
 # ---------------------------------------------------------------------
 spec = dft(x)
 lhs = float(np.sum(x * x))
-rhs = float(np.sum(np.abs(spec.coeffs) ** 2))
+rhs = float(np.sum(np.abs(spec) ** 2))
 print(f"\nenergy check: sum x^2 = {lhs:.6f}, sum |d|^2 = {rhs:.6f}")
 print(f"relative gap = {abs(lhs - rhs) / lhs:.2e}")
 

@@ -74,9 +74,9 @@ print(f"\npower within one bin of a harmonic: {frac:.1%} of the total")
 # ---------------------------------------------------------------------
 # 5. Round-trip through CSV.  Values survive exactly (repr precision).
 # ---------------------------------------------------------------------
-out_dir = tempfile.mkdtemp(prefix="freqsynth_demo_")
-path = os.path.join(out_dir, "synthetic.csv")
-save_csv(ds, path)
-back = load_csv(path)
-print(f"\nwrote {path}")
+with tempfile.TemporaryDirectory(prefix="freqsynth_demo_") as out_dir:
+    path = os.path.join(out_dir, "synthetic.csv")
+    save_csv(ds, path)
+    back = load_csv(path)
+    print(f"\nwrote {path} (removed on exit)")
 print(f"round-trip exact: {np.array_equal(back.values, ds.values)}")

@@ -34,8 +34,15 @@ import numpy as np
 
 from . import dataio
 from .dataset import Dataset
-from .errors import FreqSynthError, InvalidModel, InvalidPeriod, SplitTooSmall
+from .errors import (
+    FreqSynthError,
+    InvalidModel,
+    InvalidPeriod,
+    NoDominantFrequency,
+    SplitTooSmall,
+)
 from .evaluation import (
+    DEFAULT_HORIZONS,
     SplitSpec,
     confusion_experiment,
     evaluate_zero_shot,
@@ -130,8 +137,8 @@ def _svg_line_plot(path, xs, ys, title, xlabel, ylabel):
 
 @contextmanager
 def _naming(path: str, kind=FreqSynthError):
-    """Start the message of a ``kind`` error raised in the block with
-    ``path: ``, unless it already does."""
+    """Start the message of a ``kind`` error (a class or a tuple of them)
+    raised in the block with ``path: ``, unless it already does."""
     try:
         yield
     except kind as exc:
@@ -140,10 +147,15 @@ def _naming(path: str, kind=FreqSynthError):
         raise
 
 
+# What a sweep raises for its target: too short for one window, or no
+# peak to estimate a fundamental from.  Its flags raise other errors.
+_TARGET_ERRORS = (SplitTooSmall, NoDominantFrequency)
+
+
 def _resolve_omega(args, parser) -> float:
-    if getattr(args, "omega", None) is not None:
+    if args.omega is not None:
         return args.omega
-    if getattr(args, "rate", None) is not None:
+    if args.rate is not None:
         return freq_from_sampling_rate(args.rate).omega_bar
     parser.error("one of --omega or --rate is required")
 
@@ -219,14 +231,12 @@ def cmd_similarity(args, parser) -> int:
         with _naming(path):
             ds = dataio.load_csv(path)
             pgrams.append(aggregate_periodogram(ds, default_window_len(ds.n)))
-    k = len(pgrams)
-    rows = []
-    for i in range(k):
-        row = [
-            1.0 if i == j else periodogram_pcc(pgrams[i], pgrams[j])
-            for j in range(k)
-        ]
-        rows.append((args.inputs[i], *row))
+    # periodogram_pcc(p, p) is exactly 1.0, and raises for a flat p as the
+    # off-diagonal cells of its row or column do
+    rows = [
+        (path, *(periodogram_pcc(p, q) for q in pgrams))
+        for path, p in zip(args.inputs, pgrams)
+    ]
     dataio.save_table_csv(rows, ["dataset", *args.inputs], args.out)
     return 0
 
@@ -335,7 +345,7 @@ def cmd_transfer(args, parser) -> int:
 
 def cmd_sweep_harmonics(args, parser) -> int:
     tid, target = _load_target(args)
-    with _naming(tid):  # its typed errors are the target's; --h-values' are bare
+    with _naming(tid, _TARGET_ERRORS):
         rows = harmonics_sweep([(tid, target)], args.h_values, seed=args.seed)
     dataio.save_table_csv(rows, ["h", "dataset", "mse"], args.out)
     if args.plot:
@@ -348,8 +358,9 @@ def cmd_sweep_harmonics(args, parser) -> int:
 
 
 def cmd_sweep_size(args, parser) -> int:
-    _, target = _load_target(args)
-    grid = size_variates_sweep(args.sizes, args.d_values, target, seed=args.seed)
+    tid, target = _load_target(args)
+    with _naming(tid, _TARGET_ERRORS):
+        grid = size_variates_sweep(args.sizes, args.d_values, target, seed=args.seed)
     rows = [
         (int(size), *(float(v) for v in grid[i]))
         for i, size in enumerate(args.sizes)
@@ -441,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="single", help="training data variant")
     p.add_argument("--count", type=int, default=5000, help="training windows")
     p.add_argument("--lookback", type=int, default=96)
-    p.add_argument("--horizons", type=_int_list, default=(96, 192, 336, 720),
+    p.add_argument("--horizons", type=_int_list, default=DEFAULT_HORIZONS,
                    help="comma list; the model trains to the largest")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="ridge coefficient (default: relative)")
@@ -452,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="model JSON path, 'naive', or 'seasonal:<period>'")
     p.add_argument("--input", required=True, help="dataset CSV")
     p.add_argument("--lookback", type=int, default=96)
-    p.add_argument("--horizons", type=_int_list, default=(96, 192, 336, 720))
+    p.add_argument("--horizons", type=_int_list, default=DEFAULT_HORIZONS)
     p.add_argument("--split", type=_float_list, default=None,
                    help="train,val,test fractions; evaluates the test segment "
                         "standardized with train statistics")

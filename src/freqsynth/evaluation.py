@@ -581,8 +581,11 @@ def harmonics_sweep(
     For each target the fundamental is estimated from its periodogram;
     a fresh synthetic train set with the given h is fit and scored on
     the target.  Ridge uses the relative default lambda.  Returns
-    |h_values| * |targets| rows (h, id, mse).
+    |h_values| * |targets| rows (h, id, mse).  A target that cannot hold
+    one window of L + H raises SplitTooSmall before anything is fit.
     """
+    for _, ds in targets:
+        _checked_window(ds, L, (H,))
     master = np.random.default_rng(seed)
     est = [estimate_fundamental(ds).omega_bar for _, ds in targets]
     models = []  # h-major: models[a * len(targets) + b] is (h_values[a], target b)
@@ -630,9 +633,12 @@ def size_variates_sweep(
 
     Each model trains on L = H = 96 windows sampled from the h = 1, 2, 3
     datasets of the target's estimated fundamental, each n = 16,384 steps
-    of d variates.  Ridge uses the relative default lambda.
+    of d variates.  Ridge uses the relative default lambda.  A target
+    that cannot hold one window of L + H raises SplitTooSmall before
+    anything is fit.
     """
     L, H, n = 96, 96, 16384
+    _checked_window(target, L, (H,))
     master = np.random.default_rng(seed)
     omega = estimate_fundamental(target).omega_bar
     models = []

@@ -21,7 +21,7 @@ information leaks into the features.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -217,13 +217,6 @@ def _target_products(ws: WindowSet, left: np.ndarray, mu, sd) -> np.ndarray:
     return total
 
 
-def _solve(phi: np.ndarray, diag: float, rhs: np.ndarray) -> np.ndarray:
-    """W with (phi' phi + diag I) W' = rhs: the normal equations of a ridge."""
-    gram = phi.T @ phi
-    gram[np.diag_indices_from(gram)] += diag
-    return np.linalg.solve(gram, rhs).T
-
-
 def _min_norm(ws: WindowSet, phi: np.ndarray, mu, sd) -> np.ndarray:
     """Minimum-norm least-squares W of phi W' = Y, with lstsq's cutoff.
 
@@ -242,26 +235,37 @@ def default_lambda(phi: np.ndarray) -> float:
     return DEFAULT_LAMBDA_REL * float(np.einsum("ij,ij->", phi, phi)) / phi.shape[1]
 
 
-def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
-    """Minimize sum ||W [z;1] - y_norm||^2 + lam ||W||_F^2 over windows.
+def _ridge(ws: WindowSet, lam, anchor=0.0, w0=None) -> tuple[np.ndarray, float]:
+    """(W, lam) minimizing sum ||W [z;1] - y_norm||^2 + lam ||W||_F^2
+    + anchor ||W - w0||_F^2 over the windows of ``ws``.
 
-    lam=None picks the relative default; lam=0 solves exact least
-    squares through a thin SVD of the design (minimum-norm on
-    rank-deficient designs, with lstsq's singular-value cutoff); lam>0
-    solves the normal equations directly.  Windows are read in blocks of
-    _FIT_BLOCK: one pass designs the lookbacks, a second streams the
-    normalized horizons into the right-hand side.
+    lam=None picks the relative default; lam + anchor = 0 solves exact
+    least squares through a thin SVD of the design (minimum-norm on
+    rank-deficient designs, with lstsq's singular-value cutoff); else the
+    normal equations (phi' phi + (lam + anchor) I) W' = phi' Y + anchor w0'
+    are solved directly.  Windows are read in blocks of _FIT_BLOCK: one
+    pass designs the lookbacks, a second streams the normalized horizons
+    into the right-hand side.
     """
-    if train.count == 0:
+    if ws.count == 0:
         raise EmptyTrainingSet("cannot fit on an empty window set")
-    phi, mu, sd = _design_blocks(train)
+    phi, mu, sd = _design_blocks(ws)
     if lam is None:
         lam = default_lambda(phi)
     _nonnegative("lam", lam)
-    if lam == 0.0:
-        w = _min_norm(train, phi, mu, sd)
-    else:
-        w = _solve(phi, lam, _target_products(train, phi, mu, sd))
+    if lam + anchor == 0.0:
+        return _min_norm(ws, phi, mu, sd), lam
+    rhs = _target_products(ws, phi, mu, sd)
+    if anchor != 0.0:
+        rhs += anchor * w0.T
+    gram = phi.T @ phi
+    gram[np.diag_indices_from(gram)] += lam + anchor
+    return np.linalg.solve(gram, rhs).T, lam
+
+
+def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
+    """The ridge forecaster of ``train``'s windows: _ridge with no anchor."""
+    w, lam = _ridge(train, lam)
     return LinearForecaster(weights=w, lam=float(lam))
 
 
@@ -276,22 +280,14 @@ def finetune(
     so anchor -> infinity returns W0 and anchor = 0 refits from scratch.
     lam is the coefficient recorded on the pretrained model.
     """
-    if fewshot.count == 0:
-        raise EmptyTrainingSet("cannot finetune on an empty window set")
     if fewshot.L != model.L or fewshot.H != model.H:
         raise ShapeMismatch(
             f"few-shot windows are L={fewshot.L}, H={fewshot.H}; "
             f"model expects L={model.L}, H={model.H}"
         )
     _nonnegative("anchor", anchor)
-    lam = model.lam
-    model_id = f"{model.model_id}-finetuned"
-    if anchor == 0.0:
-        return replace(fit_ridge(fewshot, lam), model_id=model_id)
-    phi, mu, sd = _design_blocks(fewshot)
-    rhs = _target_products(fewshot, phi, mu, sd) + anchor * model.weights.T
-    w = _solve(phi, lam + anchor, rhs)
-    return LinearForecaster(weights=w, lam=float(lam), model_id=model_id)
+    w, lam = _ridge(fewshot, model.lam, anchor, model.weights)
+    return LinearForecaster(w, float(lam), f"{model.model_id}-finetuned")
 
 
 def model_to_json(model: LinearForecaster) -> str:

@@ -15,7 +15,7 @@ Nyquist bin is dropped too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,19 +41,6 @@ def _as_series(x) -> np.ndarray:
     if arr.size < 2:
         raise InvalidSeries(f"series needs at least 2 samples, got {arr.size}")
     return arr
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex DFT coefficients d(w_j) for j = 0 .. n-1; n is their count."""
-
-    coeffs: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        c = _freeze(self.coeffs, "coeffs", 1, np.complex128)
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "n", c.size)
 
 
 @dataclass(frozen=True)
@@ -87,18 +74,18 @@ class Periodogram:
         return float(self.powers.sum())
 
 
-def dft(x) -> Spectrum:
-    """Fast O(n log n) transform under the t = 1..n convention.
+def dft(x) -> np.ndarray:
+    """Read-only complex128 coefficients d(w_j), j = 0 .. n-1, of a series.
 
-    numpy's FFT sums from t = 0, so each coefficient picks up the unit
-    twist exp(-2*pi*i*j/n) to shift the origin to t = 1.
+    A fast O(n log n) transform under the t = 1..n convention: numpy's
+    FFT sums from t = 0, so each coefficient picks up the unit twist
+    exp(-2*pi*i*j/n) to shift the origin to t = 1.
     """
     arr = _as_series(x)
     n = arr.size
     j = np.arange(n)
     twist = np.exp((-2j * np.pi / n) * j)
-    coeffs = twist * np.fft.fft(arr) / np.sqrt(n)
-    return Spectrum(coeffs=coeffs)
+    return _freeze(twist * np.fft.fft(arr) / np.sqrt(n), "coeffs", 1, np.complex128)
 
 
 def _rfft_power(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -138,9 +138,9 @@ MUTANTS = [
            "PeriodTooLong raised at period = L", ("test_evaluation.py",)),
     Mutant("src/freqsynth/forecast.py", "    sd /= X.shape[1]\n", "    sd /= X.shape[1] - 1\n",
            "instance std with the wrong divisor", ("test_forecast.py",)),
-    Mutant("src/freqsynth/forecast.py", "    w = _solve(phi, lam + anchor, rhs)",
-           "    w = _solve(phi, lam, rhs)", "finetune without the anchor on the diagonal",
-           ("test_forecast.py",)),
+    Mutant("src/freqsynth/forecast.py", "    gram[np.diag_indices_from(gram)] += lam + anchor",
+           "    gram[np.diag_indices_from(gram)] += lam",
+           "finetune without the anchor on the diagonal", ("test_forecast.py",)),
     Mutant("src/freqsynth/dataset.py", " and whole == value and ", " and ",
            "_whole_number accepts non-integral values", ("test_whole_numbers.py",)),
     Mutant("src/freqsynth/dataset.py",
@@ -163,8 +163,9 @@ MUTANTS = [
     Mutant("src/freqsynth/cli.py", "    with _naming(args.input, SplitTooSmall):",
            "    if True:", "evaluate's length check does not name a short input",
            ("test_cli.py",)),
-    Mutant("src/freqsynth/cli.py", "    with _naming(tid):", "    if True:",
-           "sweep-harmonics does not name a short input", ("test_cli.py",)),
+    Mutant("src/freqsynth/cli.py", "    with _naming(tid, _TARGET_ERRORS):\n        rows",
+           "    if True:\n        rows", "sweep-harmonics does not name a short input",
+           ("test_cli.py",)),
     Mutant("src/freqsynth/cli.py", "_naming(args.input, SplitTooSmall)",
            "_naming(args.input)", "evaluate's flag errors name the input",
            ("test_cli.py",)),
@@ -175,6 +176,27 @@ MUTANTS = [
     Mutant("src/freqsynth/evaluation.py", 'dataset=test_ds.provenance or "dataset",',
            'dataset="dataset",', "reports do not name the test dataset's provenance",
            ("test_evaluation.py",)),
+    # one ridge solve, dft's array, the sweeps' target checked before any fit
+    Mutant("src/freqsynth/forecast.py", "    if lam + anchor == 0.0:", "    if lam == 0.0:",
+           "an anchored finetune at lam = 0 takes the unanchored SVD path",
+           ("test_forecast.py",)),
+    Mutant("src/freqsynth/spectral.py",
+           '    return _freeze(twist * np.fft.fft(arr) / np.sqrt(n), "coeffs", 1, '
+           'np.complex128)', "    return twist * np.fft.fft(arr) / np.sqrt(n)",
+           "dft returns a writable array", ("test_spectral.py",)),
+    Mutant("src/freqsynth/cli.py", "    with _naming(tid, _TARGET_ERRORS):\n        grid",
+           "    if True:\n        grid", "sweep-size does not name its target",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/cli.py", "_TARGET_ERRORS = (SplitTooSmall, NoDominantFrequency)",
+           "_TARGET_ERRORS = FreqSynthError", "the sweeps' flag errors name the input",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/evaluation.py",
+           "    for _, ds in targets:\n        _checked_window(ds, L, (H,))\n", "",
+           "harmonics_sweep checks its targets' length only after its fits",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/evaluation.py", "    _checked_window(target, L, (H,))\n", "",
+           "size_variates_sweep checks its target's length only after its fits",
+           ("test_cli.py",)),
     # the census of reached statements
     Mutant("tests/reach_census.py", "    return 1 if unexplained or stale else 0",
            "    return 1 if unexplained else 0",

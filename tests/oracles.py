@@ -51,7 +51,7 @@ from freqsynth.generator import (
     harmonic_set,
     sample_windows,
 )
-from freqsynth.spectral import Periodogram, Spectrum, _as_series
+from freqsynth.spectral import Periodogram, _as_series
 
 _CHUNK = 4096
 
@@ -75,7 +75,7 @@ def render_spec(spec: SineSpec, n: int) -> np.ndarray:
     return spec.amplitude * np.sin(2.0 * np.pi * spec.frequency * t + spec.phase)
 
 
-def dft_naive(x) -> Spectrum:
+def dft_naive(x) -> np.ndarray:
     """Reference O(n^2) summation of spectral.dft, in chunks of 128 output bins.
 
     An independent check on the FFT path; the two agree to 1e-9
@@ -90,7 +90,7 @@ def dft_naive(x) -> Spectrum:
         j = np.arange(start, min(start + chunk, n), dtype=np.float64)
         kernel = np.exp((-2j * np.pi / n) * np.outer(j, t))
         coeffs[start : start + j.size] = kernel @ arr
-    return Spectrum(coeffs=coeffs / np.sqrt(n))
+    return coeffs / np.sqrt(n)
 
 
 def render_channels_direct(amps, freqs, phases, n, d, l, rng):

@@ -2,8 +2,8 @@
 
 The callers are the code that ships or documents the API: the library
 itself (``src/freqsynth``), the benchmark (``perfbench/``, its
-``test_*.py`` files excluded), ``demos/`` and the python block of
-README's Quickstart.  Tests are not callers.  The script reads those
+``test_*.py`` files excluded), ``demos/`` and the python blocks of
+README's Quickstart (``reach_census.quickstart()``).  Tests are not callers.  The script reads those
 files with ``ast`` and prints one line per
 
 * public parameter that no caller sets: a parameter of a function or
@@ -61,11 +61,11 @@ import dataclasses
 import importlib
 import inspect
 import os
-import re
 import sys
 import textwrap
 
 import freqsynth
+from reach_census import quickstart
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -100,10 +100,7 @@ def sources() -> list[tuple[str, str, str | None]]:
         for name in sorted(os.listdir(base)):
             if name.endswith(".py") and not name.startswith(("test_", "conftest")):
                 out.append((os.path.join(base, name), _read(os.path.join(base, name)), None))
-    readme = os.path.join(ROOT, "README.md")
-    section = _read(readme).split("## Quickstart", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
-    out.append((readme + " (Quickstart)", "\n".join(blocks), None))
+    out.append((os.path.join(ROOT, "README.md") + " (Quickstart)", quickstart(), None))
     return out
 
 

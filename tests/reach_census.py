@@ -3,7 +3,7 @@
 ``tests/public_census.py`` reads the callers; this script runs them and
 records which lines of ``src/freqsynth`` execute.  The callers are
 ``tests/cli_digests.py`` for seed 0, every ``demos/*.py`` script, the
-python block of README's Quickstart, and each perfbench workload at its
+python blocks of README's Quickstart (``quickstart()``), and each perfbench workload at its
 ``TINY`` sizes, once plain and once inside ``tracing.Tracer().instrument()``
 (called directly, as ``perfbench/test_perfbench.py`` does, so nothing is
 written under ``perfbench/out/``).  Each runs in a temporary directory.
@@ -67,10 +67,6 @@ KEPT = {
     ),
     "forecast.py: out = np.empty((arr.shape[0], H))": (
         "SeasonalNaiveForecaster.forecast without `out`: " + _PERTURBED
-    ),
-    "forecast.py: return replace(fit_ridge(fewshot, lam), model_id=model_id)": (
-        "finetune(anchor=0): at lam = 0 the anchored normal equations are "
-        "singular, so anchor 0 takes fit_ridge's SVD path"
     ),
     "dataset.py: return np.empty((0, stop - first))": (
         "the lookbacks and horizons of a zero-window set built from arrays: "
@@ -252,7 +248,10 @@ def _fresh_directory():
             tempfile.tempdir = tempdir
 
 
-def _quickstart() -> str:
+def quickstart() -> str:
+    """The python blocks of README's Quickstart section, joined in order:
+    the one definition of that code, which both censuses and
+    ``tests/test_demos.py`` read."""
     with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as f:
         section = f.read().split("## Quickstart", 1)[1].split("\n## ", 1)[0]
     return "\n".join(re.findall(r"```python\n(.*?)```", section, flags=re.S))
@@ -269,7 +268,7 @@ def _run_callers() -> None:
             with _fresh_directory():
                 runpy.run_path(demo, run_name="__main__")
         with _fresh_directory():
-            exec(compile(_quickstart(), "README.md (Quickstart)", "exec"),
+            exec(compile(quickstart(), "README.md (Quickstart)", "exec"),
                  {"__name__": "__main__"})
 
     import tracing

@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from freqsynth import cli, load_csv, model_from_json
+from freqsynth import cli, evaluation, load_csv, model_from_json
 from freqsynth.cli import build_parser, main
 
 SUBCOMMANDS = (
@@ -528,6 +528,8 @@ class TestBenchGen:
 SIMILARITY = lambda ok, bad, out: ["similarity", "--inputs", ok, bad, "--out", out]
 SHORT = b"date,a\n0,1\n1,2\n2,4\n"
 FLAT = b"date,a\n" + b"".join(b"%d,1.5\n" % i for i in range(256))
+# all of its power is at the Nyquist bin, which the periodogram drops
+NYQUIST = b"date,a\n" + b"".join(b"%d,%d\n" % (i, (-1) ** i) for i in range(256))
 
 # Each case: the bad file's bytes (None: no file) and the command that
 # reads or writes it.  Every error message starts with that file's path.
@@ -562,6 +564,10 @@ FILE_ERRORS = {
         "evaluate", "--model", "naive", "--input", bad, "--out", out]),
     "short csv to sweep": (SHORT, lambda ok, bad, out: [
         "sweep-harmonics", "--input", bad, "--out", out]),
+    "peakless sweep target": (NYQUIST, lambda ok, bad, out: [
+        "sweep-harmonics", "--input", bad, "--out", out]),
+    "peakless sweep-size target": (NYQUIST, lambda ok, bad, out: [
+        "sweep-size", "--input", bad, "--out", out]),
     "constant sweep target": (FLAT, lambda ok, bad, out: [
         "sweep-harmonics", "--input", bad, "--out", out]),
     "constant transfer input": (FLAT, lambda ok, bad, out: [
@@ -592,6 +598,11 @@ FLAG_ERRORS = {
                               "horizon must be an integer >= 1, got 0"),
     "sweep-harmonics --h-values 0": (None, ["sweep-harmonics", "--h-values", "0"],
                                      "h must be an integer >= 1, got 0"),
+    "sweep-size --sizes 10000000": (None, ["sweep-size", "--sizes", "10000000"],
+                                    "requested 10000000 windows but only 48579 "
+                                    "distinct (dataset, channel, start) triples exist"),
+    "sweep-size --d-values 0": (None, ["sweep-size", "--d-values", "0"],
+                                "d must be an integer >= 1, got 0"),
 }
 
 
@@ -606,3 +617,23 @@ def test_flag_errors_do_not_name_the_input(tmp_path, capsys, case):
     capsys.readouterr()
     assert main([*argv, "--input", path, "--out", str(tmp_path / "out.csv")]) == 2
     assert capsys.readouterr().err == f"freqsynth: error: {message}\n"
+
+
+@pytest.mark.parametrize("rows", [3, 100])
+@pytest.mark.parametrize("command", ["sweep-harmonics", "sweep-size"])
+def test_sweeps_check_their_target_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                  command, rows):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep fit a model before it checked its target")
+
+    monkeypatch.setattr(evaluation, "fit_ridge", refuse)
+    path = tmp_path / "short.csv"
+    path.write_bytes(b"date,a\n" + b"".join(b"%d,%d\n" % (i, i % 7) for i in range(rows)))
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert main([command, "--input", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"freqsynth: error: {path}: test segment of length {rows} cannot hold "
+        "one window of L + H = 192\n"
+    )
+    assert not out.exists()

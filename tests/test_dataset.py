@@ -7,7 +7,6 @@ from freqsynth import (
     Dataset,
     LinearForecaster,
     Periodogram,
-    Spectrum,
     TransferMatrix,
     WindowSet,
 )
@@ -96,8 +95,6 @@ def _fields():
          lambda v: v._series, hz),
         ("weights", lambda a: LinearForecaster(weights=a, lam=0.0),
          lambda v: v.weights, np.ones((2, 4))),
-        ("coeffs", lambda a: Spectrum(coeffs=a),
-         lambda v: v.coeffs, np.array([1.0, 2j, 3.0])),
         *((name, lambda a, name=name: Periodogram(**{**pg, name: a}),
            lambda v, name=name: getattr(v, name), pg[name]) for name in pg),
         *((name, lambda a: TransferMatrix(ids=("a", "b"), raw=a),

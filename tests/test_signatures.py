@@ -32,11 +32,11 @@ from freqsynth import (
     LinearForecaster,
     NaiveForecaster,
     SeasonalNaiveForecaster,
-    Spectrum,
     TransferMatrix,
     WindowSet,
     build_datasets,
     confusion_experiment,
+    dft,
     finetune,
     freq_synth,
     freq_synth_mix,
@@ -72,7 +72,7 @@ PARAMETERS = [
     (Dataset.__init__, ("self", "values", "channel_names", "provenance")),
     (TransferMatrix.__init__, ("self", "ids", "raw")),
     (LinearForecaster.__init__, ("self", "weights", "lam", "model_id")),
-    (Spectrum.__init__, ("self", "coeffs")),
+    (dft, ("x",)),
     (minmax_scale_columns, ("raw",)),
 ]
 
@@ -80,7 +80,7 @@ PUBLIC_NAMES = [
     "Dataset", "EvalReport", "FreqSynthError", "FundamentalEstimate",
     "GeneratorConfig", "LinearForecaster", "MIX_FREQ_RANGE",
     "NATURAL_FREQUENCIES", "NaiveForecaster", "Periodogram", "RATE_TABLE",
-    "SeasonalNaiveForecaster", "SineSpec", "Spectrum", "SplitSpec",
+    "SeasonalNaiveForecaster", "SineSpec", "SplitSpec",
     "TransferMatrix", "WindowSet", "__version__", "aggregate_periodogram",
     "build_datasets", "build_pool", "confusion_experiment",
     "default_window_len", "dft", "estimate_fundamental", "evaluate_zero_shot",
