@@ -51,13 +51,13 @@ print(f"relative gap = {abs(lhs - rhs) / lhs:.2e}")
 # ---------------------------------------------------------------------
 # 3. Peak picking on a noisy version of the same signal.
 #
-# find_peaks keeps local maxima above a fraction of the strongest
-# peak, so weak noise bins are dropped while both tones survive.
+# find_peaks keeps local maxima above 10% of the strongest peak, so
+# weak noise bins are dropped while both tones survive.
 # ---------------------------------------------------------------------
 rng = np.random.default_rng(0)
 noisy = x + rng.normal(scale=0.3, size=n)
-peaks = find_peaks(scaled_periodogram(noisy), rel_threshold=0.1)
-print(f"\npeaks in the noisy signal (rel_threshold=0.1):")
+peaks = find_peaks(scaled_periodogram(noisy))
+print(f"\npeaks in the noisy signal (at least 10% of the strongest):")
 for freq, power in peaks:
     print(f"  freq {freq:.4f}  power {power:.3f}")
 print(f"true frequencies were {f1:.4f} and {f2:.4f}")

@@ -68,12 +68,12 @@ for r, b in zip(reports, naive):
 
 # ---------------------------------------------------------------------
 # 4. Few-shot repair.  Fine-tune the mismatched model on 100 target
-#    windows (5% of the corpus) with an anchor pulling the weights
-#    back toward the pretrained solution.
+#    windows (5% of the corpus) with an anchor (weight 1) pulling the
+#    weights back toward the pretrained solution.
 # ---------------------------------------------------------------------
 few = WindowSet(lookbacks=train_30.lookbacks[:100],
                 horizons=train_30.horizons[:100])
-tuned = finetune(model_24, few, anchor=1.0)
+tuned = finetune(model_24, few)
 mse_tuned, _ = windowset_metrics(tuned, val_30)
 print(f"\nfew-shot fine-tune of the 1/24 model on 100 windows at 1/30:")
 print(f"  zero-shot mse {mse_mismatch:.6f}  ->  tuned mse {mse_tuned:.6f}")

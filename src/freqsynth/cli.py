@@ -209,7 +209,7 @@ def cmd_estimate(args, parser) -> int:
     else:
         with _naming(args.input):
             ds = dataio.load_csv(args.input)
-            est = estimate_fundamental(ds, args.rel_threshold, args.bin_tol)
+            est = estimate_fundamental(ds)
     doc = {
         "omega_bar": est.omega_bar,
         "source": est.source,
@@ -226,16 +226,20 @@ def cmd_estimate(args, parser) -> int:
 def cmd_similarity(args, parser) -> int:
     if len(args.inputs) < 2:
         parser.error("similarity needs at least two --inputs")
-    pgrams = []
+    pgrams, diagonal = [], []
     for path in args.inputs:
         with _naming(path):
             ds = dataio.load_csv(path)
-            pgrams.append(aggregate_periodogram(ds, default_window_len(ds.n)))
-    # periodogram_pcc(p, p) is exactly 1.0, and raises for a flat p as the
-    # off-diagonal cells of its row or column do
+            p = aggregate_periodogram(ds, default_window_len(ds.n))
+            # the diagonal: periodogram_pcc(p, p) is exactly 1.0, and raises
+            # here, naming the input, for a flat p that the off-diagonal
+            # cells of its row and column would raise for unnamed
+            diagonal.append(periodogram_pcc(p, p))
+        pgrams.append(p)
     rows = [
-        (path, *(periodogram_pcc(p, q) for q in pgrams))
-        for path, p in zip(args.inputs, pgrams)
+        (path, *(diagonal[i] if i == j else periodogram_pcc(p, q)
+                 for j, q in enumerate(pgrams)))
+        for i, (path, p) in enumerate(zip(args.inputs, pgrams))
     ]
     dataio.save_table_csv(rows, ["dataset", *args.inputs], args.out)
     return 0
@@ -295,9 +299,7 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_confusion(args, parser) -> int:
-    curve = confusion_experiment(
-        base_omega=args.omega, distractor_counts=args.counts, seed=args.seed
-    )
+    curve = confusion_experiment(distractor_counts=args.counts, seed=args.seed)
     rows = [(c, float(m)) for c, m in curve]
     dataio.save_table_csv(rows, ["distractors", "mse"], args.out)
     if args.plot:
@@ -333,7 +335,7 @@ def cmd_transfer(args, parser) -> int:
         named = synthetic_registry(args.seed)
     ids = [name for name, _ in named]
     datasets = [ds for _, ds in named]
-    trainer = ridge_trainer(args.lookback, args.horizon, count=args.count, lam=args.lam)
+    trainer = ridge_trainer(args.lookback, args.horizon, count=args.count)
     tm = transfer_matrix(
         datasets, trainer, args.lookback, args.horizon, ids=ids, seed=args.seed
     )
@@ -432,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = new("estimate", "fundamental frequency from a rate token or a CSV", seeded=False)
     p.add_argument("--rate", help="sampling-rate token (takes precedence)")
     p.add_argument("--input", help="input CSV to analyze")
-    p.add_argument("--rel-threshold", type=float, default=0.1,
-                   help="peak threshold relative to max power (default 0.1)")
-    p.add_argument("--bin-tol", type=int, default=1,
-                   help="harmonic alignment tolerance in bins (default 1)")
     p.add_argument("--out", help="output JSON path (default: stdout)")
     p.set_defaults(func=cmd_estimate)
 
@@ -472,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = new("confusion", "test MSE as distractor frequencies are added")
-    p.add_argument("--omega", type=float, default=1 / 24, help="base frequency")
     p.add_argument("--counts", type=_int_list, default=(0, 1, 2, 4, 8, 16),
                    help="distractor counts (comma list)")
     p.add_argument("--out", required=True, help="output CSV curve")
@@ -491,7 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=96)
     p.add_argument("--count", type=int, default=1024,
                    help="training windows per model")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--out", required=True, help="scaled-MSE CSV path")
     p.add_argument("--raw-out", help="optional raw-MSE CSV path")
     p.set_defaults(func=cmd_transfer)

@@ -23,6 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, WindowSet, _freeze, _nonnegative, _whole_number
 from .errors import (
+    FreqSynthError,
     InvalidWindow,
     PeriodTooLong,
     ShapeMismatch,
@@ -396,12 +397,13 @@ def minmax_scale_columns(raw: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def ridge_trainer(L: int, H: int, count: int = 1024, lam: float | None = 0.0):
-    """Trainer factory for transfer_matrix: sample windows, fit ridge."""
+def ridge_trainer(L: int, H: int, count: int = 1024):
+    """Trainer factory for transfer_matrix: sample windows, fit exact
+    least squares (lambda = 0)."""
 
     def train(ds: Dataset, seed: int):
         windows, _ = sample_windows([ds], count, 0, L, H, seed)
-        return fit_ridge(windows, lam)
+        return fit_ridge(windows, 0.0)
 
     return train
 
@@ -421,7 +423,8 @@ def transfer_matrix(
     column is scored in one pass (see _zero_shot).  Diagonal
     (in-domain) cells are reported but excluded from each column's
     min-max range.  Raises WindowTooLong naming the first dataset that
-    cannot hold one window of L + H, before any training.
+    cannot hold one window of L + H, before any training; a typed error
+    raised while training on a dataset starts with its id.
     """
     if len(datasets) < 2:
         raise ValueError("transfer matrix needs at least 2 datasets")
@@ -436,7 +439,13 @@ def transfer_matrix(
                 f"window of L + H = {L + H}"
             )
     master = np.random.default_rng(seed)
-    models = [trainer(ds, _child_seed(master)) for ds in datasets]
+    models = []
+    for ds_id, ds in zip(ids, datasets):
+        try:
+            models.append(trainer(ds, _child_seed(master)))
+        except FreqSynthError as exc:
+            exc.args = (f"{ds_id}: {exc}",)
+            raise
     raw = np.column_stack(
         [[r[0].mse for r in _zero_shot(models, ds, L, (H,))] for ds in datasets]
     )
@@ -477,12 +486,11 @@ def _sample_distractors(
 
 
 def confusion_experiment(
-    base_omega: float = 1 / 24,
     distractor_counts: tuple[int, ...] = (0, 1, 2, 4, 8, 16),
     seed: int = 0,
     n: int = 4096,
 ) -> list[tuple[int, float]]:
-    """Test MSE at the base frequency as distractor sines pile up.
+    """Test MSE at the base frequency 1/24 as distractor sines pile up.
 
     For each count c the training pool holds windows from the base
     sinusoid dataset plus c distractor-frequency sinusoid datasets
@@ -497,7 +505,7 @@ def confusion_experiment(
     can fit the whole default grid exactly and the curve stays flat at
     zero.
     """
-    L, H = 8, 96
+    L, H, base_omega = 8, 96, 1 / 24
     counts = tuple(
         _whole_number("distractor count", c, 0, ValueError) for c in distractor_counts
     )

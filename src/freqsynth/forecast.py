@@ -42,6 +42,7 @@ STD_FLOOR = 1e-8
 # feature second moment, trace(Phi' Phi) / (L + 1).
 DEFAULT_LAMBDA_REL = 1e-3
 
+# Weight of finetune's pull toward the pretrained weights.
 DEFAULT_ANCHOR = 1.0
 
 # Windows per block when a fit streams over a window set.
@@ -269,24 +270,19 @@ def fit_ridge(train: WindowSet, lam: float | None = None) -> LinearForecaster:
     return LinearForecaster(weights=w, lam=float(lam))
 
 
-def finetune(
-    model: LinearForecaster,
-    fewshot: WindowSet,
-    anchor: float = DEFAULT_ANCHOR,
-) -> LinearForecaster:
+def finetune(model: LinearForecaster, fewshot: WindowSet) -> LinearForecaster:
     """Refit on few-shot windows, penalized toward the pretrained weights.
 
-    Solves sum ||W phi - y||^2 + lam ||W||_F^2 + anchor ||W - W0||_F^2,
-    so anchor -> infinity returns W0 and anchor = 0 refits from scratch.
-    lam is the coefficient recorded on the pretrained model.
+    Solves sum ||W phi - y||^2 + lam ||W||_F^2 + a ||W - W0||_F^2 with
+    a = DEFAULT_ANCHOR (1).  lam is the coefficient recorded on the
+    pretrained model.
     """
     if fewshot.L != model.L or fewshot.H != model.H:
         raise ShapeMismatch(
             f"few-shot windows are L={fewshot.L}, H={fewshot.H}; "
             f"model expects L={model.L}, H={model.H}"
         )
-    _nonnegative("anchor", anchor)
-    w, lam = _ridge(fewshot, model.lam, anchor, model.weights)
+    w, lam = _ridge(fewshot, model.lam, DEFAULT_ANCHOR, model.weights)
     return LinearForecaster(w, float(lam), f"{model.model_id}-finetuned")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _frequency, _whole_number
+from .dataset import Dataset, _frequency
 from .errors import InsufficientData, InvalidPeriod, UnknownSamplingRate
 from .spectral import aggregate_periodogram, default_window_len, find_peaks
 
@@ -36,6 +36,9 @@ RATE_TABLE: dict[str, int] = {
 
 # Harmonic multiples searched for a partner peak.
 HARMONIC_RANGE = range(2, 6)
+
+# Bins by which a partner peak may miss k times a peak's frequency.
+BIN_TOL = 1
 
 ESTIMATE_SOURCES = ("table", "periodogram")
 
@@ -90,27 +93,25 @@ def freq_from_sampling_rate(rate: str) -> FundamentalEstimate:
     return FundamentalEstimate(omega_bar=1.0 / k, source="table", confidence=1.0)
 
 
-def estimate_fundamental(
-    ds: Dataset, rel_threshold: float = 0.1, bin_tol: int = 1
-) -> FundamentalEstimate:
+def estimate_fundamental(ds: Dataset) -> FundamentalEstimate:
     """Estimate the fundamental from the aggregate periodogram.
 
-    Among peaks at rel_threshold of the maximum power, the fundamental
-    is the lowest-frequency peak with at least one harmonic partner: a
-    peak within bin_tol bins of k times its frequency for some k in
-    HARMONIC_RANGE (2..5).  If no peak has a partner the strongest peak
-    wins.  The confidence is the fraction of total power within bin_tol
-    bins of the chosen frequency and its in-range harmonics.
+    Among find_peaks' peaks (at least 10% of the maximum power), the
+    fundamental is the lowest-frequency peak with at least one harmonic
+    partner: a peak within BIN_TOL (1) bin of k times its frequency for
+    some k in HARMONIC_RANGE (2..5).  If no peak has a partner the
+    strongest peak wins.  The confidence is the fraction of total power
+    within BIN_TOL bins of the chosen frequency and its in-range
+    harmonics.
     """
     if ds.n < 64:
         raise InsufficientData(
             f"need at least 64 samples to estimate a fundamental, got {ds.n}"
         )
-    bin_tol = _whole_number("bin_tol", bin_tol, 1, ValueError)
     w = default_window_len(ds.n)
     pgram = aggregate_periodogram(ds, w)
-    peaks = find_peaks(pgram, rel_threshold)
-    tol = (bin_tol + 1e-9) / w
+    peaks = find_peaks(pgram)
+    tol = (BIN_TOL + 1e-9) / w
 
     freqs = np.array([f for f, _ in peaks])
     powers = np.array([p for _, p in peaks])
@@ -125,7 +126,7 @@ def estimate_fundamental(
     if chosen is None:
         chosen = float(freqs[np.argmax(powers)])
 
-    # Power captured by the chosen bin and its harmonics, each +- bin_tol.
+    # Power captured by the chosen bin and its harmonics, each +- BIN_TOL.
     mask = np.zeros(len(pgram), dtype=bool)
     for k in (1, *HARMONIC_RANGE):
         target = k * chosen

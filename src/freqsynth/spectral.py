@@ -34,6 +34,9 @@ COMMON_GRID_SIZE = 512
 # Cap on the aggregation window used for dataset-level periodograms.
 DEFAULT_WINDOW_CAP = 1024
 
+# A peak's least power, as a fraction of the periodogram's maximum.
+PEAK_THRESHOLD = 0.1
+
 
 def _as_series(x) -> np.ndarray:
     """Validate and return ``x`` as a finite 1-d float64 copy, n >= 2."""
@@ -164,8 +167,8 @@ def periodogram_pcc(a: Periodogram, b: Periodogram) -> float:
     return float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
 
 
-def find_peaks(p: Periodogram, rel_threshold: float = 0.1) -> list[tuple[float, float]]:
-    """Local maxima with power >= rel_threshold * max(power).
+def find_peaks(p: Periodogram) -> list[tuple[float, float]]:
+    """Local maxima with power >= PEAK_THRESHOLD (0.1) * max(power).
 
     A run of equal powers counts as one bin: it is a peak when it is
     strictly higher than the bins on both sides, and it is reported at
@@ -173,8 +176,6 @@ def find_peaks(p: Periodogram, rel_threshold: float = 0.1) -> list[tuple[float, 
     the maximum is always among the peaks.  Returns (frequency, power)
     pairs in ascending frequency order.
     """
-    if not 0.0 < rel_threshold <= 1.0:
-        raise ValueError(f"rel_threshold must be in (0, 1], got {rel_threshold}")
     pw = p.powers
     if pw.size == 0 or pw.max() <= 0.0:
         raise NoDominantFrequency("periodogram has no positive power")
@@ -185,6 +186,6 @@ def find_peaks(p: Periodogram, rel_threshold: float = 0.1) -> list[tuple[float, 
     up_left[1:] = runs[1:] > runs[:-1]
     up_right = np.ones(m, dtype=bool)
     up_right[:-1] = runs[:-1] > runs[1:]
-    keep = up_left & up_right & (runs >= rel_threshold * pw.max())
+    keep = up_left & up_right & (runs >= PEAK_THRESHOLD * pw.max())
     idx = starts[keep]
     return [(float(p.freqs[i]), float(pw[i])) for i in idx]

@@ -201,6 +201,19 @@ MUTANTS = [
     Mutant("tests/reach_census.py", "    return 1 if unexplained or stale else 0",
            "    return 1 if unexplained else 0",
            "the reach census passes a stale KEPT entry", ("test_signatures.py",)),
+    # the value census; inputs named by similarity's self-check and transfer's trainer
+    Mutant("tests/reach_census.py", "    return 1 if stale or unexplained else 0",
+           "    return 1 if unexplained else 0",
+           "the value census passes a stale KEPT_VALUES entry", ("test_signatures.py",)),
+    Mutant("src/freqsynth/cli.py",
+           "            diagonal.append(periodogram_pcc(p, p))\n        pgrams.append(p)",
+           "        diagonal.append(periodogram_pcc(p, p))\n        pgrams.append(p)",
+           "similarity checks each input's periodogram outside its naming",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/evaluation.py", '            exc.args = (f"{ds_id}: {exc}",)',
+           "            exc.args = exc.args",
+           "transfer_matrix does not name the dataset its trainer failed on",
+           ("test_cli.py", "test_evaluation.py")),
 ]
 
 

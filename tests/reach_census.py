@@ -1,4 +1,5 @@
-"""Statements of freqsynth that no non-test caller reaches.
+"""Statements of freqsynth that no non-test caller reaches, and parameters
+that every call leaves at one value.
 
 ``tests/public_census.py`` reads the callers; this script runs them and
 records which lines of ``src/freqsynth`` execute.  The callers are
@@ -29,18 +30,38 @@ recorded reason or any ``KEPT`` entry is stale, e.g.
 
     PYTHONPATH=src python tests/reach_census.py
 
+The same run also takes a value census.  It records the argument of
+every parameter of every call into a public function or method of
+``src/freqsynth`` (a class call is keyed by the class, its ``__init__``
+parameters as ``Class(param)``), and the init fields of every dataclass
+as its ``__post_init__`` reads them (``Class(field)``), when the value is
+a bool, int, float, str or None, or a tuple of these; numpy numbers
+count as the Python number they equal.  A parameter that took any other
+value in some call took more than one value.  It then prints each
+parameter that took exactly one value across every call, as
+``value: <qualname>(<param>) = <repr>``: a knob that every caller leaves
+at one setting.  A parameter kept so on purpose is printed with its
+reason (``KEPT_VALUES``), and a ``KEPT_VALUES`` entry that names no
+such parameter as ``stale``; either an unexplained finding or a stale
+entry makes the script exit 1.
+
 This is a script, not a pytest module: the runs take about 15 s on two
-cores.  ``tests/test_signatures.py`` checks in tier-1 only that every
-``KEPT`` entry names exactly one statement.
+cores.  ``tests/test_signatures.py`` checks in tier-1 that every
+``KEPT`` entry names exactly one statement and every ``KEPT_VALUES``
+entry a public parameter or dataclass field, and that both reports
+fail on an unexplained finding or a stale entry.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import dataclasses
 import glob
 import importlib
+import inspect
 import io
+import numbers
 import os
 import re
 import runpy
@@ -89,6 +110,48 @@ KEPT = {
         "_is_number's True answers load_csv's header check only for a header "
         "whose first cell is a number; every caller's header starts with a "
         "name such as `date`, and the check stops at the first non-number"
+    ),
+}
+
+
+# Parameters that took one value in every call on purpose, keyed as the
+# value section prints them.
+KEPT_VALUES = {
+    "generalization_experiment(target_omega)": (
+        "perfbench's experiments workload passes 1/24 positionally, so the "
+        "parameter and its --omega flag stay while perfbench/ is unchanged"
+    ),
+    "size_variates_sweep(seed)": (
+        "the census runs cli_digests at seed 0 only; sweep-size --seed "
+        "passes the seed of each run"
+    ),
+    "load_generator_config(path)": (
+        "a file path: cli_digests writes one --config file"
+    ),
+    "save_reports_json(path)": (
+        "a file path: cli_digests writes one .json evaluate report"
+    ),
+    "model_from_json(text)": (
+        "a file's text: cli_digests evaluates one saved model file"
+    ),
+    "WindowSet.block(lo)": (
+        "windowset_metrics is its one library caller, and every caller's set "
+        "fits in one scoring block, which starts at window 0; a larger set "
+        "starts later blocks"
+    ),
+    "GeneratorConfig(A_prime)": (
+        "the paper's amplitude scale A'; a --config file can set it, and "
+        "it is part of every config digest"
+    ),
+    "SplitSpec(train_frac)": (
+        "the three fractions come from evaluate --split, which cli_digests "
+        "runs once"
+    ),
+    "SplitSpec(val_frac)": "as SplitSpec(train_frac)",
+    "SplitSpec(test_frac)": "as SplitSpec(train_frac)",
+    "synthesize(pool)": (
+        "None in every call: perfbench/tracing.py's _synthesize counter "
+        "binds the argument 'pool' (ROADMAP item 4)"
     ),
 }
 
@@ -213,9 +276,57 @@ def unreached(found, hits: set[tuple[str, int]]) -> list[str]:
 
 # -- the callers ---------------------------------------------------------------
 
-def _tracer(hits: set[tuple[str, int]]):
+# The value of an argument that is not a bool, int, float, str, None or
+# a tuple of these: a parameter that took one took more than one value.
+_OTHER = object()
+
+
+def _scalar(value):
+    """``repr`` of a bool, int, float, str or None (numpy numbers as the
+    Python number they equal), or of a tuple of these; else _OTHER."""
+    if value is None or isinstance(value, (bool, str)):
+        return repr(value)
+    if isinstance(value, numbers.Integral):
+        return repr(int(value))
+    if isinstance(value, numbers.Real):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        items = [_scalar(v) for v in value]
+        if _OTHER not in items:
+            return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+    return _OTHER
+
+
+def _record(frame, values: dict[str, set]) -> None:
+    """Add the arguments of the call that opens ``frame`` to ``values``,
+    keyed ``<qualname>(<param>)``.  A method's qualname is its class's and
+    its name; ``__init__``'s is its class's, and ``__post_init__`` adds its
+    dataclass's init fields under the class's.  A call of a private or
+    nested function is skipped; the report keeps only the keys that
+    ``public_parameters`` lists."""
+    code = frame.f_code
+    qualname = code.co_qualname
+    owner, _, name = qualname.rpartition(".")
+    if name == "__post_init__":
+        self = frame.f_locals["self"]
+        for f in dataclasses.fields(self):
+            if f.init:
+                values.setdefault(f"{owner}({f.name})", set()).add(
+                    _scalar(getattr(self, f.name)))
+        return
+    if name == "__init__":
+        qualname = owner
+    elif name.startswith("_") or "<" in qualname:
+        return
+    local = frame.f_locals
+    for param in code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]:
+        values.setdefault(f"{qualname}({param})", set()).add(_scalar(local[param]))
+
+
+def _tracer(hits: set[tuple[str, int]], values: dict[str, set]):
     """A trace function that adds (file, line) to ``hits`` for each line of
-    ``src/freqsynth`` that runs."""
+    ``src/freqsynth`` that runs, and each call's arguments to ``values``
+    (``_record``)."""
     files: dict[str, str | None] = {}  # co_filename -> module file or None
 
     def lines(frame, event, arg):
@@ -228,7 +339,10 @@ def _tracer(hits: set[tuple[str, int]]):
         if name not in files:
             path = os.path.abspath(name)
             files[name] = os.path.basename(path) if os.path.dirname(path) == SRC else None
-        return lines if files[name] else None
+        if not files[name]:
+            return None
+        _record(frame, values)
+        return lines
 
     return calls
 
@@ -288,12 +402,14 @@ def _run_callers() -> None:
                 sys.exit(f"workload {name} (traced: {traced}) failed: {failures}")
 
 
-def reached() -> set[tuple[str, int]]:
-    """(file, line) of every line of ``src/freqsynth`` the callers run."""
+def reached() -> tuple[set[tuple[str, int]], dict[str, set]]:
+    """(file, line) of every line of ``src/freqsynth`` the callers run, and
+    the values each parameter took (``_record``)."""
     if any(name == "freqsynth" or name.startswith("freqsynth.") for name in sys.modules):
         sys.exit("freqsynth is imported already: its module code would not be traced")
     hits: set[tuple[str, int]] = set()
-    trace = _tracer(hits)
+    values: dict[str, set] = {}
+    trace = _tracer(hits, values)
     threading.settrace(trace)
     sys.settrace(trace)
     try:
@@ -306,7 +422,7 @@ def reached() -> set[tuple[str, int]]:
     where = os.path.dirname(os.path.abspath(freqsynth.__file__))
     if where != SRC:
         sys.exit(f"freqsynth imports from {where}, not {SRC}")
-    return hits
+    return hits, values
 
 
 # -- the report ----------------------------------------------------------------
@@ -332,10 +448,75 @@ def report(missed: list[str], known: set[str]) -> int:
     return 1 if unexplained or stale else 0
 
 
+def _params(fn, skip: int = 0) -> list[str]:
+    """The named parameters of ``fn`` after its first ``skip``."""
+    params = list(inspect.signature(fn).parameters.values())[skip:]
+    return [p.name for p in params
+            if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+
+
+def public_parameters() -> set[str]:
+    """``<qualname>(<param>)`` of every parameter of a public function or
+    method of ``src/freqsynth``, every ``__init__`` parameter of a public
+    class and every init field of a public dataclass, as the value census
+    keys them; exception classes are left out."""
+    out = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        stem = os.path.basename(path)[:-3]
+        module = importlib.import_module(
+            "freqsynth" if stem == "__init__" else f"freqsynth.{stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                out.update(f"{name}({p})" for p in _params(obj))
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                if dataclasses.is_dataclass(obj):
+                    out.update(f"{name}({f.name})" for f in dataclasses.fields(obj) if f.init)
+                elif "__init__" in vars(obj):
+                    out.update(f"{name}({p})" for p in _params(obj.__init__, 1))
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_"):
+                        continue
+                    if isinstance(member, (staticmethod, classmethod)):
+                        skip, member = int(isinstance(member, classmethod)), member.__func__
+                    else:
+                        skip = 1
+                    if inspect.isfunction(member):
+                        out.update(f"{name}.{attr}({p})" for p in _params(member, skip))
+    return out
+
+
+def value_report(values: dict[str, set], known: set[str]) -> int:
+    """Print each parameter of ``known`` that took exactly one value in
+    ``values``, and each stale KEPT_VALUES entry; 1 if a parameter has no
+    reason or an entry is stale."""
+    single = {key: next(iter(seen)) for key, seen in sorted(values.items())
+              if key in known and len(seen) == 1 and _OTHER not in seen}
+    unexplained = 0
+    for key, value in single.items():
+        line = f"value: {key} = {value if len(value) <= 60 else value[:56] + ' ...'}"
+        reason = KEPT_VALUES.get(key)
+        if reason is None:
+            unexplained += 1
+            print(line)
+        else:
+            print(f"{line}  kept: {reason}")
+    stale = [key for key in KEPT_VALUES if key not in single]
+    for key in stale:
+        why = ("a parameter that took more than one value or none" if key in known
+               else "no public parameter")
+        print(f"stale: {key}  (a KEPT_VALUES entry that names {why})")
+    print(f"{len(single)} parameters that took one value, {unexplained} without a "
+          f"recorded reason, {len(stale)} stale KEPT_VALUES entries", file=sys.stderr)
+    return 1 if stale or unexplained else 0
+
+
 def main() -> int:
-    hits = reached()
+    hits, values = reached()
     found = statements()
-    return report(unreached(found, hits), set(every_key(found)))
+    status = report(unreached(found, hits), set(every_key(found)))
+    return max(status, value_report(values, public_parameters()))
 
 
 if __name__ == "__main__":

@@ -420,7 +420,7 @@ def test_c14_few_shot_improvement():
             lookbacks=tgt_train.lookbacks[:100],
             horizons=tgt_train.horizons[:100],
         )
-        tuned = finetune(model, few, anchor=1.0)
+        tuned = finetune(model, few)
         mse_zero, _ = windowset_metrics(model, tgt_val)
         mse_tuned, _ = windowset_metrics(tuned, tgt_val)
         wins += mse_tuned < mse_zero

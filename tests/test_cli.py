@@ -76,6 +76,18 @@ class TestParsing:
             main(["generate", "--out", "x.csv", "--bogus", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("name, flag", [
+        ("estimate", "--rel-threshold"), ("estimate", "--bin-tol"),
+        ("transfer", "--lambda"), ("confusion", "--omega"),
+    ])
+    def test_fixed_settings_take_no_flag(self, name, flag, capsys):
+        """The estimator's threshold and tolerance, transfer's exact fits and
+        confusion's base frequency are constants."""
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--out", "o.csv", flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [
@@ -530,6 +542,8 @@ SHORT = b"date,a\n0,1\n1,2\n2,4\n"
 FLAT = b"date,a\n" + b"".join(b"%d,1.5\n" % i for i in range(256))
 # all of its power is at the Nyquist bin, which the periodogram drops
 NYQUIST = b"date,a\n" + b"".join(b"%d,%d\n" % (i, (-1) ** i) for i in range(256))
+# 200 rows hold 9 windows of L + H = 192; the 256-row ok input holds 65
+NINE_WINDOWS = b"date,a\n" + b"".join(b"%d,%d\n" % (i, i % 7) for i in range(200))
 
 # Each case: the bad file's bytes (None: no file) and the command that
 # reads or writes it.  Every error message starts with that file's path.
@@ -572,6 +586,9 @@ FILE_ERRORS = {
         "sweep-harmonics", "--input", bad, "--out", out]),
     "constant transfer input": (FLAT, lambda ok, bad, out: [
         "transfer", "--inputs", ok, bad, "--out", out]),
+    "peakless similarity input": (NYQUIST, SIMILARITY),
+    "transfer input short for --count": (NINE_WINDOWS, lambda ok, bad, out: [
+        "transfer", "--inputs", ok, bad, "--count", "32", "--out", out]),
 }
 
 

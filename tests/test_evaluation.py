@@ -40,6 +40,7 @@ from freqsynth.generator import STANDARDIZED_ATOL
 from freqsynth.evaluation import DEFAULT_HORIZONS
 from freqsynth.errors import (
     DegenerateChannel,
+    InsufficientData,
     InvalidWindow,
     PeriodTooLong,
     ShapeMismatch,
@@ -537,6 +538,14 @@ class TestTransferMatrix:
         ds = sine_dataset(1 / 24, n=512, d=1, seed=13)
         with pytest.raises(ValueError):
             transfer_matrix([ds], ridge_trainer(32, 8, count=16), L=32, H=8, ids=["a"])
+
+    def test_training_error_starts_with_the_dataset_id(self):
+        # 60 steps hold 21 windows of L + H = 40, too few for count=64
+        ok = sine_dataset(1 / 24, n=512, d=1, seed=13)
+        short = sine_dataset(1 / 24, n=60, d=1, seed=14)
+        with pytest.raises(InsufficientData, match=r"^b: requested 64 windows but only 21 "):
+            transfer_matrix([ok, short], ridge_trainer(32, 8, count=64), L=32, H=8,
+                            ids=["a", "b"])
 
 
 class TestConfusion:

@@ -126,7 +126,7 @@ class TestEstimateFundamental:
             x = np.random.default_rng(seed).normal(size=(1, 4096))
             ds = Dataset(values=x, channel_names=("c",))
             try:
-                est = estimate_fundamental(ds, rel_threshold=0.5)
+                est = estimate_fundamental(ds)
             except NoDominantFrequency:
                 ok += 1
                 continue

@@ -10,8 +10,9 @@ while it lists anything without a recorded reason.  Adding a parameter, a
 public name or a field back is a deliberate API change, so these tests pin
 them.  The forecasters share one ``forecast`` contract, pinned here too.
 ``tests/reach_census.py`` lists the statements that no non-test caller
-reaches; its run is a script, and the tests here check its report and
-its recorded reasons.
+reaches, and the parameters that every call leaves at one value; its
+run is a script, and the tests here check its reports and its recorded
+reasons.
 """
 
 import contextlib
@@ -37,6 +38,8 @@ from freqsynth import (
     build_datasets,
     confusion_experiment,
     dft,
+    estimate_fundamental,
+    find_peaks,
     finetune,
     freq_synth,
     freq_synth_mix,
@@ -45,6 +48,7 @@ from freqsynth import (
     harmonics_sweep,
     load_csv,
     minmax_scale_columns,
+    ridge_trainer,
     size_variates_sweep,
     synthetic_registry,
 )
@@ -53,7 +57,7 @@ from freqsynth.spectral import common_grid, default_window_len
 WINDOWS = ("count_train", "count_val", "L", "H", "n", "d")
 
 PARAMETERS = [
-    (confusion_experiment, ("base_omega", "distractor_counts", "seed", "n")),
+    (confusion_experiment, ("distractor_counts", "seed", "n")),
     (generalization_experiment, ("target_omega", "seed", "n")),
     (harmonics_sweep,
      ("targets", "h_values", "seed", "L", "H", "count_train", "n", "d")),
@@ -66,7 +70,10 @@ PARAMETERS = [
     (freq_synth_natural, ("seed", *WINDOWS)),
     (freq_synth_mix, ("seed", *WINDOWS)),
     (build_datasets, ("laws", "seed", "n", "d")),
-    (finetune, ("model", "fewshot", "anchor")),
+    (finetune, ("model", "fewshot")),
+    (estimate_fundamental, ("ds",)),
+    (find_peaks, ("p",)),
+    (ridge_trainer, ("L", "H", "count")),
     (load_csv, ("path",)),
     (WindowSet.__init__, ("self", "lookbacks", "horizons")),
     (Dataset.__init__, ("self", "values", "channel_names", "provenance")),
@@ -189,6 +196,53 @@ def test_reach_census_reports_a_stale_kept_entry(monkeypatch, named):
     assert status == 1
     why = "a statement that is not listed" if named else "no statement"
     assert f"stale: {key}  (a KEPT entry that names {why})" in out
+
+
+def _value_report(single):
+    """reach_census.value_report's status and printout when the keys of
+    ``single`` each took one value and every other parameter took two."""
+    known = reach_census.public_parameters()
+    values = {key: {"1", "2"} for key in known}
+    values.update((key, {"0.5"}) for key in single)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        status = reach_census.value_report(values, known)
+    return status, out.getvalue()
+
+
+def test_every_kept_value_names_a_public_parameter():
+    """Each KEPT_VALUES key of ``tests/reach_census.py`` names a parameter
+    of a public function or method, or a public dataclass field."""
+    known = reach_census.public_parameters()
+    assert {"estimate_fundamental(ds)", "WindowSet.block(hi)",
+            "SeasonalNaiveForecaster(period)", "GeneratorConfig(omega_bar)"} <= known
+    assert set(reach_census.KEPT_VALUES) <= known
+
+
+def test_value_census_passes_the_kept_values():
+    assert _value_report(reach_census.KEPT_VALUES)[0] == 0
+
+
+def test_value_census_reports_an_unexplained_value(monkeypatch):
+    single = list(reach_census.KEPT_VALUES)
+    key = single[0]
+    monkeypatch.delitem(reach_census.KEPT_VALUES, key)
+    status, out = _value_report(single)
+    assert status == 1
+    assert f"value: {key} = 0.5\n" in out
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["no parameter", "two values"])
+def test_value_census_reports_a_stale_kept_entry(monkeypatch, named):
+    """A KEPT_VALUES reason for a parameter that has gone, or that takes
+    more than one value now, fails the census too."""
+    key = "estimate_fundamental(ds)" if named else "estimate_fundamental(bin_tol)"
+    monkeypatch.setitem(reach_census.KEPT_VALUES, key, "kept for a knob no census lists")
+    status, out = _value_report([k for k in reach_census.KEPT_VALUES if k != key])
+    assert status == 1
+    why = ("a parameter that took more than one value or none" if named
+           else "no public parameter")
+    assert f"stale: {key}  (a KEPT_VALUES entry that names {why})" in out
 
 
 def test_every_mutant_applies_once():

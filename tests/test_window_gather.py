@@ -179,13 +179,14 @@ class TestStreamedFits:
         assert relative_gap(whole.weights, oracles.fit_ridge(train, lam).weights) <= 1e-12
 
     def test_finetune(self, windows, monkeypatch):
+        # finetune's solve, forecast._ridge, at an anchor other than its own
         train, val = windows
         model = fit_ridge(train)
-        whole = finetune(model, val, anchor=2.0)
-        assert whole.weights.tobytes() == oracles.finetune(model, val, 2.0).weights.tobytes()
+        whole, _ = forecast._ridge(val, model.lam, 2.0, model.weights)
+        assert whole.tobytes() == oracles.finetune(model, val, 2.0).weights.tobytes()
         monkeypatch.setattr(forecast, "_FIT_BLOCK", 7)
-        streamed = finetune(model, val, anchor=2.0)
-        assert relative_gap(streamed.weights, whole.weights) <= 1e-12
+        streamed, _ = forecast._ridge(val, model.lam, 2.0, model.weights)
+        assert relative_gap(streamed, whole) <= 1e-12
 
     def test_windowset_metrics_bit_for_bit(self, windows):
         train, val = windows
@@ -234,10 +235,11 @@ class TestColumnSlicedFitsBitForBit:
     def test_finetune(self, monkeypatch, anchor):
         train, val = fit_windows(5000, 96, 720, seed=3)
         model = fit_ridge(train)
-        got = finetune(model, val, anchor)
+        # finetune's solve, forecast._ridge, at each anchor
+        got, _ = forecast._ridge(val, model.lam, anchor, model.weights)
         use_whole_block_passes(monkeypatch)
-        want = finetune(model, val, anchor)
-        assert got.weights.tobytes() == want.weights.tobytes()
+        want, _ = forecast._ridge(val, model.lam, anchor, model.weights)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("L", [1, 7, 96, 1000])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e8])
@@ -270,7 +272,7 @@ def test_library_paths_read_blocks_only(monkeypatch):
     for lam in (None, 0.0, 0.5):
         model = fit_ridge(train, lam)
     finetune(model, val)
-    finetune(model, val, anchor=0.0)
+    forecast._ridge(val, model.lam, 0.0, model.weights)  # finetune's solve unanchored
     windowset_metrics(model, val)
     confusion_experiment(distractor_counts=(0, 2), seed=0, n=1024)
     generalization_experiment(1 / 24, seed=0, n=1024)
