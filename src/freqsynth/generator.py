@@ -13,11 +13,11 @@ A harmonic pool has at most h distinct frequencies however large m is,
 so its channels are rendered from sin and cos rows of those frequencies
 (2h rows of n values instead of m), which matches rendering every member
 to within 1e-10 of the channel std for n up to 50,000; pools with few
-repeated frequencies, such as the mix variant's, render every member.
-Those m rows are computed in one (m, n) buffer, in place: the phase
-argument, then its sine, then the amplitude scaling, each an elementwise
-pass over that buffer, so the render holds one pool-sized array besides
-the channels.
+repeated frequencies, such as the mix variant's, render every drawn
+member (at most d * l of the m).  Those rows are computed in one buffer,
+in place: the phase argument, then its sine, then the amplitude scaling,
+each an elementwise pass over that buffer, so the render holds one array
+of the drawn members besides the channels.
 
 Variants differ only in the pool's frequency law, which
 ``build_datasets`` takes per dataset: a harmonic ``(omega_bar, h)`` pair
@@ -222,7 +222,8 @@ def _render_channels(
     count * A * (cos(phi), sin(phi)) over the members at f.  That agrees
     with rendering every member up to rounding of the largest argument
     2*pi*f*n (within 1e-10 of the channel std for n up to 50,000); other
-    pools render every member, in one (m, n) buffer updated in place.
+    pools render every drawn member, in one buffer updated in place (an
+    undrawn member's zero count would add exact zeros: no bit changes).
     """
     m = amps.size
     idx = rng.integers(0, m, size=(d, l))
@@ -231,11 +232,12 @@ def _render_channels(
     t = np.arange(n, dtype=np.float64)
     uniq, member_of = np.unique(freqs, return_inverse=True)
     if 2 * uniq.size >= m:
-        rows = (2.0 * np.pi * freqs)[:, None] * t
-        rows += phases[:, None]
+        used = np.flatnonzero(counts.any(axis=0))
+        rows = (2.0 * np.pi * freqs[used])[:, None] * t
+        rows += phases[used, None]
         np.sin(rows, out=rows)
-        rows *= amps[:, None]
-        return counts @ rows
+        rows *= amps[used, None]
+        return counts[:, used] @ rows
     onehot = np.eye(uniq.size)[member_of]
     weights = counts * amps
     coef = np.concatenate(
@@ -379,7 +381,7 @@ def build_datasets(
     frequencies uniform over MIX_FREQ_RANGE.  Pools take GeneratorConfig's
     default m, A' and l.  Dataset i is built from the i-th child seed of
     ``seed``.  Before anything is rendered, every law is checked as
-    GeneratorConfig checks it, point budget included; a mix pool renders
+    GeneratorConfig checks it, point budget included; a mix pool may draw
     all of its m members, so it counts K = m frequencies.
     """
     n, d = (

@@ -214,6 +214,17 @@ MUTANTS = [
            "            exc.args = exc.args",
            "transfer_matrix does not name the dataset its trainer failed on",
            ("test_cli.py", "test_evaluation.py")),
+    # the fit's normalization folded into its left operand; drawn mix members
+    Mutant("src/freqsynth/forecast.py", "    total -= left.T @ mu\n", "",
+           "the folded right-hand side without its mu correction",
+           ("test_forecast.py", "test_window_gather.py")),
+    Mutant("src/freqsynth/forecast.py", "    phi /= sd\n", "    phi *= sd\n",
+           "the ridge's left operand multiplied by sd", ("test_forecast.py",)),
+    Mutant("src/freqsynth/forecast.py", "    u[:, :rank] /= sd\n", "    u[:, :rank] *= sd\n",
+           "the exact fit's U multiplied by sd", ("test_forecast.py",)),
+    Mutant("src/freqsynth/generator.py", "counts.any(axis=0)", "counts.any(axis=1)",
+           "the drawn-member mask reduced over members: one flag per channel",
+           ("test_generator.py",)),
 ]
 
 

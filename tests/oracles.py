@@ -686,9 +686,10 @@ def finetune(
 
 
 # The two passes of a streamed fit before its horizons were gathered in
-# column slices and its design took sd from the centred columns, copied
-# unchanged: a design with np.std, blocks designed whole and then copied
-# into phi, and each block's horizons normalized and multiplied whole.
+# column slices and its design took sd from the centred columns: a design
+# with np.std, blocks designed whole and then copied into phi (copied
+# unchanged), and each block's horizons multiplied whole (with the
+# normalization folded into the left operand, as the library folds it).
 
 def design_with_std(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design matrix [(X - mu) / sd, 1] of (N, L) lookbacks, with mu and sd.
@@ -721,20 +722,49 @@ def design_blocks_whole(ws: WindowSet) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return phi, mu, sd
 
 
-def target_products_whole(ws: WindowSet, left: np.ndarray, mu, sd) -> np.ndarray:
-    """Pass 2 of a fit: the sum over blocks of left_b' Y_b.
+def target_products_whole(ws: WindowSet, left: np.ndarray, mu) -> np.ndarray:
+    """Pass 2 of a fit with the normalization folded into ``left``: the
+    sum over blocks of left_b' Y_b, less left' mu.
 
-    Y_b is the block's horizons normalized by its stored mu and sd (no
-    design is rebuilt); ``left`` has one row per window.
+    Y_b is the block's raw horizons, gathered whole; ``left`` has one row
+    per window and is already divided by its sd.
     """
     total = None
     for lo in range(0, ws.count, forecast._FIT_BLOCK):
         hi = min(lo + forecast._FIT_BLOCK, ws.count)
-        y = ws._take(lo, hi, ws.L, ws.L + ws.H)
-        y -= mu[lo:hi]
-        y /= sd[lo:hi]
-        part = left[lo:hi].T @ y
+        part = left[lo:hi].T @ ws._take(lo, hi, ws.L, ws.L + ws.H)
         total = part if total is None else total + part
+    total -= left.T @ mu
+    return total
+
+
+# Pass 2 of a fit before the horizon normalization was folded into its
+# left operand, copied unchanged: every gathered horizon slice is centred
+# by mu and divided by sd before the matmul.
+
+def target_products_unfolded(ws: WindowSet, left: np.ndarray, mu, sd) -> np.ndarray:
+    """Pass 2 of a fit: the sum over blocks of left_b' Y_b.
+
+    Y_b is the block's horizons normalized by its stored mu and sd (no
+    design is rebuilt); ``left`` has one row per window.  Each block's
+    horizons are gathered _FIT_COLUMNS at a time, and each column slice
+    of left_b' Y_b is its own matmul: every element still sums over the
+    block's windows in one order, so the products are those of whole
+    blocks, bit for bit.
+    """
+    total, part = None, np.empty((left.shape[1], ws.H))
+    for lo in range(0, ws.count, forecast._FIT_BLOCK):
+        hi = min(lo + forecast._FIT_BLOCK, ws.count)
+        for c0 in range(0, ws.H, forecast._FIT_COLUMNS):
+            c1 = min(c0 + forecast._FIT_COLUMNS, ws.H)
+            y = ws._take(lo, hi, ws.L + c0, ws.L + c1)
+            y -= mu[lo:hi]
+            y /= sd[lo:hi]
+            np.matmul(left[lo:hi].T, y, out=part[:, c0:c1])
+        if total is None:
+            total = part.copy()
+        else:
+            total += part
     return total
 
 
@@ -925,7 +955,8 @@ def harmonics_sweep_per_model(
     """Zero-shot MSE per (harmonic count, target dataset) pair.
 
     The loop harmonics_sweep ran before it fit all its models first: each
-    model is fit and scored on its target in turn.
+    model is fit and scored on its target in turn.  Models are fit by the
+    library's fit_ridge, so the comparison checks the scoring alone.
 
     For each target the fundamental is estimated from its periodogram;
     a fresh synthetic train set with the given h is fit and scored on
@@ -940,7 +971,7 @@ def harmonics_sweep_per_model(
             windows, _ = sample_windows(
                 train_sets, count_train, 0, L, H, _child_seed(master)
             )
-            model = fit_ridge(windows, lam)
+            model = forecast.fit_ridge(windows, lam)
             mse = evaluate_zero_shot_unstacked(model, ds, L, (H,), dataset_id=tid)[0].mse
             rows.append((int(h), tid, float(mse)))
     return rows

@@ -3,12 +3,20 @@
 Each test prints a single verdict line (PASS/FAIL plus the measured
 statistic and wall time) before asserting, so a full run reads as a
 checklist.  Runtime budgets are part of the contract and asserted.
+
+When the environment variable FREQSYNTH_ACCEPTANCE_JSON names a path, the
+run also writes each check's measured values, with the threshold each must
+meet, to that file as JSON (ACCEPTANCE.json at the repository root is one
+such file), so a change that moves a finding toward its threshold shows
+before it fails.  Without the variable nothing is written.
 """
 
 import json
+import os
 import time
 
 import numpy as np
+import pytest
 from scipy import stats
 
 from freqsynth import (
@@ -42,7 +50,32 @@ from freqsynth.cli import main as cli_main
 from oracles import dft_naive
 
 
-def verdict(num, ok, desc):
+MARGINS = {}
+
+
+@pytest.fixture(scope="module", autouse=True)
+def margins_file():
+    """Write the checks' measured values once the module has run."""
+    MARGINS.clear()
+    yield
+    path = os.environ.get("FREQSYNTH_ACCEPTANCE_JSON")
+    if path:
+        lines = (f" {json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(MARGINS.items()))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def verdict(num, ok, desc, **values):
+    """Print and assert one check.  Each of ``values`` is a measured
+    number, or a (number, threshold) pair such as (9, ">= 9")."""
+    def entry(v):
+        value, *need = v if isinstance(v, tuple) else (v,)
+        value = value.item() if isinstance(value, np.generic) else value
+        return {"value": value, **({"need": need[0]} if need else {})}
+
+    MARGINS[f"C{num:02d}"] = {
+        "pass": bool(ok), "values": {name: entry(v) for name, v in values.items()}
+    }
     print(f"ACCEPTANCE C{num:02d} {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"C{num:02d} failed: {desc}"
 
@@ -72,6 +105,9 @@ def test_c01_periodogram_exactness():
         "periodogram exactness on 100 random bin cosines "
         f"(peak err {worst_peak:.2e} <= 1e-6, leak {worst_leak:.2e} < 1e-9, "
         f"{el:.2f}s < 5s)",
+        peak_err=(worst_peak, "<= 1e-6"),
+        leak=(worst_leak, "< 1e-9"),
+        seconds=(el, "< 5"),
     )
 
 
@@ -100,6 +136,9 @@ def test_c02_parseval_and_naive_agreement():
         "Parseval and fast/naive transform agreement on 50 series "
         f"(parseval {worst_pars:.2e}, agreement {worst_agree:.2e}, "
         f"both <= 1e-9 rel, {el:.2f}s < 10s)",
+        parseval=(worst_pars, "<= 1e-9"),
+        agreement=(worst_agree, "<= 1e-9"),
+        seconds=(el, "< 10"),
     )
 
 
@@ -112,11 +151,13 @@ def test_c03_sampling_rate_table():
         "1h": 24,
         "1d": 7,
     }
-    ok = all(
+    exact = sum(
         freq_from_sampling_rate(tok).omega_bar == 1.0 / k
         for tok, k in pairs.items()
     )
-    verdict(3, ok, "sampling-rate table pairs exact (5m,10m,15m,30m,1h,1d)")
+    ok = exact == len(pairs)
+    verdict(3, ok, "sampling-rate table pairs exact (5m,10m,15m,30m,1h,1d)",
+            exact_pairs=(exact, "== 6"))
 
 
 def test_c04_fundamental_recovery():
@@ -138,6 +179,8 @@ def test_c04_fundamental_recovery():
         ok,
         f"fundamental recovery within one bin ({detail}; "
         f"need >= 9/10 each, {el:.1f}s < 60s)",
+        **{f"hits_1_{round(1 / w)}": (h, ">= 9") for w, h in results.items()},
+        seconds=(el, "< 60"),
     )
 
 
@@ -157,6 +200,10 @@ def test_c05_generalization_gap():
         ok,
         f"frequency-generalization gap >= 10x on 1/24 in {wins}/10 seeds "
         f"(median ratio {np.median(ratios):.1e}, need >= 9/10, {el:.1f}s < 60s)",
+        wins=(wins, ">= 9"),
+        median_ratio=np.median(ratios),
+        min_ratio=min(ratios),
+        seconds=(el, "< 60"),
     )
 
 
@@ -179,6 +226,9 @@ def test_c06_confusion_trend():
         f"frequency-confusion upward trend in {wins}/10 seeds "
         f"(median spearman {np.median(rhos):.2f}, need >= 8/10, "
         f"{el:.1f}s < 120s)",
+        wins=(wins, ">= 8"),
+        median_spearman=np.median(rhos),
+        seconds=(el, "< 120"),
     )
 
 
@@ -206,12 +256,16 @@ def test_c07_correlation_control():
         ok,
         f"channel correlation rises with sines-per-channel: upward trend "
         f"in {ups}/30 seeds, sign test p = {p:.1e} < 0.01 ({el:.1f}s < 120s)",
+        upward_seeds=ups,
+        sign_test_p=(p, "< 0.01"),
+        seconds=(el, "< 120"),
     )
 
 
 def test_c08_transfer_ordering():
     t0 = time.perf_counter()
     wins = 0
+    gaps = []
     for seed in range(10):
         registry = synthetic_registry(seed=seed)
         datasets = [ds for _, ds in registry]
@@ -236,6 +290,8 @@ def test_c08_transfer_ordering():
                 elif pcc < 0.5:
                     lo.append(tm.scaled[i, j])
         wins += bool(hi) and bool(lo) and np.mean(hi) < np.mean(lo)
+        if hi and lo:
+            gaps.append(np.mean(lo) - np.mean(hi))
     el = time.perf_counter() - t0
     ok = wins >= 8 and el < 300.0
     verdict(
@@ -243,6 +299,9 @@ def test_c08_transfer_ordering():
         ok,
         f"transfer ordering: similar-spectrum pairs beat dissimilar in "
         f"{wins}/10 seeds (need >= 8/10, {el:.1f}s < 5min)",
+        wins=(wins, ">= 8"),
+        median_scaled_gap=np.median(gaps),
+        seconds=(el, "< 300"),
     )
 
 
@@ -257,12 +316,14 @@ def test_c09_generation_throughput():
         9,
         ok,
         f"generated 10^6 points (1000 x 1000) in {el:.3f}s <= 5s{stretch}",
+        seconds=(el, "<= 5"),
     )
 
 
 def test_c10_harmonics_ablation():
     t0 = time.perf_counter()
     wins = 0
+    ratios = []
     for seed in range(10):
         cfg = GeneratorConfig(
             omega_bar=1 / 24, h=3, n=16384, d=5, seed=1000 + seed
@@ -273,6 +334,7 @@ def test_c10_harmonics_ablation():
         )
         by_h = {h: mse for h, _, mse in table}
         wins += by_h[3] <= by_h[1]
+        ratios.append(by_h[3] / by_h[1])
     el = time.perf_counter() - t0
     ok = wins >= 8
     verdict(
@@ -280,6 +342,8 @@ def test_c10_harmonics_ablation():
         ok,
         f"harmonics ablation: mse(h=3) <= mse(h=1) on 3-harmonic targets "
         f"in {wins}/10 seeds (need >= 8/10, {el:.1f}s)",
+        wins=(wins, ">= 8"),
+        median_mse_ratio_h3_h1=np.median(ratios),
     )
 
 
@@ -297,6 +361,8 @@ def test_c11_amplitude_law():
         ok,
         "amplitude law: mean of 1e5 draws within 5% of A' "
         f"(A'=1: {results[1.0]:.3%}, A'=5: {results[5.0]:.3%})",
+        rel_err_A1=(results[1.0], "< 0.05"),
+        rel_err_A5=(results[5.0], "< 0.05"),
     )
 
 
@@ -318,6 +384,7 @@ def test_c12_seasonal_naive_zero_error():
         ok,
         "seasonal-naive zero error on periodic signals, all four horizons "
         f"(worst mse {worst:.1e} <= 1e-12)",
+        worst_mse=(worst, "<= 1e-12"),
     )
 
 
@@ -400,12 +467,14 @@ def test_c13_cli_determinism(tmp_path):
         "all 12 subcommands byte-identical across repeat runs"
         + (f" (mismatches: {mismatched})" if mismatched else "")
         + f" ({el:.1f}s)",
+        mismatched_outputs=(len(mismatched), "== 0"),
     )
 
 
 def test_c14_few_shot_improvement():
     t0 = time.perf_counter()
     wins = 0
+    ratios = []
     for seed in range(10):
         src_train, _ = freq_synth(
             1 / 24, seed, count_train=1000, count_val=0, L=96, H=96,
@@ -424,6 +493,7 @@ def test_c14_few_shot_improvement():
         mse_zero, _ = windowset_metrics(model, tgt_val)
         mse_tuned, _ = windowset_metrics(tuned, tgt_val)
         wins += mse_tuned < mse_zero
+        ratios.append(mse_tuned / mse_zero)
     el = time.perf_counter() - t0
     ok = wins >= 9
     verdict(
@@ -431,4 +501,6 @@ def test_c14_few_shot_improvement():
         ok,
         f"few-shot anchored fine-tune on 10% of 1/30 windows beats "
         f"zero-shot from 1/24 in {wins}/10 seeds (need >= 9/10, {el:.1f}s)",
+        wins=(wins, ">= 9"),
+        median_mse_ratio_tuned_zero=np.median(ratios),
     )

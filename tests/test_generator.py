@@ -381,6 +381,24 @@ class TestBasisRender:
         want = render_channels_direct(*arrays, n, 5, 10, twin)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("m, d, l", [(100, 5, 10), (100, 5, 1), (100, 1, 1), (3, 5, 10)])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mix_renders_drawn_members_bit_for_bit(self, seed, m, d, l):
+        # only the members some channel draws are rendered; a skipped
+        # member's zero count added an exact zero, so no bit moves
+        rng = np.random.default_rng(seed)
+        arrays = _draw_pool("mix", m, 5.0, rng)
+        twin, probe = np.random.default_rng(), np.random.default_rng()
+        twin.bit_generator.state = probe.bit_generator.state = rng.bit_generator.state
+        drawn = np.unique(probe.integers(0, m, size=(d, l))).size
+        if m == 3:
+            assert drawn == m  # 50 draws of 3 members take every one
+        else:
+            assert drawn < m  # some members are skipped
+        got = _render_channels(*arrays, 2000, d, l, rng)
+        want = render_channels_direct(*arrays, 2000, d, l, twin)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestStandardize:
     def test_hand_example(self):

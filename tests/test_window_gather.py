@@ -20,6 +20,7 @@ from freqsynth import (
     confusion_experiment,
     finetune,
     fit_ridge,
+    freq_synth_natural,
     generalization_experiment,
     sample_windows,
     windowset_metrics,
@@ -176,14 +177,19 @@ class TestStreamedFits:
         monkeypatch.setattr(forecast, "_FIT_BLOCK", 37)
         streamed = fit_ridge(train, lam)
         assert relative_gap(streamed.weights, whole.weights) <= 1e-12
-        assert relative_gap(whole.weights, oracles.fit_ridge(train, lam).weights) <= 1e-12
+        # against the pre-fold oracle through forecasts: the fold moves
+        # the weights along the design's near-null direction (the z of a
+        # row sum to zero), which no forecast sees
+        want = oracles.fit_ridge(train, lam)
+        assert relative_gap(whole.forecast(train.lookbacks, train.H),
+                            want.forecast(train.lookbacks, train.H)) <= 1e-12
 
     def test_finetune(self, windows, monkeypatch):
         # finetune's solve, forecast._ridge, at an anchor other than its own
         train, val = windows
         model = fit_ridge(train)
         whole, _ = forecast._ridge(val, model.lam, 2.0, model.weights)
-        assert whole.tobytes() == oracles.finetune(model, val, 2.0).weights.tobytes()
+        assert relative_gap(whole, oracles.finetune(model, val, 2.0).weights) <= 1e-12
         monkeypatch.setattr(forecast, "_FIT_BLOCK", 7)
         streamed, _ = forecast._ridge(val, model.lam, 2.0, model.weights)
         assert relative_gap(streamed, whole) <= 1e-12
@@ -198,7 +204,8 @@ class TestStreamedFits:
 
 def use_whole_block_passes(monkeypatch):
     """Fits from here on run the passes of tests/oracles.py: whole-block
-    horizons, and designs with np.std."""
+    horizons (normalization folded, as in the library), and designs with
+    np.std."""
     monkeypatch.setattr(forecast, "_design_blocks", oracles.design_blocks_whole)
     monkeypatch.setattr(forecast, "_target_products", oracles.target_products_whole)
 
@@ -222,14 +229,15 @@ class TestColumnSlicedFitsBitForBit:
         train, _ = fit_windows(count, 96, H)
         got = fit_ridge(train, lam)
         phi, mu, sd = forecast._design_blocks(train)
-        products = forecast._target_products(train, phi, mu, sd)
+        for g, w in zip((phi, mu, sd), oracles.design_blocks_whole(train)):
+            assert_bitwise(g, w)
+        phi /= sd
+        products = forecast._target_products(train, phi, mu)
         use_whole_block_passes(monkeypatch)
         want = fit_ridge(train, lam)
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.lam.hex() == want.lam.hex()
-        for g, w in zip((phi, mu, sd), oracles.design_blocks_whole(train)):
-            assert_bitwise(g, w)
-        assert_bitwise(products, oracles.target_products_whole(train, phi, mu, sd))
+        assert_bitwise(products, oracles.target_products_whole(train, phi, mu))
 
     @pytest.mark.parametrize("anchor", [0.0, 2.0])
     def test_finetune(self, monkeypatch, anchor):
@@ -256,6 +264,37 @@ class TestColumnSlicedFitsBitForBit:
         assert got[0] is phi
         for g, w in zip(got, want):
             assert_bitwise(g, w)
+
+
+def folds(train):
+    """(folded, unfolded, max |mu| / sd) right-hand sides of ``train`` for
+    both left operands a fit takes: the design and the SVD's U."""
+    phi, mu, sd = forecast._design_blocks(train)
+    ratio = float(np.max(np.abs(mu) / sd))
+    for left in (phi, np.linalg.svd(phi, full_matrices=False)[0]):
+        want = oracles.target_products_unfolded(train, left, mu, sd)
+        yield forecast._target_products(train, left / sd, mu), want, ratio
+
+
+class TestFoldAgainstUnfolded:
+    """The right-hand side with the normalization folded into the left
+    operand, against the pass that normalized every horizon first."""
+
+    def test_standardized_windows(self):
+        train, _ = freq_synth_natural(0, 6000, 0, n=8192)
+        for got, want, ratio in folds(train):
+            assert ratio < 1.0
+            assert relative_gap(got, want) <= 1e-14
+
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4])
+    def test_offset_windows_within_the_stated_bound(self, offset):
+        # 1e-14 * (1 + max |mu| / sd), as _target_products states it
+        ds = noisy(3000, d=3, seed=4)
+        shifted = Dataset(values=ds.values + offset, channel_names=ds.channel_names)
+        train, _ = sample_windows([shifted], 5000, 0, 96, 720, 2)
+        for got, want, ratio in folds(train):
+            assert ratio > offset / 2
+            assert relative_gap(got, want) <= 1e-14 * (1.0 + ratio)
 
 
 def test_library_paths_read_blocks_only(monkeypatch):
@@ -325,8 +364,10 @@ def test_fit_peak_at_the_default_block(lam, bound):
 
 
 def test_mix_render_peak():
-    """build_datasets(["mix"], 0, n=50_000, d=5) renders a 100 x 50,000
-    pool: 38 MiB per (m, n) array.  Rendering the rows as one expression
-    peaked at 76.7 MiB; in place it peaks at 40.4 MiB, and the bound of
-    48 MiB leaves about 19% above that, well under one more pool array."""
-    assert traced_peak(lambda: build_datasets(["mix"], 0, n=50_000, d=5)) < 48 * MiB
+    """build_datasets(["mix"], 0, n=50_000, d=5) makes d * l = 50 draws,
+    with replacement, from a 100-member pool, 0.38 MiB per rendered row of
+    50,000.  Rendering all
+    100 rows as one expression peaked at 76.7 MiB, and in place at 41.1
+    MiB; rendering only the drawn members in place peaks at 17.5 MiB, and
+    the bound of 21 MiB leaves about 20% above that."""
+    assert traced_peak(lambda: build_datasets(["mix"], 0, n=50_000, d=5)) < 21 * MiB
