@@ -92,12 +92,18 @@ _SIZE_MINIMUM = {"m": 1, "h": 1, "l": 1, "n": 2, "d": 1}
 _MAX_POINTS = 10**9
 
 
-def _check_render(m: int, K: int, l: int, n: int, d: int) -> None:
+def _check_render(m: int, K: int | None, l: int, n: int, d: int) -> None:
     """TooManyPoints, naming the product, when rendering d channels of n
     steps, each the sum of l draws from an m-member pool of K distinct
-    frequencies, would hold an array over _MAX_POINTS."""
-    for names, rows, cols in (("n * d", n, d), ("d * l", d, l), ("d * m", d, m),
-                              ("m * K", m, K), ("min(m, 2K) * n", min(m, 2 * K), n)):
+    frequencies, would hold an array over _MAX_POINTS.  K is None for a
+    mix pool, whose m frequencies are distinct: it renders only the
+    members some channel draws, at most min(m, d * l) rows, and builds no
+    one-hot."""
+    if K is None:
+        arrays = (("min(m, d * l) * n", min(m, d * l), n),)
+    else:
+        arrays = (("m * K", m, K), ("min(m, 2K) * n", min(m, 2 * K), n))
+    for names, rows, cols in (("n * d", n, d), ("d * l", d, l), ("d * m", d, m), *arrays):
         if rows * cols > _MAX_POINTS:
             raise TooManyPoints(
                 f"{names} = {rows} * {cols} = {rows * cols} points exceeds the "
@@ -381,8 +387,8 @@ def build_datasets(
     frequencies uniform over MIX_FREQ_RANGE.  Pools take GeneratorConfig's
     default m, A' and l.  Dataset i is built from the i-th child seed of
     ``seed``.  Before anything is rendered, every law is checked as
-    GeneratorConfig checks it, point budget included; a mix pool may draw
-    all of its m members, so it counts K = m frequencies.
+    GeneratorConfig checks it, point budget included; a mix pool's render
+    holds at most min(m, d * l) rows of n, the members its channels draw.
     """
     n, d = (
         _whole_number(name, v, _SIZE_MINIMUM[name], ValueError)
@@ -394,7 +400,7 @@ def build_datasets(
     for law in laws:
         child = _child_seed(master)
         if law == "mix":
-            _check_render(m, m, l, n, d)
+            _check_render(m, None, l, n, d)
             jobs.append(child)
         elif isinstance(law, (tuple, list)) and len(law) == 2:
             jobs.append(GeneratorConfig(omega_bar=law[0], h=law[1], n=n, d=d, seed=child))

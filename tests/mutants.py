@@ -23,8 +23,13 @@ It exits 1 on any line but ``killed``, e.g.
 
 This is a script, not a pytest module.  It runs each mutant's tests in
 a fresh process, without bytecode caches, so a run takes a few seconds
-per mutant; ``tests/test_signatures.py`` checks in tier-1 only that
-every old text still occurs exactly once.
+per mutant, and about 10 s more for each mutant that
+``tests/test_signatures.py`` must catch, since its census test runs
+``tests/census.py`` over every caller.  Two of those mutants add to the
+library what only that census test sees: a keyword parameter that no
+caller sets, and a statement that no caller reaches.  In tier-1,
+``tests/test_signatures.py`` checks only that every old text still
+occurs exactly once.
 """
 
 from __future__ import annotations
@@ -70,12 +75,16 @@ MUTANTS = [
            "            pass", "an error from a short CSV's analysis does not name "
            "the file", ("test_cli.py",)),
     # the render budget of every law, checked before any render
-    Mutant("src/freqsynth/generator.py", "_check_render(m, m, l, n, d)",
-           "_check_render(m, 1, l, n, d)", "a mix law's budget counts one frequency",
+    Mutant("src/freqsynth/generator.py", "_check_render(m, None, l, n, d)",
+           "_check_render(m, 1, l, n, d)",
+           "a mix law's budget counts one frequency's basis rows, not its drawn members",
            ("test_generator.py",)),
-    # the census of public names
-    Mutant("tests/public_census.py", "    return 1 if unexplained or stale else 0",
-           "    return 1 if unexplained else 0", "the census passes a stale KEPT entry",
+    Mutant("src/freqsynth/generator.py", '("min(m, d * l) * n", min(m, d * l), n)',
+           '("min(m, d * l) * n", m, n)', "a mix law's budget counts all m members as rows",
+           ("test_generator.py",)),
+    # the census's report
+    Mutant("tests/census.py", "    return 1 if unexplained or stale else 0",
+           "    return 1 if unexplained else 0", "the census passes a stale KEPT key",
            ("test_signatures.py",)),
     # the value types' one freezing routine and the shared scalar checks
     Mutant("src/freqsynth/dataset.py", "    out.setflags(write=False)\n    return out",
@@ -197,14 +206,26 @@ MUTANTS = [
     Mutant("src/freqsynth/evaluation.py", "    _checked_window(target, L, (H,))\n", "",
            "size_variates_sweep checks its target's length only after its fits",
            ("test_cli.py",)),
-    # the census of reached statements
-    Mutant("tests/reach_census.py", "    return 1 if unexplained or stale else 0",
-           "    return 1 if unexplained else 0",
-           "the reach census passes a stale KEPT entry", ("test_signatures.py",)),
-    # the value census; inputs named by similarity's self-check and transfer's trainer
-    Mutant("tests/reach_census.py", "    return 1 if stale or unexplained else 0",
-           "    return 1 if unexplained else 0",
-           "the value census passes a stale KEPT_VALUES entry", ("test_signatures.py",)),
+    # the census: its report, its statement listing, and the tier-1 gate
+    Mutant("tests/census.py", "    return 1 if unexplained or stale else 0",
+           "    return 1 if stale else 0", "the census passes an unexplained finding",
+           ("test_signatures.py",)),
+    Mutant("tests/census.py", "            out.extend(unreached(s.children, hits))",
+           "            pass", "the census lists no statement inside a reached one",
+           ("test_signatures.py",)),
+    Mutant("tests/census.py", "            if value != id(defaults[key]):",
+           "            if True:", "the census skips a parameter left at a non-scalar default",
+           ("test_signatures.py",)),
+    Mutant("src/freqsynth/spectral.py",
+           "def periodogram_pcc(a: Periodogram, b: Periodogram) -> float:",
+           "def periodogram_pcc(a: Periodogram, b: Periodogram, eps: float = 0.0) -> float:",
+           "a public function gains a keyword parameter that no caller sets",
+           ("test_signatures.py",)),
+    Mutant("src/freqsynth/generator.py", "    return standardize_by_train(ds)[0]",
+           "    if not ds.n:\n        return ds\n    return standardize_by_train(ds)[0]",
+           "a public function gains a statement that no caller reaches",
+           ("test_signatures.py",)),
+    # inputs named by similarity's self-check and transfer's trainer
     Mutant("src/freqsynth/cli.py",
            "            diagonal.append(periodogram_pcc(p, p))\n        pgrams.append(p)",
            "        diagonal.append(periodogram_pcc(p, p))\n        pgrams.append(p)",

@@ -8,7 +8,13 @@ When the environment variable FREQSYNTH_ACCEPTANCE_JSON names a path, the
 run also writes each check's measured values, with the threshold each must
 meet, to that file as JSON (ACCEPTANCE.json at the repository root is one
 such file), so a change that moves a finding toward its threshold shows
-before it fails.  Without the variable nothing is written.
+before it fails.  Without the variable nothing is written, and each check
+instead compares its verdict and its integer readings (pairs, hits, wins,
+seeds, mismatches) with the committed ACCEPTANCE.json, and fails naming
+the check and the command that regenerates the file when one differs.
+Float readings move with rounding and wall times with the host, so they
+are not compared.  The comparison runs as each verdict is recorded, so a
+``-k`` subset checks its own checks.
 """
 
 import json
@@ -52,6 +58,13 @@ from oracles import dft_naive
 
 MARGINS = {}
 
+with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "ACCEPTANCE.json"), encoding="utf-8") as _fh:
+    COMMITTED = json.load(_fh)
+
+REGENERATE = ("FREQSYNTH_ACCEPTANCE_JSON=ACCEPTANCE.json "
+              "PYTHONPATH=src python -m pytest tests/test_acceptance.py")
+
 
 @pytest.fixture(scope="module", autouse=True)
 def margins_file():
@@ -78,6 +91,19 @@ def verdict(num, ok, desc, **values):
     }
     print(f"ACCEPTANCE C{num:02d} {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"C{num:02d} failed: {desc}"
+    if not os.environ.get("FREQSYNTH_ACCEPTANCE_JSON"):
+        now, then = _counts(MARGINS[f"C{num:02d}"]), _counts(COMMITTED.get(f"C{num:02d}"))
+        assert now == then, (
+            f"C{num:02d} moved from the committed ACCEPTANCE.json: {now} != {then}; "
+            f"if the move is meant, regenerate the file with `{REGENERATE}`")
+
+
+def _counts(check):
+    """A check's verdict and integer readings, or None for no check."""
+    if check is None:
+        return None
+    return {"pass": check["pass"], **{name: v["value"] for name, v in check["values"].items()
+                                      if type(v["value"]) is int}}
 
 
 def test_c01_periodogram_exactness():

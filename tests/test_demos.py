@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from reach_census import quickstart
+from census import quickstart
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

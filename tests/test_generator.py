@@ -593,19 +593,24 @@ class TestMixVariant:
 
         monkeypatch.setattr(generator, "_render_channels", render)
 
-    def test_mix_law_budget_counts_every_member(self, monkeypatch):
-        # construction only: a mix pool renders all m = 100 members as
-        # rows of n, so n = 10**7 is the largest n it accepts at d = 1
-        self._no_render(monkeypatch)
-        with pytest.raises(TooManyPoints, match=r"^min\(m, 2K\) \* n = 100 \* 10000001 "):
-            build_datasets(["mix"], 0, n=10**7 + 1, d=1)
-        with pytest.raises(self.Rendered):
-            build_datasets(["mix"], 0, n=10**7, d=1)
+    def test_mix_law_budget_counts_the_drawn_members(self, monkeypatch):
+        # a mix render holds at most min(m, d * l) of its m = 100 members
+        # as rows of n; with the budget at 10**4 points, m * n is over it
+        # at every n here, so only d * l * n decides
+        monkeypatch.setattr(generator, "_MAX_POINTS", 10**4)
+        (ds,) = build_datasets(["mix"], 0, n=1000, d=1)  # 10 rows of 1000
+        assert ds.values.shape == (1, 1000)
+        build_datasets(["mix"], 0, n=200, d=5)  # 50 rows of 200
+        with pytest.raises(TooManyPoints, match=r"^min\(m, d \* l\) \* n = 50 \* 201 "):
+            build_datasets(["mix"], 0, n=201, d=5)
+        with pytest.raises(TooManyPoints, match=r"^min\(m, d \* l\) \* n = 10 \* 1001 "):
+            build_datasets(["mix"], 0, n=1001, d=1)
 
     @pytest.mark.parametrize("laws, n, error, message", [
         ([(0.1, 1), (0.7, 1)], 64, ValueError, r"^omega_bar must be in \(0, 0.5\), got 0.7$"),
         ([(0.1, 1), (0.2, 0)], 64, ValueError, r"^h must be an integer >= 1, got 0$"),
-        ([(0.1, 1), "mix"], 10**8, TooManyPoints, r"^min\(m, 2K\) \* n = 100 \* 100000000 "),
+        ([(0.1, 1), "mix"], 10**8 + 1, TooManyPoints,
+         r"^min\(m, d \* l\) \* n = 10 \* 100000001 "),
         (["mix", (1e-9, 10**12)], 64, TooManyPoints, r"^m \* K = 100 \* 499999999 "),
     ], ids=["omega_bar", "h", "mix budget", "harmonic budget"])
     def test_every_law_checked_before_any_render(self, monkeypatch, laws, n, error, message):

@@ -4,29 +4,27 @@ Each driver runs one fixed protocol; its constants are documented in
 README's Experiments section.  The generators take their pool
 hyperparameters from GeneratorConfig's defaults, finetune reuses the
 pretrained model's ridge coefficient, and no non-test code sets the
-other parameters these rows left out.  ``tests/public_census.py`` lists
-what no non-test caller sets, uses or reads, and the last test here fails
-while it lists anything without a recorded reason.  Adding a parameter, a
-public name or a field back is a deliberate API change, so these tests pin
-them.  The forecasters share one ``forecast`` contract, pinned here too.
-``tests/reach_census.py`` lists the statements that no non-test caller
-reaches, and the parameters that every call leaves at one value; its
-run is a script, and the tests here check its reports and its recorded
-reasons.
+other parameters these rows left out.  Adding a parameter, a public name
+or a field back is a deliberate API change, so these tests pin them.  The
+forecasters share one ``forecast`` contract, pinned here too.
+``tests/census.py`` runs the non-test callers and lists each statement
+they leave unreached, each parameter they leave at one value, each public
+constant or class they never name and each field they never read;
+``test_census_finds_nothing_unexplained`` fails while it lists anything
+without a recorded reason or keeps a stale one, and
+``test_census_report`` checks that report on made-up findings.
 """
 
-import contextlib
 import inspect
-import io
 import os
-from collections import Counter
+import subprocess
+import sys
 
 import pytest
 
+import census
 import freqsynth
 import mutants
-import public_census
-import reach_census
 from freqsynth import errors
 from freqsynth import (
     Dataset,
@@ -106,6 +104,8 @@ PUBLIC_NAMES = [
 
 FORECASTERS = [NaiveForecaster, SeasonalNaiveForecaster, LinearForecaster]
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 @pytest.mark.parametrize("fn, names", PARAMETERS,
                          ids=[fn.__qualname__ for fn, _ in PARAMETERS])
 def test_parameter_names(fn, names):
@@ -138,111 +138,55 @@ def test_public_names():
 
 
 def test_census_finds_nothing_unexplained():
-    """Every public parameter is set, and every public name used and field
-    read, by non-test code, or kept with a recorded reason."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        status = public_census.main()
-    assert status == 0, out.getvalue()
+    """``tests/census.py`` finds no unreached statement, one-value
+    parameter, unnamed name or unread field without a recorded reason, and
+    no stale reason.  It runs in a fresh process: its trace must see the
+    first import of freqsynth, which this process has made already."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "tests", "census.py")],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_census_reports_a_stale_kept_entry(monkeypatch):
-    """A KEPT reason whose finding has gone fails the census too."""
-    key = "name freqsynth.generator.no_such_name"
-    monkeypatch.setitem(public_census.KEPT, key, "kept for a name that does not exist")
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        status = public_census.main()
-    assert status == 1
-    assert f"stale: {key}" in out.getvalue()
+KINDS = {"statement": "statement cli.py: run()", "value": "value fit(lam)",
+         "name": "name freqsynth.cli.LIMIT", "field": "field freqsynth.cli.Spec.f"}
 
 
-def _reach_report(missed):
-    """reach_census.report's status and printout for these unreached keys."""
-    known = set(reach_census.every_key(reach_census.statements()))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        status = reach_census.report(missed, known)
-    return status, out.getvalue()
+CASES = [(kind, case) for kind in KINDS for case in ("explained", "unexplained", "stale")]
 
 
-def test_every_kept_reach_entry_names_one_statement():
-    """Each KEPT key of ``tests/reach_census.py`` names exactly one counted
-    statement of ``src/freqsynth``."""
-    keys = Counter(reach_census.every_key(reach_census.statements()))
-    assert {key: keys[key] for key in reach_census.KEPT} == dict.fromkeys(
-        reach_census.KEPT, 1)
+@pytest.mark.parametrize("kind, case", CASES, ids=[f"{k}-{c}" for k, c in CASES])
+def test_census_report(capsys, kind, case):
+    """The report passes findings that an entry keeps, and fails on a
+    finding that no entry keeps and on an entry's key that is not found
+    while its other key is."""
+    key, other = KINDS[kind], "statement cli.py: other()"
+    detail = " = 0.5" if kind == "value" else ""
+    findings, kept = {key: detail, other: ""}, {(key, other): "one reason"}
+    if case == "unexplained":
+        findings, kept = {key: detail}, {}
+    elif case == "stale":
+        del findings[key]
+    status = census.report(findings, kept)
+    out = capsys.readouterr().out
+    if case == "explained":
+        assert (status, out) == (0, f"kept: one reason\n    {key}{detail}\n    {other}\n")
+    elif case == "unexplained":
+        assert (status, out) == (1, f"{key}{detail}\n")
+    else:
+        assert status == 1
+        assert out.endswith(f"stale: {key}  (a KEPT key that is not found)\n")
 
 
-def test_reach_census_passes_the_kept_statements():
-    assert _reach_report(list(reach_census.KEPT))[0] == 0
-
-
-def test_reach_census_reports_an_unexplained_statement(monkeypatch):
-    missed = list(reach_census.KEPT)
-    monkeypatch.delitem(reach_census.KEPT, missed[0])
-    status, out = _reach_report(missed)
-    assert status == 1
-    assert out.startswith(f"{missed[0]}\n")
-
-
-@pytest.mark.parametrize("named", [False, True], ids=["no statement", "reached"])
-def test_reach_census_reports_a_stale_kept_entry(monkeypatch, named):
-    """A KEPT reason for a statement that has gone, or that a caller
-    reaches now, fails the census too."""
-    key = next(iter(reach_census.KEPT)) if named else "cli.py: no_such_statement()"
-    monkeypatch.setitem(reach_census.KEPT, key, "kept for a statement no census lists")
-    status, out = _reach_report([k for k in reach_census.KEPT if k != key])
-    assert status == 1
-    why = "a statement that is not listed" if named else "no statement"
-    assert f"stale: {key}  (a KEPT entry that names {why})" in out
-
-
-def _value_report(single):
-    """reach_census.value_report's status and printout when the keys of
-    ``single`` each took one value and every other parameter took two."""
-    known = reach_census.public_parameters()
-    values = {key: {"1", "2"} for key in known}
-    values.update((key, {"0.5"}) for key in single)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-        status = reach_census.value_report(values, known)
-    return status, out.getvalue()
-
-
-def test_every_kept_value_names_a_public_parameter():
-    """Each KEPT_VALUES key of ``tests/reach_census.py`` names a parameter
-    of a public function or method, or a public dataclass field."""
-    known = reach_census.public_parameters()
-    assert {"estimate_fundamental(ds)", "WindowSet.block(hi)",
-            "SeasonalNaiveForecaster(period)", "GeneratorConfig(omega_bar)"} <= known
-    assert set(reach_census.KEPT_VALUES) <= known
-
-
-def test_value_census_passes_the_kept_values():
-    assert _value_report(reach_census.KEPT_VALUES)[0] == 0
-
-
-def test_value_census_reports_an_unexplained_value(monkeypatch):
-    single = list(reach_census.KEPT_VALUES)
-    key = single[0]
-    monkeypatch.delitem(reach_census.KEPT_VALUES, key)
-    status, out = _value_report(single)
-    assert status == 1
-    assert f"value: {key} = 0.5\n" in out
-
-
-@pytest.mark.parametrize("named", [False, True], ids=["no parameter", "two values"])
-def test_value_census_reports_a_stale_kept_entry(monkeypatch, named):
-    """A KEPT_VALUES reason for a parameter that has gone, or that takes
-    more than one value now, fails the census too."""
-    key = "estimate_fundamental(ds)" if named else "estimate_fundamental(bin_tol)"
-    monkeypatch.setitem(reach_census.KEPT_VALUES, key, "kept for a knob no census lists")
-    status, out = _value_report([k for k in reach_census.KEPT_VALUES if k != key])
-    assert status == 1
-    why = ("a parameter that took more than one value or none" if named
-           else "no public parameter")
-    assert f"stale: {key}  (a KEPT_VALUES entry that names {why})" in out
+def test_census_value_of_a_default_object():
+    """A parameter that every call left at its default object is one-valued
+    whatever the object's type; another object of that type is no value."""
+    default, other = [], []
+    values = {"f(a)": {census._value(default)}, "f(b)": {census._value(other)},
+              "f(c)": {census._value(1)}}
+    defaults = {"f(a)": default, "f(b)": default, "f(c)": 2}
+    assert census.one_values(values, defaults) == {"value f(a)": " = []", "value f(c)": " = 1"}
 
 
 def test_every_mutant_applies_once():
