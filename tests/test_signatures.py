@@ -179,6 +179,33 @@ def test_census_report(capsys, kind, case):
         assert out.endswith(f"stale: {key}  (a KEPT key that is not found)\n")
 
 
+@pytest.mark.parametrize("named", [False, True], ids=["no statement", "reached"])
+def test_reach_census_reports_a_stale_kept_entry(capsys, named):
+    """A KEPT key for a statement that has gone, or that a caller reaches
+    now, is not among the unreached statements, and fails the census."""
+    run = census.Statement("cli.py", "statement cli.py: run()", 3, 3, ())
+    other = census.Statement("cli.py", "statement cli.py: other()", 4, 4, ())
+    found, hits = ((run, other), {("cli.py", 3)}) if named else ((other,), set())
+    key = run.key if named else "statement cli.py: no_such_statement()"
+    findings = dict.fromkeys(census.unreached(found, hits), "")
+    assert findings == {other.key: ""}
+    assert census.report(findings, {(key, other.key): "one reason"}) == 1
+    assert capsys.readouterr().out.endswith(f"stale: {key}  (a KEPT key that is not found)\n")
+
+
+@pytest.mark.parametrize("named", [False, True], ids=["no parameter", "two values"])
+def test_value_census_reports_a_stale_kept_entry(capsys, named):
+    """A KEPT key for a parameter that has gone, or that takes more than
+    one value now, is not among the one-value parameters, and fails the
+    census."""
+    values = {"fit(lam)": {"0.5"}, "fit(h)": {"1", "2"}}
+    findings = census.one_values(values, {"fit(lam)": 1.0, "fit(h)": 1})
+    assert findings == {"value fit(lam)": " = 0.5"}
+    key = "value fit(h)" if named else "value fit(no_such_parameter)"
+    assert census.report(findings, {(key, "value fit(lam)"): "one reason"}) == 1
+    assert capsys.readouterr().out.endswith(f"stale: {key}  (a KEPT key that is not found)\n")
+
+
 def test_census_value_of_a_default_object():
     """A parameter that every call left at its default object is one-valued
     whatever the object's type; another object of that type is no value."""
