@@ -324,7 +324,7 @@ def cmd_generalization(args, parser) -> int:
 
 
 def cmd_transfer(args, parser) -> int:
-    if args.inputs:
+    if args.inputs is not None:
         if len(args.inputs) < 2:
             parser.error("transfer needs at least two --inputs")
         named = []

@@ -221,7 +221,10 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
     """Build a GeneratorConfig from a JSON object plus keyword overrides.
 
     The file may set any subset of the config fields; unknown keys are
-    rejected.  Overrides with value None are ignored.
+    rejected.  Overrides with value None are ignored.  An error from a
+    value starts with ``path: ``, unless the overrides fail on their own
+    (over the defaults, and a valid omega_bar when they set none): then
+    theirs is raised as it is.
     """
     try:  # read whole, so a decode error's position is the file's own
         with open(path, "r", encoding="utf-8") as f:
@@ -234,9 +237,16 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
     unknown = set(doc) - fields
     if unknown:
         raise InvalidConfig(f"{path}: unknown config keys {sorted(unknown)}")
-    merged = dict(doc)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return GeneratorConfig(**merged)
+    flags = {k: v for k, v in overrides.items() if v is not None}
+    merged = {**doc, **flags}
+    if "omega_bar" not in merged:
+        raise InvalidConfig(f"{path}: config sets no omega_bar")
+    try:
+        return GeneratorConfig(**merged)
+    except ValueError as exc:
+        GeneratorConfig(**{"omega_bar": 0.25, **flags})
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def save_periodogram_csv(p: Periodogram, path: str) -> None:

@@ -148,8 +148,8 @@ def split(
 
 
 def _block_sums(
-    predict, segments, width: int, k: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
+    predict, segments, width: int, k: int = 1, mae: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Per-model, per-column squared and absolute error sums over ``segments``.
 
     ``segments`` yields (inputs, targets) pairs, one input row per target
@@ -162,11 +162,13 @@ def _block_sums(
     elements, all scored in one error buffer, so each block stays
     cache-resident and needs no fresh error array; each block's errors
     are squared-and-summed by one einsum and made absolute in place.
+    Without ``mae`` no error is made absolute or summed as such, and the
+    absolute sums come back as None.
     """
     cols = k * width
     step = max(1, _BLOCK // cols)
     buf = np.empty((0, cols))
-    sse, sae = np.zeros((k, width)), np.zeros((k, width))
+    sse, sae = np.zeros((k, width)), np.zeros((k, width)) if mae else None
     for inputs, targets in segments:
         for lo in range(0, targets.shape[0], step):
             tg = targets[lo : lo + step]
@@ -177,7 +179,8 @@ def _block_sums(
             shape = (tg.shape[0], k, width)
             np.subtract(pred.reshape(shape), tg[:, None, :], out=err.reshape(shape))
             sse += np.einsum("ij,ij->j", err, err).reshape(k, width)
-            sae += np.abs(err, out=err).sum(axis=0).reshape(k, width)
+            if mae:
+                sae += np.abs(err, out=err).sum(axis=0).reshape(k, width)
     return sse, sae
 
 
@@ -282,9 +285,11 @@ def _checked_window(
     return L, horizons
 
 
-def _zero_shot(models, test_ds: Dataset, L, horizons, seed=None) -> list[list[EvalReport]]:
-    """evaluate_zero_shot's reports for each model in turn; none for no model.
+def _scores(models, test_ds: Dataset, L, horizons, mae: bool = True) -> np.ndarray:
+    """evaluate_zero_shot's MSEs, and with ``mae`` its MAEs, of every model.
 
+    Returns a (2, models, horizons) array, MSEs then MAEs; without
+    ``mae``, (1, models, horizons) of MSEs, and no error is made absolute.
     Every model is scored over the same bands: each window is forecast
     once, at the largest requested horizon that fits it, and shorter
     horizons are read from the prefix of that forecast.  Models that are
@@ -319,7 +324,8 @@ def _zero_shot(models, test_ds: Dataset, L, horizons, seed=None) -> list[list[Ev
     groups += [[i] for i in range(len(models)) if i not in stack]
 
     windows = np.lib.stride_tricks.sliding_window_view
-    reports = [None] * len(models)
+    kinds = range(2 if mae else 1)
+    means = np.zeros((len(kinds), len(models), len(horizons)))
     for members in groups:
         k = len(members)
         sums = []
@@ -336,26 +342,35 @@ def _zero_shot(models, test_ds: Dataset, L, horizons, seed=None) -> list[list[Ev
                 (windows(row, L)[lo:hi], windows(row, hb)[L + lo : L + hi])
                 for row in test_ds.values
             ]
-            sums.append(_block_sums(_forecaster(model, k * hb), segments, hb, k))
+            sums.append(_block_sums(_forecaster(model, k * hb), segments, hb, k, mae))
         for j, i in enumerate(members):
-            model_id = getattr(models[i], "model_id", type(models[i]).__name__)
-            reports[i] = []
-            for h in horizons:
-                sse = sum(float(sums[b][0][j, :h].sum()) for b in reads[h])
-                sae = sum(float(sums[b][1][j, :h].sum()) for b in reads[h])
+            for c, h in enumerate(horizons):
                 total = count[h] * test_ds.d * h
-                reports[i].append(
-                    EvalReport(
-                        dataset=test_ds.provenance or "dataset",
-                        horizon=h,
-                        mse=sse / total,
-                        mae=sae / total,
-                        model=model_id,
-                        seed=seed,
-                        windows=count[h] * test_ds.d,
-                    )
-                )
-    return reports
+                for kind in kinds:
+                    sub = sum(float(sums[b][kind][j, :h].sum()) for b in reads[h])
+                    means[kind, i, c] = sub / total
+    return means
+
+
+def _zero_shot(models, test_ds: Dataset, L, horizons, seed=None) -> list[list[EvalReport]]:
+    """evaluate_zero_shot's reports for each model in turn; none for no model."""
+    L, horizons = _checked_window(test_ds, L, horizons)
+    mse, mae = _scores(models, test_ds, L, horizons)
+    return [
+        [
+            EvalReport(
+                dataset=test_ds.provenance or "dataset",
+                horizon=h,
+                mse=float(mse[i, c]),
+                mae=float(mae[i, c]),
+                model=getattr(m, "model_id", type(m).__name__),
+                seed=seed,
+                windows=(test_ds.n - L - h + 1) * test_ds.d,
+            )
+            for c, h in enumerate(horizons)
+        ]
+        for i, m in enumerate(models)
+    ]
 
 
 def evaluate_zero_shot(
@@ -420,7 +435,7 @@ def transfer_matrix(
 
     ``trainer`` is a callable (dataset, seed) -> model; each row gets a
     deterministic child seed.  Every row is trained first, then each
-    column is scored in one pass (see _zero_shot).  Diagonal
+    column is scored in one pass (see _scores).  Diagonal
     (in-domain) cells are reported but excluded from each column's
     min-max range.  Raises WindowTooLong naming the first dataset that
     cannot hold one window of L + H, before any training; a typed error
@@ -447,7 +462,7 @@ def transfer_matrix(
             exc.args = (f"{ds_id}: {exc}",)
             raise
     raw = np.column_stack(
-        [[r[0].mse for r in _zero_shot(models, ds, L, (H,))] for ds in datasets]
+        [_scores(models, ds, L, (H,), mae=False)[0, :, 0] for ds in datasets]
     )
     return TransferMatrix(ids=tuple(ids), raw=raw)
 
@@ -602,9 +617,12 @@ def harmonics_sweep(
             windows = _windows([(omega, h)], master, count_train, 0, L, H, n=n, d=d)[0]
             models.append(fit_ridge(windows))
     t = len(targets)
-    mses = [_zero_shot(models[b::t], ds, L, (H,)) for b, (_, ds) in enumerate(targets)]
+    mses = [
+        _scores(models[b::t], ds, L, (H,), mae=False)[0, :, 0]
+        for b, (_, ds) in enumerate(targets)
+    ]
     return [
-        (int(h), tid, float(mses[b][a][0].mse))
+        (int(h), tid, float(mses[b][a]))
         for a, h in enumerate(h_values)
         for b, (tid, _) in enumerate(targets)
     ]
@@ -655,5 +673,5 @@ def size_variates_sweep(
         for d in d_values:
             windows = _windows(laws, master, size, 0, L, H, n=n, d=d)[0]
             models.append(fit_ridge(windows))
-    mses = [r[0].mse for r in _zero_shot(models, target, L, (H,))]
-    return np.array(mses, dtype=np.float64).reshape(len(sizes), len(d_values))
+    mses = _scores(models, target, L, (H,), mae=False)[0, :, 0]
+    return mses.reshape(len(sizes), len(d_values))

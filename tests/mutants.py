@@ -246,6 +246,25 @@ MUTANTS = [
     Mutant("src/freqsynth/generator.py", "counts.any(axis=0)", "counts.any(axis=1)",
            "the drawn-member mask reduced over members: one flag per channel",
            ("test_generator.py",)),
+    # MSE-only scoring for the drivers; an empty transfer --inputs; config values
+    Mutant("src/freqsynth/evaluation.py",
+           "    mse, mae = _scores(models, test_ds, L, horizons)\n",
+           "    mse, mae = _scores(models, test_ds, L, horizons, mae=False).repeat(2, axis=0)\n",
+           "evaluate_zero_shot takes the MSE-only path and reports its MSE as the MAE",
+           ("test_evaluation.py",)),
+    Mutant("src/freqsynth/evaluation.py",
+           "[_scores(models, ds, L, (H,), mae=False)[0, :, 0] for ds in datasets]",
+           "[_scores(models, ds, L, (H,))[0, :, 0] for ds in datasets]",
+           "transfer_matrix sums absolute errors that it never reads",
+           ("test_evaluation.py",)),
+    Mutant("src/freqsynth/cli.py", "    if args.inputs is not None:\n",
+           "    if args.inputs:\n", "transfer --inputs with no paths uses the synthetic "
+           "registry", ("test_cli.py",)),
+    Mutant("src/freqsynth/dataio.py", '        exc.args = (f"{path}: {exc}",)\n',
+           "", "a bad value in a config file does not name the file", ("test_cli.py",)),
+    Mutant("src/freqsynth/dataio.py",
+           '        GeneratorConfig(**{"omega_bar": 0.25, **flags})\n', "",
+           "a bad flag over a config file blames the file", ("test_cli.py",)),
 ]
 
 

@@ -162,7 +162,23 @@ class TestGenerate:
         out = str(tmp_path / "x.csv")
         assert main(["generate", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err == f"freqsynth: error: seed must be an integer >= 0, got {seed!r}\n"
+        assert err == f"freqsynth: error: {cfg}: seed must be an integer >= 0, got {seed!r}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flag, fields", [
+        (["--h", "0"], {"omega_bar": 0.04, "n": 256, "d": 1}),
+        (["--h", "0"], {"omega_bar": 0.7, "n": 256, "d": 1}),  # the file is bad too
+        (["--omega", "0.7"], {"omega_bar": 0.04, "n": 256, "d": 1}),
+        (["--seed", "-1"], {"omega_bar": 0.04, "n": 256, "d": 1}),
+    ])
+    def test_config_flag_error_does_not_name_the_file(self, tmp_path, capsys, flag,
+                                                      fields):
+        cfg = write_config(tmp_path / "c.json", **fields)
+        out = str(tmp_path / "x.csv")
+        assert main(["generate", "--config", cfg, *flag, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("freqsynth: error: ") and err.count("\n") == 1
+        assert cfg not in err and flag[0].lstrip("-") in err
         assert not os.path.exists(out)
 
     def test_rate_token_accepted(self, tmp_path):
@@ -218,7 +234,7 @@ class TestGenerate:
         out = str(tmp_path / "x.csv")
         assert main(["generate", "--config", cfg, "--out", out]) == 2
         assert capsys.readouterr().err == (
-            "freqsynth: error: n * d = 1000000000 * 1000000 = 1000000000000000 "
+            f"freqsynth: error: {cfg}: n * d = 1000000000 * 1000000 = 1000000000000000 "
             "points exceeds the limit of 1000000000 points\n"
         )
         assert not os.path.exists(out)
@@ -479,6 +495,21 @@ class TestExperimentCommands:
         assert f"dataset {short!r} of length 150" in err
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_transfer_given_fewer_than_two_inputs_is_usage_error(
+        self, tmp_path, capsys, count
+    ):
+        # a bare --inputs names no file; it never means the synthetic registry
+        paths = [gen_csv(tmp_path, "ta", n=512, d=1)] if count else []
+        out = str(tmp_path / "t.csv")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["transfer", "--inputs", *paths, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: transfer needs at least two --inputs\n")
+        assert not os.path.exists(out)
+
     def test_sweep_harmonics_table(self, tmp_path):
         out = str(tmp_path / "h.csv")
         rc = main(
@@ -545,10 +576,18 @@ NYQUIST = b"date,a\n" + b"".join(b"%d,%d\n" % (i, (-1) ** i) for i in range(256)
 # 200 rows hold 9 windows of L + H = 192; the 256-row ok input holds 65
 NINE_WINDOWS = b"date,a\n" + b"".join(b"%d,%d\n" % (i, i % 7) for i in range(200))
 
+# a bad byte in the header, and one in a row after load_csv's first block
+HEADER_NOT_UTF8 = b"date,a\xff\n0,1\n1,2\n"
+LATE_NOT_UTF8 = (
+    b"date,a\n" + b"".join(b"%d,%d.5\n" % (i, i % 7) for i in range(6144)) + b"6144,1\xff\n"
+)
+
 # Each case: the bad file's bytes (None: no file) and the command that
 # reads or writes it.  Every error message starts with that file's path.
 FILE_ERRORS = {
     "csv not utf-8": (b"date,a\n0,1.5\n1,2\xff\n", SIMILARITY),
+    "csv header not utf-8": (HEADER_NOT_UTF8, SIMILARITY),
+    "csv not utf-8 after a block": (LATE_NOT_UTF8, SIMILARITY),
     "out in a missing directory": (None, lambda ok, bad, out: [
         "generate", "--omega", "0.1", "--out", bad]),
     "model not json": (b"{not json", lambda ok, bad, out: [
@@ -561,6 +600,15 @@ FILE_ERRORS = {
         "generate", "--config", bad, "--out", out]),
     "config not utf-8": (b'{"omega_bar": \xff}', lambda ok, bad, out: [
         "generate", "--config", bad, "--out", out]),
+    # a bad value read from the config file, or a value it lacks
+    "config h 0": (b'{"omega_bar": 0.04, "h": 0}', lambda ok, bad, out: [
+        "generate", "--config", bad, "--out", out]),
+    "config A_prime 0.001": (b'{"omega_bar": 0.04, "A_prime": 0.001}', lambda ok, bad, out: [
+        "generate", "--config", bad, "--out", out]),
+    "config omega_bar 0.7": (b'{"omega_bar": 0.7}', lambda ok, bad, out: [
+        "generate", "--config", bad, "--seed", "3", "--out", out]),
+    "config without omega_bar": (b'{"h": 2}', lambda ok, bad, out: [
+        "generate", "--config", bad, "--h", "1", "--out", out]),
     # a bad cell names its file among several inputs
     "ragged row": (b"date,a,b\n0,1,2\n1,3\n", SIMILARITY),
     "non-numeric cell": (b"date,a,b\n0,1,2\n1,x,4\n", SIMILARITY),

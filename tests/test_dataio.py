@@ -31,6 +31,7 @@ from freqsynth.errors import (
     EmptyDataset,
     FreqSynthError,
     InvalidConfig,
+    InvalidEncoding,
     MalformedRow,
     MissingHeader,
     NonNumericCell,
@@ -176,6 +177,26 @@ class TestLoadErrors:
             load_csv(path)
         assert (exc.value.row, exc.value.col) == (3, 3)
         assert str(exc.value) == f"{path}: non-finite cell at row 3, col 3"
+
+    @pytest.mark.parametrize("row, blocks", [(0, 0), (dataio._ROWS * 3 // 2, 1)])
+    def test_non_utf8_byte_is_typed_and_names_the_path(self, tmp_path, monkeypatch,
+                                                        row, blocks):
+        # a bad byte in the header, or in a row read after the first block
+        # of _ROWS rows has been parsed, so the streaming read decodes it
+        parsed = []
+        loadtxt_block = dataio._loadtxt_block
+        monkeypatch.setattr(dataio, "_loadtxt_block",
+                            lambda *a: parsed.append(1) or loadtxt_block(*a))
+        lines = [b"date,x"] + [b"%d,%d.5" % (i, i % 7) for i in range(2 * dataio._ROWS)]
+        lines[row] += b"\xff"
+        path = str(tmp_path / "bytes.csv")
+        with open(path, "wb") as f:
+            f.write(b"\n".join(lines) + b"\n")
+        with pytest.raises(InvalidEncoding) as exc:
+            load_csv(path)
+        assert isinstance(exc.value, FreqSynthError)
+        assert str(exc.value).startswith(f"{path}: not UTF-8 text (")
+        assert len(parsed) == blocks
 
     def test_save_empty_dataset(self, tmp_path):
         ds = Dataset(values=np.empty((0, 0)), channel_names=())

@@ -846,14 +846,15 @@ class TestStackedScoring:
         assert len(built) == sum(2 * -(-(hi - lo) // step[hb]) for lo, hi, hb in bands)
 
     def test_evaluate_and_every_driver_reach_one_scorer(self, monkeypatch):
+        # the drivers read MSEs only, so they take the scorer's MSE-only path
         seen = []
-        scorer = evaluation._zero_shot
+        scorer = evaluation._scores
 
-        def spy(models, *args, **kwargs):
-            seen.append(len(models))
-            return scorer(models, *args, **kwargs)
+        def spy(models, *args, mae=True, **kwargs):
+            seen.append((len(models), mae))
+            return scorer(models, *args, mae=mae, **kwargs)
 
-        monkeypatch.setattr(evaluation, "_zero_shot", spy)
+        monkeypatch.setattr(evaluation, "_scores", spy)
         target = sine_dataset(1 / 24, n=400, d=1, seed=15)
         evaluate_zero_shot(NaiveForecaster(), target, 48, (24,))
         transfer_matrix([target, target], ridge_trainer(48, 24, count=64), 48, 24,
@@ -861,7 +862,68 @@ class TestStackedScoring:
         harmonics_sweep([("t", target)], h_values=(1, 2), L=48, H=24, count_train=64,
                         n=512, d=1)
         size_variates_sweep((32, 64), (1,), target)
-        assert seen == [1, 2, 2, 2, 2]
+        assert seen == [(1, True)] + [(2, False)] * 4
+
+    def test_mse_only_scores_are_the_full_scores_mses(self, monkeypatch):
+        # without MAEs no block's absolute errors are summed, and every
+        # MSE keeps its bits: a stack, a naive model and a seasonal one
+        sums = []
+        block_sums = evaluation._block_sums
+        monkeypatch.setattr(evaluation, "_block_sums",
+                            lambda *a: sums.append(block_sums(*a)) or sums[-1])
+        ds = noisy_dataset(300, d=2)
+        models = [fit_ridge(evaluation.sample_windows([ds], 64, 0, 48, 24, s)[0])
+                  for s in (1, 2)] + [NaiveForecaster(), SeasonalNaiveForecaster(7)]
+        mse = evaluation._scores(models, ds, 48, (24, 7), mae=False)
+        assert len(sums) == 4 and all(sae is None for _, sae in sums)
+        both = evaluation._scores(models, ds, 48, (24, 7))
+        assert mse.shape == (1, 4, 2) and both.shape == (2, 4, 2)
+        assert [v.hex() for v in mse.ravel()] == [v.hex() for v in both[0].ravel()]
+        assert np.all(both[1] > 0)
+
+    def test_driver_mses_are_the_evaluation_bits(self, monkeypatch):
+        # each driver cell is hex-equal to the MSE that evaluate_zero_shot's
+        # scorer reports for the same models on the same target, and to
+        # evaluate_zero_shot's own MSE where the driver scores one model
+        fits = []
+        fit = evaluation.fit_ridge
+        monkeypatch.setattr(evaluation, "fit_ridge",
+                            lambda *a, **k: fits.append(fit(*a, **k)) or fits[-1])
+        targets = [sine_dataset(1 / 24, n=400, d=2, seed=15), noisy_dataset(400, d=2)]
+
+        def hexes(values):
+            return [float(v).hex() for v in values]
+
+        def reported(models, ds, L, H):
+            return hexes(r[0].mse for r in evaluation._zero_shot(models, ds, L, (H,)))
+
+        models = []
+        trainer = ridge_trainer(48, 24, count=64)
+        tm = transfer_matrix(targets, lambda ds, seed: models.append(trainer(ds, seed))
+                             or models[-1], 48, 24, ids=["a", "b"], seed=3)
+        for j, ds in enumerate(targets):
+            assert hexes(tm.raw[:, j]) == reported(models, ds, 48, 24)
+
+        fits.clear()
+        named = [("a", targets[0]), ("b", targets[1])]
+        rows = harmonics_sweep(named, h_values=(1, 2), L=48, H=24, count_train=64,
+                               n=512, d=1)
+        for b, (_, ds) in enumerate(named):
+            assert hexes(m for _, _, m in rows[b::2]) == reported(fits[b::2], ds, 48, 24)
+
+        fits.clear()
+        grid = size_variates_sweep((32, 64), (1, 2), targets[0])
+        assert hexes(grid.ravel()) == reported(fits, targets[0], 96, 96)
+
+        # one model: the driver's bits are evaluate_zero_shot's
+        fits.clear()
+        (_, _, mse), = harmonics_sweep(named[:1], h_values=(2,), L=48, H=24,
+                                       count_train=64, n=512, d=1)
+        assert mse.hex() == evaluate_zero_shot(fits[0], targets[0], 48, (24,))[0].mse.hex()
+        fits.clear()
+        grid = size_variates_sweep((32,), (1,), targets[0])
+        want = evaluate_zero_shot(fits[0], targets[0], 96, (96,))[0].mse
+        assert grid[0, 0].hex() == want.hex()
 
     def test_harmonics_sweep_matches_per_model_loop_with_repeated_h(self):
         targets = [
