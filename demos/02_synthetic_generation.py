@@ -37,13 +37,12 @@ print(f"harmonic_set(1/7, h=5) stops below 0.5: {harmonic_set(1 / 7, 5)}")
 #
 # Amplitudes follow 0.01 + Exp(A' - 0.01) so the mean is exactly A'
 # and no sine is silent.  Frequencies are uniform over the harmonic
-# set and phases uniform on [0, 2pi).
+# set and phases uniform on [0, 2pi).  build_pool returns the three
+# arrays, one entry per sine.
 # ---------------------------------------------------------------------
 cfg = GeneratorConfig(omega_bar=omega_bar, h=3, m=200, l=10, n=2400, d=6, seed=7)
-pool = build_pool(cfg)
-amps = np.array([s.amplitude for s in pool])
-freqs = np.array([s.frequency for s in pool])
-print(f"\npool of {len(pool)} sines")
+amps, freqs, _ = build_pool(cfg)
+print(f"\npool of {amps.size} sines")
 print(f"  amplitude mean {amps.mean():.3f} (target A' = {cfg.A_prime})")
 print(f"  amplitude min  {amps.min():.4f} (floor is 0.01)")
 print(f"  distinct frequencies: {sorted({round(float(f), 6) for f in freqs})}")

@@ -55,7 +55,6 @@ from .generator import (
     MIX_FREQ_RANGE,
     NATURAL_FREQUENCIES,
     GeneratorConfig,
-    SineSpec,
     build_datasets,
     build_pool,
     freq_synth,

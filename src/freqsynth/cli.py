@@ -40,6 +40,7 @@ from .errors import (
     InvalidPeriod,
     NoDominantFrequency,
     SplitTooSmall,
+    WindowTooLong,
 )
 from .evaluation import (
     DEFAULT_HORIZONS,
@@ -190,7 +191,8 @@ def cmd_periodogram(args, parser) -> int:
     with _naming(args.input):
         ds = dataio.load_csv(args.input)
         window = args.window if args.window is not None else default_window_len(ds.n)
-    p = aggregate_periodogram(ds, window)
+    with _naming(args.input, WindowTooLong):  # not the flag's InvalidWindow
+        p = aggregate_periodogram(ds, window)
     dataio.save_periodogram_csv(p, args.out)
     if args.plot:
         _svg_line_plot(

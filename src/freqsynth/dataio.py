@@ -229,7 +229,7 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
     try:  # read whole, so a decode error's position is the file's own
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise InvalidConfig(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidConfig(f"{path}: config must be a JSON object")

@@ -285,7 +285,7 @@ def _checked_window(
     return L, horizons
 
 
-def _scores(models, test_ds: Dataset, L, horizons, mae: bool = True) -> np.ndarray:
+def _scores(models, test_ds: Dataset, L: int, horizons, mae: bool = True) -> np.ndarray:
     """evaluate_zero_shot's MSEs, and with ``mae`` its MAEs, of every model.
 
     Returns a (2, models, horizons) array, MSEs then MAEs; without
@@ -302,9 +302,8 @@ def _scores(models, test_ds: Dataset, L, horizons, mae: bool = True) -> np.ndarr
     scored by _lag_sums, with no forecast call; its sums differ from the
     block kernel's in summation order only.  Every other model, naive
     included, is scored alone.  A seasonal period longer than L raises
-    PeriodTooLong before any model is scored.
+    PeriodTooLong before any scoring; L and horizons are _checked_window's.
     """
-    L, horizons = _checked_window(test_ds, L, horizons)
     count = {h: test_ds.n - L - h + 1 for h in horizons}
 
     # A band (lo, hi, hb) forecasts windows [lo, hi) at horizon hb;
@@ -352,27 +351,6 @@ def _scores(models, test_ds: Dataset, L, horizons, mae: bool = True) -> np.ndarr
     return means
 
 
-def _zero_shot(models, test_ds: Dataset, L, horizons, seed=None) -> list[list[EvalReport]]:
-    """evaluate_zero_shot's reports for each model in turn; none for no model."""
-    L, horizons = _checked_window(test_ds, L, horizons)
-    mse, mae = _scores(models, test_ds, L, horizons)
-    return [
-        [
-            EvalReport(
-                dataset=test_ds.provenance or "dataset",
-                horizon=h,
-                mse=float(mse[i, c]),
-                mae=float(mae[i, c]),
-                model=getattr(m, "model_id", type(m).__name__),
-                seed=seed,
-                windows=(test_ds.n - L - h + 1) * test_ds.d,
-            )
-            for c, h in enumerate(horizons)
-        ]
-        for i, m in enumerate(models)
-    ]
-
-
 def evaluate_zero_shot(
     model,
     test_ds: Dataset,
@@ -389,7 +367,14 @@ def evaluate_zero_shot(
     rounding.  Each window is forecast once, at the largest requested
     horizon that fits it, and shorter horizons are scored from the prefix.
     """
-    return _zero_shot([model], test_ds, L, horizons, seed)[0]
+    L, horizons = _checked_window(test_ds, L, horizons)
+    mse, mae = _scores([model], test_ds, L, horizons)
+    return [
+        EvalReport(dataset=test_ds.provenance or "dataset", horizon=h, mse=float(mse[0, c]),
+                   mae=float(mae[0, c]), model=getattr(model, "model_id", type(model).__name__),
+                   seed=seed, windows=(test_ds.n - L - h + 1) * test_ds.d)
+        for c, h in enumerate(horizons)
+    ]
 
 
 def minmax_scale_columns(raw: np.ndarray) -> np.ndarray:
@@ -608,7 +593,7 @@ def harmonics_sweep(
     one window of L + H raises SplitTooSmall before anything is fit.
     """
     for _, ds in targets:
-        _checked_window(ds, L, (H,))
+        L, (H,) = _checked_window(ds, L, (H,))
     master = np.random.default_rng(seed)
     est = [estimate_fundamental(ds).omega_bar for _, ds in targets]
     models = []  # h-major: models[a * len(targets) + b] is (h_values[a], target b)

@@ -306,8 +306,11 @@ def _is_number(value) -> bool:
 
 
 def model_from_json(text: str) -> LinearForecaster:
-    """Inverse of model_to_json; InvalidModel names a missing or bad field."""
-    doc = json.loads(text)
+    """Inverse of model_to_json; InvalidModel names a missing or bad field, or deep nesting."""
+    try:
+        doc = json.loads(text)
+    except RecursionError as exc:
+        raise InvalidModel(str(exc)) from None
     if not isinstance(doc, dict):
         raise InvalidModel("model must be a JSON object")
     for name in ("L", "H", "lambda", "weights"):

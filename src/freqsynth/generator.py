@@ -39,11 +39,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet, _frequency, _whole_number
+from .dataset import Dataset, WindowSet, _freeze, _frequency, _whole_number
 from .errors import (
     DegenerateChannel,
     InsufficientData,
     InvalidAmplitudeScale,
+    InvalidSeries,
     TooManyPoints,
     WindowTooLong,
 )
@@ -67,22 +68,6 @@ STANDARDIZED_ATOL = 1e-6
 # whose std is at most this multiple of |mean| (about 9e-10) may not meet
 # STANDARDIZED_ATOL, so standardization treats it as constant.
 DEGENERATE_RTOL = 4 * np.finfo(np.float64).eps / STANDARDIZED_ATOL
-
-
-@dataclass(frozen=True)
-class SineSpec:
-    """One sinusoid: s(t) = amplitude * sin(2*pi*t*frequency + phase)."""
-
-    amplitude: float
-    frequency: float
-    phase: float
-
-    def __post_init__(self):
-        if not self.amplitude > 0.0:
-            raise ValueError(f"amplitude must be > 0, got {self.amplitude}")
-        _frequency("frequency", self.frequency)
-        if not 0.0 <= self.phase < 2.0 * np.pi:
-            raise ValueError(f"phase must be in [0, 2*pi), got {self.phase}")
 
 
 # Smallest accepted value of each integer size of a synthesized dataset.
@@ -146,9 +131,9 @@ class GeneratorConfig:
             except OverflowError:
                 raise ValueError(f"{name} is out of range, got {value!r}") from None
         _frequency("omega_bar", self.omega_bar)
-        if not self.A_prime > 0.01:
+        if not 0.01 < self.A_prime < np.inf:
             raise InvalidAmplitudeScale(
-                f"A_prime must exceed 0.01, got {self.A_prime}"
+                f"A_prime must be finite and exceed 0.01, got {self.A_prime}"
             )
         for name, lo in (*_SIZE_MINIMUM.items(), ("seed", 0)):
             value = _whole_number(name, getattr(self, name), lo, ValueError)
@@ -198,14 +183,25 @@ def _draw_pool(law, m: int, A_prime: float, rng: np.random.Generator):
     return amps, freqs, phases
 
 
-def build_pool(cfg: GeneratorConfig) -> list[SineSpec]:
-    """Draw the pool of m sinusoids deterministically from cfg.seed."""
-    rng = np.random.default_rng(cfg.seed)
-    amps, freqs, phases = _draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng)
-    return [
-        SineSpec(amplitude=float(a), frequency=float(f), phase=float(p))
-        for a, f, p in zip(amps, freqs, phases)
-    ]
+def build_pool(cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (amplitudes, frequencies, phases) of synthesize(cfg)'s pool, m each."""
+    return _draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, np.random.default_rng(cfg.seed))
+
+
+def _checked_pool(pool) -> list[np.ndarray]:
+    """An explicit pool's arrays, frozen; InvalidSeries names the first that is not
+    1-d and finite, empty or not as long as the amplitudes, or out of its range."""
+    names = ("amplitudes", "frequencies", "phases")
+    if len(pool) != 3:
+        raise InvalidSeries(f"a pool is the 3 arrays {names}, got {len(pool)} arrays")
+    amps, freqs, phases = arrays = [_freeze(a, k, 1) for a, k in zip(pool, names)]
+    in_range = (amps > 0, (freqs > 0) & (freqs < 0.5), (phases >= 0) & (phases < 2 * np.pi))
+    for name, a, ok, rule in zip(names, arrays, in_range, ("> 0", "in (0, 0.5)", "in [0, 2*pi)")):
+        if not 0 < a.size == amps.size:
+            raise InvalidSeries(f"{name} has {a.size} values; the pool needs {amps.size or 'some'}")
+        if not ok.all():
+            raise InvalidSeries(f"{name} must be {rule}, got {a[~ok][0]}")
+    return arrays
 
 
 def _render_channels(
@@ -259,21 +255,16 @@ def _named(values: np.ndarray, provenance: str) -> Dataset:
     return Dataset(values=values, channel_names=names, provenance=provenance)
 
 
-def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Dataset:
+def synthesize(cfg: GeneratorConfig, pool=None) -> Dataset:
     """Build a (d, n) dataset from a harmonic pool.
 
-    When ``pool`` is given it is used as-is (its length replaces cfg.m)
-    and cfg.seed only drives the channel draws; otherwise the pool is
-    drawn first from the same seeded stream.
+    An explicit ``pool``, three arrays as build_pool returns, is used as-is
+    (its length replaces cfg.m) and cfg.seed only drives the channel
+    draws; otherwise the pool is drawn first from the same seeded stream.
     """
     rng = np.random.default_rng(cfg.seed)
-    if pool is None:
-        arrays = _draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng)
-    else:
-        if not pool:
-            raise ValueError("explicit pool must be non-empty")
-        arrays = [np.array([getattr(s, k) for s in pool])
-                  for k in ("amplitude", "frequency", "phase")]
+    arrays = (_draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng) if pool is None
+              else _checked_pool(pool))
     values = _render_channels(*arrays, cfg.n, cfg.d, cfg.l, rng)
     return _named(values, f"freq-synth:{cfg.digest()}")
 

@@ -87,9 +87,15 @@ SRC = os.path.join(ROOT, "src", "freqsynth")
 # keys them (a value without its " = <value>"), and its reason explains all.
 KEPT = {
     ("value synthesize(pool)",
-     "statement generator.py: if not pool:",
-     "statement generator.py: arrays = [np.array([getattr(s, k) for s in pool]) "
-     "for k in (\"amplitude\", \"frequency\", \"phase\")]"): (
+     "statement generator.py: names = (\"amplitudes\", \"frequencies\", \"phases\")",
+     "statement generator.py: if len(pool) != 3:",
+     "statement generator.py: amps, freqs, phases = arrays = [_freeze(a, k, 1) "
+     "for a, k in zip(pool, names)]",
+     "statement generator.py: in_range = (amps > 0, (freqs > 0) & (freqs < 0.5), "
+     "(phases >= 0) & (phases < 2 * np.pi))",
+     "statement generator.py: for name, a, ok, rule in zip(names, arrays, in_range, "
+     "(\"> 0\", \"in (0, 0.5)\", \"in [0, 2*pi)\")):",
+     "statement generator.py: return arrays"): (
         "synthesize's explicit pool, None in every call and so never checked "
         "or turned into arrays: perfbench/tracing.py's _synthesize counter "
         "binds the argument 'pool', so the traced benchmark runs need the "

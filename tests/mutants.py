@@ -200,7 +200,7 @@ MUTANTS = [
            "_TARGET_ERRORS = FreqSynthError", "the sweeps' flag errors name the input",
            ("test_cli.py",)),
     Mutant("src/freqsynth/evaluation.py",
-           "    for _, ds in targets:\n        _checked_window(ds, L, (H,))\n", "",
+           "    for _, ds in targets:\n        L, (H,) = _checked_window(ds, L, (H,))\n", "",
            "harmonics_sweep checks its targets' length only after its fits",
            ("test_cli.py",)),
     Mutant("src/freqsynth/evaluation.py", "    _checked_window(target, L, (H,))\n", "",
@@ -248,8 +248,8 @@ MUTANTS = [
            ("test_generator.py",)),
     # MSE-only scoring for the drivers; an empty transfer --inputs; config values
     Mutant("src/freqsynth/evaluation.py",
-           "    mse, mae = _scores(models, test_ds, L, horizons)\n",
-           "    mse, mae = _scores(models, test_ds, L, horizons, mae=False).repeat(2, axis=0)\n",
+           "    mse, mae = _scores([model], test_ds, L, horizons)\n",
+           "    mse, mae = _scores([model], test_ds, L, horizons, mae=False).repeat(2, axis=0)\n",
            "evaluate_zero_shot takes the MSE-only path and reports its MSE as the MAE",
            ("test_evaluation.py",)),
     Mutant("src/freqsynth/evaluation.py",
@@ -265,6 +265,46 @@ MUTANTS = [
     Mutant("src/freqsynth/dataio.py",
            '        GeneratorConfig(**{"omega_bar": 0.25, **flags})\n', "",
            "a bad flag over a config file blames the file", ("test_cli.py",)),
+    # an explicit pool is three checked arrays; one window check per call
+    Mutant("src/freqsynth/generator.py", "    in_range = (amps > 0, ",
+           "    in_range = (amps == amps, ", "an explicit pool accepts amplitudes <= 0",
+           ("test_generator.py",)),
+    Mutant("src/freqsynth/generator.py", "(freqs > 0) & (freqs < 0.5)", "freqs == freqs",
+           "an explicit pool accepts frequencies outside (0, 0.5)", ("test_generator.py",)),
+    Mutant("src/freqsynth/generator.py", "(phases >= 0) & (phases < 2 * np.pi)",
+           "phases == phases", "an explicit pool accepts phases outside [0, 2*pi)",
+           ("test_generator.py",)),
+    Mutant("src/freqsynth/generator.py", "    if len(pool) != 3:\n", "    if False:\n",
+           "an explicit pool of 4 arrays drops the 4th", ("test_generator.py",)),
+    Mutant("src/freqsynth/generator.py", "        if not 0 < a.size == amps.size:",
+           "        if not a.size == amps.size:", "an explicit pool may be empty",
+           ("test_generator.py",)),
+    Mutant("src/freqsynth/generator.py", "        if not 0 < a.size == amps.size:",
+           "        if not 0 < a.size:", "an explicit pool's arrays may differ in length",
+           ("test_generator.py",)),
+    Mutant("src/freqsynth/generator.py", "[_freeze(a, k, 1) for a, k in",
+           "[np.array(a, dtype=np.float64) for a, k in",
+           "an explicit pool is neither frozen nor checked finite", ("test_generator.py",)),
+    Mutant("src/freqsynth/evaluation.py", "        L, (H,) = _checked_window(ds, L, (H,))\n",
+           "        _checked_window(ds, L, (H,))\n",
+           "harmonics_sweep scores with the L and H it was given, not the checked ints",
+           ("test_whole_numbers.py",)),
+    # deep JSON nesting, an infinite amplitude scale and a too-short periodogram input
+    Mutant("src/freqsynth/generator.py", "        if not 0.01 < self.A_prime < np.inf:",
+           "        if not 0.01 < self.A_prime:", "GeneratorConfig accepts an infinite A_prime",
+           ("test_generator.py",)),
+    Mutant("src/freqsynth/dataio.py", "    except (ValueError, RecursionError) as exc:",
+           "    except ValueError as exc:", "a deeply nested config file is not caught",
+           ("test_dataio.py", "test_cli.py")),
+    Mutant("src/freqsynth/forecast.py", "    except RecursionError as exc:",
+           "    except ZeroDivisionError as exc:", "a deeply nested model is not caught",
+           ("test_forecast.py", "test_cli.py")),
+    Mutant("src/freqsynth/cli.py", "    with _naming(args.input, WindowTooLong):",
+           "    if True:", "periodogram does not name an input shorter than its window",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/cli.py", "_naming(args.input, WindowTooLong)",
+           "_naming(args.input)", "periodogram names the input for a bad --window flag",
+           ("test_cli.py",)),
 ]
 
 

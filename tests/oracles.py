@@ -45,7 +45,6 @@ from freqsynth.generator import (
     MIX_FREQ_RANGE,
     NATURAL_FREQUENCIES,
     GeneratorConfig,
-    SineSpec,
     _render_channels,
     build_datasets,
     harmonic_set,
@@ -65,14 +64,14 @@ ETT_SPLIT = SplitSpec(0.6, 0.2, 0.2)
 STANDARD_SPLIT = SplitSpec(0.7, 0.2, 0.1)
 
 
-def render_spec(spec: SineSpec, n: int) -> np.ndarray:
-    """spec's sinusoid at t = 0 .. n-1.
+def render_sine(amplitude: float, frequency: float, phase: float, n: int) -> np.ndarray:
+    """amplitude * sin(2*pi*t*frequency + phase) at t = 0 .. n-1.
 
     The association mirrors the per-member render in _render_channels,
-    so a one-sine channel is bitwise equal to the rendered spec.
+    so a one-sine channel is bitwise equal to the rendered sine.
     """
     t = np.arange(n, dtype=np.float64)
-    return spec.amplitude * np.sin(2.0 * np.pi * spec.frequency * t + spec.phase)
+    return amplitude * np.sin(2.0 * np.pi * frequency * t + phase)
 
 
 def dft_naive(x) -> np.ndarray:
@@ -228,38 +227,33 @@ def _draw_pool_arrays(cfg: GeneratorConfig, rng: np.random.Generator):
     return amps, freqs, phases
 
 
-def build_mix_pool(
-    m: int, A_prime: float, rng: np.random.Generator
-) -> list[SineSpec]:
-    """Pool with frequencies uniform over MIX_FREQ_RANGE; no harmonics."""
+def build_mix_pool(m: int, A_prime: float, rng: np.random.Generator):
+    """Amplitude/frequency/phase vectors of a pool with frequencies uniform
+    over MIX_FREQ_RANGE; no harmonics."""
     if not A_prime > 0.01:
         raise InvalidAmplitudeScale(f"A_prime must exceed 0.01, got {A_prime}")
     lo, hi = MIX_FREQ_RANGE
     amps = rng.exponential(scale=A_prime - 0.01, size=m) + 0.01
     freqs = np.maximum(rng.uniform(lo, hi, size=m), np.nextafter(lo, hi))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
-    return [
-        SineSpec(amplitude=float(a), frequency=float(f), phase=float(p))
-        for a, f, p in zip(amps, freqs, phases)
-    ]
+    return amps, freqs, phases
 
 
-def synthesize(cfg: GeneratorConfig, pool: list[SineSpec] | None = None) -> Dataset:
+def synthesize(cfg: GeneratorConfig, pool=None) -> Dataset:
     """Build a (d, n) dataset from a harmonic pool.
 
-    When ``pool`` is given it is used as-is (its length replaces cfg.m)
-    and cfg.seed only drives the channel draws; otherwise the pool is
-    drawn first from the same seeded stream.
+    When ``pool``, an (amplitudes, frequencies, phases) triple, is given
+    it is used as-is (its length replaces cfg.m) and cfg.seed only drives
+    the channel draws; otherwise the pool is drawn first from the same
+    seeded stream.
     """
     rng = np.random.default_rng(cfg.seed)
     if pool is None:
         amps, freqs, phases = _draw_pool_arrays(cfg, rng)
     else:
-        if not pool:
+        amps, freqs, phases = (np.array(a, dtype=np.float64) for a in pool)
+        if not amps.size:
             raise ValueError("explicit pool must be non-empty")
-        amps = np.array([s.amplitude for s in pool])
-        freqs = np.array([s.frequency for s in pool])
-        phases = np.array([s.phase for s in pool])
     values = _render_channels(amps, freqs, phases, cfg.n, cfg.d, cfg.l, rng)
     names = tuple(f"ch{i + 1}" for i in range(cfg.d))
     return Dataset(
@@ -450,10 +444,7 @@ def build_mix_datasets(
     out = []
     for i in range(copies):
         rng = np.random.default_rng(_child_seed(master))
-        pool = build_mix_pool(m, A_prime, rng)
-        amps = np.array([s.amplitude for s in pool])
-        freqs = np.array([s.frequency for s in pool])
-        phases = np.array([s.phase for s in pool])
+        amps, freqs, phases = build_mix_pool(m, A_prime, rng)
         values = _render_channels(amps, freqs, phases, n, d, l, rng)
         names = tuple(f"ch{j + 1}" for j in range(d))
         ds = Dataset(

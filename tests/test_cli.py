@@ -1,11 +1,15 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import contextlib
+import io
 import json
 import os
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqsynth import cli, evaluation, load_csv, model_from_json
 from freqsynth.cli import build_parser, main
@@ -582,6 +586,11 @@ LATE_NOT_UTF8 = (
     b"date,a\n" + b"".join(b"%d,%d.5\n" % (i, i % 7) for i in range(6144)) + b"6144,1\xff\n"
 )
 
+# 2 KB of JSON nested past the interpreter's recursion limit
+DEEP = b"[" * 1000 + b"]" * 1000
+# 600 rows, too few for a 2048-step periodogram window
+ROWS_600 = b"date,a\n" + b"".join(b"%d,%d\n" % (i, i % 5) for i in range(600))
+
 # Each case: the bad file's bytes (None: no file) and the command that
 # reads or writes it.  Every error message starts with that file's path.
 FILE_ERRORS = {
@@ -600,6 +609,10 @@ FILE_ERRORS = {
         "generate", "--config", bad, "--out", out]),
     "config not utf-8": (b'{"omega_bar": \xff}', lambda ok, bad, out: [
         "generate", "--config", bad, "--out", out]),
+    "config nested 1000 deep": (DEEP, lambda ok, bad, out: [
+        "generate", "--config", bad, "--out", out]),
+    "model nested 1000 deep": (DEEP, lambda ok, bad, out: [
+        "evaluate", "--model", bad, "--input", ok, "--lookback", "4", "--out", out]),
     # a bad value read from the config file, or a value it lacks
     "config h 0": (b'{"omega_bar": 0.04, "h": 0}', lambda ok, bad, out: [
         "generate", "--config", bad, "--out", out]),
@@ -618,6 +631,8 @@ FILE_ERRORS = {
         "estimate", "--input", bad, "--out", out]),
     "short csv to periodogram": (SHORT, lambda ok, bad, out: [
         "periodogram", "--input", bad, "--out", out]),
+    "csv shorter than the periodogram window": (ROWS_600, lambda ok, bad, out: [
+        "periodogram", "--input", bad, "--window", "2048", "--out", out]),
     "short csv to similarity": (SHORT, SIMILARITY),
     "short csv to split": (SHORT, lambda ok, bad, out: [
         "evaluate", "--model", "naive", "--input", bad, "--split", "0.6,0.2,0.2",
@@ -668,6 +683,8 @@ FLAG_ERRORS = {
                                     "distinct (dataset, channel, start) triples exist"),
     "sweep-size --d-values 0": (None, ["sweep-size", "--d-values", "0"],
                                 "d must be an integer >= 1, got 0"),
+    "periodogram --window 8": (ROWS_600, ["periodogram", "--window", "8"],
+                               "window_len must be an integer >= 16, got 8"),
 }
 
 
@@ -702,3 +719,132 @@ def test_sweeps_check_their_target_before_any_fit(tmp_path, capsys, monkeypatch,
         "one window of L + H = 192\n"
     )
     assert not out.exists()
+
+
+# -- fuzzing the --config and --model files ----------------------------------
+#
+# Only contents the loaders must reject are generated, so nothing is ever
+# synthesized or scored: random bytes, JSON nested up to 2,000 deep, and a
+# valid document with one field set to a bad value or removed.
+
+VALID_CONFIG = {"omega_bar": 0.1, "h": 2, "m": 8, "A_prime": 2.0, "l": 3, "n": 64, "d": 2,
+                "seed": 1}
+VALID_MODEL = {"L": 2, "H": 1, "lambda": 0.5, "weights": [0.1, 0.2, 0.3]}
+COUNT = [0, -1, 2.5, "3", True, None, [], {}]
+BAD_VALUES = {
+    "config": {
+        "omega_bar": [0, 0.5, -0.1, float("inf"), float("nan"), "0.1", True, None, [0.1]],
+        "h": COUNT, "m": [*COUNT, 10**10], "l": COUNT, "d": COUNT, "n": [*COUNT, 1, 10**12],
+        "A_prime": [0.01, 0, -1.0, float("inf"), "5", True, None],
+        "seed": [-1, 1.5, "1", True, None, [1]],
+    },
+    "model": {
+        "L": [*COUNT, 3, 10**6], "H": [*COUNT, 2],
+        "lambda": [-1.0, float("inf"), float("nan"), "0.5", True, None, []],
+        "weights": [[], [0.1, 0.2], [0.1, "x", 0.3], [0.1, None, 0.3], [0.1, True, 0.3],
+                    [0.1, float("inf"), 0.3], [0.1, float("nan"), 0.3], "w", {}, 0.5],
+    },
+}
+DEEP_MARK = "\x00deep"
+
+
+def _nested(depth: int, leaf: str, keys) -> str:
+    """JSON text of ``leaf`` inside ``depth`` lists and single-key objects."""
+    text = leaf
+    for key in [None] * (depth - len(keys)) + keys[:depth]:  # keys are the outer layers
+        text = f"[{text}]" if key is None else f"{{{json.dumps(key)}: {text}}}"
+    return text
+
+
+def _mutation(kind):
+    """A valid document of ``kind`` with one field bad: a value from
+    BAD_VALUES, a list nested up to 2,000 deep, or the field removed."""
+    valid = VALID_CONFIG if kind == "config" else VALID_MODEL
+    # a config without an optional field is still valid, so only omega_bar goes
+    removable = ["omega_bar"] if kind == "config" else list(valid)
+    fields = st.sampled_from(sorted(BAD_VALUES[kind]))
+    return st.one_of(
+        fields.flatmap(lambda f: st.sampled_from(BAD_VALUES[kind][f]).map(
+            lambda v: json.dumps({**valid, f: v}))),
+        st.tuples(fields, st.integers(1, 2000)).map(
+            lambda fd: json.dumps({**valid, fd[0]: DEEP_MARK}).replace(
+                json.dumps(DEEP_MARK), "[" * fd[1] + "]" * fd[1])),
+        st.sampled_from(removable).map(
+            lambda f: json.dumps({k: v for k, v in valid.items() if k != f})),
+    ).map(str.encode)
+
+
+LEAVES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+).map(json.dumps)
+# Object keys that are no field of either document, so no object is valid.
+NESTED = st.builds(
+    _nested, st.integers(0, 2000), LEAVES,
+    st.lists(st.sampled_from(["", "x", "omega", "w", "\n", "\u2028"]) | st.none(),
+             max_size=8),
+).map(str.encode)
+
+
+def _is_valid_shape(kind, data: bytes) -> bool:
+    """Whether ``data`` parses to an object holding every field the loader
+    requires, so the fuzz cannot tell that it must be rejected."""
+    try:
+        doc = json.loads(data)
+    except (ValueError, RecursionError):
+        return False
+    need = {"omega_bar"} if kind == "config" else set(VALID_MODEL)
+    return isinstance(doc, dict) and need <= set(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "ok.csv").write_bytes(b"date,a\n" + b"".join(b"%d,%d\n" % (i, i % 3)
+                                                        for i in range(16)))
+    return root
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _argv(kind, path, root):
+    out = str(root / "out.csv")
+    if kind == "config":
+        return ["generate", "--config", path, "--out", out]
+    return ["evaluate", "--model", path, "--input", str(root / "ok.csv"), "--lookback", "2",
+            "--horizons", "1", "--out", out]
+
+
+@pytest.mark.parametrize("kind", ["config", "model"])
+def test_fuzz_base_documents_are_valid(fuzz_dir, kind):
+    path = fuzz_dir / f"valid.{kind}.json"
+    path.write_text(json.dumps(VALID_CONFIG if kind == "config" else VALID_MODEL))
+    assert _run(_argv(kind, str(path), fuzz_dir)) == (0, "")
+    os.remove(fuzz_dir / "out.csv")
+
+
+@pytest.mark.parametrize("kind", ["config", "model"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzz_bad_file_is_one_named_line(fuzz_dir, kind, data):
+    content = data.draw(st.one_of(
+        st.binary(max_size=64).filter(lambda b: not _is_valid_shape(kind, b)),
+        NESTED.filter(lambda b: not _is_valid_shape(kind, b)),
+        _mutation(kind),
+    ), label="content")
+    path = str(fuzz_dir / f"bad.{kind}.json")
+    with open(path, "wb") as f:
+        f.write(content)
+    code, err = _run(_argv(kind, path, fuzz_dir))
+    assert code == 2
+    assert err.startswith(f"freqsynth: error: {path}: "), err[:300]
+    assert err.count("\n") == 1 and err.endswith("\n"), err[:300]
+    assert "Traceback" not in err
+    assert not os.path.exists(fuzz_dir / "out.csv")

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -603,6 +604,18 @@ class TestGeneratorConfigFile:
         assert isinstance(exc.value, FreqSynthError)
         assert isinstance(exc.value, ValueError)
         assert str(exc.value).startswith(f"{path}: ") and words in str(exc.value)
+
+    @pytest.mark.parametrize("depth, words", [
+        (500, "config must be a JSON object"),
+        (1000, "maximum recursion depth exceeded"),
+        (5000, "maximum recursion depth exceeded"),
+    ])
+    def test_deep_nesting_is_typed_and_names_the_path(self, tmp_path, depth, words):
+        # nesting past the interpreter's recursion limit is a bad file, not a crash
+        path = str(tmp_path / "deep.json")
+        write(path, "[" * depth + "]" * depth)
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(path)}: {words}"):
+            load_generator_config(path)
 
 
 class TestReportAndTableWriters:

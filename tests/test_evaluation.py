@@ -823,23 +823,21 @@ class TestStackedScoring:
         models = [ridge_model, NaiveForecaster(), extra, ridge(80, 12), offset]
         horizons = (16, 7, 64, 16)
         ds = replace(ds, provenance="t")
-        got = evaluation._zero_shot(models, ds, 48, horizons, seed=1)
-        assert len(got) == len(models)
-        for model, reports in zip(models, got):
+        got = evaluation._scores(models, ds, 48, horizons)
+        assert got.shape == (2, len(models), len(horizons))
+        for i, model in enumerate(models):
             want = oracles.evaluate_zero_shot_unstacked(
                 model, ds, 48, horizons, dataset_id="t", seed=1
             )
-            assert [(r.dataset, r.horizon, r.model, r.seed, r.windows) for r in reports] == [
-                (r.dataset, r.horizon, r.model, r.seed, r.windows) for r in want
-            ]
-            assert_close([(r.mse, r.mae) for r in reports], [(r.mse, r.mae) for r in want])
+            assert_close(got[:, i].T, [(r.mse, r.mae) for r in want])
+            assert_reports_close(evaluate_zero_shot(model, ds, 48, horizons, seed=1), want)
         # the offset subclass is scored alone, not from its weights
-        assert got[4][0].mse != got[2][0].mse
+        assert got[0, 4, 0] != got[0, 2, 0]
 
         built = []
         design = forecast._design
         monkeypatch.setattr(forecast, "_design", lambda X: built.append(len(X)) or design(X))
-        evaluation._zero_shot([ridge_model, extra, models[3]], ds, 48, horizons)
+        evaluation._scores([ridge_model, extra, models[3]], ds, 48, horizons)
         count = {h: 503 - 48 - h + 1 for h in (64, 16, 7)}
         bands = [(0, count[64], 64), (count[64], count[16], 16), (count[16], count[7], 7)]
         step = {hb: 1000 // (3 * hb) for _, _, hb in bands}
@@ -895,7 +893,7 @@ class TestStackedScoring:
             return [float(v).hex() for v in values]
 
         def reported(models, ds, L, H):
-            return hexes(r[0].mse for r in evaluation._zero_shot(models, ds, L, (H,)))
+            return hexes(evaluation._scores(models, ds, L, (H,))[0, :, 0])
 
         models = []
         trainer = ridge_trainer(48, 24, count=64)
@@ -1046,7 +1044,7 @@ class TestLagScoring:
         ds = noisy_dataset(300)
         first = CountingNaive()
         with pytest.raises(PeriodTooLong, match="period 49 exceeds lookback length 48"):
-            evaluation._zero_shot([first, SeasonalNaiveForecaster(49)], ds, 48, (8,))
+            evaluation._scores([first, SeasonalNaiveForecaster(49)], ds, 48, (8,))
         assert first.rows == 0
         with pytest.raises(PeriodTooLong, match="period 49"):
             evaluate_zero_shot(SeasonalNaiveForecaster(49), ds, 48, (8,))
@@ -1074,7 +1072,7 @@ class TestLagScoring:
         ds = noisy_dataset(400, d=2)
         evaluate_zero_shot(SeasonalNaiveForecaster(24), ds, 48, (16, 7, 64))
         models = [ridge_model, SeasonalNaiveForecaster(7), NaiveForecaster()]
-        evaluation._zero_shot(models, ds, 48, (24,))
+        evaluation._scores(models, ds, 48, (24,))
         assert calls == []
         # windowset_metrics still forecasts, so the spy is live
         win = np.lib.stride_tricks.sliding_window_view(ds.values[0], 48 + 16)

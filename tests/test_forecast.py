@@ -384,6 +384,15 @@ class TestSerialization:
         with pytest.raises(InvalidModel, match=field):
             model_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("depth, words", [
+        (500, "model must be a JSON object"),
+        (1000, "maximum recursion depth exceeded"),
+        (5000, "maximum recursion depth exceeded"),
+    ])
+    def test_deep_nesting_is_typed(self, depth, words):
+        with pytest.raises(InvalidModel, match=f"^{words}"):
+            model_from_json("[" * depth + "]" * depth)
+
     def test_weights_shape_guard(self):
         """L and H are read from the weights' shape, so a weight matrix
         needs a row and a bias column after at least one lookback column."""

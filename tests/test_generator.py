@@ -9,7 +9,6 @@ from freqsynth import (
     GeneratorConfig,
     MIX_FREQ_RANGE,
     NATURAL_FREQUENCIES,
-    SineSpec,
     aggregate_periodogram,
     build_datasets,
     build_pool,
@@ -31,6 +30,7 @@ from freqsynth.errors import (
     FreqSynthError,
     InsufficientData,
     InvalidAmplitudeScale,
+    InvalidSeries,
     TooManyPoints,
     WindowTooLong,
 )
@@ -166,6 +166,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="^A_prime must be a real number"):
             GeneratorConfig(omega_bar=0.1, A_prime=value)
 
+    @pytest.mark.parametrize("value", [0.01, -1.0, float("inf"), float("nan")])
+    def test_a_prime_must_be_finite_and_exceed_the_shift(self, value):
+        # an infinite scale would render infinite channels
+        with pytest.raises(InvalidAmplitudeScale, match=f"^A_prime must be finite and exceed "
+                                                        f"0.01, got {value}$"):
+            GeneratorConfig(omega_bar=0.1, A_prime=value)
+
     def test_integral_counts_become_ints(self):
         cfg = GeneratorConfig(omega_bar=0.1, m=np.int64(100), n=2048.0)
         assert type(cfg.m) is int and type(cfg.n) is int
@@ -200,41 +207,80 @@ class TestConfig:
         assert len(a.digest()) == 16
 
 
-class TestSineSpec:
-    def test_render_formula(self):
-        spec = SineSpec(amplitude=2.5, frequency=0.1, phase=1.0)
-        t = np.arange(50)
-        expected = 2.5 * np.sin(2 * np.pi * 0.1 * t + 1.0)
-        assert np.array_equal(oracles.render_spec(spec, 50), expected)
+class TestExplicitPool:
+    """synthesize(cfg, pool) checks every rule of an explicit pool and
+    raises InvalidSeries naming the array that breaks one."""
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SineSpec(amplitude=0.0, frequency=0.1, phase=0.0)
-        with pytest.raises(ValueError):
-            SineSpec(amplitude=1.0, frequency=0.5, phase=0.0)
-        with pytest.raises(ValueError):
-            SineSpec(amplitude=1.0, frequency=0.1, phase=-0.1)
-        with pytest.raises(ValueError):
-            SineSpec(amplitude=1.0, frequency=0.1, phase=7.0)
+    CFG = GeneratorConfig(omega_bar=0.1, l=2, n=64, d=2, seed=0)
+    GOOD = ([1.0, 2.0], [0.1, 0.2], [0.0, 1.0])
+
+    @pytest.mark.parametrize("k, values, match", [
+        (0, [1.0, 0.0], r"^amplitudes must be > 0, got 0\.0$"),
+        (0, [-2.0, 1.0], r"^amplitudes must be > 0, got -2\.0$"),
+        (1, [0.1, 0.5], r"^frequencies must be in \(0, 0\.5\), got 0\.5$"),
+        (1, [0.0, 0.2], r"^frequencies must be in \(0, 0\.5\), got 0\.0$"),
+        (2, [0.0, -0.1], r"^phases must be in \[0, 2\*pi\), got -0\.1$"),
+        (2, [2 * np.pi, 1.0], r"^phases must be in \[0, 2\*pi\), got 6\.28"),
+        (1, [0.1], r"^frequencies has 1 values; the pool needs 2$"),
+        (2, [0.0, 1.0, 2.0], r"^phases has 3 values; the pool needs 2$"),
+        (1, [0.1, np.nan], r"^frequencies must be finite$"),
+        (0, [1.0, np.inf], r"^amplitudes must be finite$"),
+        (2, [[0.0, 1.0]], r"^phases must be 1-d, got ndim=2$"),
+    ], ids=["amplitude 0", "amplitude < 0", "frequency 0.5", "frequency 0", "phase < 0",
+            "phase 2pi", "short frequencies", "long phases", "nan frequency",
+            "infinite amplitude", "2-d phases"])
+    def test_each_rule_is_checked(self, k, values, match):
+        pool = list(self.GOOD)
+        pool[k] = values
+        with pytest.raises(InvalidSeries, match=match):
+            synthesize(self.CFG, pool)
+
+    @pytest.mark.parametrize("pool", [GOOD[:2], (*GOOD, [0.0, 0.0])], ids=["2 arrays", "4 arrays"])
+    def test_a_pool_is_three_arrays(self, pool):
+        with pytest.raises(InvalidSeries, match=rf"^a pool is the 3 arrays .*, got {len(pool)} arrays$"):
+            synthesize(self.CFG, pool)
+
+    def test_an_empty_pool_is_rejected(self):
+        with pytest.raises(InvalidSeries, match=r"^amplitudes has 0 values; the pool needs some$"):
+            synthesize(self.CFG, ([], [], []))
+
+    def test_the_bounds_themselves_pass(self):
+        # amplitudes just above 0, frequencies just inside (0, 0.5), phase 0
+        tiny = np.nextafter(0.0, 1.0)
+        pool = ([tiny, 1.0], [tiny, np.nextafter(0.5, 0.0)], [0.0, np.nextafter(2 * np.pi, 0.0)])
+        assert synthesize(self.CFG, pool).values.shape == (2, 64)
+
+    def test_sequences_and_arrays_render_alike(self):
+        arrays = tuple(np.array(a) for a in self.GOOD)
+        assert np.array_equal(synthesize(self.CFG, self.GOOD).values,
+                              synthesize(self.CFG, arrays).values)
 
 
 class TestBuildPool:
     def test_size_and_frequency_support(self):
         cfg = GeneratorConfig(omega_bar=1 / 24, h=3, m=100, seed=0)
-        pool = build_pool(cfg)
-        assert len(pool) == 100
+        amps, freqs, phases = build_pool(cfg)
+        assert amps.shape == freqs.shape == phases.shape == (100,)
         allowed = set(harmonic_set(1 / 24, 3))
-        assert {s.frequency for s in pool} <= allowed
+        assert set(freqs.tolist()) <= allowed
 
     def test_deterministic(self):
         cfg = GeneratorConfig(omega_bar=1 / 24, h=2, m=50, seed=7)
-        p1, p2 = build_pool(cfg), build_pool(cfg)
-        assert all(
-            a.amplitude == b.amplitude
-            and a.frequency == b.frequency
-            and a.phase == b.phase
-            for a, b in zip(p1, p2)
-        )
+        for a, b in zip(build_pool(cfg), build_pool(cfg), strict=True):
+            assert_bitwise(a, b)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal_to_the_oracle_draw(self, seed):
+        # the arrays synthesize(cfg) renders, drawn off cfg.seed; m = 1 included
+        m = (1, 2, 7, 100, 1)[seed % 5]
+        cfg = GeneratorConfig(omega_bar=(1 / 24, 0.07, 0.3)[seed % 3], h=1 + seed % 4, m=m,
+                              A_prime=(5.0, 0.5)[seed % 2], seed=seed)
+        got = build_pool(cfg)
+        want = oracles._draw_pool_arrays(cfg, np.random.default_rng(seed))
+        assert len(got) == 3
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (m,)
+            assert_bitwise(g, w)
 
     @pytest.mark.parametrize("a_prime", [1.0, 5.0])
     def test_amplitude_law(self, a_prime):
@@ -242,13 +288,13 @@ class TestBuildPool:
         cfg = GeneratorConfig(
             omega_bar=1 / 24, h=3, m=100_000, A_prime=a_prime, seed=123
         )
-        amps = np.array([s.amplitude for s in build_pool(cfg)])
+        amps = build_pool(cfg)[0]
         assert abs(amps.mean() - a_prime) < 0.05 * a_prime
         assert amps.min() > 0.01
 
     def test_phase_range(self):
         cfg = GeneratorConfig(omega_bar=1 / 24, m=1000, seed=5)
-        phases = np.array([s.phase for s in build_pool(cfg)])
+        phases = build_pool(cfg)[2]
         assert np.all(phases >= 0.0)
         assert np.all(phases < 2 * np.pi)
 
@@ -256,17 +302,15 @@ class TestBuildPool:
 class TestSynthesize:
     def test_single_spec_pool_l1(self):
         cfg = GeneratorConfig(omega_bar=0.1, l=1, n=200, d=3, seed=0)
-        spec = SineSpec(amplitude=1.7, frequency=0.1, phase=0.3)
-        ds = synthesize(cfg, pool=[spec])
-        expected = oracles.render_spec(spec, 200)
+        ds = synthesize(cfg, pool=([1.7], [0.1], [0.3]))
+        expected = oracles.render_sine(1.7, 0.1, 0.3, 200)
         for row in ds.values:
             assert np.array_equal(row, expected)
 
     def test_identical_pool_identical_channels(self):
         cfg = GeneratorConfig(omega_bar=0.1, l=10, n=500, d=5, seed=1)
-        pool = [SineSpec(amplitude=1.3, frequency=1 / 24, phase=0.5)] * 4
-        ds = synthesize(cfg, pool=pool)
-        base = 10.0 * oracles.render_spec(pool[0], 500)
+        ds = synthesize(cfg, pool=([1.3] * 4, [1 / 24] * 4, [0.5] * 4))
+        base = 10.0 * oracles.render_sine(1.3, 1 / 24, 0.5, 500)
         for row in ds.values:
             assert np.allclose(row, base, rtol=1e-12, atol=0)
         pcc = np.corrcoef(ds.values)
@@ -297,17 +341,13 @@ class TestSynthesize:
         assert agg.powers[keep].sum() >= 0.99 * agg.powers.sum()
 
 
-def _pool_arrays(pool):
-    return tuple(np.array([getattr(s, k) for s in pool]) for k in ("amplitude", "frequency", "phase"))
-
-
 def direct_synthesize(cfg, pool=None):
     """synthesize's channels from the per-member oracle render."""
     rng = np.random.default_rng(cfg.seed)
     if pool is None:
         arrays = _draw_pool((cfg.omega_bar, cfg.h), cfg.m, cfg.A_prime, rng)
     else:
-        arrays = _pool_arrays(pool)
+        arrays = tuple(np.asarray(a, dtype=np.float64) for a in pool)
     return render_channels_direct(*arrays, cfg.n, cfg.d, cfg.l, rng)
 
 
@@ -339,13 +379,7 @@ class TestBasisRender:
 
     def test_explicit_pool_with_repeated_frequencies(self):
         rng = np.random.default_rng(8)
-        pool = [
-            SineSpec(amplitude=float(a), frequency=f, phase=float(p))
-            for a, f, p in zip(
-                rng.uniform(0.5, 3.0, 12), [1 / 24, 1 / 7, 0.2] * 4,
-                rng.uniform(0.0, 6.0, 12),
-            )
-        ]
+        pool = (rng.uniform(0.5, 3.0, 12), [1 / 24, 1 / 7, 0.2] * 4, rng.uniform(0.0, 6.0, 12))
         cfg = GeneratorConfig(omega_bar=0.1, l=7, n=50_000, d=4, seed=3)
         got = synthesize(cfg, pool=pool).values
         assert_within_basis_tolerance(got, direct_synthesize(cfg, pool))
@@ -353,8 +387,8 @@ class TestBasisRender:
     def test_pools_without_repeats_render_every_member(self):
         # 2 distinct frequencies in a pool of 4: no basis saving, so the
         # per-member render runs and matches bit for bit
-        pool = [SineSpec(amplitude=1.0 + k, frequency=(1 / 24, 0.2)[k % 2], phase=0.1 * k)
-                for k in range(4)]
+        k = np.arange(4)
+        pool = (1.0 + k, np.where(k % 2, 0.2, 1 / 24), 0.1 * k)
         cfg = GeneratorConfig(omega_bar=0.1, l=5, n=3000, d=3, seed=9)
         assert np.array_equal(synthesize(cfg, pool=pool).values, direct_synthesize(cfg, pool))
 
@@ -365,7 +399,7 @@ class TestBasisRender:
         for ds in got:
             rng = np.random.default_rng(int(master.integers(0, 2**63 - 1)))
             pool = oracles.build_mix_pool(100, 5.0, rng)
-            values = render_channels_direct(*_pool_arrays(pool), n, d, 10, rng)
+            values = render_channels_direct(*pool, n, d, 10, rng)
             want = standardize(Dataset(values=values, channel_names=ds.channel_names))
             assert np.array_equal(ds.values, want.values)
 
@@ -729,18 +763,18 @@ class TestBitForBit:
         for seed in range(4):
             cfg = GeneratorConfig(omega_bar=0.07, h=4, m=37, A_prime=2.0, seed=seed)
             want = oracles._draw_pool_arrays(cfg, np.random.default_rng(seed))
-            for k, spec_field in enumerate(("amplitude", "frequency", "phase")):
-                assert_bitwise([getattr(s, spec_field) for s in build_pool(cfg)], want[k])
+            for g, w in zip(build_pool(cfg), want, strict=True):
+                assert_bitwise(g, w)
             got = _draw_pool("mix", 41, 3.0, np.random.default_rng(seed))
             want = oracles.build_mix_pool(41, 3.0, np.random.default_rng(seed))
-            for g, w in zip(got, _pool_arrays(want), strict=True):
+            for g, w in zip(got, want, strict=True):
                 assert_bitwise(g, w)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_synthesize(self, seed):
         cfg = GeneratorConfig(omega_bar=0.11, h=3, m=20, l=6, n=700, d=3, seed=seed)
         assert_same_datasets([synthesize(cfg)], [oracles.synthesize(cfg)])
-        pool = build_pool(cfg)[:7]
+        pool = tuple(a[:7] for a in build_pool(cfg))
         assert_same_datasets([synthesize(cfg, pool)], [oracles.synthesize(cfg, pool)])
 
     def test_standardisers(self):

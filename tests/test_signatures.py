@@ -85,7 +85,7 @@ PUBLIC_NAMES = [
     "Dataset", "EvalReport", "FreqSynthError", "FundamentalEstimate",
     "GeneratorConfig", "LinearForecaster", "MIX_FREQ_RANGE",
     "NATURAL_FREQUENCIES", "NaiveForecaster", "Periodogram", "RATE_TABLE",
-    "SeasonalNaiveForecaster", "SineSpec", "SplitSpec",
+    "SeasonalNaiveForecaster", "SplitSpec",
     "TransferMatrix", "WindowSet", "__version__", "aggregate_periodogram",
     "build_datasets", "build_pool", "confusion_experiment",
     "default_window_len", "dft", "estimate_fundamental", "evaluate_zero_shot",

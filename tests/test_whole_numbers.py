@@ -23,6 +23,7 @@ from freqsynth import (
     default_window_len,
     evaluate_zero_shot,
     harmonic_set,
+    harmonics_sweep,
     sample_windows,
     transfer_matrix,
 )
@@ -111,3 +112,19 @@ def test_whole_floats_and_numpy_integers_pass():
     assert a.powers.tobytes() == b.powers.tobytes()
     train, val = sample_windows([DS], np.int64(4), 0.0, 8.0, np.int16(4), 0)
     assert (train.count, train.L, train.H, val.count) == (4, 8, 4, 0)
+
+
+def test_drivers_score_with_the_checked_whole_numbers():
+    # the window check's normalised L and H reach the scorer, whose
+    # slices need ints: each result is hex-equal to the call with ints
+    def sweep(L, H):
+        rows = harmonics_sweep([("t", DS)], (1,), L=L, H=H, count_train=32, n=512, d=1)
+        return [(h, tid, mse.hex()) for h, tid, mse in rows]
+
+    assert sweep(48.0, np.int64(24)) == sweep(48, 24)
+
+    def evaluate(L, horizons):
+        return [(r.horizon, r.windows, r.mse.hex(), r.mae.hex())
+                for r in evaluate_zero_shot(NaiveForecaster(), DS, L, horizons)]
+
+    assert evaluate(48.0, (np.int64(24), 12.0)) == evaluate(48, (24, 12))
