@@ -19,7 +19,7 @@ from freqsynth import (
     parse_sampling_rate,
     synthesize,
 )
-from freqsynth.errors import NoDominantFrequency
+from freqsynth.errors import NoDominantFrequency, UnknownSamplingRate
 
 # ---------------------------------------------------------------------
 # 1. Rate tokens.  parse_sampling_rate returns steps per cycle; the
@@ -29,6 +29,10 @@ for token in ("15m", "1h", "1d", "custom:36"):
     k = parse_sampling_rate(token)
     est = freq_from_sampling_rate(token)
     print(f"  {token:>9}: {k:>3} steps per cycle, omega_bar = {est.omega_bar:.6f}")
+try:
+    parse_sampling_rate("2h")
+except UnknownSamplingRate as exc:
+    print(f"  a token outside the table is rejected: {exc}")
 
 # ---------------------------------------------------------------------
 # 2. Estimation from data.  Generate hourly-style series (fundamental

@@ -33,7 +33,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from . import dataio
-from .dataset import Dataset
+from .dataset import Dataset, _shown
 from .errors import (
     FreqSynthError,
     InvalidModel,
@@ -267,7 +267,7 @@ def _resolve_model(token: str):
             return SeasonalNaiveForecaster(int(token.split(":", 1)[1]))
         except ValueError:
             raise InvalidPeriod(
-                f"--model {token}: the period must be an integer >= 1"
+                f"--model {_shown(token)}: the period must be an integer >= 1"
             ) from None
     try:  # read whole, so a decode error's position is the file's own
         with open(token, "r", encoding="utf-8") as f:

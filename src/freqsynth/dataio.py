@@ -23,9 +23,9 @@ no control character but tab, CR and LF, and no quote; it holds exactly
 line.  Both readers then split the same fields and parse each value
 with the same correctly rounded conversion, so the values are bitwise
 those of ``float``.  The first block that fails a guard, and every
-block after it, goes through ``csv.reader`` and ``float`` cell by cell,
-which accept quoted and multi-line fields, ``1_0`` and non-ASCII digits
-and raise each error at its coordinates.
+block after it, goes through ``csv.reader``, each row through ``float``
+once as it is read, in file order: quoted and multi-line fields, ``1_0``
+and non-ASCII digits pass, and the first bad row raises at its coordinates.
 
 Cell coordinates in errors are 1-based: rows count data rows (the
 header is row 0, so the first data row is row 1) and columns count all
@@ -41,11 +41,10 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 from itertools import chain, islice
-from operator import itemgetter
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _shown
 from .errors import (
     EmptyDataset,
     InvalidConfig,
@@ -142,18 +141,9 @@ def load_csv(path: str) -> Dataset:
                 blocks.append(values)
                 first += len(lines)
             reader = csv.reader(chain(lines, f))
-            while True:
-                rows = []
-                try:
-                    # extend keeps the rows read before a failing one
-                    rows.extend(islice(reader, _ROWS))
-                except csv.Error as exc:
-                    _parse_rows(rows, width, first, path)  # an earlier bad row wins
-                    raise MalformedRow(path, first + len(rows), str(exc)) from None
-                if not rows:
-                    break
-                blocks.append(_parse_rows(rows, width, first, path))
-                first += len(rows)
+            while len(values := _csv_block(islice(reader, _ROWS), width, first, path)):
+                blocks.append(values)
+                first += len(values)
     except UnicodeDecodeError as exc:  # its position is within a buffered chunk
         raise InvalidEncoding(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not blocks:
@@ -185,28 +175,22 @@ def _loadtxt_block(lines: list[str], width: int) -> np.ndarray | None:
     return values if len(values) == len(lines) else None
 
 
-def _parse_rows(rows: list[list[str]], width: int, first: int, path: str) -> np.ndarray:
-    """(len(rows), width - 1) values of rows numbered from ``first``.
-
-    Every value cell goes through the builtin float in one pass.  If a
-    row is ragged or a cell does not parse, the rows are walked cell by
-    cell to raise the first error at its coordinates in ``path``.
-    """
+def _csv_block(rows: Iterator[list[str]], width: int, first: int, path: str) -> np.ndarray:
+    """(rows read, width - 1) values of csv rows numbered from ``first``, each parsed
+    by float as it is read, so the first bad row in file order raises at its place."""
+    cells = []
     try:
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged row")
-        cells = chain.from_iterable(map(itemgetter(slice(1, None)), rows))
-        return np.array(list(map(float, cells))).reshape(len(rows), width - 1)
-    except ValueError:
         for r, row in enumerate(rows, start=first):
             if len(row) != width:
-                raise RaggedRows(path, r, width, len(row)) from None
-            for c, cell in enumerate(row[1:], start=2):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise NonNumericCell(path, r, c) from None
-        raise
+                raise RaggedRows(path, r, width, len(row))
+            try:
+                cells.extend(map(float, row[1:]))
+            except ValueError:
+                col = next(c for c, cell in enumerate(row[1:], start=2) if not _is_number(cell))
+                raise NonNumericCell(path, r, col) from None
+    except csv.Error as exc:  # raised reading the row after the whole ones in cells
+        raise MalformedRow(path, first + len(cells) // (width - 1), str(exc)) from None
+    return np.array(cells).reshape(-1, width - 1)
 
 
 def _is_number(cell: str) -> bool:
@@ -236,7 +220,7 @@ def load_generator_config(path: str, **overrides) -> GeneratorConfig:
     fields = set(GeneratorConfig.__dataclass_fields__)
     unknown = set(doc) - fields
     if unknown:
-        raise InvalidConfig(f"{path}: unknown config keys {sorted(unknown)}")
+        raise InvalidConfig(f"{path}: unknown config keys {_shown(sorted(unknown))}")
     flags = {k: v for k, v in overrides.items() if v is not None}
     merged = {**doc, **flags}
     if "omega_bar" not in merged:

@@ -12,11 +12,22 @@ downstream code can share them without defensive copies.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidSeries, InvalidWindow, ShapeMismatch
+
+
+def _shown(value) -> str:
+    """A value from a file or a flag, of any size, as an error shows it:
+    reprlib's repr, which caps strings, numbers and nesting, in 80 characters."""
+    try:
+        text = reprlib.repr(value)
+    except ValueError:  # an int past str's 4,300-digit limit, alone or nested
+        return f"<{type(value).__name__} too large to show>"
+    return text if len(text) <= 80 else text[:77] + "..."
 
 
 def _whole_number(name: str, value, lo: int = 1, error=InvalidWindow) -> int:
@@ -30,7 +41,7 @@ def _whole_number(name: str, value, lo: int = 1, error=InvalidWindow) -> int:
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
+        raise error(f"{name} must be an integer >= {lo}, got {_shown(value)}")
     return whole
 
 

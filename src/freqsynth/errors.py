@@ -43,7 +43,7 @@ class InvalidPeriod(FreqSynthError):
 # -- generation -------------------------------------------------------------
 
 class InvalidAmplitudeScale(FreqSynthError):
-    """Expected amplitude must exceed the 0.01 shift."""
+    """Expected amplitude must exceed the 0.01 shift and keep every render finite."""
 
 
 class DegenerateChannel(FreqSynthError):

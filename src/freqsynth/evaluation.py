@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet, _freeze, _nonnegative, _whole_number
+from .dataset import Dataset, WindowSet, _freeze, _nonnegative, _shown, _whole_number
 from .errors import (
     FreqSynthError,
     InvalidWindow,
@@ -138,7 +138,7 @@ def split(
     if min(n_train, n_val, n_test) < max(min_len, 1):
         raise SplitTooSmall(
             f"splits {n_train}/{n_val}/{n_test} of n={n} fall below "
-            f"min_len={min_len}"
+            f"min_len={_shown(min_len)}"
         )
     return (
         ds.slice_time(0, n_train),
@@ -280,7 +280,7 @@ def _checked_window(
     if test_ds.n < L + max_h:
         raise SplitTooSmall(
             f"test segment of length {test_ds.n} cannot hold one "
-            f"window of L + H = {L + max_h}"
+            f"window of L + H = {_shown(L + max_h)}"
         )
     return L, horizons
 
@@ -318,7 +318,7 @@ def _scores(models, test_ds: Dataset, L: int, horizons, mae: bool = True) -> np.
     ]
     for m in models:
         if type(m) is SeasonalNaiveForecaster and m.period > L:
-            raise PeriodTooLong(f"period {m.period} exceeds lookback length {L}")
+            raise PeriodTooLong(f"period {_shown(m.period)} exceeds lookback length {L}")
     groups = [stack] if stack else []
     groups += [[i] for i in range(len(models)) if i not in stack]
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import WindowSet, _freeze, _nonnegative, _whole_number
+from .dataset import WindowSet, _freeze, _nonnegative, _shown, _whole_number
 from .errors import (
     EmptyTrainingSet,
     InvalidModel,
@@ -106,9 +106,7 @@ class SeasonalNaiveForecaster:
         arr = _as_batch(X)
         L = arr.shape[1]
         if self.period > L:
-            raise PeriodTooLong(
-                f"period {self.period} exceeds lookback length {L}"
-            )
+            raise PeriodTooLong(f"period {_shown(self.period)} exceeds lookback length {L}")
         if out is None:
             out = np.empty((arr.shape[0], H))
         # copy the last period once, then double the filled prefix, which
@@ -322,12 +320,10 @@ def model_from_json(text: str) -> LinearForecaster:
     )
     lam, weights = doc["lambda"], doc["weights"]
     if not (_is_number(lam) and 0.0 <= lam < np.inf):
-        raise InvalidModel(
-            f"model field 'lambda' must be a finite number >= 0, got {lam!r}"
-        )
+        raise InvalidModel(f"model field 'lambda' must be a finite number >= 0, got {_shown(lam)}")
     size = H * (L + 1)
     if not (isinstance(weights, list) and len(weights) == size):
-        got = f"{len(weights)} entries" if isinstance(weights, list) else repr(weights)
+        got = f"{len(weights)} entries" if isinstance(weights, list) else _shown(weights)
         raise InvalidModel(
             f"model field 'weights' must list H * (L + 1) = {size} numbers, got {got}"
         )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, _frequency
+from .dataset import Dataset, _frequency, _shown
 from .errors import InsufficientData, InvalidPeriod, UnknownSamplingRate
 from .spectral import aggregate_periodogram, default_window_len, find_peaks
 
@@ -76,13 +76,13 @@ def parse_sampling_rate(token: str) -> int:
             k = int(body)
         except ValueError:
             raise UnknownSamplingRate(
-                f"custom rate needs an integer step count, got {body!r}"
+                f"custom rate needs an integer step count, got {_shown(body)}"
             ) from None
         if k < 3:
-            raise InvalidPeriod(f"custom period must be >= 3 steps, got {k}")
+            raise InvalidPeriod(f"custom period must be >= 3 steps, got {_shown(k)}")
         return k
     raise UnknownSamplingRate(
-        f"unknown sampling rate {token!r}; expected one of "
+        f"unknown sampling rate {_shown(token)}; expected one of "
         f"{sorted(RATE_TABLE)} or custom:<steps>"
     )
 

@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, WindowSet, _freeze, _frequency, _whole_number
+from .dataset import Dataset, WindowSet, _freeze, _frequency, _shown, _whole_number
 from .errors import (
     DegenerateChannel,
     InsufficientData,
@@ -76,6 +76,10 @@ _SIZE_MINIMUM = {"m": 1, "h": 1, "l": 1, "n": 2, "d": 1}
 # Largest accepted size of any array synthesis holds: 8 GB of float64.
 _MAX_POINTS = 10**9
 
+# GeneratorConfig derives both bounds.
+_EXP_MAX = 7.69711747013104972 + 53 * np.log(2)
+_A_PRIME_L_MAX = np.finfo(np.float64).max / (_EXP_MAX * (1 + 1e-6))
+
 
 def _check_render(m: int, K: int | None, l: int, n: int, d: int) -> None:
     """TooManyPoints, naming the product, when rendering d channels of n
@@ -90,10 +94,8 @@ def _check_render(m: int, K: int | None, l: int, n: int, d: int) -> None:
         arrays = (("m * K", m, K), ("min(m, 2K) * n", min(m, 2 * K), n))
     for names, rows, cols in (("n * d", n, d), ("d * l", d, l), ("d * m", d, m), *arrays):
         if rows * cols > _MAX_POINTS:
-            raise TooManyPoints(
-                f"{names} = {rows} * {cols} = {rows * cols} points exceeds the "
-                f"limit of {_MAX_POINTS} points"
-            )
+            total = f"{_shown(rows)} * {_shown(cols)} = {_shown(rows * cols)} points"
+            raise TooManyPoints(f"{names} = {total} exceeds the limit of {_MAX_POINTS} points")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,13 @@ class GeneratorConfig:
     A_prime: expected sine amplitude; l: sines summed per channel
     n: series length; d: channel count; seed: RNG seed
 
+    A_prime * l may not exceed _A_PRIME_L_MAX (about 4e306), so that no
+    draw renders an infinite value: numpy's Generator.exponential returns
+    at most _EXP_MAX = r - log1p(-(1 - 2**-53)) at scale 1 (its ziggurat
+    tail, r the ziggurat's edge, from 53-bit uniforms), an amplitude is at
+    most A_prime * _EXP_MAX, and no partial sum of a channel's render
+    exceeds its l amplitudes' sum.  The margin of 1e-6 covers rounding: the
+    sums have at most 2 * 10**9 terms (two per draw), erring by < 2.3e-7.
     No array synthesize holds may exceed _MAX_POINTS (10**9 points, 8 GB
     of float64): the (d, n) dataset, d * l draws, (d, m) counts, the (m,
     K) one-hot for K = len(harmonic_set(omega_bar, h)) and min(m, 2K)
@@ -125,21 +134,21 @@ class GeneratorConfig:
         for name in ("omega_bar", "A_prime"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
+                raise ValueError(f"{name} must be a real number, got {_shown(value)}")
             try:
                 object.__setattr__(self, name, float(value))
             except OverflowError:
-                raise ValueError(f"{name} is out of range, got {value!r}") from None
+                raise ValueError(f"{name} is out of range, got {_shown(value)}") from None
         _frequency("omega_bar", self.omega_bar)
-        if not 0.01 < self.A_prime < np.inf:
-            raise InvalidAmplitudeScale(
-                f"A_prime must be finite and exceed 0.01, got {self.A_prime}"
-            )
         for name, lo in (*_SIZE_MINIMUM.items(), ("seed", 0)):
             value = _whole_number(name, getattr(self, name), lo, ValueError)
             object.__setattr__(self, name, value)
         K = _harmonic_count(self.omega_bar, self.h)
-        _check_render(self.m, K, self.l, self.n, self.d)
+        _check_render(self.m, K, self.l, self.n, self.d)  # first: the bound below divides by l
+        if not 0.01 < self.A_prime <= _A_PRIME_L_MAX / self.l:
+            raise InvalidAmplitudeScale(f"A_prime must exceed 0.01 and be at most "
+                                        f"{_A_PRIME_L_MAX / self.l} for l = {self.l}, "
+                                        f"got {self.A_prime}")
 
     def digest(self) -> str:
         """Short stable hash of all fields, used as provenance."""
@@ -324,36 +333,23 @@ def sample_windows(
     count_train = _whole_number("count_train", count_train, 1, ValueError)
     count_val = _whole_number("count_val", count_val, 0, ValueError)
     length = L + H
-    starts = []
     for ds in datasets:
-        s = ds.n - length + 1
-        if s < 1:
-            raise WindowTooLong(
-                f"window length {length} exceeds series length {ds.n}"
-            )
-        starts.append(s)
-    sizes = [ds.d * s for ds, s in zip(datasets, starts)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
+        if ds.n < length:
+            raise WindowTooLong(f"window length {_shown(length)} exceeds series length {ds.n}")
+    # series' rows are the datasets' channels; row r takes draws from row_offset[r],
+    # and each earlier row ends in length - 1 steps that start no window
+    row_n = np.repeat([ds.n for ds in datasets], [ds.d for ds in datasets])
+    row_offset = np.concatenate([[0], np.cumsum(row_n - length + 1)])
+    total = int(row_offset[-1])
     need = count_train + count_val
     if need > total:
-        raise InsufficientData(
-            f"requested {need} windows but only {total} distinct "
-            "(dataset, channel, start) triples exist"
-        )
+        raise InsufficientData(f"requested {_shown(need)} windows but only {total} distinct "
+                               "(dataset, channel, start) triples exist")
     rng = np.random.default_rng(seed)
     flat = rng.choice(total, size=need, replace=False)
-
-    ds_idx = np.searchsorted(offsets, flat, side="right") - 1
-    local = flat - offsets[ds_idx]
-    starts_arr = np.array(starts)
-    chan = local // starts_arr[ds_idx]
-    start = local % starts_arr[ds_idx]
-
+    row = np.searchsorted(row_offset, flat, side="right") - 1
+    flat_starts = flat + row * (length - 1)
     series = np.concatenate([ds.values.ravel() for ds in datasets])
-    base = np.concatenate([[0], np.cumsum([ds.values.size for ds in datasets])])
-    lengths = np.array([ds.n for ds in datasets])
-    flat_starts = base[ds_idx] + chan * lengths[ds_idx] + start
     return tuple(
         WindowSet._over(series, flat_starts[rows], L, H)
         for rows in (slice(0, count_train), slice(count_train, need))

@@ -136,7 +136,8 @@ MUTANTS = [
     Mutant("src/freqsynth/dataio.py",
            '        and text.count(",") == (width - 1) * len(lines)\n', "",
            "the loadtxt fast path without its comma-count guard", ("test_dataio.py",)),
-    Mutant("src/freqsynth/dataio.py", "raise MalformedRow(path, first + len(rows), str(exc))",
+    Mutant("src/freqsynth/dataio.py",
+           "raise MalformedRow(path, first + len(cells) // (width - 1), str(exc))",
            "raise MalformedRow(path, first, str(exc))",
            "MalformedRow reports the block's first row", ("test_dataio.py",)),
     Mutant("src/freqsynth/evaluation.py", "_window_sums(np.abs(d, out=d), m, w, False)",
@@ -290,8 +291,8 @@ MUTANTS = [
            "harmonics_sweep scores with the L and H it was given, not the checked ints",
            ("test_whole_numbers.py",)),
     # deep JSON nesting, an infinite amplitude scale and a too-short periodogram input
-    Mutant("src/freqsynth/generator.py", "        if not 0.01 < self.A_prime < np.inf:",
-           "        if not 0.01 < self.A_prime:", "GeneratorConfig accepts an infinite A_prime",
+    Mutant("src/freqsynth/generator.py", "self.A_prime <= _A_PRIME_L_MAX / self.l:",
+           "self.A_prime <= _A_PRIME_L_MAX:", "the A_prime bound does not divide by l",
            ("test_generator.py",)),
     Mutant("src/freqsynth/dataio.py", "    except (ValueError, RecursionError) as exc:",
            "    except ValueError as exc:", "a deeply nested config file is not caught",
@@ -305,6 +306,30 @@ MUTANTS = [
     Mutant("src/freqsynth/cli.py", "_naming(args.input, WindowTooLong)",
            "_naming(args.input)", "periodogram names the input for a bad --window flag",
            ("test_cli.py",)),
+    # one step per row: windows indexed by series row, CSV rows parsed as read
+    Mutant("src/freqsynth/generator.py", "    flat_starts = flat + row * (length - 1)\n",
+           "    flat_starts = flat\n", "sample_windows drops the row shift",
+           ("test_window_gather.py",)),
+    Mutant("src/freqsynth/generator.py", "flat + row * (length - 1)", "flat + row * length",
+           "sample_windows shifts each row by one step too many", ("test_window_gather.py",)),
+    Mutant("src/freqsynth/dataio.py", "            if len(row) != width:\n"
+           "                raise RaggedRows(path, r, width, len(row))\n", "",
+           "the csv fallback without its per-row width check", ("test_dataio.py",)),
+    Mutant("src/freqsynth/dataio.py", "enumerate(row[1:], start=2) if not _is_number(cell)",
+           "enumerate(row[1:], start=1) if not _is_number(cell)",
+           "the bad-column search reports the column before", ("test_dataio.py",)),
+    # an amplitude scale whose render can overflow; error values of any size
+    Mutant("src/freqsynth/generator.py", "0.01 < self.A_prime <= _A_PRIME_L_MAX / self.l:",
+           "0.01 < self.A_prime:", "GeneratorConfig accepts an A_prime whose render "
+           "overflows, infinity included", ("test_generator.py", "test_cli.py")),
+    Mutant("src/freqsynth/dataset.py",
+           '    return text if len(text) <= 80 else text[:77] + "..."', "    return repr(value)",
+           "error messages show a value from a file or a flag whole",
+           ("test_dataset.py", "test_cli.py")),
+    Mutant("src/freqsynth/dataset.py",
+           '        return f"<{type(value).__name__} too large to show>"', "        raise",
+           "an int past str's digit limit fails the error it was to be shown in",
+           ("test_dataset.py", "test_cli.py")),
 ]
 
 

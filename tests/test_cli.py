@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -727,6 +728,9 @@ def test_sweeps_check_their_target_before_any_fit(tmp_path, capsys, monkeypatch,
 # synthesized or scored: random bytes, JSON nested up to 2,000 deep, and a
 # valid document with one field set to a bad value or removed.
 
+# Characters an error line may hold beyond a path it names.
+LINE_BOUND = 300
+
 VALID_CONFIG = {"omega_bar": 0.1, "h": 2, "m": 8, "A_prime": 2.0, "l": 3, "n": 64, "d": 2,
                 "seed": 1}
 VALID_MODEL = {"L": 2, "H": 1, "lambda": 0.5, "weights": [0.1, 0.2, 0.3]}
@@ -734,13 +738,14 @@ COUNT = [0, -1, 2.5, "3", True, None, [], {}]
 BAD_VALUES = {
     "config": {
         "omega_bar": [0, 0.5, -0.1, float("inf"), float("nan"), "0.1", True, None, [0.1]],
-        "h": COUNT, "m": [*COUNT, 10**10], "l": COUNT, "d": COUNT, "n": [*COUNT, 1, 10**12],
-        "A_prime": [0.01, 0, -1.0, float("inf"), "5", True, None],
+        "h": [*COUNT, "h" * 3000], "m": [*COUNT, 10**10], "l": [*COUNT, 10**309],
+        "d": COUNT, "n": [*COUNT, 1, 10**12],
+        "A_prime": [0.01, 0, -1.0, float("inf"), 1e308, "5" * 3000, True, None],
         "seed": [-1, 1.5, "1", True, None, [1]],
     },
     "model": {
         "L": [*COUNT, 3, 10**6], "H": [*COUNT, 2],
-        "lambda": [-1.0, float("inf"), float("nan"), "0.5", True, None, []],
+        "lambda": [-1.0, float("inf"), float("nan"), "0.5", "x" * 3000, True, None, []],
         "weights": [[], [0.1, 0.2], [0.1, "x", 0.3], [0.1, None, 0.3], [0.1, True, 0.3],
                     [0.1, float("inf"), 0.3], [0.1, float("nan"), 0.3], "w", {}, 0.5],
     },
@@ -804,6 +809,9 @@ def fuzz_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "ok.csv").write_bytes(b"date,a\n" + b"".join(b"%d,%d\n" % (i, i % 3)
                                                         for i in range(16)))
+    # 64 rows that hold a periodogram window of 16 and 8 + 4-step windows
+    (root / "ok2.csv").write_bytes(b"date,a\n" + b"".join(b"%d,%d\n" % (i, i % 5)
+                                                         for i in range(64)))
     return root
 
 
@@ -846,5 +854,163 @@ def test_fuzz_bad_file_is_one_named_line(fuzz_dir, kind, data):
     assert code == 2
     assert err.startswith(f"freqsynth: error: {path}: "), err[:300]
     assert err.count("\n") == 1 and err.endswith("\n"), err[:300]
+    assert len(err) - 1 - len(path) <= LINE_BOUND, err[:300]
     assert "Traceback" not in err
     assert not os.path.exists(fuzz_dir / "out.csv")
+
+
+# -- error lines stay short, and one line ------------------------------------
+
+
+def _one_short_line(err, path=""):
+    assert err.startswith("freqsynth: error: ") and err.count("\n") == 1, err[:300]
+    assert len(err) - 1 - len(path) <= LINE_BOUND, err[:300]
+    assert "Traceback" not in err
+
+
+def test_a_prime_that_could_overflow_is_one_named_line(tmp_path):
+    path = write_config(tmp_path / "c.json", omega_bar=0.1, A_prime=1e308, n=64)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(["generate", "--config", path, "--out", str(out)])
+    assert code == 2 and not caught
+    assert err.startswith(f"freqsynth: error: {path}: A_prime must exceed 0.01 and be at most ")
+    _one_short_line(err, path)
+    assert not out.exists()
+
+
+# Each case: a config document (None: no config), the flags, and a word
+# the error must hold: the field or flag whose value it shows.
+LONG_VALUES = {
+    "config h of 3,000 characters": ({"omega_bar": 0.1, "h": "h" * 3000}, [], "h must"),
+    "config omega_bar nested 600 deep": ({"omega_bar": json.loads(_nested(600, "0.1", []))}, [],
+                                         "omega_bar"),
+    "config key of 3,000 characters": ({"omega_bar": 0.1, "k" * 3000: 1}, [], "config keys"),
+    "config n of 3,001 digits": ({"omega_bar": 0.1, "n": 10**3000}, [], "n * d"),
+    # n * d has 6,001 digits, past the 4,300 that str() of an int allows
+    "config n and d of 3,001 digits": ({"omega_bar": 0.1, "n": 10**3000, "d": 10**3000}, [],
+                                       "n * d"),
+    "generate --rate of 3,000 characters": (None, ["generate", "--rate", "x" * 3000],
+                                            "sampling rate"),
+    "generate --rate custom period of 3,000 digits": (
+        None, ["generate", "--rate", "custom:-" + "9" * 3000], "custom period"),
+    "evaluate --model seasonal period of 3,000 digits": (
+        None, ["evaluate", "--model", "seasonal:" + "9" * 3000], "period"),
+    "evaluate --model seasonal token of 3,000 characters": (
+        None, ["evaluate", "--model", "seasonal:" + "x" * 3000], "--model"),
+    "evaluate --lookback of 3,000 digits": (
+        None, ["evaluate", "--model", "naive", "--lookback", "9" * 3000], "L + H"),
+    "fit --count of 3,000 digits": (
+        None, ["fit", "--rate", "1h", "--count", "9" * 3000, "--lookback", "8",
+               "--horizons", "4"], "requested"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_VALUES)
+def test_long_value_is_one_short_line(tmp_path, case):
+    doc, argv, word = LONG_VALUES[case]
+    out = str(tmp_path / "out.csv")
+    path = ""
+    if doc is not None:
+        path = str(tmp_path / "c.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        argv = ["generate", "--config", path]
+    elif argv[0] == "evaluate":  # a flag of the case overrides its default here
+        argv = ["evaluate", "--input", gen_csv(tmp_path, "ok", n=256, d=1), "--lookback", "8",
+                "--horizons", "4", *argv[1:]]
+    code, err = _run([*argv, "--out", out])
+    assert code == 2 and word in err
+    _one_short_line(err, path)
+    assert not os.path.exists(out)
+
+
+# -- fuzzing the flags -------------------------------------------------------
+#
+# Each subcommand runs from a valid, small argv with one flag set to a value
+# it must reject, so no run computes anything large: counts and lengths
+# <= 0, bad frequencies, malformed lists, rate and model tokens, split
+# fractions, and 3,000-character strings.  A valid but huge value could
+# run for minutes, so none is drawn.
+
+NONPOSITIVE = ["0", "-1", "-1000"]
+BAD_OMEGA = ["nan", "inf", "-inf", "0", "0.5", "0.7", "-0.1", "1e-400"]
+BAD_INT_LIST = ["", ",", "0", "-1", "1,,x", "1;2", "1.5", "x" * 3000, "," * 3000]
+BAD_RATE = ["2h", "", "custom:", "custom:2", "custom:-5", "custom:x", "x" * 3000,
+            "custom:" + "x" * 3000]
+LONG = ["x" * 3000, "é" * 3000]
+# argv of each subcommand, with {ok} and {ok2} for two valid inputs, and
+# the bad values of each of its flags
+FLAG_FUZZ = {
+    "generate": (["--rate", "custom:10", "--h", "1"], {
+        "--omega": BAD_OMEGA + LONG, "--rate": BAD_RATE, "--h": NONPOSITIVE + LONG,
+        "--config": LONG}),
+    "periodogram": (["--input", "{ok}"], {"--window": NONPOSITIVE + ["8", "15"] + LONG,
+                                          "--input": LONG}),
+    "estimate": ([], {"--rate": BAD_RATE, "--input": LONG}),
+    "similarity": (["--inputs", "{ok}", "{ok2}"], {"--inputs": LONG}),
+    "fit": (["--rate", "custom:10", "--count", "8", "--lookback", "8", "--horizons", "4"], {
+        "--omega": BAD_OMEGA + LONG, "--rate": BAD_RATE, "--count": NONPOSITIVE + LONG,
+        "--lookback": NONPOSITIVE + LONG, "--horizons": BAD_INT_LIST,
+        "--lambda": ["-1", "nan", "inf", "-inf"] + LONG}),
+    "evaluate": (["--model", "naive", "--input", "{ok}", "--lookback", "8",
+                  "--horizons", "4"], {
+        "--model": ["seasonal:0", "seasonal:-1", "seasonal:x", "seasonal:", "seasonal:1.5",
+                    "seasonal:9", "seasonal:" + "9" * 3000, "seasonal:" + "x" * 3000, *LONG],
+        "--lookback": NONPOSITIVE + LONG, "--horizons": BAD_INT_LIST,
+        "--split": ["0.5,0.3,0.3", "1,0,0", "0.2,0.2", "0.5,0.5", "nan,0.5,0.5",
+                    "0.4,0.4,0.4,0.4", "x,y,z", "x" * 3000]}),
+    "confusion": (["--counts", "0"], {"--counts": ["-1", "", "1,,x", "x" * 3000]}),
+    "generalization": ([], {"--omega": BAD_OMEGA + LONG}),
+    "transfer": (["--inputs", "{ok}", "{ok2}", "--lookback", "8", "--horizon", "4",
+                  "--count", "8"], {
+        "--lookback": NONPOSITIVE + LONG, "--horizon": NONPOSITIVE + LONG,
+        "--count": NONPOSITIVE + LONG, "--inputs": LONG}),
+    "sweep-harmonics": ([], {"--omega": BAD_OMEGA + LONG, "--h-values": BAD_INT_LIST,
+                             "--input": LONG}),
+    "sweep-size": ([], {"--omega": BAD_OMEGA + LONG, "--sizes": BAD_INT_LIST,
+                        "--d-values": BAD_INT_LIST, "--input": LONG}),
+    "bench-gen": (["--channels", "2", "--length", "64"], {
+        "--channels": NONPOSITIVE + LONG, "--length": NONPOSITIVE + ["1"] + LONG,
+        "--omega": BAD_OMEGA + LONG, "--h": NONPOSITIVE + LONG}),
+}
+# flags whose value is a path, which an error may name whole; a --model
+# value is a path unless it is a seasonal:<period> token
+PATH_FLAGS = ("--config", "--input", "--inputs", "--model")
+
+
+def test_flag_fuzz_covers_every_subcommand():
+    assert set(FLAG_FUZZ) == set(SUBCOMMANDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzz_bad_flag_is_rejected_without_a_trace(fuzz_dir, data):
+    command = data.draw(st.sampled_from(sorted(FLAG_FUZZ)), label="command")
+    base, flags = FLAG_FUZZ[command]
+    flag = data.draw(st.sampled_from(sorted(flags)), label="flag")
+    value = data.draw(st.sampled_from(flags[flag]), label="value")
+    ok, ok2 = str(fuzz_dir / "ok.csv"), str(fuzz_dir / "ok2.csv")
+    argv = [a.format(ok=ok, ok2=ok2) for a in base]
+    if flag in argv:  # replace the valid value; --inputs keeps one valid path
+        i = argv.index(flag)
+        argv[i + 1] = value
+    else:
+        argv += [flag, value]
+    out = fuzz_dir / "out.csv"
+    out.unlink(missing_ok=True)  # a failing example may leave it while hypothesis shrinks
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main([command, *argv, "--out", str(out)])
+        except SystemExit as exc:  # argparse's usage error, whose lines are its own
+            code = exc.code
+    err = err.getvalue()
+    assert code == 2, err[:300]
+    assert "Traceback" not in err
+    assert not out.exists()
+    if err.startswith("freqsynth: error: "):
+        is_path = flag in PATH_FLAGS and not value.startswith("seasonal:")
+        _one_short_line(err, value if is_path else "")
+        assert ok not in err and ok2 not in err, err[:300]

@@ -490,19 +490,22 @@ class TestLoadtxtBlocks:
         """Record which blocks np.loadtxt took, and the first row of each
         block that csv.reader and float parsed."""
         taken, parsed = [], []
-        fast, slow = dataio._loadtxt_block, dataio._parse_rows
+        fast, slow = dataio._loadtxt_block, dataio._csv_block
 
         def loadtxt_block(lines, width):
             values = fast(lines, width)
             taken.append(values is not None)
             return values
 
-        def parse_rows(rows, width, first, path):
+        def csv_block(rows, width, first, path):
             parsed.append(first)
-            return slow(rows, width, first, path)
+            values = slow(rows, width, first, path)
+            if not len(values):  # the call that found the end of the file
+                parsed.pop()
+            return values
 
         monkeypatch.setattr(dataio, "_loadtxt_block", loadtxt_block)
-        monkeypatch.setattr(dataio, "_parse_rows", parse_rows)
+        monkeypatch.setattr(dataio, "_csv_block", csv_block)
         return taken, parsed
 
     def test_generated_file_takes_numpy_on_every_block(self, tmp_path, monkeypatch):

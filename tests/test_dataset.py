@@ -10,6 +10,7 @@ from freqsynth import (
     TransferMatrix,
     WindowSet,
 )
+from freqsynth.dataset import _shown
 from freqsynth.errors import InvalidSeries, ShapeMismatch
 
 
@@ -132,3 +133,31 @@ def test_nan_and_wrong_ndim_raise_invalid_series_naming_the_field(
     deep = good.reshape((1,) * (3 - good.ndim) + good.shape)
     with pytest.raises(InvalidSeries, match=f"^{name} must be {good.ndim}-d, got ndim=3$"):
         build(deep)
+
+
+def _nested(depth):
+    value = 0.1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("value", [0, -7, 2.5, "abc", None, True, [1, 2], np.float64(0.3)])
+def test_shown_value_is_its_repr(value):
+    assert _shown(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", [
+    "h" * 3000, "é" * 3000, 10**3000, _nested(600), {"k" * 500: list(range(1000))},
+    [["x" * 100] * 100] * 100,
+], ids=["str", "non-ascii", "int", "nested", "dict", "lists"])
+def test_shown_value_of_any_size_is_short(value):
+    text = _shown(value)
+    assert 0 < len(text) <= 80
+    assert text[0] == repr(value)[0]
+
+
+@pytest.mark.parametrize("value", [10**5000, [1, 10**5000]], ids=["int", "nested int"])
+def test_shown_int_past_the_digit_limit_is_named_by_its_type(value):
+    # str() of an int of more than 4,300 digits raises ValueError
+    assert _shown(value) == f"<{type(value).__name__} too large to show>"

@@ -169,9 +169,59 @@ class TestConfig:
     @pytest.mark.parametrize("value", [0.01, -1.0, float("inf"), float("nan")])
     def test_a_prime_must_be_finite_and_exceed_the_shift(self, value):
         # an infinite scale would render infinite channels
-        with pytest.raises(InvalidAmplitudeScale, match=f"^A_prime must be finite and exceed "
-                                                        f"0.01, got {value}$"):
+        message = (f"A_prime must exceed 0.01 and be at most {generator._A_PRIME_L_MAX / 10} "
+                   f"for l = 10, got {value}")
+        with pytest.raises(InvalidAmplitudeScale, match=f"^{re.escape(message)}$"):
             GeneratorConfig(omega_bar=0.1, A_prime=value)
+
+    @pytest.mark.parametrize("l", [1, 10, 1000])
+    def test_a_prime_bound_at_and_above(self, l):
+        bound = generator._A_PRIME_L_MAX / l
+        assert GeneratorConfig(omega_bar=0.1, A_prime=bound, l=l, n=64).A_prime == bound
+        with pytest.raises(InvalidAmplitudeScale, match="^A_prime must exceed 0.01 and be at most"):
+            GeneratorConfig(omega_bar=0.1, A_prime=np.nextafter(bound, np.inf), l=l, n=64)
+
+    def test_l_past_float_range_is_over_the_point_budget(self):
+        # the A_prime bound divides by l only after the budget has bounded it
+        with pytest.raises(TooManyPoints, match=r"^d \* l = 1 \* 1000"):
+            GeneratorConfig(omega_bar=0.1, l=10**309, d=1)
+        with pytest.raises(TooManyPoints, match=r"^d \* l = "):
+            GeneratorConfig(omega_bar=0.1, A_prime=1e308, l=10**309, d=1)
+
+    def test_largest_exponential_draw(self):
+        # an MT19937 state whose next outputs drive Generator.exponential into
+        # its ziggurat tail (a 64-bit draw whose layer bits 3..10 are 0) and
+        # then draw the largest 53-bit uniform
+        def untemper(y):
+            y ^= y >> 18
+            y ^= (y << 15) & 0xEFC60000
+            x = y
+            for _ in range(5):
+                x = y ^ ((x << 7) & 0x9D2C5680)
+            x = y = x & 0xFFFFFFFF
+            for _ in range(3):
+                x = y ^ (x >> 11)
+            return x
+
+        bits = np.random.MT19937(0)
+        state = bits.state
+        key = state["state"]["key"].copy()
+        key[:4] = [untemper(o) for o in (0xFFFFFFFF, 0xFFFFF807, 0xFFFFFFFF, 0xFFFFFFFF)]
+        state["state"].update(key=key, pos=0)
+        bits.state = state
+        assert np.random.Generator(bits).exponential(scale=1.0) == generator._EXP_MAX
+
+    @pytest.mark.parametrize("m", [1, 3])  # every member drawn, or the basis render
+    def test_worst_draw_at_the_bound_renders_finite(self, m):
+        # every draw takes a member of the largest amplitude, in phase at t = 0
+        l = 10
+        a_prime = generator._A_PRIME_L_MAX / l
+        amp = (a_prime - 0.01) * generator._EXP_MAX + 0.01
+        pool = (np.full(m, amp), np.full(m, 0.1), np.full(m, np.pi / 2))
+        cfg = GeneratorConfig(omega_bar=0.1, A_prime=a_prime, l=l, n=16, d=2)
+        with np.errstate(over="raise", invalid="raise"):
+            values = synthesize(cfg, pool=pool).values
+        assert values[:, 0].tolist() == pytest.approx([l * amp] * 2, rel=1e-12)
 
     def test_integral_counts_become_ints(self):
         cfg = GeneratorConfig(omega_bar=0.1, m=np.int64(100), n=2048.0)

@@ -59,6 +59,20 @@ class TestAgainstEagerSampler:
             assert_bitwise(g.horizons, w.horizons)
         assert not np.intersect1d(got[0]._starts, got[1]._starts).size
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_every_triple_drawn(self, seed):
+        # n = L + H leaves each channel of the first and third datasets one start
+        shapes = [(10, 2), (13, 3), (10, 1), (25, 1)]
+        datasets = [noisy(n, d, seed=seed + i) for i, (n, d) in enumerate(shapes)]
+        total = sum(d * (n - 10 + 1) for n, d in shapes)
+        got = sample_windows(datasets, 20, total - 20, 6, 4, seed)
+        want = oracles.sample_windows_eager(datasets, 20, total - 20, 6, 4, seed)
+        for g, w in zip(got, want):
+            assert_bitwise(g.block(0, g.count), np.hstack([w.lookbacks, w.horizons]))
+        rows = np.cumsum([0] + [n for n, d in shapes for _ in range(d)])
+        every = np.concatenate([np.arange(lo, hi - 9) for lo, hi in zip(rows, rows[1:])])
+        assert_bitwise(np.sort(np.concatenate([ws._starts for ws in got])), every)
+
     def test_one_dataset(self):
         ds = noisy(500, d=2, seed=3)
         got, _ = sample_windows([ds], 200, 0, 32, 8, 5)
