@@ -21,7 +21,6 @@ from .dataset import Dataset, WindowSet
 from .errors import FreqSynthError
 from .evaluation import (
     EvalReport,
-    SplitSpec,
     TransferMatrix,
     confusion_experiment,
     evaluate_zero_shot,

@@ -44,7 +44,6 @@ from .errors import (
 )
 from .evaluation import (
     DEFAULT_HORIZONS,
-    SplitSpec,
     confusion_experiment,
     evaluate_zero_shot,
     generalization_experiment,
@@ -281,12 +280,17 @@ def cmd_evaluate(args, parser) -> int:
     with _naming(args.input):
         target = dataio.load_csv(args.input)
     if args.split is not None:
-        fracs = args.split
-        if len(fracs) != 3:
+        if len(args.split) != 3:
             parser.error("--split needs three comma-separated fractions")
-        spec = SplitSpec(*fracs)
+        train_frac, val_frac, test_frac = args.split
+        total = train_frac + val_frac + test_frac
+        if not 0.0 < test_frac < 1.0:  # split checks the test fraction it derives
+            raise ValueError(f"test_frac must be in (0, 1), got {test_frac}")
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"fractions must sum to 1, got {total}")
         with _naming(args.input):
-            train, _, test = split(target, spec, min_len=args.lookback + max(args.horizons))
+            train, _, test = split(target, train_frac, val_frac,
+                                   min_len=args.lookback + max(args.horizons))
             _, target = standardize_by_train(train, test)
     # the input's length check names it; the flags' checks do not
     with _naming(args.input, SplitTooSmall):

@@ -104,19 +104,6 @@ class Dataset:
         """Series length."""
         return self.values.shape[1]
 
-    def slice_time(self, start: int, stop: int) -> "Dataset":
-        """Return the [start, stop) time slice as a new dataset with the
-        same channel names and provenance."""
-        if not 0 <= start < stop <= self.n:
-            raise InvalidSeries(
-                f"bad time slice [{start}, {stop}) for length {self.n}"
-            )
-        return Dataset(
-            values=self.values[:, start:stop],
-            channel_names=self.channel_names,
-            provenance=self.provenance,
-        )
-
 
 class WindowSet:
     """A batch of N (lookback, horizon) pairs, gathered on demand.

@@ -59,24 +59,6 @@ _BLOCK = 2**18
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    """Chronological train/val/test fractions; must sum to 1."""
-
-    train_frac: float
-    val_frac: float
-    test_frac: float
-
-    def __post_init__(self):
-        for name in ("train_frac", "val_frac", "test_frac"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {v}")
-        total = self.train_frac + self.val_frac + self.test_frac
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"fractions must sum to 1, got {total}")
-
-
-@dataclass(frozen=True)
 class EvalReport:
     """One dataset/horizon measurement."""
 
@@ -124,27 +106,31 @@ class TransferMatrix:
 
 
 def split(
-    ds: Dataset, spec: SplitSpec, min_len: int = 1
+    ds: Dataset, train_frac: float, val_frac: float, min_len: int = 1
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Contiguous train/val/test partition at floor(n * frac) boundaries.
 
-    ``min_len`` is the smallest acceptable segment (pass L + H when the
-    segments must hold at least one evaluation window).
+    The test segment takes the rest, 1 - train_frac - val_frac, and each
+    of the three fractions must be in (0, 1).  ``min_len`` is the smallest
+    acceptable segment (pass L + H when the segments must hold at least
+    one evaluation window).
     """
+    for name, v in zip(("train_frac", "val_frac", "test_frac"),
+                       (train_frac, val_frac, 1.0 - train_frac - val_frac)):
+        if not 0.0 < v < 1.0:
+            raise ValueError(f"{name} must be in (0, 1), got {v}")
     n = ds.n
-    n_train = int(np.floor(n * spec.train_frac + 1e-9))
-    n_val = int(np.floor(n * spec.val_frac + 1e-9))
+    n_train = int(np.floor(n * train_frac + 1e-9))
+    n_val = int(np.floor(n * val_frac + 1e-9))
     n_test = n - n_train - n_val
     if min(n_train, n_val, n_test) < max(min_len, 1):
         raise SplitTooSmall(
             f"splits {n_train}/{n_val}/{n_test} of n={n} fall below "
             f"min_len={_shown(min_len)}"
         )
-    return (
-        ds.slice_time(0, n_train),
-        ds.slice_time(n_train, n_train + n_val),
-        ds.slice_time(n_train + n_val, n),
-    )
+    cuts = (0, n_train, n_train + n_val, n)
+    return tuple(Dataset(ds.values[:, a:b], ds.channel_names, ds.provenance)
+                 for a, b in zip(cuts, cuts[1:]))
 
 
 def _block_sums(

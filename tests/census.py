@@ -145,12 +145,9 @@ KEPT = {
         "the paper's amplitude scale A'; a --config file can set it, and "
         "it is part of every config digest"
     ),
-    ("value SplitSpec(train_frac)", "value SplitSpec(val_frac)",
-     "value SplitSpec(test_frac)", "field freqsynth.evaluation.SplitSpec.test_frac"): (
-        "the three fractions are the split's specification and come from "
-        "evaluate --split, which cli_digests runs once; __post_init__ checks "
-        "that they sum to 1, and split gives the test segment the remaining "
-        "n - n_train - n_val steps, so nothing reads test_frac"
+    ("value split(train_frac)", "value split(val_frac)"): (
+        "the fractions come from evaluate --split, which cli_digests runs "
+        "with one split, 0.7,0.1,0.2; the test segment takes the rest"
     ),
 }
 

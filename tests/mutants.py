@@ -330,6 +330,22 @@ MUTANTS = [
            '        return f"<{type(value).__name__} too large to show>"', "        raise",
            "an int past str's digit limit fails the error it was to be shown in",
            ("test_dataset.py", "test_cli.py")),
+    # the chronological split's fractions and boundaries, and evaluate --split
+    Mutant("src/freqsynth/evaluation.py", "(train_frac, val_frac, 1.0 - train_frac - val_frac)",
+           "(train_frac, val_frac, 0.5)", "split does not check the test fraction it derives",
+           ("test_evaluation.py",)),
+    Mutant("src/freqsynth/evaluation.py", "np.floor(n * train_frac + 1e-9)",
+           "np.floor(n * train_frac)", "the train boundary floors n * frac without the 1e-9",
+           ("test_evaluation.py",)),
+    Mutant("src/freqsynth/evaluation.py", "np.floor(n * val_frac + 1e-9)",
+           "np.floor(n * val_frac)", "the val boundary floors n * frac without the 1e-9",
+           ("test_evaluation.py",)),
+    Mutant("src/freqsynth/cli.py", "        if abs(total - 1.0) > 1e-9:\n",
+           "        if False:\n", "evaluate --split accepts fractions that do not sum to 1",
+           ("test_cli.py",)),
+    Mutant("src/freqsynth/cli.py", "        if not 0.0 < test_frac < 1.0:",
+           "        if False:", "evaluate --split leaves its given test fraction to the "
+           "one split derives", ("test_cli.py",)),
 ]
 
 

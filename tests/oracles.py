@@ -12,7 +12,6 @@ from freqsynth.dataset import _whole_number as whole_number
 from freqsynth.evaluation import (
     DEFAULT_HORIZONS,
     EvalReport,
-    SplitSpec,
     TransferMatrix,
     _forecaster,
     minmax_scale_columns,
@@ -58,10 +57,10 @@ _BLOCK = 2**18
 
 _SEED_CEILING = 2**63 - 1
 
-# The ETTh/ETTm chronological split and the split of the other LTSF
-# datasets.
-ETT_SPLIT = SplitSpec(0.6, 0.2, 0.2)
-STANDARD_SPLIT = SplitSpec(0.7, 0.2, 0.1)
+# The (train, val) fractions of the ETTh/ETTm chronological split and of
+# the other LTSF datasets' split; the test segment takes the rest.
+ETT_SPLIT = (0.6, 0.2)
+STANDARD_SPLIT = (0.7, 0.2)
 
 
 def render_sine(amplitude: float, frequency: float, phase: float, n: int) -> np.ndarray:

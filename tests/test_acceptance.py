@@ -14,11 +14,15 @@ seeds, mismatches) with the committed ACCEPTANCE.json, and fails naming
 the check and the command that regenerates the file when one differs.
 Float readings move with rounding and wall times with the host, so they
 are not compared.  The comparison runs as each verdict is recorded, so a
-``-k`` subset checks its own checks.
+``-k`` subset checks its own checks.  The file's ``machine`` block names
+the build it was measured on (numpy, its BLAS, the CPU architecture); on
+another build each check still asserts its verdict, but prints one line
+saying so instead of comparing its integer readings.
 """
 
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -65,6 +69,11 @@ with open(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 REGENERATE = ("FREQSYNTH_ACCEPTANCE_JSON=ACCEPTANCE.json "
               "PYTHONPATH=src python -m pytest tests/test_acceptance.py")
 
+_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+# The build whose rounding the readings come from.
+MACHINE = {"numpy": np.__version__, "blas": f"{_BLAS['name']} {_BLAS['version']}",
+           "platform": platform.machine()}
+
 
 @pytest.fixture(scope="module", autouse=True)
 def margins_file():
@@ -73,7 +82,8 @@ def margins_file():
     yield
     path = os.environ.get("FREQSYNTH_ACCEPTANCE_JSON")
     if path:
-        lines = (f" {json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(MARGINS.items()))
+        entries = sorted({**MARGINS, "machine": MACHINE}.items())
+        lines = (f" {json.dumps(k)}: {json.dumps(v)}" for k, v in entries)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
@@ -92,10 +102,21 @@ def verdict(num, ok, desc, **values):
     print(f"ACCEPTANCE C{num:02d} {'PASS' if ok else 'FAIL'} - {desc}")
     assert ok, f"C{num:02d} failed: {desc}"
     if not os.environ.get("FREQSYNTH_ACCEPTANCE_JSON"):
-        now, then = _counts(MARGINS[f"C{num:02d}"]), _counts(COMMITTED.get(f"C{num:02d}"))
-        assert now == then, (
-            f"C{num:02d} moved from the committed ACCEPTANCE.json: {now} != {then}; "
-            f"if the move is meant, regenerate the file with `{REGENERATE}`")
+        compare_with_committed(f"C{num:02d}", MARGINS[f"C{num:02d}"], COMMITTED)
+
+
+def compare_with_committed(key, check, committed):
+    """Assert that ``check``'s verdict and integer readings equal those of
+    ``committed[key]`` when ``committed`` was measured on this build, and
+    print one line saying the comparison is skipped when it was not."""
+    if committed.get("machine") != MACHINE:
+        print(f"{key}: integer readings not compared: ACCEPTANCE.json was measured on "
+              f"{json.dumps(committed.get('machine'))}, this build is {json.dumps(MACHINE)}")
+        return
+    now, then = _counts(check), _counts(committed.get(key))
+    assert now == then, (
+        f"{key} moved from the committed ACCEPTANCE.json: {now} != {then}; "
+        f"if the move is meant, regenerate the file with `{REGENERATE}`")
 
 
 def _counts(check):
@@ -104,6 +125,16 @@ def _counts(check):
         return None
     return {"pass": check["pass"], **{name: v["value"] for name, v in check["values"].items()
                                       if type(v["value"]) is int}}
+
+
+def test_a_file_from_another_build_is_not_compared(capsys):
+    check = {"pass": True, "values": {"hits": {"value": 3, "need": ">= 9"}}}
+    other = {"machine": {**MACHINE, "numpy": "0.0"}, "C99": {"pass": True, "values": {}}}
+    compare_with_committed("C99", check, other)
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and out[0].startswith("C99: integer readings not compared")
+    with pytest.raises(AssertionError, match="C99 moved from the committed"):
+        compare_with_committed("C99", check, {**other, "machine": MACHINE})
 
 
 def test_c01_periodogram_exactness():

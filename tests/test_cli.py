@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import warnings
 from xml.etree import ElementTree
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqsynth
 from freqsynth import cli, evaluation, load_csv, model_from_json
 from freqsynth.cli import build_parser, main
 
@@ -448,6 +451,26 @@ class TestFitEvaluate:
                 ]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("fracs, message", [
+        ("0.5,0.3,0.3", "fractions must sum to 1, got 1.1"),
+        ("0.2,0.2,nan", "test_frac must be in (0, 1), got nan"),
+        ("nan,0.5,0.5", "train_frac must be in (0, 1), got nan"),
+        ("0.5,0.6,-0.1", "test_frac must be in (0, 1), got -0.1"),
+        # the sum is within 1e-9 of 1, and split would derive a test
+        # fraction of 9e-10, so only the given one rejects it
+        ("0.5999999995,0.3999999996,0", "test_frac must be in (0, 1), got 0.0"),
+        ("1.5,-0.6,0.1", "train_frac must be in (0, 1), got 1.5"),
+    ])
+    def test_evaluate_bad_split_fractions(self, tmp_path, capsys, fracs, message):
+        data = gen_csv(tmp_path, "bf", n=512, d=1)
+        out = str(tmp_path / "x.csv")
+        capsys.readouterr()
+        argv = ["evaluate", "--model", "naive", "--input", data, "--lookback", "1",
+                "--horizons", "1", "--split", fracs, "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"freqsynth: error: {message}"]
+        assert not os.path.exists(out)
 
 
 class TestExperimentCommands:
@@ -1014,3 +1037,29 @@ def test_fuzz_bad_flag_is_rejected_without_a_trace(fuzz_dir, data):
         is_path = flag in PATH_FLAGS and not value.startswith("seasonal:")
         _one_short_line(err, value if is_path else "")
         assert ok not in err and ok2 not in err, err[:300]
+
+
+# -- the BLAS thread count ---------------------------------------------------
+
+def _cli_at_threads(threads, argv, cwd):
+    """Run the CLI in a fresh process with BLAS at ``threads`` threads."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqsynth.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-m", "freqsynth", *argv], cwd=cwd, env=env,
+                   check=True, capture_output=True, timeout=300)
+
+
+def test_evaluate_of_a_saved_model_does_not_depend_on_the_thread_count(tmp_path):
+    """``evaluate`` of a saved ridge model writes the same bytes with BLAS at
+    one thread and at two.  Fits round differently with the thread count
+    (ROADMAP item 7), so the model is fitted once, at one thread.  With one
+    usable core the two runs cannot differ, so there this test cannot tell
+    them apart; a thread-parallel scorer must keep the property."""
+    write_config(tmp_path / "c.json", omega_bar=0.05, h=2, n=4000, d=2)
+    _cli_at_threads(1, ["generate", "--config", "c.json", "--out", "d.csv"], tmp_path)
+    _cli_at_threads(1, ["fit", "--rate", "1h", "--count", "256", "--out", "m.json"], tmp_path)
+    for threads in (1, 2):
+        _cli_at_threads(threads, ["evaluate", "--model", "m.json", "--input", "d.csv",
+                                  "--out", f"r{threads}.csv"], tmp_path)
+    assert read_bytes(tmp_path / "r1.csv") == read_bytes(tmp_path / "r2.csv")

@@ -45,13 +45,6 @@ class TestDataset:
         with pytest.raises(InvalidSeries):
             Dataset(values=vals, channel_names=("a",))
 
-    def test_slice_time(self):
-        ds = make_ds(2, 10)
-        sub = ds.slice_time(3, 8)
-        assert sub.n == 5
-        assert np.array_equal(sub.values, ds.values[:, 3:8])
-        assert sub.channel_names == ds.channel_names
-
 
 class TestWindowSet:
     def test_basic(self):

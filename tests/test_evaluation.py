@@ -13,7 +13,6 @@ from freqsynth import (
     LinearForecaster,
     NaiveForecaster,
     SeasonalNaiveForecaster,
-    SplitSpec,
     TransferMatrix,
     WindowSet,
     aggregate_periodogram,
@@ -70,45 +69,62 @@ def sine_dataset(omega, n, d=2, seed=0, standardized=True):
     return standardize(ds) if standardized else ds
 
 
-class TestSplitSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SplitSpec(0.5, 0.5, 0.2)
-        with pytest.raises(ValueError):
-            SplitSpec(1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            SplitSpec(-0.2, 0.6, 0.6)
-
-
 class TestSplit:
     def _ds(self, n):
         vals = np.random.default_rng(0).normal(size=(2, n))
         return Dataset(values=vals, channel_names=("a", "b"))
 
+    @pytest.mark.parametrize("train, val, message", [
+        (0.5, 0.5, "test_frac must be in (0, 1), got 0.0"),
+        (1.0, 0.0, "train_frac must be in (0, 1), got 1.0"),
+        (-0.2, 0.6, "train_frac must be in (0, 1), got -0.2"),
+        (0.5, 0.0, "val_frac must be in (0, 1), got 0.0"),
+        (0.5, 0.6, "test_frac must be in (0, 1), got -0.09999999999999998"),
+        (float("nan"), 0.2, "train_frac must be in (0, 1), got nan"),
+        (0.2, float("nan"), "val_frac must be in (0, 1), got nan"),
+    ], ids=["test-zero", "train-one", "train-negative", "val-zero", "test-negative",
+            "train-nan", "val-nan"])
+    def test_fractions_outside_the_open_interval(self, train, val, message):
+        with pytest.raises(ValueError) as exc:
+            split(self._ds(100), train, val)
+        assert str(exc.value) == message
+
+    def test_boundaries_forgive_the_product_rounding(self):
+        # 100 * 0.29 is 28.999999999999996, which floors to 29 only with the 1e-9
+        train, val, test = split(self._ds(100), 0.29, 0.29)
+        assert (train.n, val.n, test.n) == (29, 29, 42)
+
+    def test_segments_keep_values_names_and_provenance(self):
+        ds = Dataset(values=self._ds(10).values, channel_names=("a", "b"), provenance="src")
+        segments = split(ds, *STANDARD_SPLIT)
+        for seg, (a, b) in zip(segments, [(0, 7), (7, 9), (9, 10)], strict=True):
+            assert np.array_equal(seg.values, ds.values[:, a:b])
+            assert seg.channel_names == ("a", "b") and seg.provenance == "src"
+
     def test_ett_fractions(self):
-        train, val, test = split(self._ds(100), ETT_SPLIT)
+        train, val, test = split(self._ds(100), *ETT_SPLIT)
         assert (train.n, val.n, test.n) == (60, 20, 20)
 
     def test_standard_fractions_floor(self):
-        train, val, test = split(self._ds(10), STANDARD_SPLIT)
+        train, val, test = split(self._ds(10), *STANDARD_SPLIT)
         assert (train.n, val.n, test.n) == (7, 2, 1)
 
     def test_contiguous_chronological(self):
         ds = self._ds(50)
-        train, val, test = split(ds, ETT_SPLIT)
+        train, val, test = split(ds, *ETT_SPLIT)
         glued = np.concatenate([train.values, val.values, test.values], axis=1)
         assert np.array_equal(glued, ds.values)
 
     def test_too_small(self):
         with pytest.raises(SplitTooSmall):
-            split(self._ds(100), ETT_SPLIT, min_len=30)
+            split(self._ds(100), *ETT_SPLIT, min_len=30)
 
 
 class TestStandardizeByTrain:
     def test_near_constant_large_offset_train_channel(self):
         t = np.arange(1000)
         vals = np.vstack([np.sin(0.3 * t), 1e8 + 1e-7 * np.sin(t)])
-        train, val, test = split(Dataset(values=vals, channel_names=("a", "b")), ETT_SPLIT)
+        train, val, test = split(Dataset(values=vals, channel_names=("a", "b")), *ETT_SPLIT)
         with pytest.raises(DegenerateChannel, match=r"channel\(s\) \[1\]"):
             standardize_by_train(train, val, test)
 
@@ -117,7 +133,7 @@ class TestStandardizeByTrain:
         ds = Dataset(
             values=rng.uniform(3, 9, size=(2, 200)), channel_names=("a", "b")
         )
-        train, val, test = split(ds, ETT_SPLIT)
+        train, val, test = split(ds, *ETT_SPLIT)
         tr, va, te = standardize_by_train(train, val, test)
         assert_standardized(tr)
         mu = train.values.mean(axis=1, keepdims=True)
@@ -132,7 +148,7 @@ class TestStandardizeByTrain:
         reports = []
         for vals in (base, a * base + b):
             ds = Dataset(values=vals, channel_names=("x",))
-            train, val, test = split(ds, ETT_SPLIT)
+            train, val, test = split(ds, *ETT_SPLIT)
             _, _, te = standardize_by_train(train, val, test)
             reports.append(
                 evaluate_zero_shot(NaiveForecaster(), te, L=16, horizons=(8,))[0]

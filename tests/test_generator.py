@@ -833,7 +833,8 @@ class TestBitForBit:
         ds = Dataset(values=rng.normal(3.0, 2.0, size=(3, 301)), channel_names=names,
                      provenance="p")
         assert_same_datasets([standardize(ds)], [oracles.standardize(ds)])
-        train, val, test = ds.slice_time(0, 200), ds.slice_time(200, 250), ds.slice_time(250, 301)
+        train, val, test = (Dataset(ds.values[:, a:b], names, "p")
+                            for a, b in ((0, 200), (200, 250), (250, 301)))
         for splits in ((train,), (train, test), (train, val, test), (train, train)):
             assert_same_datasets(
                 standardize_by_train(*splits), oracles.standardize_by_train(*splits)

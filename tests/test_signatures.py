@@ -48,6 +48,7 @@ from freqsynth import (
     minmax_scale_columns,
     ridge_trainer,
     size_variates_sweep,
+    split,
     synthetic_registry,
 )
 from freqsynth.spectral import common_grid, default_window_len
@@ -63,7 +64,7 @@ PARAMETERS = [
     (synthetic_registry, ("seed", "n", "d")),
     (default_window_len, ("n",)),
     (common_grid, ()),
-    (Dataset.slice_time, ("self", "start", "stop")),
+    (split, ("ds", "train_frac", "val_frac", "min_len")),
     (freq_synth, ("omega_bar", "seed", *WINDOWS)),
     (freq_synth_natural, ("seed", *WINDOWS)),
     (freq_synth_mix, ("seed", *WINDOWS)),
@@ -85,7 +86,7 @@ PUBLIC_NAMES = [
     "Dataset", "EvalReport", "FreqSynthError", "FundamentalEstimate",
     "GeneratorConfig", "LinearForecaster", "MIX_FREQ_RANGE",
     "NATURAL_FREQUENCIES", "NaiveForecaster", "Periodogram", "RATE_TABLE",
-    "SeasonalNaiveForecaster", "SplitSpec",
+    "SeasonalNaiveForecaster",
     "TransferMatrix", "WindowSet", "__version__", "aggregate_periodogram",
     "build_datasets", "build_pool", "confusion_experiment",
     "default_window_len", "dft", "estimate_fundamental", "evaluate_zero_shot",
